@@ -161,7 +161,8 @@ def ingest(
 
     Terminals are numbered in first-occurrence order.  ``raw`` is either a
     byte string or a sequence of unsigned token values; token values above
-    ``token_ceiling`` are rejected.
+    ``token_ceiling`` and anything but integers (floats, booleans, strings)
+    are rejected with ``InputFormatError``.
     """
     if kind is None:
         kind = "bytes" if isinstance(raw, (bytes, bytearray, memoryview)) else "tokens"
@@ -169,12 +170,22 @@ def ingest(
         arr = np.frombuffer(bytes(raw), dtype=np.uint8).astype(np.int64)
         ids, terminals = _first_occurrence_ids(arr, domain=256)
     elif kind == "tokens":
-        arr = np.asarray(list(raw), dtype=np.int64) if not isinstance(raw, np.ndarray) else raw.astype(np.int64)
+        try:
+            arr = np.asarray(raw)
+        except ValueError:  # ragged nesting
+            raise InputFormatError("tokens must be a flat sequence of integers") from None
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+            # Floats, booleans, strings and ints too wide for numpy would
+            # otherwise be truncated or coerced into tokens silently.
+            raise InputFormatError(
+                f"tokens must be a flat sequence of integers in [0, {token_ceiling}]"
+                f", not {arr.dtype} of shape {arr.shape}"
+            )
         if arr.size and (arr.min() < 0 or arr.max() > token_ceiling):
             raise InputFormatError(
                 f"token values must lie in [0, {token_ceiling}]"
             )
-        ids, terminals = _first_occurrence_ids(arr, domain=None)
+        ids, terminals = _first_occurrence_ids(arr.astype(np.int64), domain=None)
     else:
         raise ValueError(f"unknown input kind {kind!r}")
     return WorkingText(ids), AlphabetMap(input_kind=kind, terminal_of_id=terminals)

@@ -10,6 +10,7 @@ cheapest snapshot.
 
 from __future__ import annotations
 
+import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -35,6 +36,13 @@ class PhaseTrace:
     size_before: int
     rules_after: int
     size_after: int
+    # Wall time of each stage, in seconds.
+    rename_s: float
+    blocks_s: float
+    adjacency_s: float
+    partition_s: float
+    pairs_s: float
+    compact_s: float
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -67,14 +75,24 @@ def run_phase(
     live_before = len(text)
     rules_before = len(grammar.rules)
     size_before = grammar.size
+    clock = [time.perf_counter()]
     rename_dense(text, amap)
+    clock.append(time.perf_counter())
     scan = scan_blocks(text, amap)
     blocks = compress_blocks(text, scan, grammar, amap)
+    clock.append(time.perf_counter())
     live_after_blocks = len(text)
     adj = build_adjacency(text, amap)
+    clock.append(time.perf_counter())
     part = greedy_partition(adj, amap)
+    clock.append(time.perf_counter())
     pairs = compress_pairs(text, part, adj, grammar, amap)
+    clock.append(time.perf_counter())
     text.compact()
+    clock.append(time.perf_counter())
+    rename_s, blocks_s, adjacency_s, partition_s, pairs_s, compact_s = (
+        end - start for start, end in zip(clock, clock[1:])
+    )
     return PhaseTrace(
         phase=phase_index,
         live_before=live_before,
@@ -88,6 +106,12 @@ def run_phase(
         size_before=size_before,
         rules_after=len(grammar.rules),
         size_after=grammar.size,
+        rename_s=rename_s,
+        blocks_s=blocks_s,
+        adjacency_s=adjacency_s,
+        partition_s=partition_s,
+        pairs_s=pairs_s,
+        compact_s=compact_s,
     )
 
 

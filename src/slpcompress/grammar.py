@@ -220,7 +220,7 @@ def expand(slp: Slp, symbol: int | None = None):
         lut = np.asarray(slp.terminals, dtype=np.uint8)
         return lut[ids].tobytes() if len(ids) else b""
     lut = np.asarray(slp.terminals, dtype=np.int64)
-    return [int(v) for v in lut[ids]] if len(ids) else []
+    return lut[ids].tolist()
 
 
 def grammar_depth(slp: Slp) -> int:

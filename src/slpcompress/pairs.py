@@ -18,18 +18,13 @@ from .grammar import Slp
 from .text import StaleTextError, WorkingText
 
 
-@dataclass
-class PairOccurrence:
-    first: int  # working id
-    second: int
-    pos: int  # live ordinal of the first symbol
-
-
 class PairAdjacency:
-    """Right/left neighbour lists with per-pair occurrence lists.
+    """Distinct adjacent pairs with their occurrence lists.
 
-    Built from one radix sort of the (first, second, position) records;
-    occurrences of a distinct pair are stored contiguously in text order.
+    Built from one radix sort of the (first, second, position) records:
+    ``pair_a``/``pair_b`` hold the distinct pairs in (first, second) order,
+    and the occurrences of pair ``i`` are
+    ``occurrences[occ_start[i]:occ_start[i + 1]]``, in text order.
     Positions are live ordinals (index into the live sequence), with the
     raw cell index recoverable through ``live_pos``.
     """
@@ -51,7 +46,6 @@ class PairAdjacency:
             self.pair_count = np.empty(0, dtype=np.int64)
             self.occ_start = np.zeros(1, dtype=np.int64)
             self.occurrences = np.empty(0, dtype=np.int64)
-            self._left_order = np.empty(0, dtype=np.int64)
             return
         a = lv[:-1]
         b = lv[1:]
@@ -67,47 +61,10 @@ class PairAdjacency:
         self.pair_b = b_sorted[starts]
         self.occ_start = np.append(starts, n - 1)
         self.pair_count = np.diff(self.occ_start)
-        self._left_order = radix_argsort(
-            [self.pair_b - self.base, self.pair_a - self.base], [self.width, self.width]
-        )
 
     @property
     def total_occurrences(self) -> int:
         return int(self.pair_count.sum())
-
-    def _right_slice(self, sym: int) -> slice:
-        lo = int(np.searchsorted(self.pair_a, sym, side="left"))
-        hi = int(np.searchsorted(self.pair_a, sym, side="right"))
-        return slice(lo, hi)
-
-    def _left_slice(self, sym: int) -> slice:
-        sorted_b = self.pair_b[self._left_order]
-        lo = int(np.searchsorted(sorted_b, sym, side="left"))
-        hi = int(np.searchsorted(sorted_b, sym, side="right"))
-        return slice(lo, hi)
-
-    def right_of(self, sym: int) -> list[tuple[int, list[int]]]:
-        """Neighbours b with ``sym b`` occurring, with live-ordinal positions."""
-        out = []
-        for i in range(*self._right_slice(sym).indices(len(self.pair_a))):
-            occ = self.occurrences[self.occ_start[i] : self.occ_start[i + 1]]
-            out.append((int(self.pair_b[i]), sorted(int(p) for p in occ)))
-        return out
-
-    def left_of(self, sym: int) -> list[tuple[int, list[int]]]:
-        """Neighbours b with ``b sym`` occurring, with live-ordinal positions."""
-        out = []
-        for i in self._left_order[self._left_slice(sym)]:
-            occ = self.occurrences[self.occ_start[i] : self.occ_start[i + 1]]
-            out.append((int(self.pair_a[i]), sorted(int(p) for p in occ)))
-        return out
-
-    def pair_occurrences(self):
-        """All occurrences, grouped by distinct pair in (first, second) order."""
-        for i in range(len(self.pair_a)):
-            a, b = int(self.pair_a[i]), int(self.pair_b[i])
-            for p in self.occurrences[self.occ_start[i] : self.occ_start[i + 1]]:
-                yield PairOccurrence(a, b, int(p))
 
 
 def build_adjacency(text: WorkingText, amap: AlphabetMap) -> PairAdjacency:
@@ -122,8 +79,6 @@ class Partition:
     base: int
     in_left: np.ndarray  # bool, indexed by working id - base
     in_right: np.ndarray
-    count_left: np.ndarray
-    count_right: np.ndarray
     cover_pre_swap: int = 0  # occurrences covered in either direction, before the swap
     cover_chosen: int = 0  # occurrences in left-class . right-class, after the swap
     swapped: bool = False
@@ -138,8 +93,7 @@ class Partition:
             in_right[s - base] = True
         if (in_left & in_right).any():
             raise ValueError("left and right classes must be disjoint")
-        zeros = np.zeros(width, dtype=np.int64)
-        return cls(base, in_left, in_right, zeros, zeros.copy())
+        return cls(base, in_left, in_right)
 
     def side_of(self, sym: int) -> str | None:
         off = sym - self.base
@@ -155,68 +109,45 @@ class Partition:
 def greedy_partition(adj: PairAdjacency, amap: AlphabetMap) -> Partition:
     """Deterministic greedy split of the working alphabet.
 
-    Symbols are processed in ascending id; each goes left when its
-    right-class adjacency count is at least its left-class one (ties go
-    left), then the counters of its neighbours are bumped.  Afterwards the
-    two classes are swapped when the opposite orientation covers strictly
-    more occurrences.  Covered occurrences after the swap number at least
-    ``ceil((|T| - 1) / 4)``.
+    Symbols are decided in ascending id: each goes left when it occurs next
+    to right-class symbols at least as often as next to left-class ones
+    (ties go left).  Only smaller neighbours are decided by then, so each
+    distinct pair is touched once, as an edge from its smaller endpoint
+    ``lo`` to its larger endpoint ``hi`` weighted by its occurrence count:
+    the side of ``lo`` moves the balance (right-class minus left-class
+    adjacencies) of ``hi``.
+
+    The adjacency's (first, second) order is already a valid walk order.
+    The edges that move the balance of ``x`` are ``(y, x)`` with ``y < x``,
+    in an earlier first-symbol group, and ``(x, y)`` with ``y < x``, at the
+    front of ``x``'s own group; the edges that read it are ``(x, z)`` with
+    ``z > x``, further on in that group, and ``(z, x)``, in a later group.
+
+    Ids that no longer occur have no edges and fall in the left class,
+    where the choice is inert.  Afterwards the two classes are swapped when
+    the opposite orientation covers strictly more occurrences.  Covered
+    occurrences after the swap number at least ``ceil((|T| - 1) / 4)``.
     """
-    base, width = adj.base, adj.width
-    occurring = np.unique(adj.live_syms)
-    count_left = [0] * width
-    count_right = [0] * width
-    side = [0] * width  # 0 unassigned, 1 left, 2 right
-    if len(adj.pair_a):
-        # Two cursor walks over the distinct pairs, sorted by first symbol
-        # (right neighbours) and by second symbol (left neighbours); the
-        # ascending symbol loop advances both monotonically, so each pair is
-        # touched twice in total.
-        ra = (adj.pair_a - base).tolist()
-        rb = (adj.pair_b - base).tolist()
-        rc = adj.pair_count.tolist()
-        lorder = adj._left_order
-        lb = (adj.pair_b[lorder] - base).tolist()
-        la = (adj.pair_a[lorder] - base).tolist()
-        lc = adj.pair_count[lorder].tolist()
-        n_pairs = len(ra)
-        i = j = 0
-        for off in (occurring - base).tolist():
-            if count_right[off] >= count_left[off]:
-                side[off] = 1
-                target = count_left
-            else:
-                side[off] = 2
-                target = count_right
-            while i < n_pairs and ra[i] == off:
-                target[rb[i]] += rc[i]
-                i += 1
-            while j < n_pairs and lb[j] == off:
-                target[la[j]] += lc[j]
-                j += 1
-    side_arr = np.asarray(side, dtype=np.int64)
-    part = Partition(
-        base,
-        side_arr == 1,
-        side_arr == 2,
-        np.asarray(count_left, dtype=np.int64),
-        np.asarray(count_right, dtype=np.int64),
-    )
-    # Ids in the interval that no longer occur in the text default to the
-    # left class; they have no adjacencies, so the choice is inert.
-    idle = side_arr == 0
-    if idle.any():
-        occurring_mask = np.zeros(width, dtype=bool)
-        occurring_mask[occurring - base] = True
-        part.in_left |= idle & ~occurring_mask
-    lr = part.in_left[adj.pair_a - base] & part.in_right[adj.pair_b - base]
-    rl = part.in_right[adj.pair_a - base] & part.in_left[adj.pair_b - base]
+    base = adj.base
+    a = adj.pair_a - base
+    b = adj.pair_b - base
+    balance = [0] * adj.width
+    for lo, hi, w in zip(
+        np.minimum(a, b).tolist(), np.maximum(a, b).tolist(), adj.pair_count.tolist()
+    ):
+        if balance[lo] >= 0:  # lo went left
+            balance[hi] -= w
+        else:
+            balance[hi] += w
+    in_right = np.asarray(balance, dtype=np.int64) < 0
+    part = Partition(base, ~in_right, in_right)
+    lr = part.in_left[a] & part.in_right[b]
+    rl = part.in_right[a] & part.in_left[b]
     cover_lr = int(adj.pair_count[lr].sum())
     cover_rl = int(adj.pair_count[rl].sum())
     part.cover_pre_swap = cover_lr + cover_rl
     if cover_rl > cover_lr:
         part.in_left, part.in_right = part.in_right, part.in_left
-        part.count_left, part.count_right = part.count_right, part.count_left
         part.swapped = True
         part.cover_chosen = cover_rl
     else:

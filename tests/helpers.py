@@ -1,7 +1,12 @@
-"""Shared generators and string-level oracles for the rewriting-lab tests."""
+"""Shared generators, oracles and reference implementations for the tests."""
 
 import random
+from dataclasses import dataclass
 
+import numpy as np
+
+from slpcompress.alphabet import radix_argsort
+from slpcompress.pairs import Partition
 from slpcompress.rewriting import Ref, Run, RunSlp
 
 
@@ -118,3 +123,92 @@ def maximal_block_lengths(symbols: list[int], letter: int) -> list[int]:
             lengths.add(j - i)
         i = j
     return sorted(lengths)
+
+
+@dataclass
+class PairOccurrence:
+    first: int  # working id
+    second: int
+    pos: int  # live ordinal of the first symbol
+
+
+def _occurrences_of(adj, i: int) -> list[int]:
+    return sorted(int(p) for p in adj.occurrences[adj.occ_start[i] : adj.occ_start[i + 1]])
+
+
+def right_of(adj, sym: int) -> list[tuple[int, list[int]]]:
+    """Neighbours b with ``sym b`` occurring, with live-ordinal positions."""
+    return [
+        (int(adj.pair_b[i]), _occurrences_of(adj, i))
+        for i in np.flatnonzero(adj.pair_a == sym)
+    ]
+
+
+def left_of(adj, sym: int) -> list[tuple[int, list[int]]]:
+    """Neighbours a with ``a sym`` occurring, with live-ordinal positions."""
+    return sorted(
+        (int(adj.pair_a[i]), _occurrences_of(adj, i))
+        for i in np.flatnonzero(adj.pair_b == sym)
+    )
+
+
+def pair_occurrences(adj):
+    """All occurrences, grouped by distinct pair in (first, second) order."""
+    for i in range(len(adj.pair_a)):
+        for p in adj.occurrences[adj.occ_start[i] : adj.occ_start[i + 1]]:
+            yield PairOccurrence(int(adj.pair_a[i]), int(adj.pair_b[i]), int(p))
+
+
+def reference_greedy_partition(adj) -> Partition:
+    """The greedy split with two counters per symbol and two cursor walks.
+
+    Symbols are processed in ascending id; each goes left when its
+    right-class adjacency count is at least its left-class one (ties go
+    left), then the counters of all its neighbours, smaller and larger, are
+    bumped.  One walk runs over the pairs sorted by first symbol, the other
+    over the pairs sorted by second symbol.  The classes are swapped when
+    the opposite orientation covers strictly more occurrences.
+    """
+    base, width = adj.base, adj.width
+    occurring = np.unique(adj.live_syms)
+    count_left = [0] * width
+    count_right = [0] * width
+    side = [0] * width  # 0 unassigned, 1 left, 2 right
+    if len(adj.pair_a):
+        ra = (adj.pair_a - base).tolist()
+        rb = (adj.pair_b - base).tolist()
+        rc = adj.pair_count.tolist()
+        lorder = radix_argsort([adj.pair_b - base, adj.pair_a - base], [width, width])
+        lb = (adj.pair_b[lorder] - base).tolist()
+        la = (adj.pair_a[lorder] - base).tolist()
+        lc = adj.pair_count[lorder].tolist()
+        n_pairs = len(ra)
+        i = j = 0
+        for off in (occurring - base).tolist():
+            if count_right[off] >= count_left[off]:
+                side[off] = 1
+                target = count_left
+            else:
+                side[off] = 2
+                target = count_right
+            while i < n_pairs and ra[i] == off:
+                target[rb[i]] += rc[i]
+                i += 1
+            while j < n_pairs and lb[j] == off:
+                target[la[j]] += lc[j]
+                j += 1
+    side_arr = np.asarray(side, dtype=np.int64)
+    # Ids that no longer occur default to the left class.
+    part = Partition(base, side_arr != 2, side_arr == 2)
+    lr = part.in_left[adj.pair_a - base] & part.in_right[adj.pair_b - base]
+    rl = part.in_right[adj.pair_a - base] & part.in_left[adj.pair_b - base]
+    cover_lr = int(adj.pair_count[lr].sum())
+    cover_rl = int(adj.pair_count[rl].sum())
+    part.cover_pre_swap = cover_lr + cover_rl
+    if cover_rl > cover_lr:
+        part.in_left, part.in_right = part.in_right, part.in_left
+        part.swapped = True
+        part.cover_chosen = cover_rl
+    else:
+        part.cover_chosen = cover_lr
+    return part

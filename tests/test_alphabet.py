@@ -44,6 +44,37 @@ class TestIngest:
         with pytest.raises(InputFormatError):
             ingest([-1])
 
+    @given(
+        st.one_of(
+            st.lists(st.floats(), min_size=1),
+            st.lists(st.booleans(), min_size=1),
+            st.lists(st.one_of(st.integers(0, 9), st.floats()), min_size=1).filter(
+                lambda xs: any(isinstance(x, float) for x in xs)
+            ),
+            st.lists(st.integers(min_value=2**64), min_size=1),
+            st.lists(st.integers(max_value=-(2**63) - 1), min_size=1),
+            st.lists(st.text(), min_size=1),
+            st.text(min_size=1),
+            st.lists(st.floats(), min_size=1).map(np.asarray),
+            st.lists(st.lists(st.integers(0, 9), min_size=1), min_size=1),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_non_integer_tokens_rejected(self, raw):
+        # Silent truncation to int would break the round-trip promise.
+        with pytest.raises(InputFormatError):
+            ingest(raw)
+
+    @given(
+        st.lists(st.integers(0, 2**32 - 1), max_size=50),
+        st.sampled_from([None, np.uint32, np.int64, np.uint64]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_integer_tokens_accepted_in_any_integer_dtype(self, values, dtype):
+        raw = values if dtype is None else np.asarray(values, dtype=dtype)
+        text, amap = ingest(raw)
+        assert [amap.terminal_of_id[i] for i in text.to_list()] == values
+
     def test_sigma_bounded(self):
         text, amap = ingest(bytes(range(256)) * 3)
         assert amap.terminal_count == 256

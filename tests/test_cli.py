@@ -134,6 +134,8 @@ class TestTrace:
         for row in lines:
             assert row["live_after"] <= 0.75 * row["live_before"] + 0.25
             assert {"phase", "pairs_compressed", "blocks_compressed"} <= row.keys()
+            for stage in ("rename", "blocks", "adjacency", "partition", "pairs", "compact"):
+                assert row[f"{stage}_s"] >= 0.0
 
 
 class TestStats:

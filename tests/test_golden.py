@@ -1,0 +1,79 @@
+"""Golden grammars: the serialized output on fixed seeded inputs is pinned.
+
+Performance work on the compressor must leave every output grammar
+byte-identical.  The hashes below are SHA-256 digests of
+``serialize(compress(data, mode).slp)``; an input generator or hash that
+changes means the compressor's output changed.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from slpcompress import compress, expand, serialize
+
+SIZE = 2**14
+
+
+def random_bytes(seed):
+    rng = random.Random(seed)
+    return bytes(rng.randrange(64) for _ in range(SIZE))
+
+
+def revised_text(seed):
+    """Revisions of one lowercase text, a few point edits per revision."""
+    rng = random.Random(seed)
+    doc = [rng.choice("abcdefghijklmnopqrstuvwxyz ") for _ in range(1024)]
+    out = []
+    while len(out) < SIZE:
+        for _ in range(3):
+            doc[rng.randrange(len(doc))] = rng.choice("abcdefghijklmnopqrstuvwxyz ")
+        out.extend(doc)
+    return "".join(out[:SIZE]).encode()
+
+
+def token_runs(seed):
+    """Skewed 32-bit tokens in runs, so blocks are frequent and long."""
+    rng = random.Random(seed)
+    pool = [rng.randrange(2**32) for _ in range(300)]
+    out = []
+    while len(out) < SIZE:
+        tok = pool[min(int(rng.expovariate(0.05)), len(pool) - 1)]
+        out.extend([tok] * (1 + int(rng.expovariate(0.4))))
+    return out[:SIZE]
+
+
+def wide_tokens(seed):
+    """Mostly distinct tokens: a wide alphabet and few repeats."""
+    rng = random.Random(seed)
+    return [rng.randrange(2**32) for _ in range(SIZE)]
+
+
+GOLDEN = {
+    ("random_bytes", 1, "plain"):
+        "517eef405a44e014a7080fd46ae7f3c8268f3da0617f8b91248a028f30a3993e",
+    ("random_bytes", 1, "improved"):
+        "6a3dc1476f62c4f6beab0d5db27ae80dd23afaf3aa18c6000882518b3c546f32",
+    ("revised_text", 2, "plain"):
+        "73fda5e03d95a2666476257c1e97abd3a682bd028337f846600f9b27e8064c76",
+    ("revised_text", 2, "improved"):
+        "321a85820731b8a201dc259dc62b3be7557615f7fad42ca64340a4a42aec0586",
+    ("token_runs", 3, "plain"):
+        "bdd3989ab4df6149e30551d1adbd763a5f7f7fdfc5b44af14c3076d3f493a63c",
+    ("token_runs", 3, "improved"):
+        "8ab4c482a5c2c4d0bd7be820764a9cfad08e5b71f00d67736c8d75553374a960",
+    ("wide_tokens", 4, "plain"):
+        "1836133f51569e3cc8e3d926840a64d60b30cdc267949bb5c921aa339958d332",
+    ("wide_tokens", 4, "improved"):
+        "c64ca5219ef57af8e2cf0d4e633ae6341fda2ff37cd170558902a2d96f6fb568",
+}
+
+
+@pytest.mark.parametrize("gen,seed,mode", sorted(GOLDEN))
+def test_golden_grammar(gen, seed, mode):
+    data = globals()[gen](seed)
+    slp = compress(data, mode=mode).slp
+    assert expand(slp) == data
+    digest = hashlib.sha256(serialize(slp).encode()).hexdigest()
+    assert digest == GOLDEN[(gen, seed, mode)]

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import left_of, pair_occurrences, right_of
 from slpcompress.alphabet import ingest
 from slpcompress.blocks import compress_blocks, scan_blocks
 from slpcompress.grammar import Slp
@@ -35,16 +36,16 @@ class TestBuildAdjacency:
     def test_hand_scan(self):
         text, amap = ingest(b"abcab")
         adj = build_adjacency(text, amap)
-        assert adj.right_of(0) == [(1, [0, 3])]
-        assert adj.right_of(1) == [(2, [1])]
-        assert adj.right_of(2) == [(0, [2])]
-        assert adj.left_of(1) == [(0, [0, 3])]
+        assert right_of(adj, 0) == [(1, [0, 3])]
+        assert right_of(adj, 1) == [(2, [1])]
+        assert right_of(adj, 2) == [(0, [2])]
+        assert left_of(adj, 1) == [(0, [0, 3])]
 
     def test_single_symbol_all_lists_empty(self):
         text, amap = ingest(b"a")
         adj = build_adjacency(text, amap)
         assert adj.total_occurrences == 0
-        assert adj.right_of(0) == []
+        assert right_of(adj, 0) == []
 
     def test_occurrence_lists_sum_to_length_minus_one(self):
         rng = random.Random(4)
@@ -64,7 +65,7 @@ class TestBuildAdjacency:
     def test_pair_occurrence_records(self):
         text, amap = ingest(b"abcab")
         adj = build_adjacency(text, amap)
-        recs = [(o.first, o.second, o.pos) for o in adj.pair_occurrences()]
+        recs = [(o.first, o.second, o.pos) for o in pair_occurrences(adj)]
         assert sorted(recs) == [(0, 1, 0), (0, 1, 3), (1, 2, 1), (2, 0, 2)]
         # each adjacent position appears exactly once
         assert sorted(r[2] for r in recs) == [0, 1, 2, 3]

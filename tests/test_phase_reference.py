@@ -12,9 +12,14 @@ every replacement decision are pinned.
 import random
 from collections import Counter
 
+import numpy as np
+
+from helpers import reference_greedy_partition
+from slpcompress import driver
 from slpcompress.alphabet import ingest
 from slpcompress.driver import run_phase
-from slpcompress.grammar import Slp
+from slpcompress.grammar import Slp, expand
+from slpcompress.pairs import greedy_partition
 
 
 def canonical_pattern(seq):
@@ -125,3 +130,55 @@ def test_phase_matches_reference_on_structured_inputs():
         assert trace.blocks_compressed == blocks_compressed
         assert trace.pairs_compressed == chosen
         assert trace.cover_pre_swap == pre_swap
+
+
+def _greedy_inputs():
+    rng = random.Random(1618)
+    for _ in range(100):  # short texts over tiny alphabets, where swaps happen
+        sigma = rng.randint(2, 6)
+        yield bytes(rng.randrange(sigma) for _ in range(rng.randint(2, 60)))
+    for _ in range(12):  # bytes over small to full alphabets
+        sigma = rng.choice([2, 3, 5, 16, 64, 256])
+        yield bytes(rng.randrange(sigma) for _ in range(rng.randint(2, 3000)))
+    for _ in range(6):  # block-heavy bytes: long runs of few letters
+        out = bytearray()
+        while len(out) < 2000:
+            out += bytes([rng.randrange(4)]) * rng.randint(1, 12)
+        yield bytes(out)
+    for _ in range(6):  # wide-alphabet tokens, mostly distinct
+        yield [rng.randrange(2**32) for _ in range(rng.randint(2, 3000))]
+    for _ in range(6):  # skewed tokens in runs
+        pool = [rng.randrange(2**32) for _ in range(rng.randint(2, 400))]
+        out = []
+        while len(out) < 2000:
+            tok = pool[min(int(rng.expovariate(0.05)), len(pool) - 1)]
+            out += [tok] * rng.randint(1, 6)
+        yield out
+
+
+def test_greedy_matches_two_counter_reference_at_every_phase(monkeypatch):
+    """The one-walk split equals the two-counter, two-walk reference.
+
+    Every phase of whole compressions is checked, so later phases with
+    fresh block and pair symbols and wide working intervals are covered,
+    not only the first phase over the input alphabet.
+    """
+    phases = swaps = 0
+
+    def checked(adj, amap):
+        nonlocal phases, swaps
+        part = greedy_partition(adj, amap)
+        want = reference_greedy_partition(adj)
+        assert np.array_equal(part.in_left, want.in_left)
+        assert np.array_equal(part.in_right, want.in_right)
+        assert part.cover_pre_swap == want.cover_pre_swap
+        assert part.cover_chosen == want.cover_chosen
+        assert part.swapped == want.swapped
+        phases += 1
+        swaps += part.swapped
+        return part
+
+    monkeypatch.setattr(driver, "greedy_partition", checked)
+    for data in _greedy_inputs():
+        assert expand(driver.compress(data, mode="plain").slp) == data
+    assert phases > 500 and swaps > 0
