@@ -5,7 +5,7 @@ in linear time, plus a verification lab for rewriting arbitrary SLPs under
 the same compression steps.
 """
 
-from .alphabet import AlphabetMap, InputFormatError, SortRecord, ingest, radix_sort, rename_dense
+from .alphabet import AlphabetMap, InputFormatError, ingest, rename_dense
 from .driver import CompressionResult, PhaseTrace, compress, run_phase
 from .grammar import (
     ExpansionOverflow,
@@ -32,7 +32,6 @@ __all__ = [
     "InputFormatError",
     "PhaseTrace",
     "Slp",
-    "SortRecord",
     "WorkingText",
     "compress",
     "deserialize",
@@ -42,7 +41,6 @@ __all__ = [
     "ingest",
     "load",
     "prune_unreachable",
-    "radix_sort",
     "rename_dense",
     "run_phase",
     "serialize",

@@ -1,4 +1,4 @@
-"""Dense integer alphabets and the bounded-key record sorter.
+"""Dense integer alphabets and the bounded-key radix argsort.
 
 Every stage of the compressor works on integer symbol ids, and two id
 spaces coexist:
@@ -37,14 +37,6 @@ class InputFormatError(ValueError):
     """Raised when raw input cannot be turned into a symbol sequence."""
 
 
-@dataclass
-class SortRecord:
-    """A record with a small lexicographic key and an opaque payload."""
-
-    key: tuple[int, ...]
-    payload: object = None
-
-
 def radix_argsort(columns: Sequence[np.ndarray], bounds: Sequence[int]) -> np.ndarray:
     """Stable lexicographic argsort of parallel integer key columns.
 
@@ -77,26 +69,6 @@ def radix_argsort(columns: Sequence[np.ndarray], bounds: Sequence[int]) -> np.nd
             digit = (col[order] >> (d * _DIGIT_BITS)) & _DIGIT_MASK
             order = order[np.argsort(digit.astype(np.uint16), kind="stable")]
     return order
-
-
-def radix_sort(records: Sequence[SortRecord], bounds: Sequence[int]) -> list[SortRecord]:
-    """Stable sort of ``records`` by their key tuples.
-
-    All keys must have ``len(bounds)`` components, each below its bound.
-    """
-    records = list(records)
-    if not records:
-        return []
-    width = len(bounds)
-    for rec in records:
-        if len(rec.key) != width:
-            raise ValueError(f"key {rec.key} does not match {width} bounds")
-    columns = [
-        np.fromiter((rec.key[i] for rec in records), dtype=np.int64, count=len(records))
-        for i in range(width)
-    ]
-    order = radix_argsort(columns, bounds)
-    return [records[i] for i in order]
 
 
 @dataclass

@@ -19,18 +19,11 @@ from .grammar import Slp
 from .text import StaleTextError, WorkingText
 
 
-@dataclass
-class BlockRecord:
-    letter: int  # working id
-    length: int
-    pos: int  # raw cell index of the first cell of the block
-
-
 class BlockScan:
     """Maximal blocks of length >= 2, sorted by (letter, length).
 
-    Column-array layout; iterate to get ``BlockRecord`` views.  Positions
-    are only valid for the epoch they were scanned in.
+    Column-array layout.  Positions are only valid for the epoch they were
+    scanned in.
     """
 
     def __init__(self, letters: np.ndarray, lengths: np.ndarray, positions: np.ndarray,
@@ -42,10 +35,6 @@ class BlockScan:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __iter__(self):
-        for a, l, p in zip(self.letters, self.lengths, self.positions):
-            yield BlockRecord(int(a), int(l), int(p))
 
 
 def scan_blocks(text: WorkingText, amap: AlphabetMap) -> BlockScan:

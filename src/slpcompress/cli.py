@@ -23,15 +23,33 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _parse_tokens(data: bytes) -> list[int]:
-    tokens = []
-    for tok in data.split():
+    fields = data.split()
+    try:
+        tokens = list(map(int, fields))
+        if not tokens or min(tokens) >= 0:
+            return tokens
+    except ValueError:
+        pass
+    # Report the first offending token, as a left-to-right check would.
+    for tok in fields:
         try:
-            tokens.append(int(tok))
+            value = int(tok)
         except ValueError:
             raise InputFormatError(f"non-numeric token {tok[:20]!r}") from None
-        if tokens[-1] < 0:
+        if value < 0:
             raise InputFormatError("negative token value")
-    return tokens
+    raise AssertionError("unreachable")
+
+
+def _expand(slp: gr.Slp):
+    """The derived data, or ``None`` after reporting why it cannot be held."""
+    try:
+        return gr.expand(slp)
+    except gr.ExpansionOverflow as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: expansion too large to hold in memory: {exc}", file=sys.stderr)
+    return None
 
 
 def cmd_compress(args) -> int:
@@ -64,16 +82,12 @@ def cmd_compress(args) -> int:
 def cmd_decompress(args) -> int:
     try:
         slp = gr.load(args.input)
-        data = gr.expand(slp)
-    except OSError as exc:
+    except (OSError, gr.GrammarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except gr.ExpansionOverflow as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    data = _expand(slp)
+    if data is None:
         return EXIT_OVERFLOW
-    except gr.GrammarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     try:
         with open(args.output, "wb") as fh:
             if slp.kind == "bytes":
@@ -108,10 +122,12 @@ def cmd_verify(args) -> int:
         slp = gr.load(args.grammar)
         raw = _read_bytes(args.original)
         original = raw if slp.kind == "bytes" else _parse_tokens(raw)
-        derived = gr.expand(slp)
     except (OSError, gr.GrammarError, InputFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    derived = _expand(slp)
+    if derived is None:
+        return EXIT_OVERFLOW
     if derived == original:
         return EXIT_OK
     print("mismatch: expansion differs from original", file=sys.stderr)

@@ -9,12 +9,13 @@ one string is derived.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MAX_EXPANSION = 2**63 - 1
-_CHUNK = 1 << 16  # rules expanding to at most this many symbols are memoized
+_BATCH = 1 << 15  # body symbols substituted per vector step of expand_ids
 
 
 class GrammarError(ValueError):
@@ -166,61 +167,82 @@ def expansion_length(slp: Slp) -> int:
 def expand_ids(slp: Slp, symbol: int | None = None) -> np.ndarray:
     """Derive the terminal-id sequence of ``symbol`` (default: start).
 
-    Iterative (no recursion-depth limit); rules with small expansions are
-    memoized so the work is linear in the output.
+    Level-wise substitution over a flat view of the rule bodies, built for
+    this call.  A work item is a body slice (flat start, count, output
+    position); each step pops at most ``_BATCH`` body symbols off a stack,
+    splitting a slice that does not fit, writes them into the output and
+    pushes every rule among them back as the slice of its own body.  The
+    output is allocated once, at the length the length table gives.  Work
+    is linear in the derivation tree, no temporary holds more than
+    ``_BATCH`` symbols, and there is no recursion-depth limit.
     """
     if symbol is None:
         symbol = slp.start
     if symbol is None:
         return np.empty(0, dtype=np.int64)
-    lengths = symbol_lengths(slp)
+    sym_len = np.asarray(symbol_lengths(slp), dtype=np.int64)
+    out = np.empty(int(sym_len[symbol]), dtype=np.int64)
     sigma = slp.terminal_count
     rules = slp.rules
-    memo: dict[int, list[int]] = {}
-
-    def small(sym: int) -> list[int]:
-        # Mark the needed small rules by one downward sweep, then fill the
-        # memo in ascending id order (bodies reference smaller ids only).
-        if sym < sigma:
-            return [sym]
-        needed = {sym}
-        stack = [sym]
-        while stack:
-            for s in rules[stack.pop() - sigma]:
-                if s >= sigma and s not in needed and s not in memo:
-                    needed.add(s)
-                    stack.append(s)
-        for t in sorted(needed):
-            flat: list[int] = []
-            for s in rules[t - sigma]:
-                if s < sigma:
-                    flat.append(s)
-                else:
-                    flat += memo[s]
-            memo[t] = flat
-        return memo[sym]
-
-    out: list[int] = []
-    stack = [symbol]
+    # Body count and flat offset per symbol id; terminals have no body.
+    count = np.zeros(slp.symbol_count, dtype=np.int64)
+    count[sigma:] = np.fromiter(map(len, rules), dtype=np.int64, count=len(rules))
+    if not count[sigma:].all():
+        raise GrammarError("empty rule body")
+    offset = np.cumsum(count) - count
+    flat = np.fromiter(
+        itertools.chain.from_iterable(rules), dtype=np.int64, count=int(count.sum())
+    )
+    out[0] = symbol
+    top = np.array([symbol])
+    stack = [(offset[top], count[top], np.zeros(1, dtype=np.int64))] if symbol >= sigma else []
     while stack:
-        s = stack.pop()
-        if s < sigma:
-            out.append(s)
-        elif lengths[s] <= _CHUNK:
-            out += memo[s] if s in memo else small(s)
-        else:
-            stack.extend(reversed(rules[s - sigma]))
-    return np.asarray(out, dtype=np.int64) if out else np.empty(0, dtype=np.int64)
+        starts, counts, pos = stack.pop()
+        ends = np.cumsum(counts)
+        tail = 0
+        if ends[-1] > _BATCH:
+            # Cut after _BATCH body symbols, inside slice k; its unread
+            # tail is pushed once the batch has placed the symbols before it.
+            k = int(np.searchsorted(ends, _BATCH))
+            if k + 1 < len(counts):
+                stack.append((starts[k + 1 :], counts[k + 1 :], pos[k + 1 :]))
+            head = _BATCH - int(ends[k] - counts[k])
+            tail = int(counts[k]) - head
+            tail_start = int(starts[k]) + head
+            starts, pos = starts[: k + 1], pos[: k + 1]
+            counts = counts[: k + 1].copy()
+            counts[k] = head
+            ends = ends[: k + 1].copy()
+            ends[k] = _BATCH
+        firsts = ends - counts
+        idx = np.repeat(starts - firsts, counts)
+        idx += np.arange(len(idx))
+        children = flat[idx]
+        clen = sym_len[children]
+        # Slices in flight cover disjoint stretches of the output, so these
+        # sums stay below its length.
+        cpos = np.cumsum(clen)
+        cpos -= clen
+        cpos += np.repeat(pos - cpos[firsts], counts)
+        if tail:
+            after = cpos[-1] + clen[-1]
+            stack.append((np.array([tail_start]), np.array([tail]), np.array([after])))
+        # A rule's id is a placeholder: the first symbol of its expansion
+        # lands on the same cell in a later step.
+        out[cpos] = children
+        is_rule = children >= sigma
+        rule = children[is_rule]
+        if len(rule):
+            stack.append((offset[rule], count[rule], cpos[is_rule]))
+    return out
 
 
 def expand(slp: Slp, symbol: int | None = None):
     """Derive the raw byte string or token list of ``symbol``."""
-    ids = expand_ids(slp, symbol)
-    if slp.kind == "bytes":
-        lut = np.asarray(slp.terminals, dtype=np.uint8)
-        return lut[ids].tobytes() if len(ids) else b""
-    lut = np.asarray(slp.terminals, dtype=np.int64)
-    return lut[ids].tolist()
+    lut = np.asarray(slp.terminals, dtype=np.uint8 if slp.kind == "bytes" else np.int64)
+    # The ids are a temporary, freed before the output object is built.
+    derived = lut[expand_ids(slp, symbol)]
+    return derived.tobytes() if slp.kind == "bytes" else derived.tolist()
 
 
 def grammar_depth(slp: Slp) -> int:

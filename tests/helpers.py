@@ -2,10 +2,12 @@
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from slpcompress.alphabet import radix_argsort
+from slpcompress.grammar import symbol_lengths
 from slpcompress.pairs import Partition
 from slpcompress.rewriting import Ref, Run, RunSlp
 
@@ -126,6 +128,34 @@ def maximal_block_lengths(symbols: list[int], letter: int) -> list[int]:
 
 
 @dataclass
+class SortRecord:
+    """A record with a small lexicographic key and an opaque payload."""
+
+    key: tuple[int, ...]
+    payload: object = None
+
+
+def radix_sort(records: Sequence[SortRecord], bounds: Sequence[int]) -> list[SortRecord]:
+    """Stable sort of ``records`` by their key tuples.
+
+    All keys must have ``len(bounds)`` components, each below its bound.
+    """
+    records = list(records)
+    if not records:
+        return []
+    width = len(bounds)
+    for rec in records:
+        if len(rec.key) != width:
+            raise ValueError(f"key {rec.key} does not match {width} bounds")
+    columns = [
+        np.fromiter((rec.key[i] for rec in records), dtype=np.int64, count=len(records))
+        for i in range(width)
+    ]
+    order = radix_argsort(columns, bounds)
+    return [records[i] for i in order]
+
+
+@dataclass
 class PairOccurrence:
     first: int  # working id
     second: int
@@ -212,3 +242,57 @@ def reference_greedy_partition(adj) -> Partition:
     else:
         part.cover_chosen = cover_lr
     return part
+
+
+_MEMO_LIMIT = 1 << 16  # rules expanding to at most this many symbols are memoized
+
+
+def reference_expand_ids(slp, symbol=None) -> np.ndarray:
+    """The per-symbol memoized expansion that ``grammar.expand_ids`` replaced.
+
+    A Python stack walk over the derivation tree; every rule whose
+    expansion has at most ``_MEMO_LIMIT`` symbols is expanded once into a
+    memo list, and the walk copies memo lists into the output.
+    """
+    if symbol is None:
+        symbol = slp.start
+    if symbol is None:
+        return np.empty(0, dtype=np.int64)
+    lengths = symbol_lengths(slp)
+    sigma = slp.terminal_count
+    rules = slp.rules
+    memo: dict[int, list[int]] = {}
+
+    def small(sym: int) -> list[int]:
+        # Mark the needed small rules by one downward sweep, then fill the
+        # memo in ascending id order (bodies reference smaller ids only).
+        if sym < sigma:
+            return [sym]
+        needed = {sym}
+        stack = [sym]
+        while stack:
+            for s in rules[stack.pop() - sigma]:
+                if s >= sigma and s not in needed and s not in memo:
+                    needed.add(s)
+                    stack.append(s)
+        for t in sorted(needed):
+            flat: list[int] = []
+            for s in rules[t - sigma]:
+                if s < sigma:
+                    flat.append(s)
+                else:
+                    flat += memo[s]
+            memo[t] = flat
+        return memo[sym]
+
+    out: list[int] = []
+    stack = [symbol]
+    while stack:
+        s = stack.pop()
+        if s < sigma:
+            out.append(s)
+        elif lengths[s] <= _MEMO_LIMIT:
+            out += memo[s] if s in memo else small(s)
+        else:
+            stack.extend(reversed(rules[s - sigma]))
+    return np.asarray(out, dtype=np.int64) if out else np.empty(0, dtype=np.int64)

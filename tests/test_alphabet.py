@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import SortRecord, radix_sort
+
 from slpcompress.alphabet import (
     AlphabetMap,
     InputFormatError,
-    SortRecord,
     ingest,
     radix_argsort,
-    radix_sort,
     rename_dense,
 )
 

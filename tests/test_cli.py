@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +102,26 @@ class TestCompressDecompressVerify:
         src = make("in.txt", b"12 oops 7")
         assert main(["compress", src, str(tmp / "o.slp"), "--input", "tokens"]) == 2
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"12 oops 7", "error: non-numeric token b'oops'"),
+            (b"12 7 -3", "error: negative token value"),
+            # The first offending token decides the message.
+            (b"12 -3 oops", "error: negative token value"),
+            (b"12 oops -3", "error: non-numeric token b'oops'"),
+            (b"1 " + b"9" * 30 + b"x", "error: non-numeric token b'" + "9" * 20 + "'"),
+        ],
+    )
+    def test_token_error_messages(self, files, capsys, content, message):
+        make, tmp = files
+        src = make("in.txt", content)
+        assert main(["compress", src, str(tmp / "o.slp"), "--input", "tokens"]) == 2
+        assert capsys.readouterr().err.strip() == message
+        dump(Slp("tokens", [12], rules=[(0, 0)], start=1), tmp / "g.slp")
+        assert main(["verify", str(tmp / "g.slp"), src]) == 2
+        assert capsys.readouterr().err.strip() == message
+
     def test_malformed_grammar(self, files):
         make, tmp = files
         bad = make("bad.slp", b"SLP 9\n")
@@ -121,6 +146,37 @@ class TestCompressDecompressVerify:
         lines.append(f"start {slp.start}")
         gpath = make("big.slp", ("\n".join(lines) + "\n").encode())
         assert main(["decompress", gpath, str(tmp / "o.bin")]) == 4
+        assert main(["verify", gpath, make("in.bin", b"a")]) == 4
+
+    @pytest.mark.parametrize("command", ["decompress", "verify"])
+    def test_expansion_too_large_to_hold(self, files, command):
+        # 40 doubling rules derive 2**40 bytes: valid, below the 2**63
+        # ceiling, and far beyond the 1 GiB address space the child gets,
+        # so the output allocation fails at once whatever the overcommit
+        # policy.
+        make, tmp = files
+        lines = ["SLP 1", "terminals 1 bytes", "97", "rules 40"]
+        lines += [f"2 {i} {i}" for i in range(40)]
+        lines.append("start 40")
+        gpath = make("huge.slp", ("\n".join(lines) + "\n").encode())
+        other = make("in.bin", b"a") if command == "verify" else str(tmp / "o.bin")
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        # One BLAS thread keeps numpy's own address space small on hosts
+        # with many cores.
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "slpcompress.cli", command, gpath, other],
+            preexec_fn=cap_address_space, env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: expansion too large to hold in memory")
 
 
 class TestTrace:

@@ -1,13 +1,18 @@
 import random
 
+import numpy as np
 import pytest
+from helpers import reference_expand_ids
 
+from slpcompress.driver import compress
 from slpcompress.grammar import (
+    _BATCH,
     ExpansionOverflow,
     GrammarError,
     Slp,
     deserialize,
     expand,
+    expand_ids,
     expansion_length,
     grammar_depth,
     prune_unreachable,
@@ -119,6 +124,20 @@ class TestExpand:
         slp.start = prev
         assert expand(slp) == b"a"
 
+    def test_deep_unary_chain(self):
+        # Rule i derives a^(i+1): every level grows by one letter.
+        slp = Slp("bytes", [ord("a")])
+        prev = 0
+        for _ in range(20000):
+            prev = slp.emit_rule([prev, 0])
+        slp.start = prev
+        assert expand(slp) == b"a" * 20001
+
+    def test_empty_body_from_unchecked_constructor(self):
+        slp = Slp("bytes", [97], rules=[(), (0, 1, 0)], start=2)
+        with pytest.raises(GrammarError):
+            expand(slp)
+
     def test_overflow_detected_before_streaming(self):
         slp = Slp("bytes", [ord("a")])
         prev = 0
@@ -127,6 +146,66 @@ class TestExpand:
         slp.start = prev
         with pytest.raises(ExpansionOverflow):
             expand(slp)
+
+
+def assert_matches_reference(slp, symbol=None):
+    got = expand_ids(slp, symbol)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference_expand_ids(slp, symbol))
+
+
+class TestExpandMatchesReference:
+    """The batched expander against the memoized walk it replaced."""
+
+    def test_random_grammars_every_symbol(self):
+        rng = random.Random(11)
+        for _ in range(150):
+            slp = random_slp(rng, max_rules=30)
+            for symbol in range(slp.symbol_count):
+                assert_matches_reference(slp, symbol)
+
+    def test_start_body_split_across_batches(self):
+        rng = random.Random(3)
+        slp = Slp("bytes", [1, 2, 3])
+        r1 = slp.emit_rule([0, 1])
+        r2 = slp.emit_rule([r1, 2, r1])
+        r3 = slp.emit_rule([r2] * 40)
+        body = [rng.choice([0, 1, 2, r1, r2, r3]) for _ in range(3 * _BATCH + 17)]
+        slp.start = slp.emit_rule(body)
+        assert_matches_reference(slp)
+
+    def test_short_slices_straddle_batch_boundaries(self):
+        # m copies of one rule whose body has c symbols: the step after the
+        # start holds m slices of c, and the _BATCH cut lands inside, at
+        # the end of, or one and two slices before the end of that step.
+        for c in (1, 2, 3, 7):
+            slp = Slp("tokens", [10, 20, 30])
+            rule = slp.emit_rule([i % 3 for i in range(c)])
+            fit = -(-_BATCH // c)
+            for m in (fit - 1, fit, fit + 1, fit + 2):
+                slp.start = slp.emit_rule([rule] * m)
+                assert_matches_reference(slp)
+        # Bodies of 1..7 symbols, nested, so the cut falls among mixed slices.
+        rng = random.Random(4)
+        slp = Slp("tokens", [10, 20, 30])
+        rules = [slp.emit_rule([rng.randrange(3) for _ in range(k)]) for k in range(1, 8)]
+        mid = [slp.emit_rule([rng.choice(rules) for _ in range(rng.randrange(1, 8))])
+               for _ in range(200)]
+        for n_top in (_BATCH // 4 - 1, _BATCH // 3):
+            slp.start = slp.emit_rule([rng.choice(mid + rules) for _ in range(n_top)])
+            assert_matches_reference(slp)
+
+    @pytest.mark.parametrize("mode", ["plain", "improved"])
+    def test_compress_output(self, mode):
+        rng = np.random.default_rng(17)
+        inputs = [
+            rng.integers(0, 8, 30000, dtype=np.uint8).tobytes(),
+            b"abracadabra" * 3000 + bytes(rng.integers(0, 4, 5000, dtype=np.uint8)),
+            np.repeat(rng.integers(0, 50, 4000), rng.geometric(0.2, 4000)),
+        ]
+        for data in inputs:
+            slp = compress(data, mode=mode).slp
+            assert_matches_reference(slp)
 
 
 class TestValidate:
