@@ -85,6 +85,30 @@ class Slp:
         self.size += 2 * len(firsts)
         return np.arange(base, base + len(firsts), dtype=np.int64)
 
+    def emit_rules(self, counts, flat) -> np.ndarray:
+        """Append one rule per entry of ``counts``; returns the ids.
+
+        Rule ``i``'s body is the next ``counts[i]`` symbols of ``flat``.
+        Bulk equivalent of ``emit_rule`` per body, with vectorized checks.
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        flat = np.asarray(flat, dtype=np.int64)
+        base = self.symbol_count
+        ids = np.arange(base, base + len(counts), dtype=np.int64)
+        if len(counts) and counts.min() < 1:
+            raise GrammarError("empty rule body")
+        if int(counts.sum()) != len(flat):
+            raise GrammarError("rule body counts do not match the body symbols")
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        # A body's largest symbol must precede its own rule.
+        if len(flat) and (flat.min() < 0 or (np.maximum.reduceat(flat, starts) >= ids).any()):
+            raise GrammarError("rule references an undefined symbol")
+        symbols = flat.tolist()
+        self.rules.extend([tuple(symbols[s:e]) for s, e in zip(starts.tolist(), ends.tolist())])
+        self.size += len(flat)
+        return ids
+
     def emit_rule_array(self, body: np.ndarray) -> int:
         """``emit_rule`` for a long numpy body (vectorized bounds check)."""
         body = np.asarray(body, dtype=np.int64)
@@ -299,6 +323,10 @@ def serialize(slp: Slp) -> str:
 
 def deserialize(data: str) -> Slp:
     """Parse the text format; raises ``GrammarError`` on any malformation."""
+    # int() also reads signs, underscores and non-ASCII digits, which
+    # serialize never writes; whole-text scans keep them out.
+    if not data.isascii() or "_" in data or "+" in data or "-" in data:
+        raise GrammarError("grammar text holds a character the format never writes")
     lines = data.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

@@ -155,24 +155,14 @@ def greedy_partition(adj: PairAdjacency, amap: AlphabetMap) -> Partition:
     return part
 
 
+@dataclass
 class PairCompression:
-    """Outcome of one pair stage."""
+    """Outcome of one pair stage: one column entry per replaced pair."""
 
-    def __init__(self, occurrences_replaced: int, canon_a=None, canon_b=None, rule_ids=None):
-        self.occurrences_replaced = occurrences_replaced
-        self._canon_a = canon_a
-        self._canon_b = canon_b
-        self._rule_ids = rule_ids
-
-    @property
-    def symbol_of_pair(self) -> dict[tuple[int, int], int]:
-        """(canonical first, canonical second) -> fresh canonical symbol."""
-        if self._canon_a is None:
-            return {}
-        return {
-            (int(a), int(b)): int(r)
-            for a, b, r in zip(self._canon_a, self._canon_b, self._rule_ids)
-        }
+    occurrences_replaced: int
+    firsts: np.ndarray  # canonical first symbol
+    seconds: np.ndarray  # canonical second symbol
+    symbols: np.ndarray  # canonical id of the replacing symbol
 
 
 def compress_pairs(
@@ -185,13 +175,12 @@ def compress_pairs(
     """Replace every occurrence of every left.right pair with a fresh symbol."""
     if adj.epoch != text.epoch:
         raise StaleTextError("adjacency positions predate the last compaction")
-    if len(adj.pair_a) == 0:
-        return PairCompression(0)
     selected = np.flatnonzero(
         part.in_left[adj.pair_a - part.base] & part.in_right[adj.pair_b - part.base]
     )
     if len(selected) == 0:
-        return PairCompression(0)
+        empty = np.empty(0, dtype=np.int64)
+        return PairCompression(0, empty, empty, empty)
     canon_a = amap.canonical_of_array(adj.pair_a[selected])
     canon_b = amap.canonical_of_array(adj.pair_b[selected])
     rule_ids = grammar.emit_pair_rules(canon_a, canon_b)

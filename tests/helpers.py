@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from slpcompress.alphabet import radix_argsort
-from slpcompress.grammar import symbol_lengths
+from slpcompress.grammar import Slp, symbol_lengths
 from slpcompress.pairs import Partition
 from slpcompress.rewriting import Ref, Run, RunSlp
 
@@ -296,3 +296,57 @@ def reference_expand_ids(slp, symbol=None) -> np.ndarray:
         else:
             stack.extend(reversed(rules[s - sigma]))
     return np.asarray(out, dtype=np.int64) if out else np.empty(0, dtype=np.int64)
+
+
+def reference_block_representation(grammar: Slp, letter: int, lengths: list[int]) -> dict[int, int]:
+    """The per-letter, per-length builder that ``blocks.build_block_rules`` replaced.
+
+    Emits rules defining a symbol for ``letter``^len for each target length.
+
+    ``lengths`` must be strictly increasing with the first entry >= 2.
+    Returns the target-length -> symbol map.  Squares are shared across all
+    targets, and equal gap values reuse one expansion symbol.
+    """
+    if not lengths or lengths[0] < 2:
+        raise ValueError("block lengths start at 2")
+    if any(b <= a for a, b in zip(lengths, lengths[1:])):
+        raise ValueError("block lengths must be strictly increasing")
+    gaps = [lengths[0]] + [b - a for a, b in zip(lengths, lengths[1:])]
+    # squares[e] derives letter^(2**e); built up to the largest gap.
+    squares = [letter]
+    for _ in range(max(gaps).bit_length() - 1):
+        squares.append(grammar.emit_rule((squares[-1], squares[-1])))
+
+    gap_symbol: dict[int, int] = {}
+
+    def symbol_for_gap(gap: int) -> int:
+        sym = gap_symbol.get(gap)
+        if sym is None:
+            exponents = [e for e in range(gap.bit_length()) if gap >> e & 1]
+            if len(exponents) == 1:
+                sym = squares[exponents[0]]
+            else:
+                sym = grammar.emit_rule(tuple(squares[e] for e in reversed(exponents)))
+            gap_symbol[gap] = sym
+        return sym
+
+    targets: dict[int, int] = {}
+    prev = None
+    for length, gap in zip(lengths, gaps):
+        gap_sym = symbol_for_gap(gap)
+        if prev is None:
+            targets[length] = gap_sym
+        else:
+            targets[length] = grammar.emit_rule((gap_sym, prev))
+        prev = targets[length]
+    return targets
+
+
+def symbol_of_block(result) -> dict[tuple[int, int], int]:
+    """(canonical letter, length) -> replacing symbol, from a block stage."""
+    return dict(zip(zip(result.letters.tolist(), result.lengths.tolist()), result.symbols.tolist()))
+
+
+def symbol_of_pair(result) -> dict[tuple[int, int], int]:
+    """(canonical first, canonical second) -> replacing symbol, from a pair stage."""
+    return dict(zip(zip(result.firsts.tolist(), result.seconds.tolist()), result.symbols.tolist()))

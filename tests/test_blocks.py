@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from helpers import reference_block_representation
 from slpcompress.alphabet import ingest
-from slpcompress.blocks import build_block_representation, compress_blocks, scan_blocks
+from slpcompress.blocks import build_block_rules, compress_blocks, scan_blocks
 from slpcompress.grammar import Slp, expand
 
 
@@ -15,6 +16,12 @@ def naive_expand_ids(slp, symbol):
     for s in slp.body_of(symbol):
         out.extend(naive_expand_ids(slp, s))
     return out
+
+
+def one_letter_rules(grammar, letter, lengths):
+    """The bulk builder on a one-letter table, as a length -> symbol map."""
+    targets = build_block_rules(grammar, [letter] * len(lengths), lengths)
+    return dict(zip(lengths, targets.tolist()))
 
 
 def scanned(scan):
@@ -115,31 +122,31 @@ class TestCompressBlocks:
 class TestBlockRepresentation:
     def test_length_12_costs_8(self):
         grammar = Slp("bytes", [ord("a")])
-        targets = build_block_representation(grammar, 0, [12])
+        targets = one_letter_rules(grammar, 0, [12])
         assert grammar.size == 8
         assert expand(grammar, targets[12]) == b"a" * 12
 
     def test_length_2_costs_2(self):
         grammar = Slp("bytes", [ord("a")])
-        targets = build_block_representation(grammar, 0, [2])
+        targets = one_letter_rules(grammar, 0, [2])
         assert grammar.size == 2
         assert grammar.rules == [(0, 0)]
         assert expand(grammar, targets[2]) == b"aa"
 
     def test_chain_2_3_7(self):
         grammar = Slp("bytes", [ord("a")])
-        targets = build_block_representation(grammar, 0, [2, 3, 7])
+        targets = one_letter_rules(grammar, 0, [2, 3, 7])
         for length in (2, 3, 7):
             assert naive_expand_ids(grammar, targets[length]) == [0] * length
 
     def test_invalid_lengths(self):
         grammar = Slp("bytes", [ord("a")])
         with pytest.raises(ValueError):
-            build_block_representation(grammar, 0, [1, 3])
+            one_letter_rules(grammar, 0, [1, 3])
         with pytest.raises(ValueError):
-            build_block_representation(grammar, 0, [3, 3])
+            one_letter_rules(grammar, 0, [3, 3])
         with pytest.raises(ValueError):
-            build_block_representation(grammar, 0, [])
+            one_letter_rules(grammar, 0, [])
 
     def test_cost_bound_random_length_sets(self):
         rng = random.Random(10)
@@ -147,7 +154,7 @@ class TestBlockRepresentation:
             k = rng.randrange(1, 8)
             lengths = sorted(rng.sample(range(2, 5000), k))
             grammar = Slp("bytes", [ord("a")])
-            targets = build_block_representation(grammar, 0, lengths)
+            targets = one_letter_rules(grammar, 0, lengths)
             gaps = [lengths[0]] + [b - a for a, b in zip(lengths, lengths[1:])]
             bound = 4 * sum(1 + math.log2(g) if g > 1 else 1 for g in gaps)
             assert grammar.size <= bound
@@ -156,8 +163,72 @@ class TestBlockRepresentation:
 
     def test_shared_gaps_reuse_symbols(self):
         grammar = Slp("bytes", [ord("a")])
-        targets = build_block_representation(grammar, 0, [2, 4, 6])
+        targets = one_letter_rules(grammar, 0, [2, 4, 6])
         # squares: a2; chains: a4 -> a2 a2, a6 -> a2 a4
         assert grammar.size == 6
         for length in (2, 4, 6):
             assert expand(grammar, targets[length]) == b"a" * length
+
+
+class TestBulkMatchesReference:
+    """``build_block_rules`` emits what a per-letter loop of the old builder did."""
+
+    @staticmethod
+    def check(sigma, table):
+        """``table`` lists (canonical letter, increasing lengths) in group order."""
+        expected = Slp("tokens", list(range(sigma)))
+        targets = []
+        for letter, lengths in table:
+            by_length = reference_block_representation(expected, letter, lengths)
+            targets.extend(by_length[length] for length in lengths)
+        got = Slp("tokens", list(range(sigma)))
+        letters = [letter for letter, lengths in table for _ in lengths]
+        lengths = [length for _, lengths in table for length in lengths]
+        assert build_block_rules(got, letters, lengths).tolist() == targets
+        assert got.rules == expected.rules
+        assert got.size == expected.size
+
+    @staticmethod
+    def random_lengths(rng, k):
+        kind = rng.randrange(4)
+        if kind == 0:  # consecutive lengths: gaps of 1
+            start = rng.randrange(2, 6)
+            return list(range(start, start + k))
+        if kind == 1:  # repeated and power-of-two gaps
+            lengths = [rng.randrange(2, 9)]
+            for _ in range(k - 1):
+                lengths.append(lengths[-1] + rng.choice([1, 2, 3, 4, 8, 5, 5, 6]))
+            return lengths
+        if kind == 2:
+            return sorted(rng.sample(range(2, 300), k))
+        top = 2 ** rng.randrange(3, 62)
+        return sorted({rng.randrange(2, top) for _ in range(k)})
+
+    def test_random_tables(self):
+        rng = random.Random(44)
+        for _ in range(300):
+            sigma = rng.randrange(1, 40)
+            # Canonical letters in group order need not be in id order.
+            letters = rng.sample(range(sigma), rng.randrange(1, sigma + 1))
+            table = [(a, self.random_lengths(rng, rng.randrange(1, 9))) for a in letters]
+            self.check(sigma, table)
+
+    def test_single_lengths_and_unordered_letters(self):
+        self.check(6, [(5, [2]), (0, [3]), (3, [4]), (1, [9])])
+
+    def test_gaps_of_one_and_repeated_gaps(self):
+        self.check(3, [(2, [2, 3, 4, 5]), (0, [3, 6, 9, 12, 13]), (1, [7, 14, 21, 22])])
+
+    def test_power_of_two_gaps(self):
+        self.check(2, [(1, [4, 8, 16, 32]), (0, [2, 4, 6, 14, 30])])
+
+    def test_gap_above_2_pow_53(self):
+        # Exact only in integer arithmetic: as floats, 2**53 + 1 rounds to
+        # 2**53 (one set bit) and 2**54 - 1 to 2**54 (one bit longer).
+        lengths = [2**53 + 1, 2**53 + 2**54, 2**62 + 2**54 + 2**53 + 1]
+        self.check(2, [(1, [2, 3]), (0, lengths)])
+
+    def test_invalid_tables(self):
+        for letters, lengths in [([0, 1], [2, 1]), ([0, 0, 1], [2, 2, 5]), ([0, 0], [5, 3])]:
+            with pytest.raises(ValueError):
+                build_block_rules(Slp("bytes", [1, 2]), letters, lengths)

@@ -44,6 +44,25 @@ def token_runs(seed):
     return out[:SIZE]
 
 
+def zipf_runs(seed):
+    """Several thousand distinct Zipf-drawn 32-bit tokens in geometric runs.
+
+    Most runs are short; one in fifty is up to 400 long, so many letters
+    have blocks of several lengths with wide gaps between them.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < SIZE:
+        rank = min(int(rng.paretovariate(0.1)), 2**40)
+        tok = rank * 2654435761 % 2**32
+        if rng.random() < 0.02:
+            run = min(2 + int(rng.expovariate(1 / 60)), 400)
+        else:
+            run = 1 + int(rng.expovariate(1.0))
+        out.extend([tok] * run)
+    return out[:SIZE]
+
+
 def wide_tokens(seed):
     """Mostly distinct tokens: a wide alphabet and few repeats."""
     rng = random.Random(seed)
@@ -63,6 +82,10 @@ GOLDEN = {
         "bdd3989ab4df6149e30551d1adbd763a5f7f7fdfc5b44af14c3076d3f493a63c",
     ("token_runs", 3, "improved"):
         "8ab4c482a5c2c4d0bd7be820764a9cfad08e5b71f00d67736c8d75553374a960",
+    ("zipf_runs", 5, "plain"):
+        "b911a9aae96a31c2cc4f7e270053922498b6e6a0f104c58637403acf26b1eba4",
+    ("zipf_runs", 5, "improved"):
+        "5c6cceb3487424a0a806f3997c18fc275002f3a4354710ab026a071cd2095d60",
     ("wide_tokens", 4, "plain"):
         "1836133f51569e3cc8e3d926840a64d60b30cdc267949bb5c921aa339958d332",
     ("wide_tokens", 4, "improved"):

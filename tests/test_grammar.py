@@ -75,6 +75,32 @@ class TestEmitRule:
         with pytest.raises(GrammarError):
             slp.emit_rule([])
 
+    def test_bulk_append_matches_one_at_a_time(self):
+        one = Slp("bytes", [ord("a"), ord("b")])
+        for body in ([0, 1], [2, 2, 0], [3]):
+            one.emit_rule(body)
+        bulk = Slp("bytes", [ord("a"), ord("b")])
+        assert bulk.emit_rules([2, 3, 1], [0, 1, 2, 2, 0, 3]).tolist() == [2, 3, 4]
+        assert bulk.rules == one.rules
+        assert bulk.size == one.size
+        assert bulk.emit_rules([], []).tolist() == []
+
+    @pytest.mark.parametrize(
+        "counts,flat",
+        [
+            ([2, 0], [0, 1]),  # empty body
+            ([2, 2], [0, 1, 0, 3]),  # self reference
+            ([2, 1], [0, 4, 0]),  # forward reference
+            ([2], [0, -1]),  # negative symbol
+            ([2, 2], [0, 1, 0]),  # counts and symbols disagree
+        ],
+    )
+    def test_bulk_append_rejects(self, counts, flat):
+        slp = Slp("bytes", [ord("a"), ord("b")])
+        with pytest.raises(GrammarError):
+            slp.emit_rules(counts, flat)
+        assert slp.rules == [] and slp.size == 0
+
     def test_random_chains_validate(self):
         rng = random.Random(99)
         for _ in range(200):
@@ -306,6 +332,13 @@ class TestSerialization:
             "SLP 1\nterminals 1 bytes\n97\nrules 2\n1 0\nstart 1\n",  # truncated
             "SLP 1\nterminals 1 bytes\nrules 0\nstart empty\n",  # missing terminals
             "SLP 1\nterminals 1 bytes\n97\nrules 0\nstart 5\n",  # start out of range
+            # Numerals int() reads but serialize never writes.
+            "SLP 1\nterminals 1 tokens\n9_7\nrules 0\nstart 0\n",
+            "SLP 1\nterminals 1 tokens\n+2\nrules 0\nstart 0\n",
+            "SLP 1\nterminals 1 bytes\n97\nrules 1\n2 0_0 0\nstart 1\n",
+            "SLP 1\nterminals 1 tokens\n\u0669\u0667\nrules 0\nstart 0\n",
+            "SLP 1\nterminals 1 bytes\n97\nrules +1\n2 0 0\nstart 1\n",
+            "SLP 1\nterminals 1 bytes\n97\nrules 0\nstart -0\n",
         ],
     )
     def test_malformed_rejected(self, payload):

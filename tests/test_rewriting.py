@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from helpers import block_oracle, maximal_block_lengths, pair_oracle, random_runslp
+from helpers import (
+    block_oracle,
+    maximal_block_lengths,
+    pair_oracle,
+    random_runslp,
+    symbol_of_block,
+    symbol_of_pair,
+)
 from slpcompress.rewriting import (
     CreditMeter,
     Ref,
@@ -366,7 +373,7 @@ class TestSimulatedPhaseMatchesTextPhase:
             for letter in sorted(set(s)):
                 fresh = {
                     length: sym
-                    for (lt, length), sym in blocks.symbol_of_block.items()
+                    for (lt, length), sym in symbol_of_block(blocks).items()
                     if lt == letter
                 }
                 g = compress_noncrossing_blocks(g, letter, fresh)
@@ -379,6 +386,6 @@ class TestSimulatedPhaseMatchesTextPhase:
                 elif side == "right":
                     right.add(amap.canonical_of(w))
             g = pop_letters(g, left, right)
-            for (ca, cb), sym in sorted(pairs.symbol_of_pair.items()):
+            for (ca, cb), sym in sorted(symbol_of_pair(pairs).items()):
                 g = compress_noncrossing_pair(g, ca, cb, sym)
             assert g.eval() == text_canonical
