@@ -102,12 +102,6 @@ class AlphabetMap:
     def next_working(self) -> int:
         return self.alias_base + len(self.alias_table)
 
-    def canonical_of(self, working_id: int) -> int:
-        off = working_id - self.alias_base
-        if not 0 <= off < len(self.alias_table):
-            raise ValueError(f"working id {working_id} outside current interval")
-        return int(self.alias_table[off])
-
     def canonical_of_array(self, working_ids: np.ndarray) -> np.ndarray:
         off = np.asarray(working_ids, dtype=np.int64) - self.alias_base
         if off.size and (off.min() < 0 or off.max() >= len(self.alias_table)):

@@ -31,8 +31,8 @@ from .text import StaleTextError, WorkingText
 class BlockScan:
     """Maximal blocks of length >= 2, sorted by (letter, length).
 
-    Column-array layout.  Positions are only valid for the epoch they were
-    scanned in.
+    Column-array layout.  Positions are indices into the compact text and
+    are only valid for the epoch they were scanned in.
     """
 
     def __init__(self, letters: np.ndarray, lengths: np.ndarray, positions: np.ndarray,
@@ -49,7 +49,6 @@ class BlockScan:
 def scan_blocks(text: WorkingText, amap: AlphabetMap) -> BlockScan:
     """Find all maximal blocks of length >= 2, radix-sorted by (letter, length)."""
     live = text.live()
-    positions = text.live_positions()
     n = len(live)
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -62,7 +61,7 @@ def scan_blocks(text: WorkingText, amap: AlphabetMap) -> BlockScan:
     keep = run_lengths >= 2
     letters = live[starts[keep]]
     lengths = run_lengths[keep]
-    pos = positions[starts[keep]]
+    pos = starts[keep]
     base = amap.alias_base
     width = amap.next_working - base
     order = radix_argsort(
@@ -87,7 +86,9 @@ def compress_blocks(
 ) -> BlockCompression:
     """Replace every scanned block; equal (letter, length) share one symbol.
 
-    Afterwards no two adjacent live symbols are equal.
+    Afterwards no two adjacent live symbols are equal.  The replaced blocks
+    leave dead cells, so the text needs a ``compact()`` before the next
+    stage reads it.
     """
     if len(scan) == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -107,8 +108,6 @@ def compress_blocks(
     fresh = amap.allocate_working(targets)
     group_of_record = np.cumsum(new_group) - 1
     text.replace_runs_bulk(scan.positions, lengths, fresh[group_of_record])
-    live = text.live()
-    assert not (live[1:] == live[:-1]).any(), "equal adjacent symbols after block stage"
     return BlockCompression(len(scan), group_letters, group_lengths, targets)
 
 

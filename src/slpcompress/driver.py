@@ -42,7 +42,7 @@ class PhaseTrace:
     adjacency_s: float
     partition_s: float
     pairs_s: float
-    compact_s: float
+    compact_s: float  # both compactions: after the blocks and after the pairs
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -69,7 +69,11 @@ class CompressionResult:
 def run_phase(
     text: WorkingText, amap: AlphabetMap, grammar: Slp, phase_index: int
 ) -> PhaseTrace:
-    """Execute one block-then-pair compression phase over the text."""
+    """Execute one block-then-pair compression phase over the text.
+
+    The text is compacted after each of the two stages, so every stage
+    reads a compact text whose positions are plain indices.
+    """
     if len(text) < 2:
         raise ValueError("phases need at least two live symbols")
     live_before = len(text)
@@ -82,6 +86,8 @@ def run_phase(
     blocks = compress_blocks(text, scan, grammar, amap)
     clock.append(time.perf_counter())
     live_after_blocks = len(text)
+    text.compact()
+    clock.append(time.perf_counter())
     adj = build_adjacency(text, amap)
     clock.append(time.perf_counter())
     part = greedy_partition(adj, amap)
@@ -90,7 +96,7 @@ def run_phase(
     clock.append(time.perf_counter())
     text.compact()
     clock.append(time.perf_counter())
-    rename_s, blocks_s, adjacency_s, partition_s, pairs_s, compact_s = (
+    rename_s, blocks_s, blocks_compact_s, adjacency_s, partition_s, pairs_s, compact_s = (
         end - start for start, end in zip(clock, clock[1:])
     )
     return PhaseTrace(
@@ -111,7 +117,7 @@ def run_phase(
         adjacency_s=adjacency_s,
         partition_s=partition_s,
         pairs_s=pairs_s,
-        compact_s=compact_s,
+        compact_s=blocks_compact_s + compact_s,
     )
 
 
@@ -136,12 +142,12 @@ def compress(data, mode: str = "improved", kind: str | None = None) -> Compressi
         if mode == "improved":
             candidate = len(text) + grammar.size
             if best is None or candidate < best.size:
-                snapshot = amap.canonical_of_array(text.live()).copy()
+                snapshot = amap.canonical_of_array(text.live())
                 best = BestSnapshot(candidate, len(traces), snapshot, len(grammar.rules))
                 copy_work += len(snapshot)
         traces.append(run_phase(text, amap, grammar, len(traces) + 1))
     phase_table.append((len(text), grammar.size))
-    final_canonical = amap.canonical_of_array(text.live()).copy()
+    final_canonical = amap.canonical_of_array(text.live())
     if mode == "improved":
         candidate = len(text) + grammar.size
         if best is None or candidate < best.size:
@@ -151,7 +157,7 @@ def compress(data, mode: str = "improved", kind: str | None = None) -> Compressi
         best_phase = best.phase
     else:
         if len(final_canonical):
-            grammar.start = grammar.emit_rule_array(final_canonical)
+            grammar.start = grammar.emit_rule(final_canonical)
         slp = grammar
         best_phase = None
     stats = GrammarStats(
@@ -169,5 +175,5 @@ def _snapshot_grammar(grammar: Slp, best: BestSnapshot) -> Slp:
     """Materialize the grammar for a snapshot: truncated rules + text rule."""
     slp = Slp(grammar.kind, grammar.terminals, grammar.rules[: best.rule_watermark])
     if len(best.text_canonical):
-        slp.start = slp.emit_rule_array(best.text_canonical)
+        slp.start = slp.emit_rule(best.text_canonical)
     return prune_unreachable(slp)

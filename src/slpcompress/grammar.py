@@ -16,6 +16,8 @@ import numpy as np
 
 MAX_EXPANSION = 2**63 - 1
 _BATCH = 1 << 15  # body symbols substituted per vector step of expand_ids
+# Whitespace int() skips around a numeral, and signs and digit separators.
+_NEVER_WRITTEN = "\t\r\v\f\x1c\x1d\x1e\x1f_+-"
 
 
 class GrammarError(ValueError):
@@ -57,16 +59,7 @@ class Slp:
 
     def emit_rule(self, body) -> int:
         """Append a rule; returns its id.  Body symbols must already exist."""
-        body = tuple(int(s) for s in body)
-        if not body:
-            raise GrammarError("empty rule body")
-        rule_id = self.symbol_count
-        for s in body:
-            if not 0 <= s < rule_id:
-                raise GrammarError(f"rule {rule_id} references undefined symbol {s}")
-        self.rules.append(body)
-        self.size += len(body)
-        return rule_id
+        return int(self.emit_rules([len(body)], body)[0])
 
     def emit_pair_rules(self, firsts: np.ndarray, seconds: np.ndarray) -> np.ndarray:
         """Append one two-symbol rule per (first, second); returns the ids.
@@ -88,8 +81,8 @@ class Slp:
     def emit_rules(self, counts, flat) -> np.ndarray:
         """Append one rule per entry of ``counts``; returns the ids.
 
-        Rule ``i``'s body is the next ``counts[i]`` symbols of ``flat``.
-        Bulk equivalent of ``emit_rule`` per body, with vectorized checks.
+        Rule ``i``'s body is the next ``counts[i]`` symbols of ``flat``, and
+        every body symbol must already exist.  The checks are vectorized.
         """
         counts = np.asarray(counts, dtype=np.int64)
         flat = np.asarray(flat, dtype=np.int64)
@@ -99,30 +92,14 @@ class Slp:
             raise GrammarError("empty rule body")
         if int(counts.sum()) != len(flat):
             raise GrammarError("rule body counts do not match the body symbols")
-        ends = np.cumsum(counts)
-        starts = ends - counts
+        starts = np.cumsum(counts) - counts
         # A body's largest symbol must precede its own rule.
         if len(flat) and (flat.min() < 0 or (np.maximum.reduceat(flat, starts) >= ids).any()):
             raise GrammarError("rule references an undefined symbol")
-        symbols = flat.tolist()
-        self.rules.extend([tuple(symbols[s:e]) for s, e in zip(starts.tolist(), ends.tolist())])
+        symbols = iter(flat.tolist())
+        self.rules.extend([tuple(itertools.islice(symbols, c)) for c in counts.tolist()])
         self.size += len(flat)
         return ids
-
-    def emit_rule_array(self, body: np.ndarray) -> int:
-        """``emit_rule`` for a long numpy body (vectorized bounds check)."""
-        body = np.asarray(body, dtype=np.int64)
-        if body.size == 0:
-            raise GrammarError("empty rule body")
-        rule_id = self.symbol_count
-        if body.min() < 0 or body.max() >= rule_id:
-            raise GrammarError(f"rule {rule_id} references an undefined symbol")
-        self.rules.append(tuple(body.tolist()))
-        self.size += len(body)
-        return rule_id
-
-    def body_of(self, symbol: int) -> tuple[int, ...]:
-        return self.rules[symbol - self.terminal_count]
 
     def __eq__(self, other) -> bool:
         return (
@@ -322,14 +299,24 @@ def serialize(slp: Slp) -> str:
 
 
 def deserialize(data: str) -> Slp:
-    """Parse the text format; raises ``GrammarError`` on any malformation."""
-    # int() also reads signs, underscores and non-ASCII digits, which
-    # serialize never writes; whole-text scans keep them out.
-    if not data.isascii() or "_" in data or "+" in data or "-" in data:
+    """Parse the text format; raises ``GrammarError`` on any malformation.
+
+    Accepts exactly the texts ``serialize`` writes.
+    """
+    # int() also reads signs, underscores, non-ASCII digits, whitespace
+    # around a numeral and leading zeros, none of which serialize writes;
+    # whole-text scans keep them out, and fields are split on single spaces.
+    if not data.isascii() or any(c in data for c in _NEVER_WRITTEN):
         raise GrammarError("grammar text holds a character the format never writes")
+    if not data.endswith("\n"):
+        raise GrammarError("grammar text does not end with a newline")
+    raw = np.frombuffer(data.encode("ascii"), dtype=np.uint8)
+    opens_field = (raw[:-2] == ord(" ")) | (raw[:-2] == ord("\n"))
+    after = raw[2:]
+    if (opens_field & (raw[1:-1] == ord("0")) & (after >= ord("0")) & (after <= ord("9"))).any():
+        raise GrammarError("numeral with a leading zero")
     lines = data.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines.pop()
     it = iter(lines)
 
     def next_line(what: str) -> str:
@@ -340,7 +327,7 @@ def deserialize(data: str) -> Slp:
 
     if next_line("header") != "SLP 1":
         raise GrammarError("bad header: expected 'SLP 1'")
-    parts = next_line("terminals line").split()
+    parts = next_line("terminals line").split(" ")
     if len(parts) != 3 or parts[0] != "terminals":
         raise GrammarError("bad terminals line")
     try:
@@ -353,12 +340,12 @@ def deserialize(data: str) -> Slp:
     terminals: list[int] = []
     if sigma:
         try:
-            terminals = [int(v) for v in next_line("terminal values").split()]
+            terminals = [int(v) for v in next_line("terminal values").split(" ")]
         except ValueError:
             raise GrammarError("non-numeric terminal value") from None
         if len(terminals) != sigma:
             raise GrammarError(f"expected {sigma} terminal values, got {len(terminals)}")
-    parts = next_line("rules line").split()
+    parts = next_line("rules line").split(" ")
     if len(parts) != 2 or parts[0] != "rules":
         raise GrammarError("bad rules line")
     try:
@@ -369,7 +356,7 @@ def deserialize(data: str) -> Slp:
         raise GrammarError("bad rule count")
     rules = []
     for _ in range(rule_count):
-        fields = next_line("rule body").split()
+        fields = next_line("rule body").split(" ")
         try:
             nums = [int(v) for v in fields]
         except ValueError:
@@ -377,7 +364,7 @@ def deserialize(data: str) -> Slp:
         if not nums or nums[0] != len(nums) - 1:
             raise GrammarError("rule body length prefix mismatch")
         rules.append(tuple(nums[1:]))
-    fields = next_line("start line").split()
+    fields = next_line("start line").split(" ")
     if len(fields) != 2 or fields[0] != "start":
         raise GrammarError("bad start line")
     if fields[1] == "empty":

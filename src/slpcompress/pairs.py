@@ -25,8 +25,7 @@ class PairAdjacency:
     ``pair_a``/``pair_b`` hold the distinct pairs in (first, second) order,
     and the occurrences of pair ``i`` are
     ``occurrences[occ_start[i]:occ_start[i + 1]]``, in text order.
-    Positions are live ordinals (index into the live sequence), with the
-    raw cell index recoverable through ``live_pos``.
+    Positions are indices into the compact text of the adjacency's epoch.
     """
 
     def __init__(self, text: WorkingText, amap: AlphabetMap):
@@ -34,8 +33,6 @@ class PairAdjacency:
         self.base = amap.alias_base
         self.width = amap.next_working - self.base
         lv = text.live()
-        self.live_syms = lv
-        self.live_pos = text.live_positions()
         n = len(lv)
         if n >= 2 and (lv[1:] == lv[:-1]).any():
             raise ValueError(
@@ -52,7 +49,7 @@ class PairAdjacency:
         order = radix_argsort([a - self.base, b - self.base], [self.width, self.width])
         a_sorted = a[order]
         b_sorted = b[order]
-        self.occurrences = order  # live ordinal of the first symbol, grouped by pair
+        self.occurrences = order  # position of the first symbol, grouped by pair
         new_pair = np.empty(n - 1, dtype=bool)
         new_pair[0] = True
         new_pair[1:] = (a_sorted[1:] != a_sorted[:-1]) | (b_sorted[1:] != b_sorted[:-1])
@@ -61,10 +58,6 @@ class PairAdjacency:
         self.pair_b = b_sorted[starts]
         self.occ_start = np.append(starts, n - 1)
         self.pair_count = np.diff(self.occ_start)
-
-    @property
-    def total_occurrences(self) -> int:
-        return int(self.pair_count.sum())
 
 
 def build_adjacency(text: WorkingText, amap: AlphabetMap) -> PairAdjacency:
@@ -82,28 +75,6 @@ class Partition:
     cover_pre_swap: int = 0  # occurrences covered in either direction, before the swap
     cover_chosen: int = 0  # occurrences in left-class . right-class, after the swap
     swapped: bool = False
-
-    @classmethod
-    def from_sets(cls, base: int, width: int, left, right) -> "Partition":
-        in_left = np.zeros(width, dtype=bool)
-        in_right = np.zeros(width, dtype=bool)
-        for s in left:
-            in_left[s - base] = True
-        for s in right:
-            in_right[s - base] = True
-        if (in_left & in_right).any():
-            raise ValueError("left and right classes must be disjoint")
-        return cls(base, in_left, in_right)
-
-    def side_of(self, sym: int) -> str | None:
-        off = sym - self.base
-        if not 0 <= off < len(self.in_left):
-            return None  # minted after this partition was built
-        if self.in_left[off]:
-            return "left"
-        if self.in_right[off]:
-            return "right"
-        return None
 
 
 def greedy_partition(adj: PairAdjacency, amap: AlphabetMap) -> Partition:
@@ -194,10 +165,8 @@ def compress_pairs(
     fresh_per_occ = np.repeat(fresh, counts)
     # Distinct left.right pairs never overlap (the classes are disjoint), so
     # every adjacency position takes part in at most one replacement.
-    picked = np.zeros(len(adj.live_syms), dtype=bool)
+    picked = np.zeros(len(text.cells), dtype=bool)
     picked[occs] = True
     assert not picked[occs + 1].any(), "overlapping pair replacements selected"
-    text.replace_pairs_bulk(
-        adj.live_pos[occs], adj.live_pos[occs + 1], fresh_per_occ
-    )
+    text.replace_pairs_bulk(occs, fresh_per_occ)
     return PairCompression(len(occs), canon_a, canon_b, rule_ids)

@@ -1,9 +1,12 @@
-"""The mutable working string: tombstone deletion, per-phase compaction.
+"""The mutable working string: a compact array between replacements.
 
-Replacements mark trailing cells dead instead of shifting the array; one
-compaction per phase removes the tombstones.  Positions are raw indices
-into the cell array and are only valid until the next compaction, which is
-enforced with an epoch counter.
+Each stage of a phase is one pass over the current text, and every
+position it hands out is a plain index into ``cells``.  A replacement
+keeps the array in place: the replacing symbol goes into the first cell
+of each occurrence and the other cells become ``TOMBSTONE``.  Dead cells
+exist only between a replacement and the next ``compact()``; until then
+``live()`` refuses to read the text.  Every compaction bumps ``epoch``, so
+positions taken before it are detected as stale.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ TOMBSTONE = -1
 
 
 class StaleTextError(RuntimeError):
-    """A position from before the last compaction was used."""
+    """Dead cells are pending, or a position predates the last compaction."""
 
 
 class WorkingText:
@@ -31,73 +34,23 @@ class WorkingText:
         return self.live_count
 
     def live(self) -> np.ndarray:
-        """The live symbol sequence, in order."""
-        if self.live_count == len(self.cells):
-            return self.cells
-        return self.cells[self.cells != TOMBSTONE]
-
-    def live_positions(self) -> np.ndarray:
-        """Raw indices of the live cells, in order."""
-        if self.live_count == len(self.cells):
-            return np.arange(len(self.cells), dtype=np.int64)
-        return np.flatnonzero(self.cells != TOMBSTONE)
+        """The symbol sequence; raises ``StaleTextError`` while dead cells are pending."""
+        if self.live_count != len(self.cells):
+            raise StaleTextError("the text has dead cells: compact() it first")
+        return self.cells
 
     def to_list(self) -> list[int]:
-        return [int(s) for s in self.live()]
-
-    def _check_live(self, at: int) -> None:
-        if not 0 <= at < len(self.cells) or self.cells[at] == TOMBSTONE:
-            raise ValueError(f"position {at} is not a live cell")
-
-    def _next_live(self, at: int) -> int:
-        j = at + 1
-        while j < len(self.cells) and self.cells[j] == TOMBSTONE:
-            j += 1
-        if j >= len(self.cells):
-            raise ValueError(f"no live cell after position {at}")
-        return j
-
-    def replace_pair(self, at: int, fresh: int) -> None:
-        """Replace the live cell at ``at`` and the next live cell by ``fresh``."""
-        self._check_live(at)
-        j = self._next_live(at)
-        self.cells[at] = fresh
-        self.cells[j] = TOMBSTONE
-        self.live_count -= 1
-
-    def replace_run(self, at: int, length: int, fresh: int) -> None:
-        """Replace ``length`` equal consecutive live cells starting at ``at``."""
-        if length < 2:
-            raise ValueError("runs shorter than 2 are never replaced")
-        self._check_live(at)
-        sym = self.cells[at]
-        pos = at
-        tail = []
-        for _ in range(length - 1):
-            pos = self._next_live(pos)
-            if self.cells[pos] != sym:
-                raise ValueError(f"cells from {at} do not hold a uniform run of {length}")
-            tail.append(pos)
-        self.cells[at] = fresh
-        self.cells[tail] = TOMBSTONE
-        self.live_count -= length - 1
+        """The live symbols in order, also between a replacement and ``compact()``."""
+        return self.cells[self.cells != TOMBSTONE].tolist()
 
     def compact(self) -> None:
-        """Drop tombstones; invalidates all outstanding positions."""
+        """Drop dead cells; invalidates all outstanding positions."""
         if self.live_count != len(self.cells):
             self.cells = self.cells[self.cells != TOMBSTONE]
         self.epoch += 1
 
-    # Bulk variants used by the phase pipeline.  Semantically these equal a
-    # sequence of the scalar calls above (property-tested); they exist so a
-    # phase costs a handful of vector operations instead of |T| Python ones.
-
     def replace_runs_bulk(self, starts: np.ndarray, lengths: np.ndarray, fresh: np.ndarray) -> None:
-        """Replace disjoint uniform runs of contiguous live cells.
-
-        Requires a compacted layout under each run (no tombstones inside
-        ``[start, start+length)``), which holds during the block stage.
-        """
+        """Replace disjoint uniform runs ``[start, start+length)`` of live cells."""
         starts = np.asarray(starts, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
         fresh = np.asarray(fresh, dtype=np.int64)
@@ -105,27 +58,25 @@ class WorkingText:
             return
         if lengths.min() < 2:
             raise ValueError("runs shorter than 2 are never replaced")
-        ends = starts + lengths
-        if ends.max() > len(self.cells):
+        if (starts + lengths).max() > len(self.cells):
             raise ValueError("run extends past the end of the text")
-        # Mark cells strictly inside each run dead via a difference array.
-        dead = np.zeros(len(self.cells) + 1, dtype=np.int64)
-        np.add.at(dead, starts + 1, 1)
-        np.add.at(dead, ends, -1)
-        inside = np.cumsum(dead[:-1]) > 0
+        # The cells strictly inside each run, run after run.
+        tails = lengths - 1
+        inside = np.repeat(starts + 1 - (np.cumsum(tails) - tails), tails)
+        inside += np.arange(len(inside))
         if (self.cells[inside] == TOMBSTONE).any() or (self.cells[starts] == TOMBSTONE).any():
-            raise ValueError("bulk run replacement over non-contiguous live cells")
+            raise ValueError("bulk run replacement over dead cells")
         self.cells[inside] = TOMBSTONE
         self.cells[starts] = fresh
-        self.live_count -= int((lengths - 1).sum())
+        self.live_count -= len(inside)
 
-    def replace_pairs_bulk(self, firsts: np.ndarray, seconds: np.ndarray, fresh: np.ndarray) -> None:
-        """Replace disjoint live pairs given raw positions of both cells."""
+    def replace_pairs_bulk(self, firsts: np.ndarray, fresh: np.ndarray) -> None:
+        """Replace the disjoint pairs of live cells ``(first, first + 1)``."""
         firsts = np.asarray(firsts, dtype=np.int64)
-        seconds = np.asarray(seconds, dtype=np.int64)
         fresh = np.asarray(fresh, dtype=np.int64)
         if len(firsts) == 0:
             return
+        seconds = firsts + 1
         if (self.cells[firsts] == TOMBSTONE).any() or (self.cells[seconds] == TOMBSTONE).any():
             raise ValueError("bulk pair replacement touching dead cells")
         self.cells[firsts] = fresh
@@ -133,9 +84,5 @@ class WorkingText:
         self.live_count -= len(firsts)
 
     def _remap_live(self, lut: np.ndarray, base: int) -> None:
-        """Apply ``sym -> lut[sym - base]`` to every live cell."""
-        if self.live_count == len(self.cells):
-            self.cells = lut[self.cells - base]
-        else:
-            mask = self.cells != TOMBSTONE
-            self.cells[mask] = lut[self.cells[mask] - base]
+        """Apply ``sym -> lut[sym - base]`` to every cell of the compact text."""
+        self.cells = lut[self.live() - base]

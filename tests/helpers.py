@@ -10,6 +10,7 @@ from slpcompress.alphabet import radix_argsort
 from slpcompress.grammar import Slp, symbol_lengths
 from slpcompress.pairs import Partition
 from slpcompress.rewriting import Ref, Run, RunSlp
+from slpcompress.text import TOMBSTONE
 
 
 def random_runslp(rng: random.Random, max_rules=30, alphabet=4, expansion_cap=10**6,
@@ -200,7 +201,9 @@ def reference_greedy_partition(adj) -> Partition:
     the opposite orientation covers strictly more occurrences.
     """
     base, width = adj.base, adj.width
-    occurring = np.unique(adj.live_syms)
+    # Every symbol of a text of two or more lies on a pair; the one symbol
+    # of a shorter text goes left either way.
+    occurring = np.unique(np.concatenate([adj.pair_a, adj.pair_b]))
     count_left = [0] * width
     count_right = [0] * width
     side = [0] * width  # 0 unassigned, 1 left, 2 right
@@ -350,3 +353,98 @@ def symbol_of_block(result) -> dict[tuple[int, int], int]:
 def symbol_of_pair(result) -> dict[tuple[int, int], int]:
     """(canonical first, canonical second) -> replacing symbol, from a pair stage."""
     return dict(zip(zip(result.firsts.tolist(), result.seconds.tolist()), result.symbols.tolist()))
+
+
+# Scalar oracles for ``WorkingText``'s bulk replacements.  They address
+# cells by raw index and step over dead cells, so a sequence of them can
+# run without a compaction in between.
+
+
+def _check_live(text, at: int) -> None:
+    if not 0 <= at < len(text.cells) or text.cells[at] == TOMBSTONE:
+        raise ValueError(f"position {at} is not a live cell")
+
+
+def _next_live(text, at: int) -> int:
+    j = at + 1
+    while j < len(text.cells) and text.cells[j] == TOMBSTONE:
+        j += 1
+    if j >= len(text.cells):
+        raise ValueError(f"no live cell after position {at}")
+    return j
+
+
+def live_positions(text) -> np.ndarray:
+    """Raw indices of the live cells, in order."""
+    return np.flatnonzero(text.cells != TOMBSTONE)
+
+
+def replace_pair(text, at: int, fresh: int) -> None:
+    """Replace the live cell at ``at`` and the next live cell by ``fresh``."""
+    _check_live(text, at)
+    j = _next_live(text, at)
+    text.cells[at] = fresh
+    text.cells[j] = TOMBSTONE
+    text.live_count -= 1
+
+
+def replace_run(text, at: int, length: int, fresh: int) -> None:
+    """Replace ``length`` equal consecutive live cells starting at ``at``."""
+    if length < 2:
+        raise ValueError("runs shorter than 2 are never replaced")
+    _check_live(text, at)
+    sym = text.cells[at]
+    pos = at
+    tail = []
+    for _ in range(length - 1):
+        pos = _next_live(text, pos)
+        if text.cells[pos] != sym:
+            raise ValueError(f"cells from {at} do not hold a uniform run of {length}")
+        tail.append(pos)
+    text.cells[at] = fresh
+    text.cells[tail] = TOMBSTONE
+    text.live_count -= length - 1
+
+
+# Scalar accessors of the compressor's column-array types.
+
+
+def canonical_of(amap, working_id: int) -> int:
+    """The canonical id a working id aliases."""
+    off = working_id - amap.alias_base
+    if not 0 <= off < len(amap.alias_table):
+        raise ValueError(f"working id {working_id} outside current interval")
+    return int(amap.alias_table[off])
+
+
+def body_of(slp: Slp, symbol: int) -> tuple[int, ...]:
+    return slp.rules[symbol - slp.terminal_count]
+
+
+def total_occurrences(adj) -> int:
+    return int(adj.pair_count.sum())
+
+
+def partition_from_sets(base: int, width: int, left, right) -> Partition:
+    """A split with the given left and right classes over ``[base, base + width)``."""
+    in_left = np.zeros(width, dtype=bool)
+    in_right = np.zeros(width, dtype=bool)
+    for s in left:
+        in_left[s - base] = True
+    for s in right:
+        in_right[s - base] = True
+    if (in_left & in_right).any():
+        raise ValueError("left and right classes must be disjoint")
+    return Partition(base, in_left, in_right)
+
+
+def side_of(part: Partition, sym: int) -> str | None:
+    """``"left"``, ``"right"``, or ``None`` for an id outside both classes."""
+    off = sym - part.base
+    if not 0 <= off < len(part.in_left):
+        return None  # minted after this partition was built
+    if part.in_left[off]:
+        return "left"
+    if part.in_right[off]:
+        return "right"
+    return None

@@ -121,9 +121,9 @@ def test_criterion_3_partition_coverage(corpus):
 
 def test_criterion_4_block_invariant(corpus):
     entries, _ = corpus
-    # The block stage asserts the no-equal-adjacent invariant itself and the
-    # pair stage rejects violating texts, so any violation would have failed
-    # criterion 1; re-check the stage on fresh random texts here.
+    # The pair stage rejects texts with equal neighbours, so any violation
+    # would have failed criterion 1; re-check the block stage on fresh random
+    # texts here.
     from slpcompress.alphabet import ingest
     from slpcompress.blocks import compress_blocks, scan_blocks
 

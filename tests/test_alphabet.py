@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SortRecord, radix_sort
+from helpers import SortRecord, canonical_of, radix_sort
 
 from slpcompress.alphabet import (
     AlphabetMap,
@@ -152,8 +152,8 @@ class TestRenameDense:
         text = WorkingText([7, 9, 7])
         rename_dense(text, amap)
         assert text.to_list() == [10, 11, 10]
-        assert amap.canonical_of(10) == 7
-        assert amap.canonical_of(11) == 9
+        assert canonical_of(amap, 10) == 7
+        assert canonical_of(amap, 11) == 9
 
     def test_empty_text(self):
         from slpcompress.text import WorkingText
@@ -191,7 +191,7 @@ class TestRenameDense:
                 distinct = sorted(set(live))
                 assert distinct == list(range(min(live), max(live) + 1))
                 # canonical ids are preserved through the rename
-                originals = [amap.canonical_of(s) for s in live]
+                originals = [canonical_of(amap, s) for s in live]
                 assert originals == [int(s) for s in syms]
 
     def test_canonicals_recoverable_through_two_renames(self):
@@ -201,7 +201,7 @@ class TestRenameDense:
         text = WorkingText([4, 2, 4, 1])
         rename_dense(text, amap)
         rename_dense(text, amap)
-        assert [amap.canonical_of(s) for s in text.to_list()] == [4, 2, 4, 1]
+        assert [canonical_of(amap, s) for s in text.to_list()] == [4, 2, 4, 1]
 
 
 class TestAllocateWorking:
@@ -209,17 +209,17 @@ class TestAllocateWorking:
         amap = _synthetic_map(0, [0, 1, 2])
         fresh = amap.allocate_working(np.array([10, 11]))
         assert fresh.tolist() == [3, 4]
-        assert amap.canonical_of(3) == 10
-        assert amap.canonical_of(4) == 11
-        seen = {amap.canonical_of(w) for w in range(amap.alias_base, amap.next_working)}
+        assert canonical_of(amap, 3) == 10
+        assert canonical_of(amap, 4) == 11
+        seen = {canonical_of(amap, w) for w in range(amap.alias_base, amap.next_working)}
         assert len(seen) == amap.next_working - amap.alias_base
 
     def test_out_of_interval_rejected(self):
         amap = _synthetic_map(5, [0, 1])
         with pytest.raises(ValueError):
-            amap.canonical_of(4)
+            canonical_of(amap, 4)
         with pytest.raises(ValueError):
-            amap.canonical_of(7)
+            canonical_of(amap, 7)
 
 
 def test_radix_argsort_matches_lexsort():

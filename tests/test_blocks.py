@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import reference_block_representation
+from helpers import body_of, canonical_of, reference_block_representation
 from slpcompress.alphabet import ingest
 from slpcompress.blocks import build_block_rules, compress_blocks, scan_blocks
 from slpcompress.grammar import Slp, expand
@@ -13,7 +13,7 @@ def naive_expand_ids(slp, symbol):
     if symbol < slp.terminal_count:
         return [symbol]
     out = []
-    for s in slp.body_of(symbol):
+    for s in body_of(slp, symbol):
         out.extend(naive_expand_ids(slp, s))
     return out
 
@@ -64,8 +64,8 @@ class TestCompressBlocks:
         # One fresh symbol per distinct block, then the unchanged a b tail.
         assert live[2:] == [0, 1]
         z1, z2 = live[0], live[1]
-        assert expand(grammar, amap.canonical_of(z1)) == b"aa"
-        assert expand(grammar, amap.canonical_of(z2)) == b"bbb"
+        assert expand(grammar, canonical_of(amap, z1)) == b"aa"
+        assert expand(grammar, canonical_of(amap, z2)) == b"bbb"
 
     def test_equal_blocks_share_one_symbol(self):
         text, amap = ingest(b"aabaabaa")
@@ -84,7 +84,7 @@ class TestCompressBlocks:
         assert grammar.size <= 4 * 20 + 4
         from slpcompress.grammar import symbol_lengths
 
-        assert symbol_lengths(grammar)[amap.canonical_of(1)] == n
+        assert symbol_lengths(grammar)[canonical_of(amap, 1)] == n
 
     def test_no_blocks_no_rules(self):
         text, amap = ingest(b"abab")
@@ -115,7 +115,7 @@ class TestCompressBlocks:
             # Re-expanding the live text through the aliases restores the input.
             restored = []
             for w in text.to_list():
-                restored.extend(naive_expand_ids(grammar, amap.canonical_of(w)))
+                restored.extend(naive_expand_ids(grammar, canonical_of(amap, w)))
             assert restored == original
 
 

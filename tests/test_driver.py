@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slpcompress import driver
 from slpcompress.alphabet import ingest
 from slpcompress.driver import compress, run_phase
 from slpcompress.grammar import Slp, expand, validate
+from slpcompress.text import StaleTextError
 
 
 class TestPlainMode:
@@ -125,6 +127,49 @@ class TestPhase:
             assert result.stats.phase_count == len(result.traces)
             # one extra row for the state after the final phase
             assert len(result.stats.phase_table) == len(result.traces) + 1
+
+    def test_every_reader_sees_a_compact_text(self, monkeypatch):
+        # Readers find no dead cells; both replacing stages leave some, and
+        # live() refuses the text until run_phase compacts it.  The
+        # improved-mode snapshot reads the text through live() as well.
+        calls = []
+
+        def reader(name):
+            original = getattr(driver, name)
+
+            def guarded(text, *args):
+                assert len(text.cells) == len(text), f"{name} got dead cells"
+                calls.append(name)
+                return original(text, *args)
+
+            monkeypatch.setattr(driver, name, guarded)
+
+        def writer(name):
+            original = getattr(driver, name)
+
+            def guarded(text, *args):
+                epoch = text.epoch
+                out = original(text, *args)
+                assert text.epoch == epoch, f"{name} compacted the text itself"
+                if len(text.cells) != len(text):
+                    with pytest.raises(StaleTextError):
+                        text.live()
+                    calls.append(name)
+                return out
+
+            monkeypatch.setattr(driver, name, guarded)
+
+        for name in ("rename_dense", "scan_blocks", "build_adjacency"):
+            reader(name)
+        for name in ("compress_blocks", "compress_pairs"):
+            writer(name)
+        data = b"aaab" * 50 + b"abcabcbbbcca" * 40
+        for mode in ("plain", "improved"):
+            result = compress(data, mode=mode)
+            assert expand(result.slp) == data
+        assert set(calls) == {
+            "rename_dense", "scan_blocks", "build_adjacency", "compress_blocks", "compress_pairs"
+        }
 
 
 class TestRoundtrip:

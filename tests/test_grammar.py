@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from helpers import reference_expand_ids
+from helpers import body_of, reference_expand_ids
 
 from slpcompress.driver import compress
 from slpcompress.grammar import (
@@ -27,7 +27,7 @@ def naive_expand(slp, symbol):
     if symbol < slp.terminal_count:
         return [symbol]
     out = []
-    for s in slp.body_of(symbol):
+    for s in body_of(slp, symbol):
         out.extend(naive_expand(slp, s))
     return out
 
@@ -339,11 +339,47 @@ class TestSerialization:
             "SLP 1\nterminals 1 tokens\n\u0669\u0667\nrules 0\nstart 0\n",
             "SLP 1\nterminals 1 bytes\n97\nrules +1\n2 0 0\nstart 1\n",
             "SLP 1\nterminals 1 bytes\n97\nrules 0\nstart -0\n",
+            # Numerals and separators int() and split() read but serialize
+            # never writes.
+            "SLP 1\nterminals 1 bytes\n097\nrules 0\nstart 0\n",
+            "SLP 1\nterminals 2 bytes\n97 98\nrules 1\n2 01 0\nstart 2\n",
+            "SLP 1\nterminals 1 bytes\n97\nrules 1\n2 0\t0\nstart 1\n",
+            "SLP 1\nterminals 1 bytes\n97\nrules 1\n2 0 0\nstart 1\r\n",
+            "SLP 1\nterminals  1 bytes\n97\nrules 0\nstart 0\n",
+            "SLP 1\nterminals 2 bytes\n97  98\nrules 0\nstart 0\n",
+            "SLP 1\nterminals 1 bytes\n97\nrules 1\n2 0 0 \nstart 1\n",
+            "SLP 1\nterminals 1 bytes\n97\nrules 0\nstart 0",  # no final newline
         ],
     )
     def test_malformed_rejected(self, payload):
         with pytest.raises(GrammarError):
             deserialize(payload)
+
+    def test_accepted_text_reserializes_to_itself(self):
+        # Random edits of serialized grammars: whatever still loads must be
+        # exactly the text serialize writes for the grammar it loads as.
+        rng = random.Random(11)
+        alphabet = "0123456789 \n\t\r\v_+-aes"
+        accepted = 0
+        for _ in range(3000):
+            slp = random_slp(rng, kind=rng.choice(["bytes", "tokens"]), max_rules=6)
+            text = serialize(slp)
+            for _ in range(rng.randrange(1, 3)):
+                i = rng.randrange(len(text) + 1)
+                edit = rng.randrange(3)
+                if edit == 0:  # insert
+                    text = text[:i] + rng.choice(alphabet) + text[i:]
+                elif edit == 1:  # delete
+                    text = text[:i] + text[i + 1 :]
+                else:  # replace
+                    text = text[:i] + rng.choice(alphabet) + text[i + 1 :]
+            try:
+                back = deserialize(text)
+            except GrammarError:
+                continue
+            accepted += 1
+            assert serialize(back) == text
+        assert accepted > 100
 
 
 class TestStatsHelpers:

@@ -4,16 +4,18 @@ import random
 
 import pytest
 
-from helpers import left_of, pair_occurrences, right_of
+from helpers import (
+    left_of,
+    pair_occurrences,
+    partition_from_sets,
+    right_of,
+    side_of,
+    total_occurrences,
+)
 from slpcompress.alphabet import ingest
 from slpcompress.blocks import compress_blocks, scan_blocks
 from slpcompress.grammar import Slp
-from slpcompress.pairs import (
-    Partition,
-    build_adjacency,
-    compress_pairs,
-    greedy_partition,
-)
+from slpcompress.pairs import build_adjacency, compress_pairs, greedy_partition
 from slpcompress.text import StaleTextError
 
 
@@ -44,7 +46,7 @@ class TestBuildAdjacency:
     def test_single_symbol_all_lists_empty(self):
         text, amap = ingest(b"a")
         adj = build_adjacency(text, amap)
-        assert adj.total_occurrences == 0
+        assert total_occurrences(adj) == 0
         assert right_of(adj, 0) == []
 
     def test_occurrence_lists_sum_to_length_minus_one(self):
@@ -55,7 +57,7 @@ class TestBuildAdjacency:
             data = bytes(c for i, c in enumerate(data) if i == 0 or c != data[i - 1])
             text, amap = ingest(data)
             adj = build_adjacency(text, amap)
-            assert adj.total_occurrences == max(0, len(text) - 1)
+            assert total_occurrences(adj) == max(0, len(text) - 1)
 
     def test_equal_adjacent_symbols_rejected(self):
         text, amap = ingest(b"aab")
@@ -77,8 +79,8 @@ class TestGreedyPartition:
         text, amap = ingest(b"ab")
         adj = build_adjacency(text, amap)
         part = greedy_partition(adj, amap)
-        assert part.side_of(0) == "left"
-        assert part.side_of(1) == "right"
+        assert side_of(part, 0) == "left"
+        assert side_of(part, 1) == "right"
         assert part.cover_chosen == 1
 
     def test_alternating_word(self):
@@ -89,8 +91,8 @@ class TestGreedyPartition:
         # Deterministic outcome: repeated runs agree.
         text2, amap2 = ingest(b"ababab")
         part2 = greedy_partition(build_adjacency(text2, amap2), amap2)
-        assert part.side_of(0) == part2.side_of(0)
-        assert part.side_of(1) == part2.side_of(1)
+        assert side_of(part, 0) == side_of(part2, 0)
+        assert side_of(part, 1) == side_of(part2, 1)
 
     def test_single_symbol_text(self):
         text, amap = ingest(b"a")
@@ -129,7 +131,7 @@ class TestGreedyPartition:
             text, amap = ingest(bytes(data))
             part = greedy_partition(build_adjacency(text, amap), amap)
             for sym in set(text.to_list()):
-                assert part.side_of(sym) in ("left", "right")
+                assert side_of(part, sym) in ("left", "right")
             assert not (part.in_left & part.in_right).any()
 
 
@@ -138,7 +140,7 @@ class TestCompressPairs:
         text, amap = ingest(b"abcab")
         grammar = Slp("bytes", amap.terminal_of_id)
         adj = build_adjacency(text, amap)
-        part = Partition.from_sets(
+        part = partition_from_sets(
             amap.alias_base, amap.next_working - amap.alias_base, left={0}, right={1, 2}
         )
         result = compress_pairs(text, part, adj, grammar, amap)
@@ -152,7 +154,7 @@ class TestCompressPairs:
         text, amap = ingest(b"abcab")
         grammar = Slp("bytes", amap.terminal_of_id)
         adj = build_adjacency(text, amap)
-        part = Partition.from_sets(
+        part = partition_from_sets(
             amap.alias_base, amap.next_working - amap.alias_base, left={1, 2}, right=set()
         )
         result = compress_pairs(text, part, adj, grammar, amap)
@@ -169,7 +171,7 @@ class TestCompressPairs:
         text.compact()
         for sym in set(text.to_list()):
             if sym >= 2:  # a fresh symbol
-                assert part.side_of(sym) is None
+                assert side_of(part, sym) is None
 
     def test_stale_positions_rejected(self):
         text, amap = ingest(b"abab")
@@ -204,6 +206,7 @@ def test_full_phase_pair_stage_after_blocks():
     text, amap = ingest(b"aab")
     grammar = Slp("bytes", amap.terminal_of_id)
     compress_blocks(text, scan_blocks(text, amap), grammar, amap)
+    text.compact()
     adj = build_adjacency(text, amap)
     part = greedy_partition(adj, amap)
     result = compress_pairs(text, part, adj, grammar, amap)

@@ -4,9 +4,11 @@ import pytest
 
 from helpers import (
     block_oracle,
+    canonical_of,
     maximal_block_lengths,
     pair_oracle,
     random_runslp,
+    side_of,
     symbol_of_block,
     symbol_of_pair,
 )
@@ -362,11 +364,12 @@ class TestSimulatedPhaseMatchesTextPhase:
             text = WorkingText(np.array(s, dtype=np.int64))
             grammar = Slp("tokens", list(range(sigma)))
             blocks = compress_blocks(text, scan_blocks(text, amap), grammar, amap)
+            text.compact()
             adj = build_adjacency(text, amap)
             part = greedy_partition(adj, amap)
             pairs = compress_pairs(text, part, adj, grammar, amap)
             text.compact()
-            text_canonical = [amap.canonical_of(w) for w in text.to_list()]
+            text_canonical = [canonical_of(amap, w) for w in text.to_list()]
 
             # Grammar side, reusing the text side's fresh names and split.
             g = pop_boundary_runs(slp)
@@ -380,11 +383,11 @@ class TestSimulatedPhaseMatchesTextPhase:
             left = set()
             right = set()
             for w in range(amap.alias_base, amap.next_working):
-                side = part.side_of(w)
+                side = side_of(part, w)
                 if side == "left":
-                    left.add(amap.canonical_of(w))
+                    left.add(canonical_of(amap, w))
                 elif side == "right":
-                    right.add(amap.canonical_of(w))
+                    right.add(canonical_of(amap, w))
             g = pop_letters(g, left, right)
             for (ca, cb), sym in sorted(symbol_of_pair(pairs).items()):
                 g = compress_noncrossing_pair(g, ca, cb, sym)

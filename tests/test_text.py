@@ -3,74 +3,75 @@ import random
 import numpy as np
 import pytest
 
-from slpcompress.text import TOMBSTONE, WorkingText
+from helpers import live_positions, replace_pair, replace_run
+from slpcompress.text import TOMBSTONE, StaleTextError, WorkingText
 
 
 class TestReplacePair:
     def test_basic(self):
         t = WorkingText([0, 1, 2])
-        t.replace_pair(0, 9)
+        replace_pair(t, 0, 9)
         assert t.to_list() == [9, 2]
         assert len(t) == 2
 
     def test_adjacency_skips_tombstones(self):
         # Build [0, dead, 1, 2], then the pair at position 2 is (1, 2).
         t = WorkingText([0, 5, 1, 2])
-        t.replace_pair(0, 0)
+        replace_pair(t, 0, 0)
         assert t.cells[1] == TOMBSTONE
-        t.replace_pair(2, 9)
+        replace_pair(t, 2, 9)
         assert t.to_list() == [0, 9]
 
     def test_disjoint_replacements_commute(self):
         a = WorkingText([0, 1, 2, 3])
         b = WorkingText([0, 1, 2, 3])
-        a.replace_pair(0, 8)
-        a.replace_pair(2, 9)
-        b.replace_pair(2, 9)
-        b.replace_pair(0, 8)
+        replace_pair(a, 0, 8)
+        replace_pair(a, 2, 9)
+        replace_pair(b, 2, 9)
+        replace_pair(b, 0, 8)
         assert a.to_list() == b.to_list() == [8, 9]
 
     def test_dead_position_rejected(self):
         t = WorkingText([0, 1, 2])
-        t.replace_pair(1, 9)
+        replace_pair(t, 1, 9)
         with pytest.raises(ValueError):
-            t.replace_pair(2, 5)  # tombstone
+            replace_pair(t, 2, 5)  # tombstone
         with pytest.raises(ValueError):
-            t.replace_pair(1, 5)  # last live cell, no successor
+            replace_pair(t, 1, 5)  # last live cell, no successor
 
 
 class TestReplaceRun:
     def test_basic(self):
         t = WorkingText([3, 3, 3, 5])
-        t.replace_run(0, 3, 8)
+        replace_run(t, 0, 3, 8)
         assert t.to_list() == [8, 5]
 
     def test_full_text_run(self):
         t = WorkingText([4, 4])
-        t.replace_run(0, 2, 8)
+        replace_run(t, 0, 2, 8)
         assert t.to_list() == [8]
 
     def test_length_one_rejected(self):
         t = WorkingText([4, 4])
         with pytest.raises(ValueError):
-            t.replace_run(0, 1, 8)
+            replace_run(t, 0, 1, 8)
 
     def test_non_uniform_rejected(self):
         t = WorkingText([4, 5, 4])
         with pytest.raises(ValueError):
-            t.replace_run(0, 2, 8)
+            replace_run(t, 0, 2, 8)
 
     def test_run_too_short_rejected(self):
         t = WorkingText([4, 4])
         with pytest.raises(ValueError):
-            t.replace_run(0, 3, 8)
+            replace_run(t, 0, 3, 8)
 
 
 class TestCompact:
     def test_removes_tombstones_preserves_order(self):
         t = WorkingText([0, 1, 2, 2, 3])
-        t.replace_pair(0, 9)
-        t.replace_run(2, 2, 7)
+        replace_pair(t, 0, 9)
+        replace_run(t, 2, 2, 7)
         t.compact()
         assert t.to_list() == [9, 7, 3]
         assert len(t.cells) == 3
@@ -117,14 +118,14 @@ def test_mixed_ops_match_list_oracle():
             script = _random_script(rng, oracle)
             if script is None:
                 break
-            positions = text.live_positions()
+            positions = live_positions(text)
             if script[0] == "pair":
                 i = script[1]
-                text.replace_pair(int(positions[i]), fresh)
+                replace_pair(text, int(positions[i]), fresh)
                 oracle[i : i + 2] = [fresh]
             else:
                 i, length = script[1], script[2]
-                text.replace_run(int(positions[i]), length, fresh)
+                replace_run(text, int(positions[i]), length, fresh)
                 oracle[i : i + length] = [fresh]
             fresh += 1
             assert text.to_list() == oracle
@@ -154,7 +155,7 @@ def test_bulk_runs_equal_scalar_sequence():
         fresh = [1000 + k for k in range(len(starts))]
         a.replace_runs_bulk(np.array(starts, dtype=np.int64), np.array(lengths, dtype=np.int64), np.array(fresh, dtype=np.int64))
         for s, l, f in zip(starts, lengths, fresh):
-            b.replace_run(s, l, f)
+            replace_run(b, s, l, f)
         assert a.to_list() == b.to_list()
 
 
@@ -163,9 +164,79 @@ def test_bulk_pairs_equal_scalar_sequence():
     a = WorkingText(syms)
     b = WorkingText(syms)
     firsts = np.array([0, 2, 4], dtype=np.int64)
-    seconds = firsts + 1
     fresh = np.array([10, 11, 12], dtype=np.int64)
-    a.replace_pairs_bulk(firsts, seconds, fresh)
+    a.replace_pairs_bulk(firsts, fresh)
     for f, s in zip(firsts, fresh):
-        b.replace_pair(int(f), int(s))
+        replace_pair(b, int(f), int(s))
     assert a.to_list() == b.to_list() == [10, 11, 12]
+
+
+def test_bulk_random_pairs_equal_scalar_sequence():
+    rng = random.Random(6)
+    for _ in range(30):
+        n = rng.randrange(2, 60)
+        syms = [rng.randrange(5) for _ in range(n)]
+        a = WorkingText(syms)
+        b = WorkingText(syms)
+        firsts = []
+        i = rng.randrange(2)
+        while i + 1 < n:
+            firsts.append(i)
+            i += rng.randrange(2, 5)
+        fresh = [100 + k for k in range(len(firsts))]
+        a.replace_pairs_bulk(np.array(firsts, dtype=np.int64), np.array(fresh, dtype=np.int64))
+        for f, s in zip(firsts, fresh):
+            replace_pair(b, f, s)
+        assert a.to_list() == b.to_list()
+        assert len(a) == len(b)
+
+
+class TestDeadCells:
+    def test_live_raises_while_dead_cells_are_pending(self):
+        t = WorkingText([3, 3, 3, 5, 6])
+        assert t.live() is t.cells
+        t.replace_runs_bulk(np.array([0]), np.array([3]), np.array([8]))
+        with pytest.raises(StaleTextError):
+            t.live()
+        assert t.to_list() == [8, 5, 6]
+        t.compact()
+        assert t.live().tolist() == [8, 5, 6]
+        t.replace_pairs_bulk(np.array([1]), np.array([9]))
+        with pytest.raises(StaleTextError):
+            t.live()
+        t.compact()
+        assert t.live().tolist() == [8, 9]
+
+    def test_bulk_runs_reject_dead_cells(self):
+        t = WorkingText([4, 4, 4, 4, 5])
+        t.replace_runs_bulk(np.array([0]), np.array([2]), np.array([8]))
+        with pytest.raises(ValueError, match="dead cells"):
+            t.replace_runs_bulk(np.array([0]), np.array([3]), np.array([9]))
+        with pytest.raises(ValueError, match="dead cells"):
+            t.replace_runs_bulk(np.array([1]), np.array([2]), np.array([9]))
+        assert t.to_list() == [8, 4, 4, 5]
+
+    def test_bulk_runs_reject_bad_lengths(self):
+        t = WorkingText([4, 4, 5])
+        with pytest.raises(ValueError, match="shorter than 2"):
+            t.replace_runs_bulk(np.array([0]), np.array([1]), np.array([8]))
+        with pytest.raises(ValueError, match="past the end"):
+            t.replace_runs_bulk(np.array([1]), np.array([3]), np.array([8]))
+        assert t.live().tolist() == [4, 4, 5]
+
+    def test_bulk_pairs_reject_dead_cells(self):
+        t = WorkingText([0, 1, 2, 3])
+        t.replace_pairs_bulk(np.array([0]), np.array([9]))
+        for first in (0, 1):
+            with pytest.raises(ValueError, match="dead cells"):
+                t.replace_pairs_bulk(np.array([first]), np.array([7]))
+        assert t.to_list() == [9, 2, 3]
+
+    def test_remap_reads_a_compact_text(self):
+        t = WorkingText([0, 1, 2])
+        t.replace_pairs_bulk(np.array([0]), np.array([3]))
+        with pytest.raises(StaleTextError):
+            t._remap_live(np.arange(10, 14), 0)
+        t.compact()
+        t._remap_live(np.arange(10, 14), 0)
+        assert t.to_list() == [13, 12]
