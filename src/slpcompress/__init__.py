@@ -1,8 +1,7 @@
 """Grammar-based compression via iterated block and pair compression.
 
 Builds a straight-line program of size O(g log(N/g)) for an input string
-in linear time, plus a verification lab for rewriting arbitrary SLPs under
-the same compression steps.
+in linear time.
 """
 
 from .alphabet import AlphabetMap, InputFormatError, ingest, rename_dense

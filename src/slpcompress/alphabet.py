@@ -20,7 +20,6 @@ working alphabet is a known interval ``[base, next_working)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -29,45 +28,31 @@ from .text import WorkingText
 TOKEN_VALUE_CEILING = 2**32 - 1
 
 _DIGIT_BITS = 16
-_DIGIT_MASK = (1 << _DIGIT_BITS) - 1
-_MAX_KEY_BITS = 48
 
 
 class InputFormatError(ValueError):
     """Raised when raw input cannot be turned into a symbol sequence."""
 
 
-def radix_argsort(columns: Sequence[np.ndarray], bounds: Sequence[int]) -> np.ndarray:
-    """Stable lexicographic argsort of parallel integer key columns.
+def radix_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of non-negative integer keys below ``bound``.
 
-    ``columns[0]`` is the most significant key component.  Every value must
-    satisfy ``0 <= value < bound`` for its column; bounds above 2**48 are
-    rejected (keys are decomposed into 16-bit digits, at most three per
-    component).  Runs in time linear in the number of entries plus the
-    digit-bucket width.
+    ``bound`` may be at most 2**63, so every key fits an ``int64``; callers
+    sort by several components by combining them into one mixed-radix key.
+    Each pass is a stable counting sort on one 16-bit digit of the keys,
+    least significant first, and ``bound - 1`` fixes how many digits there
+    are, so the time is linear in the number of keys times that count.
     """
-    if len(columns) != len(bounds):
-        raise ValueError("one bound per key column required")
-    if not columns:
-        return np.empty(0, dtype=np.int64)
-    n = len(columns[0])
-    order = np.arange(n, dtype=np.int64)
-    # Least-significant column first; within a column, least-significant
-    # 16-bit digit first.  Each pass is a stable counting sort.
-    for col, bound in zip(reversed(columns), reversed(bounds)):
-        if bound < 1:
-            raise ValueError(f"bound must be positive, got {bound}")
-        if bound - 1 > (1 << _MAX_KEY_BITS) - 1:
-            raise ValueError(f"key component bound {bound} wider than 48 bits")
-        if len(col) != n:
-            raise ValueError("key columns must have equal length")
-        col = np.asarray(col, dtype=np.int64)
-        if n and (col.min() < 0 or col.max() >= bound):
-            raise ValueError("key component out of bound")
-        digits = max(1, (int(bound - 1).bit_length() + _DIGIT_BITS - 1) // _DIGIT_BITS)
-        for d in range(digits):
-            digit = (col[order] >> (d * _DIGIT_BITS)) & _DIGIT_MASK
-            order = order[np.argsort(digit.astype(np.uint16), kind="stable")]
+    if not 1 <= bound <= 1 << 63:
+        raise ValueError(f"bound must lie in [1, 2**63], got {bound}")
+    keys = np.asarray(keys, dtype=np.int64)
+    if len(keys) and (int(keys.min()) < 0 or int(keys.max()) >= bound):
+        raise ValueError("key out of bound")
+    digits = max(1, (int(bound - 1).bit_length() + _DIGIT_BITS - 1) // _DIGIT_BITS)
+    order = np.arange(len(keys), dtype=np.int64)
+    for d in range(digits):
+        digit = (keys[order] >> (d * _DIGIT_BITS)).astype(np.uint16)  # wraps mod 2**16
+        order = order[np.argsort(digit, kind="stable")]
     return order
 
 
@@ -120,15 +105,13 @@ class AlphabetMap:
         self.alias_table = table
 
 
-def ingest(
-    raw, kind: str | None = None, token_ceiling: int = TOKEN_VALUE_CEILING
-) -> tuple[WorkingText, AlphabetMap]:
+def ingest(raw, kind: str | None = None) -> tuple[WorkingText, AlphabetMap]:
     """Turn raw input into a working text over dense terminal ids.
 
     Terminals are numbered in first-occurrence order.  ``raw`` is either a
     byte string or a sequence of unsigned token values; token values above
-    ``token_ceiling`` and anything but integers (floats, booleans, strings)
-    are rejected with ``InputFormatError``.
+    ``TOKEN_VALUE_CEILING`` and anything but integers (floats, booleans,
+    strings) are rejected with ``InputFormatError``.
     """
     if kind is None:
         kind = "bytes" if isinstance(raw, (bytes, bytearray, memoryview)) else "tokens"
@@ -144,13 +127,11 @@ def ingest(
             # Floats, booleans, strings and ints too wide for numpy would
             # otherwise be truncated or coerced into tokens silently.
             raise InputFormatError(
-                f"tokens must be a flat sequence of integers in [0, {token_ceiling}]"
+                f"tokens must be a flat sequence of integers in [0, {TOKEN_VALUE_CEILING}]"
                 f", not {arr.dtype} of shape {arr.shape}"
             )
-        if arr.size and (arr.min() < 0 or arr.max() > token_ceiling):
-            raise InputFormatError(
-                f"token values must lie in [0, {token_ceiling}]"
-            )
+        if arr.size and (arr.min() < 0 or arr.max() > TOKEN_VALUE_CEILING):
+            raise InputFormatError(f"token values must lie in [0, {TOKEN_VALUE_CEILING}]")
         ids, terminals = _first_occurrence_ids(arr.astype(np.int64), domain=None)
     else:
         raise ValueError(f"unknown input kind {kind!r}")

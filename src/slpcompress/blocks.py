@@ -64,10 +64,8 @@ def scan_blocks(text: WorkingText, amap: AlphabetMap) -> BlockScan:
     pos = starts[keep]
     base = amap.alias_base
     width = amap.next_working - base
-    order = radix_argsort(
-        [letters - base, lengths],
-        [width, int(lengths.max()) + 1 if len(lengths) else 1],
-    )
+    span = int(lengths.max()) + 1 if len(lengths) else 1
+    order = radix_argsort((letters - base) * span + lengths, width * span)
     return BlockScan(letters[order], lengths[order], pos[order], text.epoch)
 
 

@@ -137,7 +137,7 @@ def compress(data, mode: str = "improved", kind: str | None = None) -> Compressi
     phase_table: list[tuple[int, int]] = []
     best: BestSnapshot | None = None
     copy_work = 0
-    while len(text) > 1:
+    while True:
         phase_table.append((len(text), grammar.size))
         if mode == "improved":
             candidate = len(text) + grammar.size
@@ -145,17 +145,14 @@ def compress(data, mode: str = "improved", kind: str | None = None) -> Compressi
                 snapshot = amap.canonical_of_array(text.live())
                 best = BestSnapshot(candidate, len(traces), snapshot, len(grammar.rules))
                 copy_work += len(snapshot)
+        if len(text) <= 1:
+            break
         traces.append(run_phase(text, amap, grammar, len(traces) + 1))
-    phase_table.append((len(text), grammar.size))
-    final_canonical = amap.canonical_of_array(text.live())
     if mode == "improved":
-        candidate = len(text) + grammar.size
-        if best is None or candidate < best.size:
-            best = BestSnapshot(candidate, len(traces), final_canonical, len(grammar.rules))
-            copy_work += len(final_canonical)
         slp = _snapshot_grammar(grammar, best)
         best_phase = best.phase
     else:
+        final_canonical = amap.canonical_of_array(text.live())
         if len(final_canonical):
             grammar.start = grammar.emit_rule(final_canonical)
         slp = grammar

@@ -21,7 +21,7 @@ from .text import StaleTextError, WorkingText
 class PairAdjacency:
     """Distinct adjacent pairs with their occurrence lists.
 
-    Built from one radix sort of the (first, second, position) records:
+    Built from one radix sort of the (first, second) keys, stable in position:
     ``pair_a``/``pair_b`` hold the distinct pairs in (first, second) order,
     and the occurrences of pair ``i`` are
     ``occurrences[occ_start[i]:occ_start[i + 1]]``, in text order.
@@ -46,16 +46,16 @@ class PairAdjacency:
             return
         a = lv[:-1]
         b = lv[1:]
-        order = radix_argsort([a - self.base, b - self.base], [self.width, self.width])
-        a_sorted = a[order]
-        b_sorted = b[order]
+        key = (a - self.base) * self.width + (b - self.base)
+        order = radix_argsort(key, self.width * self.width)
         self.occurrences = order  # position of the first symbol, grouped by pair
+        key = key[order]
         new_pair = np.empty(n - 1, dtype=bool)
         new_pair[0] = True
-        new_pair[1:] = (a_sorted[1:] != a_sorted[:-1]) | (b_sorted[1:] != b_sorted[:-1])
+        np.not_equal(key[1:], key[:-1], out=new_pair[1:])
         starts = np.flatnonzero(new_pair)
-        self.pair_a = a_sorted[starts]
-        self.pair_b = b_sorted[starts]
+        self.pair_a = a[order[starts]]
+        self.pair_b = b[order[starts]]
         self.occ_start = np.append(starts, n - 1)
         self.pair_count = np.diff(self.occ_start)
 

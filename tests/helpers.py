@@ -6,10 +6,10 @@ from typing import Sequence
 
 import numpy as np
 
+from rewriting_lab import Ref, Run, RunSlp
 from slpcompress.alphabet import radix_argsort
 from slpcompress.grammar import Slp, symbol_lengths
 from slpcompress.pairs import Partition
-from slpcompress.rewriting import Ref, Run, RunSlp
 from slpcompress.text import TOMBSTONE
 
 
@@ -139,7 +139,8 @@ class SortRecord:
 def radix_sort(records: Sequence[SortRecord], bounds: Sequence[int]) -> list[SortRecord]:
     """Stable sort of ``records`` by their key tuples.
 
-    All keys must have ``len(bounds)`` components, each below its bound.
+    All keys must have ``len(bounds)`` components, each below its bound;
+    the components are combined into one mixed-radix key.
     """
     records = list(records)
     if not records:
@@ -152,7 +153,13 @@ def radix_sort(records: Sequence[SortRecord], bounds: Sequence[int]) -> list[Sor
         np.fromiter((rec.key[i] for rec in records), dtype=np.int64, count=len(records))
         for i in range(width)
     ]
-    order = radix_argsort(columns, bounds)
+    for col, bound in zip(columns, bounds):
+        if bound < 1 or col.min() < 0 or col.max() >= bound:
+            raise ValueError("key component out of bound")
+    key, total = columns[0], bounds[0]
+    for col, bound in zip(columns[1:], bounds[1:]):
+        key, total = key * bound + col, total * bound
+    order = radix_argsort(key, total)
     return [records[i] for i in order]
 
 
@@ -211,7 +218,7 @@ def reference_greedy_partition(adj) -> Partition:
         ra = (adj.pair_a - base).tolist()
         rb = (adj.pair_b - base).tolist()
         rc = adj.pair_count.tolist()
-        lorder = radix_argsort([adj.pair_b - base, adj.pair_a - base], [width, width])
+        lorder = radix_argsort((adj.pair_b - base) * width + (adj.pair_a - base), width * width)
         lb = (adj.pair_b[lorder] - base).tolist()
         la = (adj.pair_a[lorder] - base).tolist()
         lc = adj.pair_count[lorder].tolist()

@@ -14,9 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import block_oracle, maximal_block_lengths, pair_oracle, random_runslp
-from slpcompress.driver import compress
-from slpcompress.grammar import Slp, deserialize, expand, serialize, validate
-from slpcompress.rewriting import (
+from rewriting_lab import (
     CreditMeter,
     compress_noncrossing_blocks,
     compress_noncrossing_pair,
@@ -26,6 +24,8 @@ from slpcompress.rewriting import (
     pop_boundary_runs,
     pop_letters,
 )
+from slpcompress.driver import compress
+from slpcompress.grammar import Slp, deserialize, expand, serialize, validate
 
 CORPUS_SIZE = 1000
 

@@ -112,9 +112,11 @@ class TestRadixSort:
         with pytest.raises(ValueError):
             radix_sort([SortRecord((-1,))], (5,))
 
-    def test_bound_wider_than_48_bits(self):
+    def test_bound_wider_than_63_bits(self):
+        keys = np.array([2**63 - 1, 0], dtype=np.int64)
         with pytest.raises(ValueError):
-            radix_sort([SortRecord((0,))], (2**49,))
+            radix_argsort(keys, 2**63 + 1)
+        assert radix_argsort(keys, 2**63).tolist() == [1, 0]
 
     def test_three_components(self):
         recs = [SortRecord((1, 0, 5)), SortRecord((0, 9, 9)), SortRecord((1, 0, 4))]
@@ -226,7 +228,7 @@ def test_radix_argsort_matches_lexsort():
     rng = np.random.default_rng(11)
     a = rng.integers(0, 50, 5000)
     b = rng.integers(0, 1 << 20, 5000)
-    order = radix_argsort([a, b], [50, 1 << 20])
+    order = radix_argsort(a * (1 << 20) + b, 50 << 20)
     oracle = np.lexsort((np.arange(5000), b, a))
     assert np.array_equal(order, oracle)
 
@@ -235,5 +237,17 @@ def test_radix_argsort_multi_digit_component():
     # A 40-bit bound needs three 16-bit digit passes.
     rng = np.random.default_rng(12)
     a = rng.integers(0, 1 << 40, 3000)
-    order = radix_argsort([a], [1 << 40])
+    order = radix_argsort(a, 1 << 40)
     assert np.array_equal(a[order], np.sort(a))
+
+
+def test_radix_argsort_pair_key_wider_than_16_bits():
+    # Pair keys at the alphabet width of a late phase on 2M symbols: 33 bits,
+    # so three digit passes where the two 17-bit columns took four.
+    width = 78970
+    rng = np.random.default_rng(13)
+    a = rng.integers(0, width, 20000)
+    b = rng.integers(0, width, 20000)
+    order = radix_argsort(a * width + b, width * width)
+    oracle = np.lexsort((np.arange(20000), b, a))
+    assert np.array_equal(order, oracle)

@@ -1,0 +1,38 @@
+"""The installed package holds only code that the compressor loads.
+
+Test-only code (oracles, the rewriting lab) lives in ``tests/``.  A module
+in ``src/slpcompress`` that ``import slpcompress.cli`` does not load is
+dead weight for every user, so this test fails on it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PROBE = """
+import json, pkgutil, sys
+import slpcompress.cli
+import slpcompress
+found = [m.name for m in pkgutil.iter_modules(slpcompress.__path__)]
+print(json.dumps({
+    "file": slpcompress.__file__,
+    "found": found,
+    "unloaded": [n for n in found if "slpcompress." + n not in sys.modules],
+}))
+"""
+
+
+def test_cli_import_loads_every_package_module():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert Path(report["file"]).resolve().parent == SRC / "slpcompress"
+    assert "cli" in report["found"]
+    assert report["unloaded"] == []

@@ -12,7 +12,7 @@ from helpers import (
     symbol_of_block,
     symbol_of_pair,
 )
-from slpcompress.rewriting import (
+from rewriting_lab import (
     CreditMeter,
     Ref,
     Run,
