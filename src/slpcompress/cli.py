@@ -41,15 +41,19 @@ def _parse_tokens(data: bytes) -> list[int]:
     raise AssertionError("unreachable")
 
 
-def _expand(slp: gr.Slp):
-    """The derived data, or ``None`` after reporting why it cannot be held."""
+def _expand(derive, slp: gr.Slp):
+    """``derive(slp)``, or ``None`` after reporting why it cannot be held."""
     try:
-        return gr.expand(slp)
+        return derive(slp)
     except gr.ExpansionOverflow as exc:
         print(f"error: {exc}", file=sys.stderr)
     except MemoryError as exc:
         print(f"error: expansion too large to hold in memory: {exc}", file=sys.stderr)
     return None
+
+
+def _token_text(slp: gr.Slp) -> bytes:
+    return gr.format_tokens(slp.terminals, gr.expand_ids(slp))
 
 
 def cmd_compress(args) -> int:
@@ -85,15 +89,12 @@ def cmd_decompress(args) -> int:
     except (OSError, gr.GrammarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    data = _expand(slp)
+    data = _expand(gr.expand if slp.kind == "bytes" else _token_text, slp)
     if data is None:
         return EXIT_OVERFLOW
     try:
         with open(args.output, "wb") as fh:
-            if slp.kind == "bytes":
-                fh.write(data)
-            elif data:
-                fh.write((" ".join(str(v) for v in data) + "\n").encode("ascii"))
+            fh.write(data)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WRITE_FAILURE
@@ -125,7 +126,7 @@ def cmd_verify(args) -> int:
     except (OSError, gr.GrammarError, InputFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    derived = _expand(slp)
+    derived = _expand(gr.expand, slp)
     if derived is None:
         return EXIT_OVERFLOW
     if derived == original:

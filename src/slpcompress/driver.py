@@ -170,7 +170,8 @@ def compress(data, mode: str = "improved", kind: str | None = None) -> Compressi
 
 def _snapshot_grammar(grammar: Slp, best: BestSnapshot) -> Slp:
     """Materialize the grammar for a snapshot: truncated rules + text rule."""
-    slp = Slp(grammar.kind, grammar.terminals, grammar.rules[: best.rule_watermark])
+    counts = grammar.counts[: best.rule_watermark]
+    slp = Slp.from_arrays(grammar.kind, grammar.terminals, counts, grammar.flat[: int(counts.sum())])
     if len(best.text_canonical):
         slp.start = slp.emit_rule(best.text_canonical)
     return prune_unreachable(slp)

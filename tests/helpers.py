@@ -8,7 +8,13 @@ import numpy as np
 
 from rewriting_lab import Ref, Run, RunSlp
 from slpcompress.alphabet import radix_argsort
-from slpcompress.grammar import Slp, symbol_lengths
+from slpcompress.grammar import (
+    MAX_EXPANSION,
+    ExpansionOverflow,
+    GrammarError,
+    Slp,
+    symbol_lengths,
+)
 from slpcompress.pairs import Partition
 from slpcompress.text import TOMBSTONE
 
@@ -424,6 +430,20 @@ def canonical_of(amap, working_id: int) -> int:
     return int(amap.alias_table[off])
 
 
+def powers_of_two(extra_terminals=0) -> Slp:
+    """A grammar whose start derives 2**63 - 1 + ``extra_terminals`` letters.
+
+    Rule ``k`` derives a^(2^(k+1)); the start is the sum of all of them and
+    one more letter, 2**63 - 1 in all.
+    """
+    slp = Slp("bytes", [ord("a")])
+    prev = 0
+    for _ in range(62):
+        prev = slp.emit_rule([prev, prev])
+    slp.start = slp.emit_rule(list(range(62, 0, -1)) + [0] * (1 + extra_terminals))
+    return slp
+
+
 def body_of(slp: Slp, symbol: int) -> tuple[int, ...]:
     return slp.rules[symbol - slp.terminal_count]
 
@@ -455,3 +475,185 @@ def side_of(part: Partition, sym: int) -> str | None:
     if part.in_right[off]:
         return "right"
     return None
+
+
+# The scalar grammar routines that the flat-array ones in ``grammar``
+# replaced, kept as oracles.  They read ``Slp.rules`` as tuples.
+# Whitespace int() skips around a numeral, and signs and digit separators.
+_NEVER_WRITTEN = "\t\r\v\f\x1c\x1d\x1e\x1f_+-"
+
+
+def reference_check_structure(slp: Slp) -> None:
+    """Structural soundness only; expansion lengths may still overflow."""
+    if slp.kind == "bytes":
+        for v in slp.terminals:
+            if not 0 <= v <= 255:
+                raise GrammarError(f"byte terminal {v} out of range")
+    else:
+        for v in slp.terminals:
+            if not 0 <= v:
+                raise GrammarError(f"negative token terminal {v}")
+    sigma = slp.terminal_count
+    for i, body in enumerate(slp.rules):
+        rule_id = sigma + i
+        if not body:
+            raise GrammarError(f"rule {rule_id} has an empty body")
+        for s in body:
+            if not 0 <= s < rule_id:
+                raise GrammarError(f"rule {rule_id} references symbol {s} (not yet defined)")
+    if slp.start is not None and not 0 <= slp.start < slp.symbol_count:
+        raise GrammarError(f"start symbol {slp.start} out of range")
+
+
+def reference_symbol_lengths(slp: Slp) -> list[int]:
+    """Expansion length of every symbol; raises on 63-bit overflow."""
+    lengths = [1] * slp.terminal_count
+    for i, body in enumerate(slp.rules):
+        total = 0
+        for s in body:
+            total += lengths[s]
+        if total > MAX_EXPANSION:
+            raise ExpansionOverflow(
+                f"rule {slp.terminal_count + i} expands to more than 2**63-1 symbols"
+            )
+        lengths.append(total)
+    return lengths
+
+
+def reference_grammar_depth(slp: Slp) -> int:
+    """Longest rule chain from the start symbol (terminals have depth 0)."""
+    if slp.start is None:
+        return 0
+    depth = [0] * slp.terminal_count
+    for body in slp.rules:
+        depth.append(1 + max(depth[s] for s in body))
+    return depth[slp.start]
+
+
+def reference_prune_unreachable(slp: Slp) -> Slp:
+    """Keep exactly the rules reachable from the start symbol."""
+    sigma = slp.terminal_count
+    keep = np.zeros(len(slp.rules), dtype=bool)
+    if slp.start is not None and slp.start >= sigma:
+        # Bodies reference smaller ids, so one descending sweep suffices.
+        keep[slp.start - sigma] = True
+        for i in range(slp.start - sigma, -1, -1):
+            if keep[i]:
+                for s in slp.rules[i]:
+                    if s >= sigma:
+                        keep[s - sigma] = True
+    if keep.all():
+        return Slp(slp.kind, slp.terminals, slp.rules, slp.start)
+    new_id = np.full(slp.symbol_count, -1, dtype=np.int64)
+    new_id[:sigma] = np.arange(sigma)
+    next_id = sigma
+    for i in range(len(slp.rules)):
+        if keep[i]:
+            new_id[sigma + i] = next_id
+            next_id += 1
+    rules = [
+        tuple(int(new_id[s]) for s in body)
+        for i, body in enumerate(slp.rules)
+        if keep[i]
+    ]
+    start = None if slp.start is None else int(new_id[slp.start])
+    return Slp(slp.kind, slp.terminals, rules, start)
+
+
+def reference_serialize(slp: Slp) -> str:
+    """Render the grammar in the line-oriented text format (LF endings)."""
+    lines = ["SLP 1", f"terminals {slp.terminal_count} {slp.kind}"]
+    if slp.terminal_count:
+        lines.append(" ".join(str(v) for v in slp.terminals))
+    lines.append(f"rules {len(slp.rules)}")
+    for body in slp.rules:
+        lines.append(f"{len(body)} " + " ".join(str(s) for s in body))
+    lines.append("start empty" if slp.start is None else f"start {slp.start}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_deserialize(data: str) -> Slp:
+    """Parse the text format; raises ``GrammarError`` on any malformation.
+
+    Accepts exactly the texts ``serialize`` writes.
+    """
+    # int() also reads signs, underscores, non-ASCII digits, whitespace
+    # around a numeral and leading zeros, none of which serialize writes;
+    # whole-text scans keep them out, and fields are split on single spaces.
+    if not data.isascii() or any(c in data for c in _NEVER_WRITTEN):
+        raise GrammarError("grammar text holds a character the format never writes")
+    if not data.endswith("\n"):
+        raise GrammarError("grammar text does not end with a newline")
+    raw = np.frombuffer(data.encode("ascii"), dtype=np.uint8)
+    opens_field = (raw[:-2] == ord(" ")) | (raw[:-2] == ord("\n"))
+    after = raw[2:]
+    if (opens_field & (raw[1:-1] == ord("0")) & (after >= ord("0")) & (after <= ord("9"))).any():
+        raise GrammarError("numeral with a leading zero")
+    lines = data.split("\n")
+    lines.pop()
+    it = iter(lines)
+
+    def next_line(what: str) -> str:
+        try:
+            return next(it)
+        except StopIteration:
+            raise GrammarError(f"truncated grammar file: missing {what}") from None
+
+    if next_line("header") != "SLP 1":
+        raise GrammarError("bad header: expected 'SLP 1'")
+    parts = next_line("terminals line").split(" ")
+    if len(parts) != 3 or parts[0] != "terminals":
+        raise GrammarError("bad terminals line")
+    try:
+        sigma = int(parts[1])
+    except ValueError:
+        raise GrammarError("bad terminal count") from None
+    kind = parts[2]
+    if kind not in ("bytes", "tokens") or sigma < 0:
+        raise GrammarError("bad terminals line")
+    terminals: list[int] = []
+    if sigma:
+        try:
+            terminals = [int(v) for v in next_line("terminal values").split(" ")]
+        except ValueError:
+            raise GrammarError("non-numeric terminal value") from None
+        if len(terminals) != sigma:
+            raise GrammarError(f"expected {sigma} terminal values, got {len(terminals)}")
+    parts = next_line("rules line").split(" ")
+    if len(parts) != 2 or parts[0] != "rules":
+        raise GrammarError("bad rules line")
+    try:
+        rule_count = int(parts[1])
+    except ValueError:
+        raise GrammarError("bad rule count") from None
+    if rule_count < 0:
+        raise GrammarError("bad rule count")
+    rules = []
+    for _ in range(rule_count):
+        fields = next_line("rule body").split(" ")
+        try:
+            nums = [int(v) for v in fields]
+        except ValueError:
+            raise GrammarError("non-numeric rule body") from None
+        if not nums or nums[0] != len(nums) - 1:
+            raise GrammarError("rule body length prefix mismatch")
+        rules.append(tuple(nums[1:]))
+    fields = next_line("start line").split(" ")
+    if len(fields) != 2 or fields[0] != "start":
+        raise GrammarError("bad start line")
+    if fields[1] == "empty":
+        start = None
+    else:
+        try:
+            start = int(fields[1])
+        except ValueError:
+            raise GrammarError("bad start symbol") from None
+    try:
+        next(it)
+    except StopIteration:
+        pass
+    else:
+        raise GrammarError("trailing data after start line")
+    slp = Slp(kind, terminals, rules, start)
+    reference_check_structure(slp)
+    return slp

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import powers_of_two
+
 from slpcompress.cli import main
 from slpcompress.grammar import Slp, dump, load
 
@@ -43,6 +45,18 @@ class TestCompressDecompressVerify:
         assert main(["decompress", gpath, opath]) == 0
         assert (tmp / "back.txt").read_bytes().split() == b"12 7 12 900000 7 12 7".split()
         assert main(["verify", gpath, src]) == 0
+
+    @pytest.mark.parametrize("content", [b"12 7 12 900000 7\n12 7\n", b"4294967295 0 9 10", b""])
+    def test_token_output_bytes(self, files, content):
+        # One space between tokens and a final newline; no tokens, no bytes.
+        make, tmp = files
+        src = make("in.txt", content)
+        gpath = str(tmp / "out.slp")
+        assert main(["compress", src, gpath, "--input", "tokens"]) == 0
+        assert main(["decompress", gpath, str(tmp / "back.txt")]) == 0
+        tokens = content.split()
+        want = b" ".join(tokens) + b"\n" if tokens else b""
+        assert (tmp / "back.txt").read_bytes() == want
 
     def test_tokens_tolerate_mixed_whitespace(self, files):
         make, tmp = files
@@ -121,6 +135,17 @@ class TestCompressDecompressVerify:
         dump(Slp("tokens", [12], rules=[(0, 0)], start=1), tmp / "g.slp")
         assert main(["verify", str(tmp / "g.slp"), src]) == 2
         assert capsys.readouterr().err.strip() == message
+
+    @pytest.mark.parametrize("command", ["decompress", "verify", "stats"])
+    @pytest.mark.parametrize("value", [2**32, 2**63])
+    def test_token_terminal_over_ceiling(self, files, capsys, command, value):
+        make, tmp = files
+        gpath = make("g.slp", f"SLP 1\nterminals 1 tokens\n{value}\nrules 0\nstart 0\n".encode())
+        other = str(tmp / "o.txt") if command == "decompress" else make("in.txt", b"1")
+        args = [command, gpath] + ([] if command == "stats" else [other])
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_malformed_grammar(self, files):
         make, tmp = files
@@ -215,6 +240,15 @@ class TestStats:
         dump(Slp("bytes", []), gpath)
         assert main(["stats", str(gpath)]) == 0
         assert "expansion 0" in capsys.readouterr().out
+
+    def test_expansion_at_the_ceiling(self, files, capsys):
+        make, tmp = files
+        dump(powers_of_two(), tmp / "max.slp")
+        assert main(["stats", str(tmp / "max.slp")]) == 0
+        assert f"expansion {2**63 - 1}" in capsys.readouterr().out.splitlines()
+        dump(powers_of_two(extra_terminals=1), tmp / "over.slp")
+        assert main(["stats", str(tmp / "over.slp")]) == 0
+        assert "expansion >=2^63" in capsys.readouterr().out.splitlines()
 
     def test_overflow_reported(self, files, capsys):
         make, tmp = files

@@ -2,18 +2,33 @@ import random
 
 import numpy as np
 import pytest
-from helpers import body_of, reference_expand_ids
+import test_golden
+from helpers import (
+    body_of,
+    powers_of_two,
+    reference_check_structure,
+    reference_deserialize,
+    reference_expand_ids,
+    reference_grammar_depth,
+    reference_prune_unreachable,
+    reference_serialize,
+    reference_symbol_lengths,
+)
 
+from slpcompress.alphabet import TOKEN_VALUE_CEILING
 from slpcompress.driver import compress
 from slpcompress.grammar import (
     _BATCH,
+    MAX_EXPANSION,
     ExpansionOverflow,
     GrammarError,
     Slp,
+    check_structure,
     deserialize,
     expand,
     expand_ids,
     expansion_length,
+    format_tokens,
     grammar_depth,
     prune_unreachable,
     serialize,
@@ -30,6 +45,14 @@ def naive_expand(slp, symbol):
     for s in body_of(slp, symbol):
         out.extend(naive_expand(slp, s))
     return out
+
+
+def unary_chain(rules):
+    """Rule i derives a^(i+2): each rule is the one before it plus a letter."""
+    slp = Slp("bytes", [ord("a")])
+    slp.emit_rules(np.full(rules, 2), np.column_stack([np.arange(rules), np.zeros(rules, int)]).ravel())
+    slp.start = rules
+    return slp
 
 
 def random_slp(rng, kind="bytes", max_rules=40, max_expansion=10**6):
@@ -152,12 +175,12 @@ class TestExpand:
 
     def test_deep_unary_chain(self):
         # Rule i derives a^(i+1): every level grows by one letter.
-        slp = Slp("bytes", [ord("a")])
-        prev = 0
-        for _ in range(20000):
-            prev = slp.emit_rule([prev, 0])
-        slp.start = prev
+        slp = unary_chain(20000)
         assert expand(slp) == b"a" * 20001
+        assert symbol_lengths(slp).tolist() == reference_symbol_lengths(slp)
+        assert grammar_depth(slp) == reference_grammar_depth(slp) == 20000
+        slp.emit_rule([0, 0])  # unreachable
+        assert prune_unreachable(slp) == reference_prune_unreachable(slp)
 
     def test_empty_body_from_unchecked_constructor(self):
         slp = Slp("bytes", [97], rules=[(), (0, 1, 0)], start=2)
@@ -259,7 +282,7 @@ class TestValidate:
         slp = Slp("bytes", [1, 2])
         r1 = slp.emit_rule([0, 1])
         r2 = slp.emit_rule([r1, r1, 0])
-        assert symbol_lengths(slp) == [1, 1, 2, 5]
+        assert symbol_lengths(slp).tolist() == [1, 1, 2, 5]
 
 
 class TestPrune:
@@ -349,6 +372,16 @@ class TestSerialization:
             "SLP 1\nterminals 2 bytes\n97  98\nrules 0\nstart 0\n",
             "SLP 1\nterminals 1 bytes\n97\nrules 1\n2 0 0 \nstart 1\n",
             "SLP 1\nterminals 1 bytes\n97\nrules 0\nstart 0",  # no final newline
+            # Token terminals above the ceiling ingest enforces.
+            "SLP 1\nterminals 1 tokens\n4294967296\nrules 0\nstart 0\n",
+            f"SLP 1\nterminals 1 tokens\n{10**22}\nrules 0\nstart 0\n",
+            # Body numerals of 19 and 22 digits.
+            f"SLP 1\nterminals 1 bytes\n97\nrules 1\n2 0 {10**18}\nstart 1\n",
+            f"SLP 1\nterminals 1 bytes\n97\nrules 1\n2 0 {10**21}\nstart 1\n",
+            "SLP 1\nterminals 1 bytes\n97\nrules 3\n2 0 0\n\n2 1 1\nstart 3\n",  # blank line
+            "SLP 1\nterminals 1 bytes\n97\nrules 1\n2 0 0\n2 1 1\nstart 2\n",  # a line more
+            "SLP 1\nterminals 1 bytes\n97\nrules 2\n2 0 0\nstart 1\n",  # a line fewer
+            "SLP 1\nterminals 1 bytes\n97\nrules 1\n0\nstart 1\n",  # empty body
         ],
     )
     def test_malformed_rejected(self, payload):
@@ -395,3 +428,134 @@ class TestStatsHelpers:
         a2 = slp.emit_rule([0, 0])
         slp.start = slp.emit_rule([a2, a2, 0])
         assert expansion_length(slp) == 5
+
+
+def golden_grammars():
+    for gen, seed, mode in sorted(test_golden.GOLDEN):
+        yield compress(getattr(test_golden, gen)(seed), mode=mode).slp
+
+
+def assert_matches_scalar_oracles(slp):
+    """The flat-array routines against the scalar ones they replaced."""
+    text = serialize(slp)
+    assert text == reference_serialize(slp)
+    back = deserialize(text)
+    assert back == reference_deserialize(text) == slp
+    assert back.rules == list(slp.rules)
+    reference_check_structure(slp)
+    check_structure(slp)
+    assert symbol_lengths(slp).tolist() == reference_symbol_lengths(slp)
+    assert grammar_depth(slp) == reference_grammar_depth(slp)
+    pruned = prune_unreachable(slp)
+    assert pruned == reference_prune_unreachable(slp)
+    assert serialize(pruned) == reference_serialize(pruned)
+
+
+class TestFlatMatchesScalarOracles:
+    def test_random_grammars(self):
+        rng = random.Random(23)
+        for _ in range(150):
+            slp = random_slp(rng, kind=rng.choice(["bytes", "tokens"]))
+            if rng.random() < 0.2:
+                slp.start = None
+            assert_matches_scalar_oracles(slp)
+
+    def test_golden_corpus(self):
+        for slp in golden_grammars():
+            assert_matches_scalar_oracles(slp)
+
+    def test_numerals_at_every_digit_count(self):
+        # Terminal values on both sides of every digit-count boundary up to
+        # the token ceiling, and body counts and ids past 9, 99 and 999.
+        values = sorted({v for k in range(1, 10) for v in (10**k - 1, 10**k)} | {0, TOKEN_VALUE_CEILING})
+        slp = Slp("tokens", values)
+        sigma = len(values)
+        rules = [slp.emit_rule([i % sigma for i in range(c)]) for c in (9, 10, 99, 100, 999, 1000)]
+        while slp.symbol_count <= 1000:
+            slp.emit_rule([slp.symbol_count - 1])
+        slp.start = slp.emit_rule(rules + [9, 10, 99, 100, 999, 1000])
+        assert_matches_scalar_oracles(slp)
+
+    def test_start_body_longer_than_three_batches(self):
+        rng = random.Random(8)
+        slp = random_slp(rng, kind="tokens", max_rules=30)
+        slp.terminals = [v * 1000003 for v in range(slp.terminal_count)]
+        body = [rng.randrange(slp.symbol_count) for _ in range(3 * _BATCH + 17)]
+        slp.start = slp.emit_rule(body)
+        assert_matches_scalar_oracles(slp)
+
+    def test_token_text_matches_str_join(self):
+        values = [0, 7, 10, 99, 100, 65535, 10**9, TOKEN_VALUE_CEILING]
+        ids = np.random.default_rng(2).integers(0, len(values), 5000)
+        want = " ".join(str(values[i]) for i in ids) + "\n"
+        assert format_tokens(values, ids) == want.encode("ascii")
+        assert format_tokens(values, ids[:1]) == f"{values[ids[0]]}\n".encode()
+        assert format_tokens(values, ids[:0]) == b""
+
+
+class TestExpansionCeiling:
+    def test_exactly_the_ceiling_loads(self):
+        slp = deserialize(serialize(powers_of_two()))
+        validate(slp)
+        assert expansion_length(slp) == MAX_EXPANSION == 2**63 - 1
+
+    def test_one_past_the_ceiling_overflows(self):
+        slp = powers_of_two(extra_terminals=1)
+        with pytest.raises(ExpansionOverflow):
+            symbol_lengths(slp)
+        with pytest.raises(ExpansionOverflow):
+            validate(deserialize(serialize(slp)))
+
+    def test_wrapping_sums_are_caught(self):
+        # Five children of 2**62 each wrap an int64 sum to 2**62.
+        slp = powers_of_two()
+        slp.start = slp.emit_rule([62] * 5)
+        with pytest.raises(ExpansionOverflow):
+            symbol_lengths(slp)
+
+
+class TestTerminalCeiling:
+    @pytest.mark.parametrize("value", [TOKEN_VALUE_CEILING + 1, 10**22, -1, -(10**22)])
+    def test_token_terminal_out_of_range(self, value):
+        with pytest.raises(GrammarError):
+            validate(Slp("tokens", [5, value], rules=[(0, 1)], start=2))
+
+    def test_token_terminal_at_ceiling(self):
+        validate(Slp("tokens", [0, TOKEN_VALUE_CEILING], rules=[(0, 1)], start=2))
+
+
+class TestRuleView:
+    def grammar(self):
+        slp = Slp("bytes", [ord("a"), ord("b")])
+        ab = slp.emit_rule([0, 1])
+        slp.start = slp.emit_rule([ab, 0, ab])
+        return slp
+
+    def test_reads_as_tuples(self):
+        slp = self.grammar()
+        assert len(slp.rules) == 2
+        assert slp.rules[0] == (0, 1) and slp.rules[-1] == (2, 0, 2)
+        assert slp.rules[:1] == [(0, 1)] and slp.rules[::-1] == [(2, 0, 2), (0, 1)]
+        assert list(slp.rules) == [(0, 1), (2, 0, 2)]
+        assert all(type(body) is tuple for body in slp.rules)
+        assert slp.rules == [(0, 1), (2, 0, 2)] and slp.rules != [(0, 1)]
+        assert slp.rules == self.grammar().rules
+        with pytest.raises(IndexError):
+            slp.rules[2]
+
+    def test_write_goes_through(self):
+        slp = self.grammar()
+        text = serialize(slp)
+        slp.rules[0] = slp.rules[0][::-1]
+        assert slp.rules[0] == (1, 0)
+        assert slp != self.grammar()
+        assert serialize(slp) == text.replace("\n2 0 1\n", "\n2 1 0\n")
+        assert expand(slp) == b"baaba"
+
+    @pytest.mark.parametrize("body", [(0,), (0, 1, 0), ()])
+    def test_write_of_another_length_raises(self, body):
+        slp = self.grammar()
+        with pytest.raises(ValueError):
+            slp.rules[0] = body
+        assert slp == self.grammar()
+
