@@ -117,7 +117,7 @@ def ingest(raw, kind: str | None = None) -> tuple[WorkingText, AlphabetMap]:
         kind = "bytes" if isinstance(raw, (bytes, bytearray, memoryview)) else "tokens"
     if kind == "bytes":
         arr = np.frombuffer(bytes(raw), dtype=np.uint8).astype(np.int64)
-        ids, terminals = _first_occurrence_ids(arr, domain=256)
+        ids, values = _first_occurrence_ids(arr, domain=256)
     elif kind == "tokens":
         try:
             arr = np.asarray(raw)
@@ -132,10 +132,32 @@ def ingest(raw, kind: str | None = None) -> tuple[WorkingText, AlphabetMap]:
             )
         if arr.size and (arr.min() < 0 or arr.max() > TOKEN_VALUE_CEILING):
             raise InputFormatError(f"token values must lie in [0, {TOKEN_VALUE_CEILING}]")
-        ids, terminals = _first_occurrence_ids(arr.astype(np.int64), domain=None)
+        ranks, distinct = _value_ranks(arr.astype(np.int64, copy=False))
+        ids, first = _first_occurrence_ids(ranks, domain=len(distinct))
+        values = distinct[first]
     else:
         raise ValueError(f"unknown input kind {kind!r}")
-    return WorkingText(ids), AlphabetMap(input_kind=kind, terminal_of_id=terminals)
+    return WorkingText(ids), AlphabetMap(input_kind=kind, terminal_of_id=values.tolist())
+
+
+def _value_ranks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each token value's rank among the distinct values, and those values.
+
+    One radix argsort over the token domain, so the cost is linear in the
+    text length; every temporary is freed as soon as it has been read.
+    """
+    order = radix_argsort(arr, TOKEN_VALUE_CEILING + 1)
+    ascending = arr[order]
+    new = np.empty(len(ascending), dtype=bool)
+    new[:1] = True
+    np.not_equal(ascending[1:], ascending[:-1], out=new[1:])
+    distinct = ascending[new]
+    sorted_ranks = np.cumsum(new, out=ascending)
+    del new
+    sorted_ranks -= 1
+    ranks = np.empty_like(sorted_ranks)
+    ranks[order] = sorted_ranks
+    return ranks, distinct
 
 
 def _first_occurrence_order(first_pos: np.ndarray) -> np.ndarray:
@@ -150,26 +172,20 @@ def _first_occurrence_order(first_pos: np.ndarray) -> np.ndarray:
     return by_position[by_position >= 0]
 
 
-def _first_occurrence_ids(arr: np.ndarray, domain: int | None) -> tuple[np.ndarray, list[int]]:
-    """Renumber values to 0..k-1 in order of first occurrence."""
-    n = len(arr)
-    if n == 0:
-        return np.empty(0, dtype=np.int64), []
-    if domain is not None:
-        # Bounded domain: direct position table.  Writing positions in
-        # reverse makes the surviving entry the first occurrence.
-        first_pos = np.full(domain, -1, dtype=np.int64)
-        first_pos[arr[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
-        values = _first_occurrence_order(first_pos)
-        lut = np.empty(domain, dtype=np.int64)
-        lut[values] = np.arange(len(values), dtype=np.int64)
-        return lut[arr], [int(v) for v in values]
-    uniq, first_idx = np.unique(arr, return_index=True)
-    order = np.argsort(first_idx, kind="stable")
-    rank_to_id = np.empty(len(uniq), dtype=np.int64)
-    rank_to_id[order] = np.arange(len(uniq), dtype=np.int64)
-    ids = rank_to_id[np.searchsorted(uniq, arr)]
-    return ids, [int(v) for v in uniq[order]]
+def _first_occurrence_ids(arr: np.ndarray, domain: int) -> tuple[np.ndarray, np.ndarray]:
+    """Renumber values in ``[0, domain)`` to 0..k-1 in order of first occurrence.
+
+    Returns the renumbered text and the occurring values in that order.  A
+    direct position table over the domain replaces any sort: writing
+    positions in reverse makes the surviving entry the first occurrence.
+    """
+    first_pos = np.full(domain, -1, dtype=np.int64)
+    first_pos[arr[::-1]] = np.arange(len(arr) - 1, -1, -1, dtype=np.int64)
+    values = _first_occurrence_order(first_pos)
+    del first_pos
+    lut = np.empty(domain, dtype=np.int64)
+    lut[values] = np.arange(len(values), dtype=np.int64)
+    return lut[arr], values
 
 
 def rename_dense(text: WorkingText, amap: AlphabetMap) -> None:

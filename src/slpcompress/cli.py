@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+
+import numpy as np
 
 from . import grammar as gr
 from .alphabet import InputFormatError
@@ -22,23 +25,38 @@ def _read_bytes(path: str) -> bytes:
         return fh.read()
 
 
-def _parse_tokens(data: bytes) -> list[int]:
-    fields = data.split()
-    try:
-        tokens = list(map(int, fields))
-        if not tokens or min(tokens) >= 0:
+# Token text is runs of ASCII digits separated by the six ASCII whitespace
+# bytes that ``bytes.split()`` splits on.  The class table maps each digit
+# to ``1``, each whitespace byte to a space and every other byte to ``x``.
+_BYTE_CLASS = bytes(
+    ord("1") if chr(b) in "0123456789" else ord(" ") if chr(b) in " \t\n\r\v\f" else ord("x")
+    for b in range(256)
+)
+
+
+def _parse_tokens(data: bytes) -> np.ndarray:
+    """The token values of ``data``, checked once and parsed in one call.
+
+    A numeral too long for ``int64`` saturates at ``2**63 - 1``; the range
+    check of ``compress`` rejects it and ``verify`` reports a mismatch.
+    """
+    classes = data.translate(_BYTE_CLASS)
+    if b"x" not in classes:
+        fields = classes.count(b" 1") + classes.startswith(b"1")
+        if not fields:
+            # The parser reads a blank text as one zero.
+            return np.empty(0, dtype=np.int64)
+        tokens = np.fromstring(data, dtype=np.int64, sep=" ")
+        if len(tokens) == fields:
             return tokens
-    except ValueError:
-        pass
     # Report the first offending token, as a left-to-right check would.
-    for tok in fields:
-        try:
-            value = int(tok)
-        except ValueError:
-            raise InputFormatError(f"non-numeric token {tok[:20]!r}") from None
-        if value < 0:
-            raise InputFormatError("negative token value")
-    raise AssertionError("unreachable")
+    for tok in data.split():
+        if not tok.isdigit():
+            if tok[:1] == b"-" and tok[1:].isdigit():
+                raise InputFormatError("negative token value")
+            raise InputFormatError(f"non-numeric token {tok[:20]!r}")
+    # Every field is a numeral, so only the count check can have failed.
+    raise InputFormatError(f"token text parsed into {len(tokens)} values, not {fields}")
 
 
 def _expand(derive, slp: gr.Slp):
@@ -50,6 +68,10 @@ def _expand(derive, slp: gr.Slp):
     except MemoryError as exc:
         print(f"error: expansion too large to hold in memory: {exc}", file=sys.stderr)
     return None
+
+
+def _token_values(slp: gr.Slp) -> np.ndarray:
+    return np.asarray(slp.terminals, dtype=np.int64)[gr.expand_ids(slp)]
 
 
 def _token_text(slp: gr.Slp) -> bytes:
@@ -104,6 +126,7 @@ def cmd_decompress(args) -> int:
 def cmd_stats(args) -> int:
     try:
         slp = gr.load(args.input)
+        on_disk = os.path.getsize(args.input)
     except (OSError, gr.GrammarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -115,6 +138,7 @@ def cmd_stats(args) -> int:
     print(f"size {slp.size}")
     print(f"depth {gr.grammar_depth(slp)}")
     print(f"expansion {length}")
+    print(f"bytes {on_disk}")
     return EXIT_OK
 
 
@@ -126,10 +150,11 @@ def cmd_verify(args) -> int:
     except (OSError, gr.GrammarError, InputFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    derived = _expand(gr.expand, slp)
+    derived = _expand(gr.expand if slp.kind == "bytes" else _token_values, slp)
     if derived is None:
         return EXIT_OVERFLOW
-    if derived == original:
+    same = derived == original if slp.kind == "bytes" else np.array_equal(derived, original)
+    if same:
         return EXIT_OK
     print("mismatch: expansion differs from original", file=sys.stderr)
     return EXIT_MISMATCH
@@ -148,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["plain", "improved"], default="improved")
     p.add_argument(
         "--input", dest="input_kind", choices=["bytes", "tokens"], default="bytes",
-        help="treat the file as raw bytes or whitespace-separated unsigned tokens",
+        help="treat the file as raw bytes or as decimal tokens separated by ASCII whitespace",
     )
     p.add_argument("--trace", default=None, help="write per-phase JSON lines here")
     p.add_argument(

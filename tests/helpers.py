@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from rewriting_lab import Ref, Run, RunSlp
-from slpcompress.alphabet import radix_argsort
+from slpcompress.alphabet import InputFormatError, radix_argsort
 from slpcompress.grammar import (
     MAX_EXPANSION,
     ExpansionOverflow,
@@ -657,3 +657,45 @@ def reference_deserialize(data: str) -> Slp:
     slp = Slp(kind, terminals, rules, start)
     reference_check_structure(slp)
     return slp
+
+
+def reference_first_occurrence_ids(arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The comparison-sort renumbering that ``ingest`` used for tokens.
+
+    ``np.unique`` ranks the values, ``searchsorted`` maps each symbol to
+    its rank, and the ranks are renumbered in first-occurrence order.
+    Returns the renumbered text and the values in that order.
+    """
+    n = len(arr)
+    if n == 0:
+        return np.empty(0, dtype=np.int64), []
+    uniq, first_idx = np.unique(arr, return_index=True)
+    order = np.argsort(first_idx, kind="stable")
+    rank_to_id = np.empty(len(uniq), dtype=np.int64)
+    rank_to_id[order] = np.arange(len(uniq), dtype=np.int64)
+    ids = rank_to_id[np.searchsorted(uniq, arr)]
+    return ids, [int(v) for v in uniq[order]]
+
+
+def reference_parse_tokens(data: bytes) -> list[int]:
+    """The ``int()``-per-field token reader that the CLI's vector pass replaced.
+
+    It accepts whatever ``int()`` accepts, so ``+5``, ``1_0`` and ``-0``
+    load here but not in the CLI.
+    """
+    fields = data.split()
+    try:
+        tokens = list(map(int, fields))
+        if not tokens or min(tokens) >= 0:
+            return tokens
+    except ValueError:
+        pass
+    # Report the first offending token, as a left-to-right check would.
+    for tok in fields:
+        try:
+            value = int(tok)
+        except ValueError:
+            raise InputFormatError(f"non-numeric token {tok[:20]!r}") from None
+        if value < 0:
+            raise InputFormatError("negative token value")
+    raise AssertionError("unreachable")

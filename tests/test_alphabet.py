@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SortRecord, canonical_of, radix_sort
+from helpers import SortRecord, canonical_of, radix_sort, reference_first_occurrence_ids
 
 from slpcompress.alphabet import (
     AlphabetMap,
@@ -74,6 +74,35 @@ class TestIngest:
         raw = values if dtype is None else np.asarray(values, dtype=dtype)
         text, amap = ingest(raw)
         assert [amap.terminal_of_id[i] for i in text.to_list()] == values
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [7],
+            [7] * 5,
+            list(range(40, 0, -1)),
+            [0, 2**32 - 1, 0, 5, 2**32 - 1],
+            [2**32 - 1, 3, 0],
+            [i * 999_999_937 % 2**32 for i in (3, 1, 4, 1, 4, 2)],
+        ],
+        ids=["single", "single-run", "distinct", "extremes", "extremes-first", "strided"],
+    )
+    def test_tokens_match_comparison_sort_reference(self, values):
+        arr = np.asarray(values, dtype=np.int64)
+        want_ids, want_terminals = reference_first_occurrence_ids(arr)
+        text, amap = ingest(arr, "tokens")
+        assert text.to_list() == want_ids.tolist()
+        assert amap.terminal_of_id == want_terminals
+        assert arr.tolist() == values  # the caller's array is read, not reused
+
+    @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=300))
+    @settings(max_examples=100, deadline=None)
+    def test_random_tokens_match_comparison_sort_reference(self, values):
+        arr = np.asarray(values, dtype=np.int64)
+        want_ids, want_terminals = reference_first_occurrence_ids(arr)
+        text, amap = ingest(arr, "tokens")
+        assert text.to_list() == want_ids.tolist()
+        assert amap.terminal_of_id == want_terminals
 
     def test_sigma_bounded(self):
         text, amap = ingest(bytes(range(256)) * 3)

@@ -1,15 +1,17 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from helpers import powers_of_two
+from helpers import powers_of_two, reference_parse_tokens
 
-from slpcompress.cli import main
+from slpcompress.cli import _parse_tokens, main
 from slpcompress.grammar import Slp, dump, load
 
 
@@ -204,6 +206,113 @@ class TestCompressDecompressVerify:
         assert proc.stderr.startswith("error: expansion too large to hold in memory")
 
 
+WHITESPACE = b" \t\n\r\v\f"
+
+
+def random_token_text(rng: random.Random) -> bytes:
+    """Decimal fields of 1-10 digits between random runs of ASCII whitespace."""
+
+    def field() -> bytes:
+        if rng.random() < 0.1:
+            value = rng.choice([0, 2**32 - 1, 10**9 - 1, 10**9, 10**10 - 1])
+            return str(value).encode()
+        digits = rng.randint(1, 10)
+        numeral = str(rng.randrange(10**digits)).encode()
+        return numeral.rjust(digits, b"0")  # leading zeros where short
+
+    def gap(min_len: int) -> bytes:
+        return bytes(rng.choice(WHITESPACE) for _ in range(rng.randint(min_len, 4)))
+
+    fields = [field() for _ in range(rng.randint(1, 30))]
+    return gap(0) + b"".join(f + gap(1) for f in fields[:-1]) + fields[-1] + gap(0)
+
+
+class TestTokenReader:
+    def test_matches_int_per_field_reference(self):
+        rng = random.Random(2024)
+        for _ in range(500):
+            text = random_token_text(rng)
+            tokens = _parse_tokens(text)
+            assert tokens.dtype == np.int64
+            assert tokens.tolist() == reference_parse_tokens(text), text
+
+    @pytest.mark.parametrize("content", [b"", b" \t\n\r\v\f  \n"], ids=["empty", "blank"])
+    def test_no_tokens(self, files, content):
+        make, tmp = files
+        if content:
+            # The bare parser reads a blank text as one zero.
+            assert np.fromstring(content, dtype=np.int64, sep=" ").tolist() == [0]
+        assert _parse_tokens(content).tolist() == []
+        src = make("in.txt", content)
+        gpath = str(tmp / "g.slp")
+        assert main(["compress", src, gpath, "--input", "tokens"]) == 0
+        slp = load(gpath)
+        assert slp.kind == "tokens" and slp.start is None and len(slp.rules) == 0
+        assert main(["verify", gpath, src]) == 0
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"+5", "error: non-numeric token b'+5'"),
+            (b"1_0", "error: non-numeric token b'1_0'"),
+            (b"-0", "error: negative token value"),
+            (b"1 2\x1c3", "error: non-numeric token b'2\\x1c3'"),
+            (b"1\xa02", "error: non-numeric token b'1\\xa02'"),
+            (b"\x005", "error: non-numeric token b'\\x005'"),
+            (b"\xd9\xa3", "error: non-numeric token b'\\xd9\\xa3'"),
+        ],
+    )
+    def test_only_ascii_digits_and_whitespace(self, files, capsys, content, message):
+        # int() read the first three.  The rest are bytes that are neither
+        # ASCII digits nor ASCII whitespace, such as str.split()'s separators
+        # \x1c and \xa0, or the UTF-8 of a non-ASCII digit.
+        make, tmp = files
+        src = make("in.txt", content)
+        assert main(["compress", src, str(tmp / "o.slp"), "--input", "tokens"]) == 2
+        assert capsys.readouterr().err.strip() == message
+
+    def test_leading_zeros(self, files):
+        make, tmp = files
+        src = make("in.txt", b"007 7 0000 0")
+        gpath = str(tmp / "g.slp")
+        assert main(["compress", src, gpath, "--input", "tokens"]) == 0
+        assert main(["decompress", gpath, str(tmp / "back.txt")]) == 0
+        assert (tmp / "back.txt").read_bytes() == b"7 7 0 0\n"
+        assert main(["verify", gpath, src]) == 0
+
+    @pytest.mark.parametrize("digits", [20, 30])
+    def test_numeral_too_long_for_int64(self, files, capsys, digits):
+        make, tmp = files
+        src = make("in.txt", b"1 " + b"9" * digits + b" 2")
+        assert _parse_tokens((tmp / "in.txt").read_bytes()).tolist() == [1, 2**63 - 1, 2]
+        assert main(["compress", src, str(tmp / "o.slp"), "--input", "tokens"]) == 2
+        assert capsys.readouterr().err.startswith("error: token values must lie in")
+        gpath = str(tmp / "g.slp")
+        assert main(["compress", make("ok.txt", b"1 7 2"), gpath, "--input", "tokens"]) == 0
+        assert main(["verify", gpath, src]) == 1
+
+    @pytest.mark.parametrize(
+        "other",
+        [b"5 6 5 6 7 7", b"5 6 5 6", b"5 6 5 6 8", b"5 6 5 7 7"],
+        ids=["longer", "shorter", "changed-last", "changed-inside"],
+    )
+    def test_verify_token_mismatch(self, files, capsys, other):
+        make, tmp = files
+        gpath = str(tmp / "g.slp")
+        assert main(["compress", make("in.txt", b"5 6 5 6 7"), gpath, "--input", "tokens"]) == 0
+        assert main(["verify", gpath, make("other.txt", other)]) == 1
+        assert "mismatch" in capsys.readouterr().err
+
+    def test_parsed_count_is_checked(self, files, capsys, monkeypatch):
+        # Should the parser ever read a different number of values than the
+        # text has fields, the input is refused rather than misread.
+        make, tmp = files
+        src = make("in.txt", b"5 6 7")
+        monkeypatch.setattr(np, "fromstring", lambda *a, **k: np.array([5, 6], dtype=np.int64))
+        assert main(["compress", src, str(tmp / "o.slp"), "--input", "tokens"]) == 2
+        assert capsys.readouterr().err.strip() == "error: token text parsed into 2 values, not 3"
+
+
 class TestTrace:
     def test_jsonl_trace(self, files):
         make, tmp = files
@@ -233,6 +342,19 @@ class TestStats:
         assert "size 5" in out
         assert "depth 2" in out
         assert "expansion 5" in out
+
+    def test_size_on_disk(self, files, capsys):
+        make, tmp = files
+        src = make("in.bin", b"abracadabra" * 40)
+        gpath = tmp / "g.slp"
+        assert main(["compress", src, str(gpath)]) == 0
+        capsys.readouterr()
+        assert main(["stats", str(gpath)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"bytes {gpath.stat().st_size}"
+        assert [line.split()[0] for line in lines] == [
+            "rules", "size", "depth", "expansion", "bytes"
+        ]
 
     def test_empty_grammar(self, files, capsys):
         make, tmp = files
