@@ -130,14 +130,11 @@ def cmd_stats(args) -> int:
     except (OSError, gr.GrammarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    try:
-        length = str(gr.expansion_length(slp))
-    except gr.ExpansionOverflow:
-        length = ">=2^63"
+    length, depth = gr.expansion_and_depth(slp)
     print(f"rules {len(slp.rules)}")
     print(f"size {slp.size}")
-    print(f"depth {gr.grammar_depth(slp)}")
-    print(f"expansion {length}")
+    print(f"depth {depth}")
+    print(f"expansion {'>=2^63' if length is None else length}")
     print(f"bytes {on_disk}")
     return EXIT_OK
 

@@ -5,7 +5,19 @@ blocks, then compresses the pairs selected by the greedy split; the text
 shrinks to at most ``3/4 |T| + 1/4`` per phase, so the total work is linear
 in the input.  Improved mode additionally prices stopping at each phase
 (remaining text emitted verbatim plus the rules so far) and returns the
-cheapest snapshot.
+cheapest snapshot, the first one of least cost.
+
+Improved mode stops once no later phase can beat that snapshot.  If row
+``k`` has text ``T_k`` of length ``L_k``, grammar size ``S_k`` and ``P_k``
+distinct adjacent pairs (equal neighbours included), every later row ``j``
+has ``L_j + S_j >= S_k + P_k + 1``: expanding the symbols minted after row
+``k`` maps ``T_j`` onto ``T_k``, and each adjacency of ``T_k`` lies between
+two neighbours of ``T_j`` (``L_j - 1`` places) or inside one new body
+(``c - 1`` places per body of length ``c``), each place standing for one
+pair type.  The snapshot changes only on a strictly smaller cost, so the
+loop ends at the first row that is not a new best where this bound reaches
+the best cost.  The grammar is that of a run through every phase; the
+traces and the phase table end at the stop row.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ import numpy as np
 from .alphabet import AlphabetMap, ingest, rename_dense
 from .blocks import compress_blocks, scan_blocks
 from .grammar import GrammarStats, Slp, prune_unreachable
-from .pairs import build_adjacency, compress_pairs, greedy_partition
+from .pairs import build_adjacency, compress_pairs, distinct_pairs, greedy_partition
 from .text import WorkingText
 
 
@@ -125,8 +137,9 @@ def compress(data, mode: str = "improved", kind: str | None = None) -> Compressi
     """Compress bytes or a token sequence into a straight-line program.
 
     ``mode`` is ``"plain"`` (run to a single symbol, emit everything) or
-    ``"improved"`` (also track the cost of stopping at every phase and
-    return the cheapest snapshot grammar).
+    ``"improved"`` (also track the cost of stopping at every phase, stop
+    once no later phase can cost less, and return the cheapest snapshot
+    grammar).
     """
     if mode not in ("plain", "improved"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -145,6 +158,8 @@ def compress(data, mode: str = "improved", kind: str | None = None) -> Compressi
                 snapshot = amap.canonical_of_array(text.live())
                 best = BestSnapshot(candidate, len(traces), snapshot, len(grammar.rules))
                 copy_work += len(snapshot)
+            elif grammar.size + distinct_pairs(text, amap) + 1 >= best.size:
+                break  # no later stop costs less than the best one
         if len(text) <= 1:
             break
         traces.append(run_phase(text, amap, grammar, len(traces) + 1))

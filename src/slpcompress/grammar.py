@@ -340,19 +340,23 @@ def symbol_lengths(slp: Slp) -> np.ndarray:
     lengths = np.ones(slp.symbol_count, dtype=np.int64)
     for group in _bottom_up(slp):
         children, firsts = _bodies(slp, group)
-        child = lengths[children]
-        if int(child.max()) * int(slp.counts[group].max()) > MAX_EXPANSION:
-            # int64 sums may wrap here: a float sum finds every body that
-            # may reach 2**62, and Python ints sum those exactly.
-            ends = np.append(firsts[1:], len(child))
-            near = np.add.reduceat(child.astype(np.float64), firsts) >= 2.0**62
-            for j in np.flatnonzero(near).tolist():
-                if sum(child[firsts[j] : ends[j]].tolist()) > MAX_EXPANSION:
-                    raise ExpansionOverflow(
-                        f"rule {sigma + group[j]} expands to more than 2**63-1 symbols"
-                    )
-        lengths[sigma + group] = np.add.reduceat(child, firsts)
+        lengths[sigma + group] = _body_lengths(slp, group, lengths[children], firsts)
     return lengths
+
+
+def _body_lengths(slp: Slp, group, child: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+    """Sum the child lengths of each body in ``group``; raises on 63-bit overflow."""
+    if int(child.max()) * int(slp.counts[group].max()) > MAX_EXPANSION:
+        # int64 sums may wrap here: a float sum finds every body that
+        # may reach 2**62, and Python ints sum those exactly.
+        ends = np.append(firsts[1:], len(child))
+        near = np.add.reduceat(child.astype(np.float64), firsts) >= 2.0**62
+        for j in np.flatnonzero(near).tolist():
+            if sum(child[firsts[j] : ends[j]].tolist()) > MAX_EXPANSION:
+                raise ExpansionOverflow(
+                    f"rule {slp.terminal_count + group[j]} expands to more than 2**63-1 symbols"
+                )
+    return np.add.reduceat(child, firsts)
 
 
 def expansion_length(slp: Slp) -> int:
@@ -441,6 +445,29 @@ def grammar_depth(slp: Slp) -> int:
         children, firsts = _bodies(slp, group)
         depth[slp.terminal_count + group] = 1 + np.maximum.reduceat(depth[children], firsts)
     return int(depth[slp.start])
+
+
+def expansion_and_depth(slp: Slp) -> tuple[int | None, int]:
+    """``expansion_length`` and ``grammar_depth`` from one bottom-up walk.
+
+    The length is ``None`` where ``expansion_length`` would raise
+    ``ExpansionOverflow``; the depth is computed either way.
+    """
+    if slp.start is None:
+        return 0, 0
+    sigma = slp.terminal_count
+    _check_bodies(slp.counts, slp.flat, sigma)
+    lengths = np.ones(slp.symbol_count, dtype=np.int64)
+    depth = np.zeros(slp.symbol_count, dtype=np.int64)
+    for group in _bottom_up(slp):
+        children, firsts = _bodies(slp, group)
+        depth[sigma + group] = 1 + np.maximum.reduceat(depth[children], firsts)
+        if lengths is not None:
+            try:
+                lengths[sigma + group] = _body_lengths(slp, group, lengths[children], firsts)
+            except ExpansionOverflow:
+                lengths = None
+    return None if lengths is None else int(lengths[slp.start]), int(depth[slp.start])
 
 
 def prune_unreachable(slp: Slp) -> Slp:
@@ -654,6 +681,6 @@ class GrammarStats:
     size: int
     phase_count: int
     # (live symbols, cumulative representation cost) at the top of each
-    # phase, plus a final row after the loop; row i is the cost of stopping
-    # at phase i and emitting the remaining text verbatim.
+    # phase, plus a final row where the loop stopped; row i is the cost of
+    # stopping at phase i and emitting the remaining text verbatim.
     phase_table: list[tuple[int, int]] = field(default_factory=list)

@@ -46,8 +46,8 @@ class PairAdjacency:
             return
         a = lv[:-1]
         b = lv[1:]
-        key = (a - self.base) * self.width + (b - self.base)
-        order = radix_argsort(key, self.width * self.width)
+        key, bound = _pair_keys(lv, amap)
+        order = radix_argsort(key, bound)
         self.occurrences = order  # position of the first symbol, grouped by pair
         key = key[order]
         new_pair = np.empty(n - 1, dtype=bool)
@@ -58,6 +58,23 @@ class PairAdjacency:
         self.pair_b = b[order[starts]]
         self.occ_start = np.append(starts, n - 1)
         self.pair_count = np.diff(self.occ_start)
+
+
+def _pair_keys(lv: np.ndarray, amap: AlphabetMap) -> tuple[np.ndarray, int]:
+    """One key per adjacency, ``(first, second)`` over the working interval, and its bound."""
+    base = amap.alias_base
+    width = amap.next_working - base
+    return (lv[:-1] - base) * width + (lv[1:] - base), width * width
+
+
+def distinct_pairs(text: WorkingText, amap: AlphabetMap) -> int:
+    """Number of distinct adjacent pairs in the text, equal neighbours included."""
+    lv = text.live()
+    if len(lv) < 2:
+        return 0
+    key, bound = _pair_keys(lv, amap)
+    key = key[radix_argsort(key, bound)]
+    return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
 
 
 def build_adjacency(text: WorkingText, amap: AlphabetMap) -> PairAdjacency:

@@ -7,12 +7,16 @@ from typing import Sequence
 import numpy as np
 
 from rewriting_lab import Ref, Run, RunSlp
-from slpcompress.alphabet import InputFormatError, radix_argsort
+from slpcompress.alphabet import InputFormatError, ingest, radix_argsort
+from slpcompress.driver import BestSnapshot, CompressionResult, _snapshot_grammar, run_phase
 from slpcompress.grammar import (
     MAX_EXPANSION,
     ExpansionOverflow,
     GrammarError,
+    GrammarStats,
     Slp,
+    expansion_length,
+    grammar_depth,
     symbol_lengths,
 )
 from slpcompress.pairs import Partition
@@ -699,3 +703,51 @@ def reference_parse_tokens(data: bytes) -> list[int]:
         if value < 0:
             raise InputFormatError("negative token value")
     raise AssertionError("unreachable")
+
+
+def reference_compress_improved(data, kind: str | None = None) -> CompressionResult:
+    """Improved mode without the stop rule: every phase down to one symbol.
+
+    The snapshot is the first row of least stop cost, as in the driver.
+    """
+    text, amap = ingest(data, kind=kind)
+    grammar = Slp(kind=amap.input_kind, terminals=amap.terminal_of_id)
+    input_length = len(text)
+    traces = []
+    phase_table: list[tuple[int, int]] = []
+    best: BestSnapshot | None = None
+    copy_work = 0
+    while True:
+        phase_table.append((len(text), grammar.size))
+        candidate = len(text) + grammar.size
+        if best is None or candidate < best.size:
+            snapshot = amap.canonical_of_array(text.live())
+            best = BestSnapshot(candidate, len(traces), snapshot, len(grammar.rules))
+            copy_work += len(snapshot)
+        if len(text) <= 1:
+            break
+        traces.append(run_phase(text, amap, grammar, len(traces) + 1))
+    slp = _snapshot_grammar(grammar, best)
+    stats = GrammarStats(
+        input_length=input_length,
+        terminal_count=slp.terminal_count,
+        rule_count=len(slp.rules),
+        size=slp.size,
+        phase_count=len(traces),
+        phase_table=phase_table,
+    )
+    return CompressionResult(slp, stats, traces, "improved", best.phase, copy_work)
+
+
+def reference_stats_lines(slp: Slp) -> list[str]:
+    """The lines CLI ``stats`` printed before ``bytes``, from two level walks."""
+    try:
+        length = str(expansion_length(slp))
+    except ExpansionOverflow:
+        length = ">=2^63"
+    return [
+        f"rules {len(slp.rules)}",
+        f"size {slp.size}",
+        f"depth {grammar_depth(slp)}",
+        f"expansion {length}",
+    ]

@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import powers_of_two, reference_parse_tokens
+import test_golden
+from helpers import powers_of_two, reference_parse_tokens, reference_stats_lines
 
 from slpcompress.cli import _parse_tokens, main
+from slpcompress.driver import compress
 from slpcompress.grammar import Slp, dump, load
 
 
@@ -327,6 +329,22 @@ class TestTrace:
             for stage in ("rename", "blocks", "adjacency", "partition", "pairs", "compact"):
                 assert row[f"{stage}_s"] >= 0.0
 
+    def test_phase_count_matches_trace_lines(self, files, capsys):
+        # Improved mode stops once no later phase can beat its best stop,
+        # so it reports and traces fewer phases than plain mode here.
+        make, tmp = files
+        rng = random.Random(6)
+        src = make("in.bin", bytes(rng.randrange(64) for _ in range(4000)))
+        phases = {}
+        for mode in ("plain", "improved"):
+            tpath = tmp / f"{mode}.jsonl"
+            args = ["compress", src, str(tmp / "o.slp"), "--mode", mode, "--trace", str(tpath)]
+            assert main(args) == 0
+            err = capsys.readouterr().err
+            phases[mode] = int(err.split("phases=")[1].split()[0])
+            assert phases[mode] == len(tpath.read_text().splitlines())
+        assert phases["improved"] < phases["plain"]
+
 
 class TestStats:
     def test_known_grammar(self, files, capsys):
@@ -383,3 +401,28 @@ class TestStats:
         gpath = make("big.slp", ("\n".join(lines) + "\n").encode())
         assert main(["stats", str(gpath)]) == 0
         assert ">=2^63" in capsys.readouterr().out
+
+    def test_one_walk_matches_two_walks(self, files, capsys):
+        # Expansion and depth come from one level walk; the output is the
+        # one that separate length and depth walks give.
+        make, tmp = files
+        grammars = [
+            compress(getattr(test_golden, gen)(seed), mode=mode).slp
+            for gen, seed, mode in sorted(test_golden.GOLDEN)
+        ]
+        doubling = Slp("bytes", [97])
+        for i in range(70):
+            doubling.emit_rule([i, i])
+        doubling.start = 70
+        unreachable_overflow = powers_of_two(extra_terminals=1)
+        unreachable_overflow.start = 5
+        grammars += [
+            powers_of_two(), powers_of_two(extra_terminals=1), doubling, unreachable_overflow,
+            Slp("bytes", []), Slp("bytes", [97, 98], [(0, 1)], start=1),
+        ]
+        for i, slp in enumerate(grammars):
+            gpath = tmp / f"g{i}.slp"
+            dump(slp, gpath)
+            assert main(["stats", str(gpath)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines == reference_stats_lines(load(gpath)) + [f"bytes {gpath.stat().st_size}"]

@@ -27,6 +27,7 @@ from slpcompress.grammar import (
     deserialize,
     expand,
     expand_ids,
+    expansion_and_depth,
     expansion_length,
     format_tokens,
     grammar_depth,
@@ -444,8 +445,11 @@ def assert_matches_scalar_oracles(slp):
     assert back.rules == list(slp.rules)
     reference_check_structure(slp)
     check_structure(slp)
-    assert symbol_lengths(slp).tolist() == reference_symbol_lengths(slp)
+    lengths = reference_symbol_lengths(slp)
+    assert symbol_lengths(slp).tolist() == lengths
     assert grammar_depth(slp) == reference_grammar_depth(slp)
+    length = 0 if slp.start is None else lengths[slp.start]
+    assert expansion_and_depth(slp) == (length, reference_grammar_depth(slp))
     pruned = prune_unreachable(slp)
     assert pruned == reference_prune_unreachable(slp)
     assert serialize(pruned) == reference_serialize(pruned)

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -12,11 +13,17 @@ from helpers import (
     side_of,
     total_occurrences,
 )
-from slpcompress.alphabet import ingest
+from slpcompress.alphabet import AlphabetMap, ingest
 from slpcompress.blocks import compress_blocks, scan_blocks
 from slpcompress.grammar import Slp
-from slpcompress.pairs import build_adjacency, compress_pairs, greedy_partition
-from slpcompress.text import StaleTextError
+from slpcompress.pairs import (
+    _pair_keys,
+    build_adjacency,
+    compress_pairs,
+    distinct_pairs,
+    greedy_partition,
+)
+from slpcompress.text import StaleTextError, WorkingText
 
 
 def best_one_directional_cover(symbols):
@@ -71,6 +78,38 @@ class TestBuildAdjacency:
         assert sorted(recs) == [(0, 1, 0), (0, 1, 3), (1, 2, 1), (2, 0, 2)]
         # each adjacent position appears exactly once
         assert sorted(r[2] for r in recs) == [0, 1, 2, 3]
+
+
+class TestDistinctPairs:
+    @staticmethod
+    def oracle(text):
+        lv = text.live().tolist()
+        return len(set(zip(lv, lv[1:])))
+
+    @pytest.mark.parametrize("data", [b"", b"a", b"ab", b"aa", b"aaab", b"abab", b"aabbaabb"])
+    def test_short_texts(self, data):
+        text, amap = ingest(data)
+        assert distinct_pairs(text, amap) == self.oracle(text)
+
+    def test_equal_neighbours_count(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            runs = range(rng.randrange(60))
+            data = b"".join(rng.choice([b"a", b"b", b"c", b"d"]) * rng.randrange(1, 5) for _ in runs)
+            text, amap = ingest(data)
+            assert distinct_pairs(text, amap) == self.oracle(text)
+
+    def test_wide_interval_takes_three_radix_passes(self):
+        width = 78970
+        amap = AlphabetMap("tokens", list(range(width)))
+        rng = np.random.default_rng(21)
+        lv = rng.integers(0, width, 30000)
+        lv[:4] = [0, 0, width - 1, width - 1]
+        lv[100:200] = lv[300:400]  # repeated pairs
+        text = WorkingText(lv)
+        bound = _pair_keys(text.live(), amap)[1]
+        assert 32 < (bound - 1).bit_length() <= 48
+        assert distinct_pairs(text, amap) == self.oracle(text)
 
 
 class TestGreedyPartition:
