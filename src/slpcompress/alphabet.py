@@ -117,7 +117,7 @@ def ingest(raw, kind: str | None = None) -> tuple[WorkingText, AlphabetMap]:
         kind = "bytes" if isinstance(raw, (bytes, bytearray, memoryview)) else "tokens"
     if kind == "bytes":
         arr = np.frombuffer(bytes(raw), dtype=np.uint8).astype(np.int64)
-        ids, values = _first_occurrence_ids(arr, domain=256)
+        lut, values = _first_occurrence_ids(arr, domain=256)
     elif kind == "tokens":
         try:
             arr = np.asarray(raw)
@@ -132,12 +132,12 @@ def ingest(raw, kind: str | None = None) -> tuple[WorkingText, AlphabetMap]:
             )
         if arr.size and (arr.min() < 0 or arr.max() > TOKEN_VALUE_CEILING):
             raise InputFormatError(f"token values must lie in [0, {TOKEN_VALUE_CEILING}]")
-        ranks, distinct = _value_ranks(arr.astype(np.int64, copy=False))
-        ids, first = _first_occurrence_ids(ranks, domain=len(distinct))
+        arr, distinct = _value_ranks(arr.astype(np.int64, copy=False))
+        lut, first = _first_occurrence_ids(arr, domain=len(distinct))
         values = distinct[first]
     else:
         raise ValueError(f"unknown input kind {kind!r}")
-    return WorkingText(ids), AlphabetMap(input_kind=kind, terminal_of_id=values.tolist())
+    return WorkingText(lut[arr]), AlphabetMap(input_kind=kind, terminal_of_id=values.tolist())
 
 
 def _value_ranks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,32 +160,28 @@ def _value_ranks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, distinct
 
 
-def _first_occurrence_order(first_pos: np.ndarray) -> np.ndarray:
-    """Offsets of occurring symbols, ordered by their (distinct) first position.
+def _first_occurrence_ids(
+    arr: np.ndarray, domain: int, first_id: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Number values in ``[0, domain)`` from ``first_id`` up, in order of first occurrence.
 
-    Scatters each offset into a position-indexed table and compacts, so the
-    ordering costs O(text length + table width) without a sort.
-    """
-    occurring = np.flatnonzero(first_pos >= 0)
-    by_position = np.full(int(first_pos.max()) + 1 if len(occurring) else 0, -1, dtype=np.int64)
-    by_position[first_pos[occurring]] = occurring
-    return by_position[by_position >= 0]
-
-
-def _first_occurrence_ids(arr: np.ndarray, domain: int) -> tuple[np.ndarray, np.ndarray]:
-    """Renumber values in ``[0, domain)`` to 0..k-1 in order of first occurrence.
-
-    Returns the renumbered text and the occurring values in that order.  A
-    direct position table over the domain replaces any sort: writing
-    positions in reverse makes the surviving entry the first occurrence.
+    Returns a table over the domain that maps each occurring value to its
+    id (other entries are undefined), and the occurring values in that
+    order.  Direct position tables replace any sort: writing positions in
+    reverse makes the surviving entry the first occurrence, and scattering
+    each value to its first position orders the values in O(text length +
+    domain).
     """
     first_pos = np.full(domain, -1, dtype=np.int64)
     first_pos[arr[::-1]] = np.arange(len(arr) - 1, -1, -1, dtype=np.int64)
-    values = _first_occurrence_order(first_pos)
-    del first_pos
+    occurring = np.flatnonzero(first_pos >= 0)
+    by_position = np.full(int(first_pos.max()) + 1 if len(occurring) else 0, -1, dtype=np.int64)
+    by_position[first_pos[occurring]] = occurring
+    del first_pos, occurring
+    values = by_position[by_position >= 0]
     lut = np.empty(domain, dtype=np.int64)
-    lut[values] = np.arange(len(values), dtype=np.int64)
-    return lut[arr], values
+    lut[values] = np.arange(first_id, first_id + len(values), dtype=np.int64)
+    return lut, values
 
 
 def rename_dense(text: WorkingText, amap: AlphabetMap) -> None:
@@ -204,12 +200,7 @@ def rename_dense(text: WorkingText, amap: AlphabetMap) -> None:
     off = live - base
     if off.min() < 0 or off.max() >= width:
         raise ValueError("text symbol outside the current working interval")
-    first_pos = np.full(width, -1, dtype=np.int64)
-    first_pos[off[::-1]] = np.arange(len(off) - 1, -1, -1, dtype=np.int64)
-    old_offsets = _first_occurrence_order(first_pos)
     new_base = amap.next_working
-    new_table = amap.alias_table[old_offsets].copy()
-    lut = np.full(width, -1, dtype=np.int64)
-    lut[old_offsets] = np.arange(new_base, new_base + len(old_offsets), dtype=np.int64)
+    lut, old_offsets = _first_occurrence_ids(off, width, new_base)
     text._remap_live(lut, base)
-    amap._rebase(new_base, new_table)
+    amap._rebase(new_base, amap.alias_table[old_offsets])

@@ -25,7 +25,7 @@ import numpy as np
 
 from .alphabet import AlphabetMap, radix_argsort
 from .grammar import Slp
-from .text import StaleTextError, WorkingText
+from .text import StaleTextError, WorkingText, concat_ranges
 
 
 class BlockScan:
@@ -181,15 +181,14 @@ def build_block_rules(grammar: Slp, letters, lengths) -> np.ndarray:
     flat = np.empty(int(counts.sum()), dtype=np.int64)
 
     square_letter = np.repeat(np.arange(len(squares)), squares)
-    half = np.arange(len(square_letter)) - np.repeat(np.cumsum(squares) - squares, squares)
+    half = concat_ranges(np.zeros(len(squares), dtype=np.int64), squares)
     at = offsets[square_slot[square_letter] + half]
     flat[at] = flat[at + 1] = power(square_letter, half)  # a^(2^(e+1)) -> a^(2^e) a^(2^e)
 
-    # Set bits row by row, largest exponent first: the k-th lands at its
-    # row's body offset plus k, less the set bits of the rows before it.
+    # Set bits row by row, largest exponent first: a row's k-th set bit
+    # fills place k of its body.
     row, col = np.nonzero(bits[rows, ::-1])
-    set_before = np.cumsum(popcount[rows]) - popcount[rows]
-    at = (offsets[gap_slot[rows]] - set_before)[row] + np.arange(len(row))
+    at = concat_ranges(offsets[gap_slot[rows]], popcount[rows])
     flat[at] = power(letter_of[rows[row]], width - 1 - col)
 
     rows = np.flatnonzero(~first)

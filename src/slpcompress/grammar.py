@@ -14,8 +14,9 @@ doubling.  ``Slp.rules`` shows the bodies as tuples.
 
 In the ``SLP 1`` text format (see README), each rule is a line holding its
 count and then its body, as plain ASCII decimals separated by single
-spaces.  The rule lines and the terminal values are read and written by
-vector passes over one ``uint8`` buffer.
+spaces.  The rule lines and the terminal values are written by vector
+passes over one ``uint8`` buffer, and read back by checking its bytes and
+parsing them with one ``np.fromstring`` call.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alphabet import TOKEN_VALUE_CEILING, radix_argsort
+from .text import concat_ranges
 
 MAX_EXPANSION = 2**63 - 1
 _BATCH = 1 << 15  # body symbols substituted per vector step of expand_ids
@@ -234,13 +236,6 @@ class RuleView:
         return repr(list(self))
 
 
-def _slices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Indices of the slices ``[starts[i], starts[i] + counts[i])``, in order."""
-    idx = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    idx += np.arange(len(idx))
-    return idx
-
-
 def _distinct(ids: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """``ids`` without repeats; ``scratch`` is any array indexable by every id."""
     rank = np.arange(len(ids))
@@ -267,19 +262,22 @@ def _check_bodies(counts: np.ndarray, flat: np.ndarray, base: int) -> None:
 def _bodies(slp: Slp, rules: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The bodies of ``rules`` back to back, and where each body starts."""
     counts = slp.counts[rules]
-    return slp.flat[_slices(slp.offsets[rules], counts)], np.cumsum(counts) - counts
+    return slp.flat[concat_ranges(slp.offsets[rules], counts)], np.cumsum(counts) - counts
 
 
 def _bottom_up(slp: Slp):
     """Yield groups of rule indices, each rule after all of its rule children.
 
-    Rules that some body references go by Kahn's algorithm over the
-    child-to-parent edges, one group per level, so the work is linear in the
-    grammar size plus one vector step per level.  The rules nothing
-    references, such as the start rule, come last in one group: their
-    bodies, often the longest, add no edges.  Needs an acyclic grammar.
+    Each group comes with its ``_bodies``.  Rules that some body references
+    go by Kahn's algorithm over the child-to-parent edges, one group per
+    level, so the work is linear in the grammar size plus one vector step
+    per level.  The rules nothing references, such as the start rule, come
+    last in one group: their bodies, often the longest, add no edges.
+    Raises ``GrammarError`` first unless ``_check_bodies`` passes, which
+    makes the grammar acyclic.
     """
     sigma, counts, flat = slp.terminal_count, slp.counts, slp.flat
+    _check_bodies(counts, flat, sigma)
     n = len(counts)
     cells = np.flatnonzero(flat >= sigma)
     child = flat[cells] - sigma
@@ -294,13 +292,13 @@ def _bottom_up(slp: Slp):
     scratch = np.empty(n, dtype=np.int64)
     level = np.flatnonzero(referenced & (waiting == 0))
     while len(level):
-        yield level
-        above = parents[_slices(head[level], head[level + 1] - head[level])]
+        yield (level, *_bodies(slp, level))
+        above = parents[concat_ranges(head[level], head[level + 1] - head[level])]
         np.subtract.at(waiting, above, 1)
         level = _distinct(above[waiting[above] == 0], scratch)
     roots = np.flatnonzero(~referenced)
     if len(roots):
-        yield roots
+        yield (roots, *_bodies(slp, roots))
 
 
 def validate(slp: Slp) -> None:
@@ -335,12 +333,9 @@ def check_structure(slp: Slp) -> None:
 
 def symbol_lengths(slp: Slp) -> np.ndarray:
     """Expansion length of every symbol id; raises on 63-bit overflow."""
-    sigma = slp.terminal_count
-    _check_bodies(slp.counts, slp.flat, sigma)
     lengths = np.ones(slp.symbol_count, dtype=np.int64)
-    for group in _bottom_up(slp):
-        children, firsts = _bodies(slp, group)
-        lengths[sigma + group] = _body_lengths(slp, group, lengths[children], firsts)
+    for group, children, firsts in _bottom_up(slp):
+        lengths[slp.terminal_count + group] = _body_lengths(slp, group, lengths[children], firsts)
     return lengths
 
 
@@ -382,6 +377,8 @@ def expand_ids(slp: Slp, symbol: int | None = None) -> np.ndarray:
         symbol = slp.start
     if symbol is None:
         return np.empty(0, dtype=np.int64)
+    if not 0 <= symbol < slp.symbol_count:
+        raise GrammarError(f"symbol {symbol} outside [0, {slp.symbol_count})")
     sym_len = symbol_lengths(slp)
     out = np.empty(int(sym_len[symbol]), dtype=np.int64)
     sigma = slp.terminal_count
@@ -408,7 +405,7 @@ def expand_ids(slp: Slp, symbol: int | None = None) -> np.ndarray:
             ends = ends[: k + 1].copy()
             ends[k] = _BATCH
         firsts = ends - counts
-        children = flat[_slices(starts, counts)]
+        children = flat[concat_ranges(starts, counts)]
         clen = sym_len[children]
         # Slices in flight cover disjoint stretches of the output, so these
         # sums stay below its length.
@@ -438,13 +435,7 @@ def expand(slp: Slp, symbol: int | None = None):
 
 def grammar_depth(slp: Slp) -> int:
     """Longest rule chain from the start symbol (terminals have depth 0)."""
-    if slp.start is None:
-        return 0
-    depth = np.zeros(slp.symbol_count, dtype=np.int64)
-    for group in _bottom_up(slp):
-        children, firsts = _bodies(slp, group)
-        depth[slp.terminal_count + group] = 1 + np.maximum.reduceat(depth[children], firsts)
-    return int(depth[slp.start])
+    return expansion_and_depth(slp)[1]
 
 
 def expansion_and_depth(slp: Slp) -> tuple[int | None, int]:
@@ -456,11 +447,9 @@ def expansion_and_depth(slp: Slp) -> tuple[int | None, int]:
     if slp.start is None:
         return 0, 0
     sigma = slp.terminal_count
-    _check_bodies(slp.counts, slp.flat, sigma)
     lengths = np.ones(slp.symbol_count, dtype=np.int64)
     depth = np.zeros(slp.symbol_count, dtype=np.int64)
-    for group in _bottom_up(slp):
-        children, firsts = _bodies(slp, group)
+    for group, children, firsts in _bottom_up(slp):
         depth[sigma + group] = 1 + np.maximum.reduceat(depth[children], firsts)
         if lengths is not None:
             try:
@@ -526,10 +515,11 @@ def _write_lines(values: np.ndarray, line_last: np.ndarray) -> bytes:
 def _read_lines(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Parse whole lines of numerals; the inverse of ``_write_lines``.
 
-    ``buf`` is a non-empty ``uint8`` array ending in a newline.  Returns the
-    values and, per line, the index of its last value.  Every field is one
-    or more ASCII digits without a leading zero, followed by one space or
-    newline.
+    ``buf`` is a non-empty, read-only ``uint8`` array ending in a newline.
+    Returns the values and, per line, the index of its last value.  Every
+    field is one or more ASCII digits without a leading zero, followed by
+    one space or newline.  The bytes are checked first, so the parser sees
+    only fields it reads exactly.
     """
     cls = _BYTE_CLASS[buf]
     if not cls.all():
@@ -542,11 +532,9 @@ def _read_lines(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise GrammarError(f"numeral of more than {_MAX_DIGITS} digits")
     if (buf[ends - width] == ord("0"))[width > 1].any():
         raise GrammarError("numeral with a leading zero")
-    values = np.zeros(len(ends), dtype=np.int64)
-    live = np.arange(len(ends))
-    for rank in range(int(width.max())):
-        live = live[width[live] > rank]
-        values[live] += (buf[ends[live] - 1 - rank] - ord("0")).astype(np.int64) * 10**rank
+    values = np.fromstring(buf, dtype=np.int64, sep=" ")
+    if len(values) != len(ends):
+        raise GrammarError(f"grammar text parsed into {len(values)} numerals, not {len(ends)}")
     return values, np.flatnonzero(buf[ends] == ord("\n"))
 
 

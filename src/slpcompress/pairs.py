@@ -15,7 +15,7 @@ import numpy as np
 
 from .alphabet import AlphabetMap, radix_argsort
 from .grammar import Slp
-from .text import StaleTextError, WorkingText
+from .text import StaleTextError, WorkingText, concat_ranges
 
 
 class PairAdjacency:
@@ -175,10 +175,7 @@ def compress_pairs(
     fresh = amap.allocate_working(rule_ids)
     # Gather the occurrence slices of the selected pairs in one shot.
     counts = adj.pair_count[selected]
-    starts = adj.occ_start[selected]
-    offsets = np.cumsum(counts) - counts
-    idx = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(offsets, counts) + np.repeat(starts, counts)
-    occs = adj.occurrences[idx]
+    occs = adj.occurrences[concat_ranges(adj.occ_start[selected], counts)]
     fresh_per_occ = np.repeat(fresh, counts)
     # Distinct left.right pairs never overlap (the classes are disjoint), so
     # every adjacency position takes part in at most one replacement.

@@ -20,6 +20,13 @@ class StaleTextError(RuntimeError):
     """Dead cells are pending, or a position predates the last compaction."""
 
 
+def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Indices of the ranges ``[starts[i], starts[i] + counts[i])``, back to back."""
+    idx = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    idx += np.arange(len(idx))
+    return idx
+
+
 class WorkingText:
     def __init__(self, symbols):
         self.cells = np.asarray(symbols, dtype=np.int64).copy()
@@ -61,9 +68,8 @@ class WorkingText:
         if (starts + lengths).max() > len(self.cells):
             raise ValueError("run extends past the end of the text")
         # The cells strictly inside each run, run after run.
-        tails = lengths - 1
-        inside = np.repeat(starts + 1 - (np.cumsum(tails) - tails), tails)
-        inside += np.arange(len(inside))
+        inside = concat_ranges(starts, lengths - 1)
+        inside += 1  # shift in place; passing starts + 1 adds a run-sized array at the peak
         if (self.cells[inside] == TOMBSTONE).any() or (self.cells[starts] == TOMBSTONE).any():
             raise ValueError("bulk run replacement over dead cells")
         self.cells[inside] = TOMBSTONE

@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from rewriting_lab import Ref, Run, RunSlp
-from slpcompress.alphabet import InputFormatError, ingest, radix_argsort
+from slpcompress.alphabet import AlphabetMap, InputFormatError, ingest, radix_argsort
 from slpcompress.driver import BestSnapshot, CompressionResult, _snapshot_grammar, run_phase
 from slpcompress.grammar import (
     MAX_EXPANSION,
@@ -16,11 +16,10 @@ from slpcompress.grammar import (
     GrammarStats,
     Slp,
     expansion_length,
-    grammar_depth,
     symbol_lengths,
 )
 from slpcompress.pairs import Partition
-from slpcompress.text import TOMBSTONE
+from slpcompress.text import TOMBSTONE, WorkingText
 
 
 def random_runslp(rng: random.Random, max_rules=30, alphabet=4, expansion_cap=10**6,
@@ -740,7 +739,12 @@ def reference_compress_improved(data, kind: str | None = None) -> CompressionRes
 
 
 def reference_stats_lines(slp: Slp) -> list[str]:
-    """The lines CLI ``stats`` printed before ``bytes``, from two level walks."""
+    """The lines CLI ``stats`` printed before ``bytes``, from separate scalar walks.
+
+    Length comes from ``expansion_length``'s length table and depth from
+    the scalar ``reference_grammar_depth``, not from the single
+    ``expansion_and_depth`` walk that CLI ``stats`` runs.
+    """
     try:
         length = str(expansion_length(slp))
     except ExpansionOverflow:
@@ -748,6 +752,46 @@ def reference_stats_lines(slp: Slp) -> list[str]:
     return [
         f"rules {len(slp.rules)}",
         f"size {slp.size}",
-        f"depth {grammar_depth(slp)}",
+        f"depth {reference_grammar_depth(slp)}",
         f"expansion {length}",
     ]
+
+
+def _first_occurrence_order(first_pos: np.ndarray) -> np.ndarray:
+    """Offsets of occurring symbols, ordered by their (distinct) first position.
+
+    Scatters each offset into a position-indexed table and compacts, so the
+    ordering costs O(text length + table width) without a sort.
+    """
+    occurring = np.flatnonzero(first_pos >= 0)
+    by_position = np.full(int(first_pos.max()) + 1 if len(occurring) else 0, -1, dtype=np.int64)
+    by_position[first_pos[occurring]] = occurring
+    return by_position[by_position >= 0]
+
+
+def reference_rename_dense(text: WorkingText, amap: AlphabetMap) -> None:
+    """Rename the symbols occurring in ``text`` onto a fresh dense interval.
+
+    ``rename_dense`` as it was before it shared ``ingest``'s renumbering.
+    Symbols are numbered in first-occurrence order, alias entries are
+    carried over so canonical ids stay recoverable, and the dead part of
+    the alias table is dropped.  Runs in time linear in the text length
+    plus the width of the current working interval.
+    """
+    live = text.live()
+    if len(live) == 0:
+        return
+    base = amap.alias_base
+    width = amap.next_working - base
+    off = live - base
+    if off.min() < 0 or off.max() >= width:
+        raise ValueError("text symbol outside the current working interval")
+    first_pos = np.full(width, -1, dtype=np.int64)
+    first_pos[off[::-1]] = np.arange(len(off) - 1, -1, -1, dtype=np.int64)
+    old_offsets = _first_occurrence_order(first_pos)
+    new_base = amap.next_working
+    new_table = amap.alias_table[old_offsets].copy()
+    lut = np.full(width, -1, dtype=np.int64)
+    lut[old_offsets] = np.arange(new_base, new_base + len(old_offsets), dtype=np.int64)
+    text._remap_live(lut, base)
+    amap._rebase(new_base, new_table)

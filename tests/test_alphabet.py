@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SortRecord, canonical_of, radix_sort, reference_first_occurrence_ids
+from helpers import (
+    SortRecord,
+    canonical_of,
+    radix_sort,
+    reference_first_occurrence_ids,
+    reference_rename_dense,
+)
 
 from slpcompress.alphabet import (
     AlphabetMap,
@@ -233,6 +239,26 @@ class TestRenameDense:
         rename_dense(text, amap)
         rename_dense(text, amap)
         assert [canonical_of(amap, s) for s in text.to_list()] == [4, 2, 4, 1]
+
+
+    def test_matches_reference_on_shifted_intervals(self):
+        from slpcompress.text import WorkingText
+
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            base = int(rng.integers(0, 5000))
+            width = int(rng.integers(1, 300))
+            canon = rng.choice(4 * width, width, replace=False)
+            # Some ids of the interval do not occur in the text.
+            used = base + rng.choice(width, int(rng.integers(1, width + 1)), replace=False)
+            syms = rng.choice(used, int(rng.integers(0, 600)))
+            got, want = WorkingText(syms), WorkingText(syms)
+            got_map, want_map = _synthetic_map(base, canon.tolist()), _synthetic_map(base, canon.tolist())
+            rename_dense(got, got_map)
+            reference_rename_dense(want, want_map)
+            assert np.array_equal(got.cells, want.cells)
+            assert got_map.alias_base == want_map.alias_base
+            assert np.array_equal(got_map.alias_table, want_map.alias_table)
 
 
 class TestAllocateWorking:

@@ -188,6 +188,24 @@ class TestExpand:
         with pytest.raises(GrammarError):
             expand(slp)
 
+    @pytest.mark.parametrize("symbol", [-1, -2, 4])
+    def test_symbol_out_of_range(self, symbol):
+        # Without a range check, -2 read as rule r (b"aa"), -1 as raw heap
+        # words and 4 as a bare IndexError.
+        slp = Slp("bytes", [ord("a"), ord("b")], rules=[(0, 1), (2, 2, 2)], start=3)
+        assert slp.symbol_count == 4
+        with pytest.raises(GrammarError, match=f"symbol {symbol} outside"):
+            expand(slp, symbol)
+        with pytest.raises(GrammarError, match=f"symbol {symbol} outside"):
+            expand_ids(slp, symbol)
+
+    def test_unchecked_start_out_of_range(self):
+        slp = Slp("bytes", [ord("a"), ord("b")], rules=[(0, 1), (2, 2, 2)], start=-1)
+        with pytest.raises(GrammarError, match="symbol -1 outside"):
+            expand(slp)
+        with pytest.raises(GrammarError, match="symbol -1 outside"):
+            expand_ids(slp)
+
     def test_overflow_detected_before_streaming(self):
         slp = Slp("bytes", [ord("a")])
         prev = 0
@@ -388,6 +406,14 @@ class TestSerialization:
     def test_malformed_rejected(self, payload):
         with pytest.raises(GrammarError):
             deserialize(payload)
+
+    def test_eighteen_digit_numeral_read_exactly(self):
+        # The nearest float64 to this id is ...680, so a parse through
+        # floats would name another symbol in the message.
+        big = 123456789012345678
+        text = f"SLP 1\nterminals 1 bytes\n97\nrules 1\n2 0 {big}\nstart 1\n"
+        with pytest.raises(GrammarError, match=f"references symbol {big} "):
+            deserialize(text)
 
     def test_accepted_text_reserializes_to_itself(self):
         # Random edits of serialized grammars: whatever still loads must be
