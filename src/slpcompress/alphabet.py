@@ -7,14 +7,14 @@ spaces coexist:
   ...`` are grammar rules, allocated densely in rule-emission order.
   Grammar bodies contain canonical ids only, and a canonical id never
   changes meaning.
-* working ids: the symbols stored in the mutable text.  At the start of
-  each phase the working alphabet is renamed onto a fresh contiguous
-  interval (so records over it can be bucket sorted); fresh symbols minted
-  during a phase extend that interval.  ``AlphabetMap`` keeps the alias
-  table from working ids back to canonical ids.
+* working ids: the symbols stored in the mutable text.  They are local to
+  a phase: at its start the ``k`` symbols that occur are renamed to
+  ``0..k-1`` in order of first occurrence, so records over them can be
+  bucket sorted, and the symbols minted during the phase continue from
+  ``k``.  ``AlphabetMap`` keeps the alias table from working ids back to
+  canonical ids.
 
-Working ids come from a single monotone counter, so at any moment the live
-working alphabet is a known interval ``[base, next_working)``.
+So at any moment the working alphabet is ``[0, next_working)``.
 """
 
 from __future__ import annotations
@@ -60,16 +60,14 @@ def radix_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
 class AlphabetMap:
     """Terminal table plus the working-id -> canonical-id alias table.
 
-    ``alias_base`` and ``alias_table`` together form the alias function:
-    working id ``w`` (with ``alias_base <= w < next_working``) is an alias
-    of canonical id ``alias_table[w - alias_base]``.  The table is total
-    and injective over the current working interval; entries for dead
-    intervals are dropped when the alphabet is renamed.
+    Working id ``w`` (``0 <= w < next_working``) is an alias of canonical
+    id ``alias_table[w]``.  The table is total and injective over
+    ``[0, next_working)``; a rename keeps the entries of the ids that
+    occur, in their new order, and drops the others.
     """
 
     input_kind: str  # "bytes" | "tokens"
     terminal_of_id: list[int]
-    alias_base: int = 0
     alias_table: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def __post_init__(self):
@@ -85,13 +83,13 @@ class AlphabetMap:
 
     @property
     def next_working(self) -> int:
-        return self.alias_base + len(self.alias_table)
+        return len(self.alias_table)
 
     def canonical_of_array(self, working_ids: np.ndarray) -> np.ndarray:
-        off = np.asarray(working_ids, dtype=np.int64) - self.alias_base
-        if off.size and (off.min() < 0 or off.max() >= len(self.alias_table)):
-            raise ValueError("working id outside current interval")
-        return self.alias_table[off]
+        ids = np.asarray(working_ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= len(self.alias_table)):
+            raise ValueError("working id outside the working alphabet")
+        return self.alias_table[ids]
 
     def allocate_working(self, canonical_ids: np.ndarray) -> np.ndarray:
         """Mint fresh working ids aliased to the given canonical ids."""
@@ -99,10 +97,6 @@ class AlphabetMap:
         start = self.next_working
         self.alias_table = np.concatenate([self.alias_table, canonical_ids])
         return np.arange(start, start + len(canonical_ids), dtype=np.int64)
-
-    def _rebase(self, base: int, table: np.ndarray) -> None:
-        self.alias_base = base
-        self.alias_table = table
 
 
 def ingest(raw, kind: str | None = None) -> tuple[WorkingText, AlphabetMap]:
@@ -160,10 +154,8 @@ def _value_ranks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, distinct
 
 
-def _first_occurrence_ids(
-    arr: np.ndarray, domain: int, first_id: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Number values in ``[0, domain)`` from ``first_id`` up, in order of first occurrence.
+def _first_occurrence_ids(arr: np.ndarray, domain: int) -> tuple[np.ndarray, np.ndarray]:
+    """Number values in ``[0, domain)`` from 0 up, in order of first occurrence.
 
     Returns a table over the domain that maps each occurring value to its
     id (other entries are undefined), and the occurring values in that
@@ -180,27 +172,24 @@ def _first_occurrence_ids(
     del first_pos, occurring
     values = by_position[by_position >= 0]
     lut = np.empty(domain, dtype=np.int64)
-    lut[values] = np.arange(first_id, first_id + len(values), dtype=np.int64)
+    lut[values] = np.arange(len(values), dtype=np.int64)
     return lut, values
 
 
 def rename_dense(text: WorkingText, amap: AlphabetMap) -> None:
-    """Rename the symbols occurring in ``text`` onto a fresh dense interval.
+    """Rename the ``k`` symbols occurring in ``text`` to ``0..k-1``.
 
     Symbols are numbered in first-occurrence order, alias entries are
-    carried over so canonical ids stay recoverable, and the dead part of
-    the alias table is dropped.  Runs in time linear in the text length
-    plus the width of the current working interval.
+    carried over so canonical ids stay recoverable, and the entries of
+    ids that no longer occur are dropped, so ``next_working`` becomes
+    ``k``.  Runs in time linear in the text length plus ``next_working``.
     """
     live = text.live()
     if len(live) == 0:
         return
-    base = amap.alias_base
-    width = amap.next_working - base
-    off = live - base
-    if off.min() < 0 or off.max() >= width:
-        raise ValueError("text symbol outside the current working interval")
-    new_base = amap.next_working
-    lut, old_offsets = _first_occurrence_ids(off, width, new_base)
-    text._remap_live(lut, base)
-    amap._rebase(new_base, amap.alias_table[old_offsets])
+    width = amap.next_working
+    if live.min() < 0 or live.max() >= width:
+        raise ValueError("text symbol outside the working alphabet")
+    lut, old_ids = _first_occurrence_ids(live, width)
+    text._remap_live(lut)
+    amap.alias_table = amap.alias_table[old_ids]

@@ -62,10 +62,8 @@ def scan_blocks(text: WorkingText, amap: AlphabetMap) -> BlockScan:
     letters = live[starts[keep]]
     lengths = run_lengths[keep]
     pos = starts[keep]
-    base = amap.alias_base
-    width = amap.next_working - base
     span = int(lengths.max()) + 1 if len(lengths) else 1
-    order = radix_argsort((letters - base) * span + lengths, width * span)
+    order = radix_argsort(letters * span + lengths, amap.next_working * span)
     return BlockScan(letters[order], lengths[order], pos[order], text.epoch)
 
 

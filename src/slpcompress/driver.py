@@ -1,6 +1,6 @@
 """Phase orchestration: plain and improved (min-over-phases) compression.
 
-A phase renames the alphabet onto a dense interval, compresses all maximal
+A phase renames the alphabet to ``0..k-1``, compresses all maximal
 blocks, then compresses the pairs selected by the greedy split; the text
 shrinks to at most ``3/4 |T| + 1/4`` per phase, so the total work is linear
 in the input.  Improved mode additionally prices stopping at each phase
@@ -102,7 +102,7 @@ def run_phase(
     clock.append(time.perf_counter())
     adj = build_adjacency(text, amap)
     clock.append(time.perf_counter())
-    part = greedy_partition(adj, amap)
+    part = greedy_partition(adj)
     clock.append(time.perf_counter())
     pairs = compress_pairs(text, part, adj, grammar, amap)
     clock.append(time.perf_counter())

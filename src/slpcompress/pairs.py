@@ -30,8 +30,7 @@ class PairAdjacency:
 
     def __init__(self, text: WorkingText, amap: AlphabetMap):
         self.epoch = text.epoch
-        self.base = amap.alias_base
-        self.width = amap.next_working - self.base
+        self.width = amap.next_working
         lv = text.live()
         n = len(lv)
         if n >= 2 and (lv[1:] == lv[:-1]).any():
@@ -61,10 +60,9 @@ class PairAdjacency:
 
 
 def _pair_keys(lv: np.ndarray, amap: AlphabetMap) -> tuple[np.ndarray, int]:
-    """One key per adjacency, ``(first, second)`` over the working interval, and its bound."""
-    base = amap.alias_base
-    width = amap.next_working - base
-    return (lv[:-1] - base) * width + (lv[1:] - base), width * width
+    """One key per adjacency, ``(first, second)`` over the working alphabet, and its bound."""
+    width = amap.next_working
+    return lv[:-1] * width + lv[1:], width * width
 
 
 def distinct_pairs(text: WorkingText, amap: AlphabetMap) -> int:
@@ -84,17 +82,16 @@ def build_adjacency(text: WorkingText, amap: AlphabetMap) -> PairAdjacency:
 
 @dataclass
 class Partition:
-    """Disjoint left/right classes over the working interval, plus coverage."""
+    """Disjoint left/right classes over the working alphabet, plus coverage."""
 
-    base: int
-    in_left: np.ndarray  # bool, indexed by working id - base
+    in_left: np.ndarray  # bool, indexed by working id; ids minted later lie past its end
     in_right: np.ndarray
     cover_pre_swap: int = 0  # occurrences covered in either direction, before the swap
     cover_chosen: int = 0  # occurrences in left-class . right-class, after the swap
     swapped: bool = False
 
 
-def greedy_partition(adj: PairAdjacency, amap: AlphabetMap) -> Partition:
+def greedy_partition(adj: PairAdjacency) -> Partition:
     """Deterministic greedy split of the working alphabet.
 
     Symbols are decided in ascending id: each goes left when it occurs next
@@ -116,9 +113,8 @@ def greedy_partition(adj: PairAdjacency, amap: AlphabetMap) -> Partition:
     the opposite orientation covers strictly more occurrences.  Covered
     occurrences after the swap number at least ``ceil((|T| - 1) / 4)``.
     """
-    base = adj.base
-    a = adj.pair_a - base
-    b = adj.pair_b - base
+    a = adj.pair_a
+    b = adj.pair_b
     balance = [0] * adj.width
     for lo, hi, w in zip(
         np.minimum(a, b).tolist(), np.maximum(a, b).tolist(), adj.pair_count.tolist()
@@ -128,7 +124,7 @@ def greedy_partition(adj: PairAdjacency, amap: AlphabetMap) -> Partition:
         else:
             balance[hi] += w
     in_right = np.asarray(balance, dtype=np.int64) < 0
-    part = Partition(base, ~in_right, in_right)
+    part = Partition(~in_right, in_right)
     lr = part.in_left[a] & part.in_right[b]
     rl = part.in_right[a] & part.in_left[b]
     cover_lr = int(adj.pair_count[lr].sum())
@@ -163,9 +159,7 @@ def compress_pairs(
     """Replace every occurrence of every left.right pair with a fresh symbol."""
     if adj.epoch != text.epoch:
         raise StaleTextError("adjacency positions predate the last compaction")
-    selected = np.flatnonzero(
-        part.in_left[adj.pair_a - part.base] & part.in_right[adj.pair_b - part.base]
-    )
+    selected = np.flatnonzero(part.in_left[adj.pair_a] & part.in_right[adj.pair_b])
     if len(selected) == 0:
         empty = np.empty(0, dtype=np.int64)
         return PairCompression(0, empty, empty, empty)

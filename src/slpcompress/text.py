@@ -46,10 +46,6 @@ class WorkingText:
             raise StaleTextError("the text has dead cells: compact() it first")
         return self.cells
 
-    def to_list(self) -> list[int]:
-        """The live symbols in order, also between a replacement and ``compact()``."""
-        return self.cells[self.cells != TOMBSTONE].tolist()
-
     def compact(self) -> None:
         """Drop dead cells; invalidates all outstanding positions."""
         if self.live_count != len(self.cells):
@@ -89,6 +85,6 @@ class WorkingText:
         self.cells[seconds] = TOMBSTONE
         self.live_count -= len(firsts)
 
-    def _remap_live(self, lut: np.ndarray, base: int) -> None:
-        """Apply ``sym -> lut[sym - base]`` to every cell of the compact text."""
-        self.cells = lut[self.live() - base]
+    def _remap_live(self, lut: np.ndarray) -> None:
+        """Apply ``sym -> lut[sym]`` to every cell of the compact text."""
+        self.cells = lut[self.live()]

@@ -216,7 +216,7 @@ def reference_greedy_partition(adj) -> Partition:
     over the pairs sorted by second symbol.  The classes are swapped when
     the opposite orientation covers strictly more occurrences.
     """
-    base, width = adj.base, adj.width
+    width = adj.width
     # Every symbol of a text of two or more lies on a pair; the one symbol
     # of a shorter text goes left either way.
     occurring = np.unique(np.concatenate([adj.pair_a, adj.pair_b]))
@@ -224,33 +224,33 @@ def reference_greedy_partition(adj) -> Partition:
     count_right = [0] * width
     side = [0] * width  # 0 unassigned, 1 left, 2 right
     if len(adj.pair_a):
-        ra = (adj.pair_a - base).tolist()
-        rb = (adj.pair_b - base).tolist()
+        ra = adj.pair_a.tolist()
+        rb = adj.pair_b.tolist()
         rc = adj.pair_count.tolist()
-        lorder = radix_argsort((adj.pair_b - base) * width + (adj.pair_a - base), width * width)
-        lb = (adj.pair_b[lorder] - base).tolist()
-        la = (adj.pair_a[lorder] - base).tolist()
+        lorder = radix_argsort(adj.pair_b * width + adj.pair_a, width * width)
+        lb = adj.pair_b[lorder].tolist()
+        la = adj.pair_a[lorder].tolist()
         lc = adj.pair_count[lorder].tolist()
         n_pairs = len(ra)
         i = j = 0
-        for off in (occurring - base).tolist():
-            if count_right[off] >= count_left[off]:
-                side[off] = 1
+        for sym in occurring.tolist():
+            if count_right[sym] >= count_left[sym]:
+                side[sym] = 1
                 target = count_left
             else:
-                side[off] = 2
+                side[sym] = 2
                 target = count_right
-            while i < n_pairs and ra[i] == off:
+            while i < n_pairs and ra[i] == sym:
                 target[rb[i]] += rc[i]
                 i += 1
-            while j < n_pairs and lb[j] == off:
+            while j < n_pairs and lb[j] == sym:
                 target[la[j]] += lc[j]
                 j += 1
     side_arr = np.asarray(side, dtype=np.int64)
     # Ids that no longer occur default to the left class.
-    part = Partition(base, side_arr != 2, side_arr == 2)
-    lr = part.in_left[adj.pair_a - base] & part.in_right[adj.pair_b - base]
-    rl = part.in_right[adj.pair_a - base] & part.in_left[adj.pair_b - base]
+    part = Partition(side_arr != 2, side_arr == 2)
+    lr = part.in_left[adj.pair_a] & part.in_right[adj.pair_b]
+    rl = part.in_right[adj.pair_a] & part.in_left[adj.pair_b]
     cover_lr = int(adj.pair_count[lr].sum())
     cover_rl = int(adj.pair_count[rl].sum())
     part.cover_pre_swap = cover_lr + cover_rl
@@ -390,6 +390,11 @@ def _next_live(text, at: int) -> int:
     return j
 
 
+def live_list(text) -> list[int]:
+    """The live symbols in order, also between a replacement and ``compact()``."""
+    return text.cells[text.cells != TOMBSTONE].tolist()
+
+
 def live_positions(text) -> np.ndarray:
     """Raw indices of the live cells, in order."""
     return np.flatnonzero(text.cells != TOMBSTONE)
@@ -427,10 +432,9 @@ def replace_run(text, at: int, length: int, fresh: int) -> None:
 
 def canonical_of(amap, working_id: int) -> int:
     """The canonical id a working id aliases."""
-    off = working_id - amap.alias_base
-    if not 0 <= off < len(amap.alias_table):
-        raise ValueError(f"working id {working_id} outside current interval")
-    return int(amap.alias_table[off])
+    if not 0 <= working_id < len(amap.alias_table):
+        raise ValueError(f"working id {working_id} outside the working alphabet")
+    return int(amap.alias_table[working_id])
 
 
 def powers_of_two(extra_terminals=0) -> Slp:
@@ -455,27 +459,26 @@ def total_occurrences(adj) -> int:
     return int(adj.pair_count.sum())
 
 
-def partition_from_sets(base: int, width: int, left, right) -> Partition:
-    """A split with the given left and right classes over ``[base, base + width)``."""
+def partition_from_sets(width: int, left, right) -> Partition:
+    """A split with the given left and right classes over ``[0, width)``."""
     in_left = np.zeros(width, dtype=bool)
     in_right = np.zeros(width, dtype=bool)
     for s in left:
-        in_left[s - base] = True
+        in_left[s] = True
     for s in right:
-        in_right[s - base] = True
+        in_right[s] = True
     if (in_left & in_right).any():
         raise ValueError("left and right classes must be disjoint")
-    return Partition(base, in_left, in_right)
+    return Partition(in_left, in_right)
 
 
 def side_of(part: Partition, sym: int) -> str | None:
     """``"left"``, ``"right"``, or ``None`` for an id outside both classes."""
-    off = sym - part.base
-    if not 0 <= off < len(part.in_left):
+    if not 0 <= sym < len(part.in_left):
         return None  # minted after this partition was built
-    if part.in_left[off]:
+    if part.in_left[sym]:
         return "left"
-    if part.in_right[off]:
+    if part.in_right[sym]:
         return "right"
     return None
 
@@ -672,8 +675,8 @@ def reference_first_occurrence_ids(arr: np.ndarray) -> tuple[np.ndarray, list[in
     n = len(arr)
     if n == 0:
         return np.empty(0, dtype=np.int64), []
-    uniq, first_idx = np.unique(arr, return_index=True)
-    order = np.argsort(first_idx, kind="stable")
+    uniq, first_at = np.unique(arr, return_index=True)
+    order = np.argsort(first_at, kind="stable")
     rank_to_id = np.empty(len(uniq), dtype=np.int64)
     rank_to_id[order] = np.arange(len(uniq), dtype=np.int64)
     ids = rank_to_id[np.searchsorted(uniq, arr)]
@@ -758,9 +761,9 @@ def reference_stats_lines(slp: Slp) -> list[str]:
 
 
 def _first_occurrence_order(first_pos: np.ndarray) -> np.ndarray:
-    """Offsets of occurring symbols, ordered by their (distinct) first position.
+    """Occurring symbols, ordered by their (distinct) first position.
 
-    Scatters each offset into a position-indexed table and compacts, so the
+    Scatters each symbol into a position-indexed table and compacts, so the
     ordering costs O(text length + table width) without a sort.
     """
     occurring = np.flatnonzero(first_pos >= 0)
@@ -770,28 +773,25 @@ def _first_occurrence_order(first_pos: np.ndarray) -> np.ndarray:
 
 
 def reference_rename_dense(text: WorkingText, amap: AlphabetMap) -> None:
-    """Rename the symbols occurring in ``text`` onto a fresh dense interval.
+    """Rename the ``k`` symbols occurring in ``text`` to ``0..k-1``.
 
     ``rename_dense`` as it was before it shared ``ingest``'s renumbering.
     Symbols are numbered in first-occurrence order, alias entries are
-    carried over so canonical ids stay recoverable, and the dead part of
-    the alias table is dropped.  Runs in time linear in the text length
-    plus the width of the current working interval.
+    carried over so canonical ids stay recoverable, and the entries of
+    ids that no longer occur are dropped.  Runs in time linear in the text
+    length plus the width of the working alphabet.
     """
     live = text.live()
     if len(live) == 0:
         return
-    base = amap.alias_base
-    width = amap.next_working - base
-    off = live - base
-    if off.min() < 0 or off.max() >= width:
-        raise ValueError("text symbol outside the current working interval")
+    width = amap.next_working
+    if live.min() < 0 or live.max() >= width:
+        raise ValueError("text symbol outside the working alphabet")
     first_pos = np.full(width, -1, dtype=np.int64)
-    first_pos[off[::-1]] = np.arange(len(off) - 1, -1, -1, dtype=np.int64)
-    old_offsets = _first_occurrence_order(first_pos)
-    new_base = amap.next_working
-    new_table = amap.alias_table[old_offsets].copy()
+    first_pos[live[::-1]] = np.arange(len(live) - 1, -1, -1, dtype=np.int64)
+    old_ids = _first_occurrence_order(first_pos)
+    new_table = amap.alias_table[old_ids].copy()
     lut = np.full(width, -1, dtype=np.int64)
-    lut[old_offsets] = np.arange(new_base, new_base + len(old_offsets), dtype=np.int64)
-    text._remap_live(lut, base)
-    amap._rebase(new_base, new_table)
+    lut[old_ids] = np.arange(len(old_ids), dtype=np.int64)
+    text._remap_live(lut)
+    amap.alias_table = new_table

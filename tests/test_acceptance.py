@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from helpers import block_oracle, maximal_block_lengths, pair_oracle, random_runslp
+from helpers import (
+    block_oracle,
+    live_list,
+    maximal_block_lengths,
+    pair_oracle,
+    random_runslp,
+)
 from rewriting_lab import (
     CreditMeter,
     compress_noncrossing_blocks,
@@ -135,7 +141,7 @@ def test_criterion_4_block_invariant(corpus):
         text, amap = ingest(data)
         grammar = Slp("bytes", amap.terminal_of_id)
         compress_blocks(text, scan_blocks(text, amap), grammar, amap)
-        live = text.to_list()
+        live = live_list(text)
         if any(x == y for x, y in zip(live, live[1:])):
             failures.append(f"case {i}")
     _report(4, "no equal adjacent symbols after block stage", failures)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from helpers import (
     SortRecord,
     canonical_of,
+    live_list,
     radix_sort,
     reference_first_occurrence_ids,
     reference_rename_dense,
@@ -23,23 +24,23 @@ from slpcompress.alphabet import (
 class TestIngest:
     def test_bytes_first_occurrence(self):
         text, amap = ingest(b"abab")
-        assert text.to_list() == [0, 1, 0, 1]
+        assert live_list(text) == [0, 1, 0, 1]
         assert amap.terminal_count == 2
         assert amap.terminal_of_id == [ord("a"), ord("b")]
 
     def test_empty(self):
         text, amap = ingest(b"")
-        assert text.to_list() == []
+        assert live_list(text) == []
         assert amap.terminal_count == 0
 
     def test_first_occurrence_order_not_value_order(self):
         text, amap = ingest(b"cba")
-        assert text.to_list() == [0, 1, 2]
+        assert live_list(text) == [0, 1, 2]
         assert amap.terminal_of_id == [ord("c"), ord("b"), ord("a")]
 
     def test_tokens(self):
         text, amap = ingest([500, 7, 500, 9])
-        assert text.to_list() == [0, 1, 0, 2]
+        assert live_list(text) == [0, 1, 0, 2]
         assert amap.terminal_of_id == [500, 7, 9]
         assert amap.input_kind == "tokens"
 
@@ -79,7 +80,7 @@ class TestIngest:
     def test_integer_tokens_accepted_in_any_integer_dtype(self, values, dtype):
         raw = values if dtype is None else np.asarray(values, dtype=dtype)
         text, amap = ingest(raw)
-        assert [amap.terminal_of_id[i] for i in text.to_list()] == values
+        assert [amap.terminal_of_id[i] for i in live_list(text)] == values
 
     @pytest.mark.parametrize(
         "values",
@@ -97,7 +98,7 @@ class TestIngest:
         arr = np.asarray(values, dtype=np.int64)
         want_ids, want_terminals = reference_first_occurrence_ids(arr)
         text, amap = ingest(arr, "tokens")
-        assert text.to_list() == want_ids.tolist()
+        assert live_list(text) == want_ids.tolist()
         assert amap.terminal_of_id == want_terminals
         assert arr.tolist() == values  # the caller's array is read, not reused
 
@@ -107,7 +108,7 @@ class TestIngest:
         arr = np.asarray(values, dtype=np.int64)
         want_ids, want_terminals = reference_first_occurrence_ids(arr)
         text, amap = ingest(arr, "tokens")
-        assert text.to_list() == want_ids.tolist()
+        assert live_list(text) == want_ids.tolist()
         assert amap.terminal_of_id == want_terminals
 
     def test_sigma_bounded(self):
@@ -174,43 +175,45 @@ class TestRadixSort:
         assert [r.key for r in out] == sorted(keys)
 
 
-def _synthetic_map(base, canon):
+def _synthetic_map(canon):
+    """A map whose working id ``w`` aliases canonical id ``canon[w]``."""
     amap = AlphabetMap(input_kind="tokens", terminal_of_id=list(range(max(canon) + 1 if canon else 0)))
-    amap._rebase(base, np.asarray(canon, dtype=np.int64))
+    amap.alias_table = np.asarray(canon, dtype=np.int64)
     return amap
 
 
 class TestRenameDense:
     def test_hand_trace(self):
-        # Working interval [5..9], aliases are the identity; next fresh id is 10.
+        # Working ids 0..4 alias canonical 5..9; 1 and 3 do not occur.
         from slpcompress.text import WorkingText
 
-        amap = _synthetic_map(5, [5, 6, 7, 8, 9])
-        text = WorkingText([7, 9, 7])
+        amap = _synthetic_map([5, 6, 7, 8, 9])
+        text = WorkingText([2, 4, 2])
         rename_dense(text, amap)
-        assert text.to_list() == [10, 11, 10]
-        assert canonical_of(amap, 10) == 7
-        assert canonical_of(amap, 11) == 9
+        assert live_list(text) == [0, 1, 0]
+        assert amap.next_working == 2
+        assert canonical_of(amap, 0) == 7
+        assert canonical_of(amap, 1) == 9
 
     def test_empty_text(self):
         from slpcompress.text import WorkingText
 
-        amap = _synthetic_map(0, [0, 1])
+        amap = _synthetic_map([0, 1])
         text = WorkingText([])
         rename_dense(text, amap)
-        assert text.to_list() == []
+        assert live_list(text) == []
         assert amap.next_working == 2
 
-    def test_idempotence_up_to_offset(self):
+    def test_idempotent(self):
         from slpcompress.text import WorkingText
 
-        amap = _synthetic_map(0, list(range(4)))
+        amap = _synthetic_map(list(range(4)))
         text = WorkingText([3, 1, 3, 0])
         rename_dense(text, amap)
-        once = [s - min(text.to_list()) for s in text.to_list()]
+        once = live_list(text)
         rename_dense(text, amap)
-        twice = [s - min(text.to_list()) for s in text.to_list()]
-        assert once == twice == [0, 1, 0, 2]
+        assert once == live_list(text) == [0, 1, 0, 2]
+        assert amap.next_working == 3
 
     def test_occurring_symbols_form_interval(self):
         from slpcompress.text import WorkingText
@@ -220,13 +223,12 @@ class TestRenameDense:
             width = int(rng.integers(1, 40))
             n = int(rng.integers(0, 200))
             syms = rng.integers(0, width, n)
-            amap = _synthetic_map(0, list(range(width)))
+            amap = _synthetic_map(list(range(width)))
             text = WorkingText(syms)
             rename_dense(text, amap)
-            live = text.to_list()
+            live = live_list(text)
             if live:
-                distinct = sorted(set(live))
-                assert distinct == list(range(min(live), max(live) + 1))
+                assert sorted(set(live)) == list(range(amap.next_working))
                 # canonical ids are preserved through the rename
                 originals = [canonical_of(amap, s) for s in live]
                 assert originals == [int(s) for s in syms]
@@ -234,49 +236,55 @@ class TestRenameDense:
     def test_canonicals_recoverable_through_two_renames(self):
         from slpcompress.text import WorkingText
 
-        amap = _synthetic_map(0, list(range(5)))
+        amap = _synthetic_map(list(range(5)))
         text = WorkingText([4, 2, 4, 1])
         rename_dense(text, amap)
         rename_dense(text, amap)
-        assert [canonical_of(amap, s) for s in text.to_list()] == [4, 2, 4, 1]
+        assert [canonical_of(amap, s) for s in live_list(text)] == [4, 2, 4, 1]
 
-
-    def test_matches_reference_on_shifted_intervals(self):
+    def test_matches_reference_on_random_alias_tables(self):
         from slpcompress.text import WorkingText
 
         rng = np.random.default_rng(17)
         for _ in range(200):
-            base = int(rng.integers(0, 5000))
             width = int(rng.integers(1, 300))
-            canon = rng.choice(4 * width, width, replace=False)
-            # Some ids of the interval do not occur in the text.
-            used = base + rng.choice(width, int(rng.integers(1, width + 1)), replace=False)
+            canon = rng.choice(40 * width, width, replace=False)
+            # Some ids of the working alphabet do not occur in the text.
+            used = rng.choice(width, int(rng.integers(1, width + 1)), replace=False)
             syms = rng.choice(used, int(rng.integers(0, 600)))
             got, want = WorkingText(syms), WorkingText(syms)
-            got_map, want_map = _synthetic_map(base, canon.tolist()), _synthetic_map(base, canon.tolist())
+            got_map, want_map = _synthetic_map(canon.tolist()), _synthetic_map(canon.tolist())
             rename_dense(got, got_map)
             reference_rename_dense(want, want_map)
             assert np.array_equal(got.cells, want.cells)
-            assert got_map.alias_base == want_map.alias_base
             assert np.array_equal(got_map.alias_table, want_map.alias_table)
+            assert got_map.next_working == (len(set(syms.tolist())) if len(syms) else width)
+
+    def test_symbol_outside_alphabet_rejected(self):
+        from slpcompress.text import WorkingText
+
+        with pytest.raises(ValueError, match="outside the working alphabet"):
+            rename_dense(WorkingText([0, 3]), _synthetic_map([0, 1, 2]))
 
 
 class TestAllocateWorking:
     def test_alias_total_and_injective(self):
-        amap = _synthetic_map(0, [0, 1, 2])
+        amap = _synthetic_map([0, 1, 2])
         fresh = amap.allocate_working(np.array([10, 11]))
         assert fresh.tolist() == [3, 4]
         assert canonical_of(amap, 3) == 10
         assert canonical_of(amap, 4) == 11
-        seen = {canonical_of(amap, w) for w in range(amap.alias_base, amap.next_working)}
-        assert len(seen) == amap.next_working - amap.alias_base
+        seen = {canonical_of(amap, w) for w in range(amap.next_working)}
+        assert len(seen) == amap.next_working == 5
 
     def test_out_of_interval_rejected(self):
-        amap = _synthetic_map(5, [0, 1])
-        with pytest.raises(ValueError):
-            canonical_of(amap, 4)
-        with pytest.raises(ValueError):
-            canonical_of(amap, 7)
+        amap = _synthetic_map([5, 6])
+        for w in (-1, 2):
+            with pytest.raises(ValueError):
+                canonical_of(amap, w)
+            with pytest.raises(ValueError):
+                amap.canonical_of_array(np.array([0, w]))
+        assert amap.canonical_of_array(np.array([1, 0, 1])).tolist() == [6, 5, 6]
 
 
 def test_radix_argsort_matches_lexsort():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import body_of, canonical_of, reference_block_representation
+from helpers import body_of, canonical_of, live_list, reference_block_representation
 from slpcompress.alphabet import ingest
 from slpcompress.blocks import build_block_rules, compress_blocks, scan_blocks
 from slpcompress.grammar import Slp, expand
@@ -60,7 +60,7 @@ class TestCompressBlocks:
         scan = scan_blocks(text, amap)
         result = compress_blocks(text, scan, grammar, amap)
         assert result.blocks_replaced == 2
-        live = text.to_list()
+        live = live_list(text)
         # One fresh symbol per distinct block, then the unchanged a b tail.
         assert live[2:] == [0, 1]
         z1, z2 = live[0], live[1]
@@ -71,7 +71,7 @@ class TestCompressBlocks:
         text, amap = ingest(b"aabaabaa")
         grammar = Slp("bytes", amap.terminal_of_id)
         compress_blocks(text, scan_blocks(text, amap), grammar, amap)
-        live = text.to_list()
+        live = live_list(text)
         assert live == [live[0], 1, live[0], 1, live[0]]
         assert len(grammar.rules) == 1  # one shared rule for the aa block
 
@@ -80,7 +80,7 @@ class TestCompressBlocks:
         text, amap = ingest(b"a" * n)
         grammar = Slp("bytes", amap.terminal_of_id)
         compress_blocks(text, scan_blocks(text, amap), grammar, amap)
-        assert text.to_list() == [1]  # one fresh working symbol
+        assert live_list(text) == [1]  # one fresh working symbol
         assert grammar.size <= 4 * 20 + 4
         from slpcompress.grammar import symbol_lengths
 
@@ -92,7 +92,7 @@ class TestCompressBlocks:
         result = compress_blocks(text, scan_blocks(text, amap), grammar, amap)
         assert result.blocks_replaced == 0
         assert grammar.rules == []
-        assert text.to_list() == [0, 1, 0, 1]
+        assert live_list(text) == [0, 1, 0, 1]
 
     def test_no_equal_adjacent_after_stage(self):
         rng = random.Random(8)
@@ -101,7 +101,7 @@ class TestCompressBlocks:
             text, amap = ingest(data)
             grammar = Slp("bytes", amap.terminal_of_id)
             compress_blocks(text, scan_blocks(text, amap), grammar, amap)
-            live = text.to_list()
+            live = live_list(text)
             assert all(x != y for x, y in zip(live, live[1:]))
 
     def test_every_fresh_symbol_expands_to_its_block(self):
@@ -109,12 +109,12 @@ class TestCompressBlocks:
         for _ in range(30):
             data = bytes(rng.choice(b"ab") for _ in range(rng.randrange(2, 80)))
             text, amap = ingest(data)
-            original = text.to_list()
+            original = live_list(text)
             grammar = Slp("bytes", amap.terminal_of_id)
             compress_blocks(text, scan_blocks(text, amap), grammar, amap)
             # Re-expanding the live text through the aliases restores the input.
             restored = []
-            for w in text.to_list():
+            for w in live_list(text):
                 restored.extend(naive_expand_ids(grammar, canonical_of(amap, w)))
             assert restored == original
 

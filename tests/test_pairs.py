@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     left_of,
+    live_list,
     pair_occurrences,
     partition_from_sets,
     right_of,
@@ -117,7 +118,7 @@ class TestGreedyPartition:
         # a is a tie -> left; b then has a left count of 1 -> right.
         text, amap = ingest(b"ab")
         adj = build_adjacency(text, amap)
-        part = greedy_partition(adj, amap)
+        part = greedy_partition(adj)
         assert side_of(part, 0) == "left"
         assert side_of(part, 1) == "right"
         assert part.cover_chosen == 1
@@ -125,18 +126,18 @@ class TestGreedyPartition:
     def test_alternating_word(self):
         text, amap = ingest(b"ababab")
         adj = build_adjacency(text, amap)
-        part = greedy_partition(adj, amap)
+        part = greedy_partition(adj)
         assert part.cover_chosen >= math.ceil((6 - 1) / 4)
         # Deterministic outcome: repeated runs agree.
         text2, amap2 = ingest(b"ababab")
-        part2 = greedy_partition(build_adjacency(text2, amap2), amap2)
+        part2 = greedy_partition(build_adjacency(text2, amap2))
         assert side_of(part, 0) == side_of(part2, 0)
         assert side_of(part, 1) == side_of(part2, 1)
 
     def test_single_symbol_text(self):
         text, amap = ingest(b"a")
         adj = build_adjacency(text, amap)
-        part = greedy_partition(adj, amap)
+        part = greedy_partition(adj)
         assert part.cover_chosen == 0
         assert part.cover_pre_swap == 0
 
@@ -152,11 +153,11 @@ class TestGreedyPartition:
                     data.append(c)
             text, amap = ingest(bytes(data))
             adj = build_adjacency(text, amap)
-            part = greedy_partition(adj, amap)
+            part = greedy_partition(adj)
             m = len(data)
             assert part.cover_chosen >= math.ceil((m - 1) / 4)
             assert 2 * part.cover_pre_swap >= m - 1
-            best = best_one_directional_cover(text.to_list())
+            best = best_one_directional_cover(live_list(text))
             assert 2 * part.cover_pre_swap >= best
 
     def test_sides_disjoint_and_total(self):
@@ -168,8 +169,8 @@ class TestGreedyPartition:
                 if not data or data[-1] != c:
                     data.append(c)
             text, amap = ingest(bytes(data))
-            part = greedy_partition(build_adjacency(text, amap), amap)
-            for sym in set(text.to_list()):
+            part = greedy_partition(build_adjacency(text, amap))
+            for sym in set(live_list(text)):
                 assert side_of(part, sym) in ("left", "right")
             assert not (part.in_left & part.in_right).any()
 
@@ -179,13 +180,11 @@ class TestCompressPairs:
         text, amap = ingest(b"abcab")
         grammar = Slp("bytes", amap.terminal_of_id)
         adj = build_adjacency(text, amap)
-        part = partition_from_sets(
-            amap.alias_base, amap.next_working - amap.alias_base, left={0}, right={1, 2}
-        )
+        part = partition_from_sets(amap.next_working, left={0}, right={1, 2})
         result = compress_pairs(text, part, adj, grammar, amap)
         assert result.occurrences_replaced == 2
         text.compact()
-        live = text.to_list()
+        live = live_list(text)
         assert live[0] == live[2] != 2 and live[1] == 2
         assert grammar.rules == [(0, 1)]
 
@@ -193,22 +192,20 @@ class TestCompressPairs:
         text, amap = ingest(b"abcab")
         grammar = Slp("bytes", amap.terminal_of_id)
         adj = build_adjacency(text, amap)
-        part = partition_from_sets(
-            amap.alias_base, amap.next_working - amap.alias_base, left={1, 2}, right=set()
-        )
+        part = partition_from_sets(amap.next_working, left={1, 2}, right=set())
         result = compress_pairs(text, part, adj, grammar, amap)
         assert result.occurrences_replaced == 0
         assert grammar.rules == []
-        assert text.to_list() == [0, 1, 2, 0, 1]
+        assert live_list(text) == [0, 1, 2, 0, 1]
 
     def test_fresh_symbols_not_recompressed(self):
         text, amap = ingest(b"abab")
         grammar = Slp("bytes", amap.terminal_of_id)
         adj = build_adjacency(text, amap)
-        part = greedy_partition(adj, amap)
+        part = greedy_partition(adj)
         result = compress_pairs(text, part, adj, grammar, amap)
         text.compact()
-        for sym in set(text.to_list()):
+        for sym in set(live_list(text)):
             if sym >= 2:  # a fresh symbol
                 assert side_of(part, sym) is None
 
@@ -216,7 +213,7 @@ class TestCompressPairs:
         text, amap = ingest(b"abab")
         grammar = Slp("bytes", amap.terminal_of_id)
         adj = build_adjacency(text, amap)
-        part = greedy_partition(adj, amap)
+        part = greedy_partition(adj)
         text.compact()
         with pytest.raises(StaleTextError):
             compress_pairs(text, part, adj, grammar, amap)
@@ -232,7 +229,7 @@ class TestCompressPairs:
             text, amap = ingest(bytes(data))
             grammar = Slp("bytes", amap.terminal_of_id)
             adj = build_adjacency(text, amap)
-            part = greedy_partition(adj, amap)
+            part = greedy_partition(adj)
             before = len(text)
             result = compress_pairs(text, part, adj, grammar, amap)
             assert result.occurrences_replaced == part.cover_chosen
@@ -247,7 +244,7 @@ def test_full_phase_pair_stage_after_blocks():
     compress_blocks(text, scan_blocks(text, amap), grammar, amap)
     text.compact()
     adj = build_adjacency(text, amap)
-    part = greedy_partition(adj, amap)
+    part = greedy_partition(adj)
     result = compress_pairs(text, part, adj, grammar, amap)
     text.compact()
     assert result.occurrences_replaced == 1

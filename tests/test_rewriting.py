@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     block_oracle,
     canonical_of,
+    live_list,
     maximal_block_lengths,
     pair_oracle,
     random_runslp,
@@ -366,10 +367,10 @@ class TestSimulatedPhaseMatchesTextPhase:
             blocks = compress_blocks(text, scan_blocks(text, amap), grammar, amap)
             text.compact()
             adj = build_adjacency(text, amap)
-            part = greedy_partition(adj, amap)
+            part = greedy_partition(adj)
             pairs = compress_pairs(text, part, adj, grammar, amap)
             text.compact()
-            text_canonical = [canonical_of(amap, w) for w in text.to_list()]
+            text_canonical = [canonical_of(amap, w) for w in live_list(text)]
 
             # Grammar side, reusing the text side's fresh names and split.
             g = pop_boundary_runs(slp)
@@ -382,7 +383,7 @@ class TestSimulatedPhaseMatchesTextPhase:
                 g = compress_noncrossing_blocks(g, letter, fresh)
             left = set()
             right = set()
-            for w in range(amap.alias_base, amap.next_working):
+            for w in range(amap.next_working):
                 side = side_of(part, w)
                 if side == "left":
                     left.add(canonical_of(amap, w))

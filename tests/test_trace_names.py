@@ -3,6 +3,10 @@
 ``perfbench/tracing.py`` wraps named functions from outside the package;
 a name that the program stops calling would only show up as a crashed
 ``--trace 1`` run.  This test runs one small round under the tracer.
+The benchmark also reads grammars without tracing them: ``perfbench``
+counts ``slp.rules``, reads ``grammar_depth``, compares grammars with
+``==`` and corrupts the last rule in its self-check.  The second test
+makes the same reads, so a change to ``Slp`` that breaks them fails here.
 """
 
 import importlib.util
@@ -39,3 +43,18 @@ def test_every_traced_name_records_a_span():
     # The tracer puts every original back.
     for owner, attr, _ in tracing.WRAPPED:
         assert not hasattr(getattr(owner, attr), "__wrapped__")
+
+
+def test_untraced_benchmark_reads_of_a_grammar():
+    rng = random.Random(5)
+    data = bytes(rng.randrange(64) for _ in range(3000))
+    slp = driver.compress(data, mode="improved").slp
+    assert len(slp.rules) == len(list(slp.rules)) > 0
+    assert grammar.grammar_depth(slp) >= 1
+    text = grammar.serialize(slp)
+    back = grammar.deserialize(text)
+    assert back == slp
+    # The self-check's corruption: reverse the body of the start rule.
+    back.rules[-1] = back.rules[-1][::-1]
+    assert grammar.serialize(back) != text
+    assert back != slp
