@@ -103,7 +103,7 @@ def compress_blocks(
     targets = build_block_rules(grammar, group_letters, group_lengths)
     fresh = amap.allocate_working(targets)
     group_of_record = np.cumsum(new_group) - 1
-    text.replace_runs_bulk(scan.positions, lengths, fresh[group_of_record])
+    text.replace_spans(scan.positions, lengths, fresh[group_of_record])
     return BlockCompression(len(scan), group_letters, group_lengths, targets)
 
 

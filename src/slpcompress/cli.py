@@ -173,10 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="treat the file as raw bytes or as decimal tokens separated by ASCII whitespace",
     )
     p.add_argument("--trace", default=None, help="write per-phase JSON lines here")
-    p.add_argument(
-        "--seed", type=int, default=None,
-        help="reserved; the algorithm is deterministic and ignores it",
-    )
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("decompress", help="expand a grammar back to the input")

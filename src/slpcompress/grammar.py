@@ -130,21 +130,13 @@ class Slp:
     def emit_pair_rules(self, firsts: np.ndarray, seconds: np.ndarray) -> np.ndarray:
         """Append one two-symbol rule per (first, second); returns the ids.
 
-        Bulk equivalent of ``emit_rule((a, b))`` per pair.
+        Bulk equivalent of ``emit_rule((a, b))`` per pair, checked by
+        ``emit_rules``: a pair may use an earlier pair of the same batch.
         """
-        firsts = np.asarray(firsts, dtype=np.int64)
-        seconds = np.asarray(seconds, dtype=np.int64)
-        base = self.symbol_count
-        if len(firsts) and (
-            firsts.min() < 0 or seconds.min() < 0
-            or firsts.max() >= base or seconds.max() >= base
-        ):
-            raise GrammarError("pair rule references an undefined symbol")
         flat = np.empty(2 * len(firsts), dtype=np.int64)
         flat[0::2] = firsts
         flat[1::2] = seconds
-        self._append(np.full(len(firsts), 2, dtype=np.int64), flat)
-        return np.arange(base, base + len(firsts), dtype=np.int64)
+        return self.emit_rules(np.full(len(firsts), 2, dtype=np.int64), flat)
 
     def emit_rules(self, counts, flat) -> np.ndarray:
         """Append one rule per entry of ``counts``; returns the ids.
@@ -245,18 +237,14 @@ def _distinct(ids: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 def _check_bodies(counts: np.ndarray, flat: np.ndarray, base: int) -> None:
     """Raise unless rule ``i`` (id ``base + i``) has a non-empty body of smaller ids."""
-    if not len(counts):
-        return
-    if counts.min() < 1:
+    if len(counts) and counts.min() < 1:
         raise GrammarError(f"rule {base + int(np.argmin(counts))} has an empty body")
-    starts = np.cumsum(counts) - counts
-    ids = np.arange(base, base + len(counts), dtype=np.int64)
-    bad = (np.maximum.reduceat(flat, starts) >= ids) | (np.minimum.reduceat(flat, starts) < 0)
+    owner = np.repeat(np.arange(base, base + len(counts), dtype=np.int64), counts)
+    bad = (flat >= owner) | (flat < 0)
     if bad.any():
-        i = int(np.argmax(bad))
-        body = flat[starts[i] : starts[i] + counts[i]]
-        s = int(body[(body < 0) | (body >= ids[i])][0])
-        raise GrammarError(f"rule {ids[i]} references symbol {s} (not yet defined)")
+        # The first bad cell lies in the first bad rule.
+        at = int(np.argmax(bad))
+        raise GrammarError(f"rule {owner[at]} references symbol {flat[at]} (not yet defined)")
 
 
 def _bodies(slp: Slp, rules: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,14 +306,15 @@ def check_structure(slp: Slp) -> None:
     TOKEN_VALUE_CEILING]``, the values ``ingest`` accepts.
     """
     ceiling = 255 if slp.kind == "bytes" else TOKEN_VALUE_CEILING
-    try:
-        values = np.array(slp.terminals, dtype=np.int64)
-        ok = not len(values) or (values.min() >= 0 and values.max() <= ceiling)
-    except OverflowError:
-        ok = False
-    if not ok:
-        v = next(v for v in slp.terminals if not 0 <= v <= ceiling)
-        raise GrammarError(f"{slp.kind[:-1]} terminal {v} outside [0, {ceiling}]")
+    values = np.asarray(slp.terminals)  # ints too wide for numpy become objects
+    if len(values) and (
+        values.dtype.kind not in "iu" or values.min() < 0 or values.max() > ceiling
+    ):
+        v = next((v for v in slp.terminals if not 0 <= v <= ceiling), None)
+        if v is not None:
+            raise GrammarError(f"{slp.kind[:-1]} terminal {v} outside [0, {ceiling}]")
+        # Like ``ingest``, never coerce: ``serialize`` would truncate floats and booleans.
+        raise GrammarError(f"{slp.kind[:-1]} terminals must be integers, not {values.dtype}")
     _check_bodies(slp.counts, slp.flat, slp.terminal_count)
     if slp.start is not None and not 0 <= slp.start < slp.symbol_count:
         raise GrammarError(f"start symbol {slp.start} out of range")

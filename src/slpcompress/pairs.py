@@ -160,9 +160,6 @@ def compress_pairs(
     if adj.epoch != text.epoch:
         raise StaleTextError("adjacency positions predate the last compaction")
     selected = np.flatnonzero(part.in_left[adj.pair_a] & part.in_right[adj.pair_b])
-    if len(selected) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return PairCompression(0, empty, empty, empty)
     canon_a = amap.canonical_of_array(adj.pair_a[selected])
     canon_b = amap.canonical_of_array(adj.pair_b[selected])
     rule_ids = grammar.emit_pair_rules(canon_a, canon_b)
@@ -172,9 +169,7 @@ def compress_pairs(
     occs = adj.occurrences[concat_ranges(adj.occ_start[selected], counts)]
     fresh_per_occ = np.repeat(fresh, counts)
     # Distinct left.right pairs never overlap (the classes are disjoint), so
-    # every adjacency position takes part in at most one replacement.
-    picked = np.zeros(len(text.cells), dtype=bool)
-    picked[occs] = True
-    assert not picked[occs + 1].any(), "overlapping pair replacements selected"
-    text.replace_pairs_bulk(occs, fresh_per_occ)
+    # every adjacency position takes part in at most one replacement;
+    # compact() checks it.
+    text.replace_spans(occs, np.full(len(occs), 2, dtype=np.int64), fresh_per_occ)
     return PairCompression(len(occs), canon_a, canon_b, rule_ids)

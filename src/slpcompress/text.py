@@ -1,12 +1,13 @@
 """The mutable working string: a compact array between replacements.
 
 Each stage of a phase is one pass over the current text, and every
-position it hands out is a plain index into ``cells``.  A replacement
-keeps the array in place: the replacing symbol goes into the first cell
-of each occurrence and the other cells become ``TOMBSTONE``.  Dead cells
-exist only between a replacement and the next ``compact()``; until then
-``live()`` refuses to read the text.  Every compaction bumps ``epoch``, so
-positions taken before it are detected as stale.
+position it hands out is a plain index into ``cells``.  Both stages write
+through ``replace_spans``, which keeps the array in place: the replacing
+symbol goes into the first cell of each span and the others become
+``TOMBSTONE``.  Dead cells exist only until the next ``compact()``, which
+checks that the spans were disjoint; until then ``live()`` refuses to read
+the text.  Every compaction bumps ``epoch``, so positions taken before it
+are detected as stale.
 """
 
 from __future__ import annotations
@@ -47,43 +48,41 @@ class WorkingText:
         return self.cells
 
     def compact(self) -> None:
-        """Drop dead cells; invalidates all outstanding positions."""
+        """Drop dead cells; invalidates all outstanding positions.
+
+        Raises ``ValueError``, leaving the text unreadable, unless the
+        surviving cells number ``live_count``.  From a compact text they do
+        exactly when the replaced spans were disjoint and every fresh
+        symbol non-negative; a negative one is dropped here.
+        """
         if self.live_count != len(self.cells):
-            self.cells = self.cells[self.cells != TOMBSTONE]
+            kept = self.cells[self.cells >= 0]
+            if len(kept) != self.live_count:
+                raise ValueError("replaced spans overlap or a fresh symbol is negative")
+            self.cells = kept
         self.epoch += 1
 
-    def replace_runs_bulk(self, starts: np.ndarray, lengths: np.ndarray, fresh: np.ndarray) -> None:
-        """Replace disjoint uniform runs ``[start, start+length)`` of live cells."""
+    def replace_spans(self, starts, lengths, fresh) -> None:
+        """Replace each span ``[start, start + length)`` of the compact text by one symbol.
+
+        Lengths below 2 and spans outside the text raise ``ValueError``
+        before any write; ``compact()`` catches overlapping spans.
+        """
+        cells = self.live()
         starts = np.asarray(starts, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
-        fresh = np.asarray(fresh, dtype=np.int64)
-        if len(starts) == 0:
-            return
-        if lengths.min() < 2:
-            raise ValueError("runs shorter than 2 are never replaced")
-        if (starts + lengths).max() > len(self.cells):
-            raise ValueError("run extends past the end of the text")
-        # The cells strictly inside each run, run after run.
+        if lengths.min(initial=2) < 2:
+            raise ValueError("spans shorter than 2 are never replaced")
+        if starts.min(initial=0) < 0:
+            raise ValueError("span starts before the text")
+        if (starts + lengths).max(initial=0) > len(cells):
+            raise ValueError("span extends past the end of the text")
+        # The cells strictly inside each span, span after span.
         inside = concat_ranges(starts, lengths - 1)
-        inside += 1  # shift in place; passing starts + 1 adds a run-sized array at the peak
-        if (self.cells[inside] == TOMBSTONE).any() or (self.cells[starts] == TOMBSTONE).any():
-            raise ValueError("bulk run replacement over dead cells")
-        self.cells[inside] = TOMBSTONE
-        self.cells[starts] = fresh
+        inside += 1  # shift in place; passing starts + 1 adds a span-sized array at the peak
+        cells[inside] = TOMBSTONE
+        cells[starts] = fresh
         self.live_count -= len(inside)
-
-    def replace_pairs_bulk(self, firsts: np.ndarray, fresh: np.ndarray) -> None:
-        """Replace the disjoint pairs of live cells ``(first, first + 1)``."""
-        firsts = np.asarray(firsts, dtype=np.int64)
-        fresh = np.asarray(fresh, dtype=np.int64)
-        if len(firsts) == 0:
-            return
-        seconds = firsts + 1
-        if (self.cells[firsts] == TOMBSTONE).any() or (self.cells[seconds] == TOMBSTONE).any():
-            raise ValueError("bulk pair replacement touching dead cells")
-        self.cells[firsts] = fresh
-        self.cells[seconds] = TOMBSTONE
-        self.live_count -= len(firsts)
 
     def _remap_live(self, lut: np.ndarray) -> None:
         """Apply ``sym -> lut[sym]`` to every cell of the compact text."""

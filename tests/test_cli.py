@@ -94,12 +94,16 @@ class TestCompressDecompressVerify:
         assert main(["compress", src, str(tmp / "i.slp"), "--mode", "improved"]) == 0
         assert load(tmp / "i.slp").size <= load(tmp / "p.slp").size
 
-    def test_seed_flag_accepted_and_inert(self, files):
+    def test_compress_deterministic_and_seed_flag_refused(self, files):
         make, tmp = files
         src = make("in.bin", b"deterministic either way" * 4)
-        assert main(["compress", src, str(tmp / "a.slp"), "--seed", "7"]) == 0
-        assert main(["compress", src, str(tmp / "b.slp"), "--seed", "8"]) == 0
+        assert main(["compress", src, str(tmp / "a.slp")]) == 0
+        assert main(["compress", src, str(tmp / "b.slp")]) == 0
         assert (tmp / "a.slp").read_bytes() == (tmp / "b.slp").read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(["compress", src, str(tmp / "c.slp"), "--seed", "7"])
+        assert exc.value.code == 2
+        assert not (tmp / "c.slp").exists()
 
     def test_verify_mismatch(self, files):
         make, tmp = files

@@ -125,6 +125,41 @@ class TestEmitRule:
             slp.emit_rules(counts, flat)
         assert slp.rules == [] and slp.size == 0
 
+    def test_pair_rules_match_one_at_a_time(self):
+        rng = random.Random(12)
+        for _ in range(50):
+            one = Slp("tokens", [5, 7, 9])
+            bulk = Slp("tokens", [5, 7, 9])
+            firsts, seconds = [], []
+            for i in range(rng.randrange(1, 30)):
+                # A pair may use any earlier pair of the same batch.
+                firsts.append(rng.randrange(3 + i))
+                seconds.append(rng.randrange(3 + i))
+            ids = [one.emit_rule((a, b)) for a, b in zip(firsts, seconds)]
+            assert bulk.emit_pair_rules(np.array(firsts), np.array(seconds)).tolist() == ids
+            assert np.array_equal(bulk.counts, one.counts)
+            assert np.array_equal(bulk.flat, one.flat)
+
+    def test_empty_pair_batch(self):
+        slp = Slp("bytes", [ord("a")])
+        empty = np.empty(0, dtype=np.int64)
+        assert slp.emit_pair_rules(empty, empty).tolist() == []
+        assert slp.rules == [] and slp.size == 0
+
+    @pytest.mark.parametrize(
+        "firsts,seconds,message",
+        [
+            ([0, -1], [1, 0], "rule 3 references symbol -1"),
+            ([0, 1], [1, 3], "rule 3 references symbol 3"),  # itself
+            ([0, 5], [1, 0], "rule 3 references symbol 5"),
+        ],
+    )
+    def test_pair_rules_reject_undefined_symbols(self, firsts, seconds, message):
+        slp = Slp("bytes", [ord("a"), ord("b")])
+        with pytest.raises(GrammarError, match=message):
+            slp.emit_pair_rules(np.array(firsts), np.array(seconds))
+        assert slp.rules == [] and slp.size == 0
+
     def test_random_chains_validate(self):
         rng = random.Random(99)
         for _ in range(200):
@@ -547,11 +582,34 @@ class TestExpansionCeiling:
 class TestTerminalCeiling:
     @pytest.mark.parametrize("value", [TOKEN_VALUE_CEILING + 1, 10**22, -1, -(10**22)])
     def test_token_terminal_out_of_range(self, value):
-        with pytest.raises(GrammarError):
+        with pytest.raises(GrammarError, match=f"token terminal {value} outside"):
             validate(Slp("tokens", [5, value], rules=[(0, 1)], start=2))
+        # A float beside it does not change the message.
+        with pytest.raises(GrammarError, match=f"token terminal {value} outside"):
+            validate(Slp("tokens", [5, 1.5, value], rules=[(0, 1)], start=3))
 
     def test_token_terminal_at_ceiling(self):
         validate(Slp("tokens", [0, TOKEN_VALUE_CEILING], rules=[(0, 1)], start=2))
+
+    @pytest.mark.parametrize(
+        "kind,terminals",
+        [
+            ("tokens", [1.5, True]),
+            ("tokens", [True]),
+            ("bytes", [97.0]),
+            ("tokens", np.array([3, 4], dtype=np.float64)),
+        ],
+    )
+    def test_non_integer_terminals_rejected(self, kind, terminals):
+        # serialize would write them as truncated integers.
+        slp = Slp(kind, terminals, rules=[(0, 0)], start=len(terminals))
+        with pytest.raises(GrammarError, match="must be integers"):
+            validate(slp)
+        with pytest.raises(GrammarError, match="must be integers"):
+            check_structure(slp)
+
+    def test_numpy_integer_terminals_accepted(self):
+        validate(Slp("tokens", np.array([3, 4], dtype=np.uint32), rules=[(0, 1)], start=2))
 
 
 class TestRuleView:

@@ -2,9 +2,12 @@
 
 Test-only code (oracles, the rewriting lab) lives in ``tests/``.  A module
 in ``src/slpcompress`` that ``import slpcompress.cli`` does not load is
-dead weight for every user, so this test fails on it.
+dead weight for every user, so this test fails on it.  The package holds
+no ``assert`` either: ``python -O`` strips them, so a runtime check must
+raise.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -36,3 +39,13 @@ def test_cli_import_loads_every_package_module():
     assert Path(report["file"]).resolve().parent == SRC / "slpcompress"
     assert "cli" in report["found"]
     assert report["unloaded"] == []
+
+
+def test_package_holds_no_assert_statements():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "slpcompress").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

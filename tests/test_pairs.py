@@ -18,6 +18,7 @@ from slpcompress.alphabet import AlphabetMap, ingest
 from slpcompress.blocks import compress_blocks, scan_blocks
 from slpcompress.grammar import Slp
 from slpcompress.pairs import (
+    Partition,
     _pair_keys,
     build_adjacency,
     compress_pairs,
@@ -197,6 +198,18 @@ class TestCompressPairs:
         assert result.occurrences_replaced == 0
         assert grammar.rules == []
         assert live_list(text) == [0, 1, 2, 0, 1]
+
+    def test_overlapping_selection_caught_at_compact(self):
+        # Classes that share a symbol select both (a, b) and (b, a) in "aba".
+        text, amap = ingest(b"aba")
+        grammar = Slp("bytes", amap.terminal_of_id)
+        adj = build_adjacency(text, amap)
+        both = np.ones(amap.next_working, dtype=bool)
+        compress_pairs(text, Partition(both, both), adj, grammar, amap)
+        with pytest.raises(ValueError, match="spans overlap"):
+            text.compact()
+        with pytest.raises(StaleTextError):
+            text.live()
 
     def test_fresh_symbols_not_recompressed(self):
         text, amap = ingest(b"abab")

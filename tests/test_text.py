@@ -153,7 +153,7 @@ def test_bulk_runs_equal_scalar_sequence():
                 lengths.append(j - i)
             i = j
         fresh = [1000 + k for k in range(len(starts))]
-        a.replace_runs_bulk(np.array(starts, dtype=np.int64), np.array(lengths, dtype=np.int64), np.array(fresh, dtype=np.int64))
+        a.replace_spans(np.array(starts, dtype=np.int64), np.array(lengths, dtype=np.int64), np.array(fresh, dtype=np.int64))
         for s, l, f in zip(starts, lengths, fresh):
             replace_run(b, s, l, f)
         assert live_list(a) == live_list(b)
@@ -165,7 +165,7 @@ def test_bulk_pairs_equal_scalar_sequence():
     b = WorkingText(syms)
     firsts = np.array([0, 2, 4], dtype=np.int64)
     fresh = np.array([10, 11, 12], dtype=np.int64)
-    a.replace_pairs_bulk(firsts, fresh)
+    a.replace_spans(firsts, np.full(3, 2), fresh)
     for f, s in zip(firsts, fresh):
         replace_pair(b, int(f), int(s))
     assert live_list(a) == live_list(b) == [10, 11, 12]
@@ -184,7 +184,7 @@ def test_bulk_random_pairs_equal_scalar_sequence():
             firsts.append(i)
             i += rng.randrange(2, 5)
         fresh = [100 + k for k in range(len(firsts))]
-        a.replace_pairs_bulk(np.array(firsts, dtype=np.int64), np.array(fresh, dtype=np.int64))
+        a.replace_spans(np.array(firsts, dtype=np.int64), np.full(len(firsts), 2), np.array(fresh, dtype=np.int64))
         for f, s in zip(firsts, fresh):
             replace_pair(b, f, s)
         assert live_list(a) == live_list(b)
@@ -195,13 +195,13 @@ class TestDeadCells:
     def test_live_raises_while_dead_cells_are_pending(self):
         t = WorkingText([3, 3, 3, 5, 6])
         assert t.live() is t.cells
-        t.replace_runs_bulk(np.array([0]), np.array([3]), np.array([8]))
+        t.replace_spans(np.array([0]), np.array([3]), np.array([8]))
         with pytest.raises(StaleTextError):
             t.live()
         assert live_list(t) == [8, 5, 6]
         t.compact()
         assert t.live().tolist() == [8, 5, 6]
-        t.replace_pairs_bulk(np.array([1]), np.array([9]))
+        t.replace_spans(np.array([1]), np.array([2]), np.array([9]))
         with pytest.raises(StaleTextError):
             t.live()
         t.compact()
@@ -209,34 +209,76 @@ class TestDeadCells:
 
     def test_bulk_runs_reject_dead_cells(self):
         t = WorkingText([4, 4, 4, 4, 5])
-        t.replace_runs_bulk(np.array([0]), np.array([2]), np.array([8]))
-        with pytest.raises(ValueError, match="dead cells"):
-            t.replace_runs_bulk(np.array([0]), np.array([3]), np.array([9]))
-        with pytest.raises(ValueError, match="dead cells"):
-            t.replace_runs_bulk(np.array([1]), np.array([2]), np.array([9]))
+        t.replace_spans(np.array([0]), np.array([2]), np.array([8]))
+        with pytest.raises(StaleTextError, match="dead cells"):
+            t.replace_spans(np.array([0]), np.array([3]), np.array([9]))
+        with pytest.raises(StaleTextError, match="dead cells"):
+            t.replace_spans(np.array([1]), np.array([2]), np.array([9]))
         assert live_list(t) == [8, 4, 4, 5]
 
     def test_bulk_runs_reject_bad_lengths(self):
         t = WorkingText([4, 4, 5])
         with pytest.raises(ValueError, match="shorter than 2"):
-            t.replace_runs_bulk(np.array([0]), np.array([1]), np.array([8]))
+            t.replace_spans(np.array([0]), np.array([1]), np.array([8]))
         with pytest.raises(ValueError, match="past the end"):
-            t.replace_runs_bulk(np.array([1]), np.array([3]), np.array([8]))
+            t.replace_spans(np.array([1]), np.array([3]), np.array([8]))
         assert t.live().tolist() == [4, 4, 5]
 
     def test_bulk_pairs_reject_dead_cells(self):
         t = WorkingText([0, 1, 2, 3])
-        t.replace_pairs_bulk(np.array([0]), np.array([9]))
+        t.replace_spans(np.array([0]), np.array([2]), np.array([9]))
         for first in (0, 1):
-            with pytest.raises(ValueError, match="dead cells"):
-                t.replace_pairs_bulk(np.array([first]), np.array([7]))
+            with pytest.raises(StaleTextError, match="dead cells"):
+                t.replace_spans(np.array([first]), np.array([2]), np.array([7]))
         assert live_list(t) == [9, 2, 3]
 
     def test_remap_reads_a_compact_text(self):
         t = WorkingText([0, 1, 2])
-        t.replace_pairs_bulk(np.array([0]), np.array([3]))
+        t.replace_spans(np.array([0]), np.array([2]), np.array([3]))
         with pytest.raises(StaleTextError):
             t._remap_live(np.arange(10, 14))
         t.compact()
         t._remap_live(np.arange(10, 14))
         assert live_list(t) == [13, 12]
+
+
+class TestSpanChecks:
+    @pytest.mark.parametrize(
+        "start,message",
+        [
+            (-2, "before the text"),  # would rewrite the last two cells
+            (-1, "before the text"),  # would fuse the last cell with the first
+            (4, "past the end"),  # a pair at the last cell has no second cell
+        ],
+    )
+    def test_bad_positions_rejected_before_any_write(self, start, message):
+        t = WorkingText([1, 2, 3, 4, 4])
+        with pytest.raises(ValueError, match=message):
+            t.replace_spans([start], [2], [9])
+        assert t.live().tolist() == [1, 2, 3, 4, 4]
+        assert len(t) == 5
+
+    @pytest.mark.parametrize(
+        "symbols,starts,lengths,fresh",
+        [
+            ([0, 1, 2, 3], [1, 2], [2, 2], [8, 9]),  # pairs at p and p + 1
+            ([4, 4, 4, 4, 5], [0, 1], [3, 2], [8, 9]),  # a run starts inside another
+            ([4, 4, 4, 5], [0, 0], [2, 3], [8, 9]),  # two spans with the same start
+            ([0, 1, 2], [0], [2], [-5]),  # a negative fresh symbol
+            ([0, 1, 2], [0], [2], [TOMBSTONE]),
+        ],
+    )
+    def test_compact_rejects_a_bad_replacement(self, symbols, starts, lengths, fresh):
+        t = WorkingText(symbols)
+        t.replace_spans(starts, lengths, fresh)
+        epoch = t.epoch
+        with pytest.raises(ValueError, match="spans overlap"):
+            t.compact()
+        with pytest.raises(StaleTextError):
+            t.live()
+        assert t.epoch == epoch
+
+    def test_empty_batch_writes_nothing(self):
+        t = WorkingText([3, 3])
+        t.replace_spans([], [], [])
+        assert t.live().tolist() == [3, 3]
