@@ -42,6 +42,8 @@ def radix_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     Each pass is a stable counting sort on one 16-bit digit of the keys,
     least significant first, and ``bound - 1`` fixes how many digits there
     are, so the time is linear in the number of keys times that count.
+    The first pass sorts the keys' low digits as they stand; each later
+    pass gathers its digit as a ``uint16`` array in the order so far.
     """
     if not 1 <= bound <= 1 << 63:
         raise ValueError(f"bound must lie in [1, 2**63], got {bound}")
@@ -49,9 +51,9 @@ def radix_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     if len(keys) and (int(keys.min()) < 0 or int(keys.max()) >= bound):
         raise ValueError("key out of bound")
     digits = max(1, (int(bound - 1).bit_length() + _DIGIT_BITS - 1) // _DIGIT_BITS)
-    order = np.arange(len(keys), dtype=np.int64)
-    for d in range(digits):
-        digit = (keys[order] >> (d * _DIGIT_BITS)).astype(np.uint16)  # wraps mod 2**16
+    order = np.argsort(keys.astype(np.uint16), kind="stable")  # wraps mod 2**16
+    for d in range(1, digits):
+        digit = (keys >> (d * _DIGIT_BITS)).astype(np.uint16)[order]
         order = order[np.argsort(digit, kind="stable")]
     return order
 

@@ -22,6 +22,7 @@ parsing them with one ``np.fromstring`` call.
 from __future__ import annotations
 
 import itertools
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -32,6 +33,9 @@ from .text import concat_ranges
 
 MAX_EXPANSION = 2**63 - 1
 _BATCH = 1 << 15  # body symbols substituted per vector step of expand_ids
+# expand_ids expands a rule referenced twice or more only once, and copies its
+# other occurrences, when the rule derives at least this many symbols.
+_COPY_MIN = 8
 # A numeral has at most this many digits, so every value parsed fits an
 # int64; no valid symbol id, count or terminal comes near 10**18.
 _MAX_DIGITS = 18
@@ -253,7 +257,7 @@ def _bodies(slp: Slp, rules: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return slp.flat[concat_ranges(slp.offsets[rules], counts)], np.cumsum(counts) - counts
 
 
-def _bottom_up(slp: Slp):
+def _bottom_up(slp: Slp, levels: np.ndarray | None = None):
     """Yield groups of rule indices, each rule after all of its rule children.
 
     Each group comes with its ``_bodies``.  Rules that some body references
@@ -263,28 +267,41 @@ def _bottom_up(slp: Slp):
     last in one group: their bodies, often the longest, add no edges.
     Raises ``GrammarError`` first unless ``_check_bodies`` passes, which
     makes the grammar acyclic.
+
+    If ``levels`` is given, an array with one entry per rule, the entry of
+    each rule that two or more body cells reference receives the index of
+    the rule's group, and every other entry -1.
     """
     sigma, counts, flat = slp.terminal_count, slp.counts, slp.flat
     _check_bodies(counts, flat, sigma)
     n = len(counts)
-    cells = np.flatnonzero(flat >= sigma)
-    child = flat[cells] - sigma
-    parent = np.repeat(np.arange(n, dtype=np.int64), counts)[cells]
-    referenced = np.bincount(child, minlength=n) > 0
-    inner = np.flatnonzero(referenced[parent])
-    child, parent = child[inner], parent[inner]
+    refs = np.bincount(flat, minlength=sigma + n)[sigma:]  # body cells naming each rule
+    # The edges that Kahn's algorithm needs lie in the bodies of referenced rules.
+    inner = np.flatnonzero(refs)
+    child = _bodies(slp, inner)[0]
+    is_rule = child >= sigma
+    parent = np.repeat(inner, counts[inner])[is_rule]
+    child = child[is_rule] - sigma
     waiting = np.bincount(parent, minlength=n)  # rule children not yet placed
     parents = parent[radix_argsort(child, max(n, 1))]
     head = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(child, minlength=n), out=head[1:])
+    # A generator keeps its locals for the whole walk: drop the unsorted edges.
+    del inner, is_rule, child, parent
     scratch = np.empty(n, dtype=np.int64)
-    level = np.flatnonzero(referenced & (waiting == 0))
+    level = np.flatnonzero((refs > 0) & (waiting == 0))
+    k = 0
     while len(level):
+        if levels is not None:
+            levels[level] = k
         yield (level, *_bodies(slp, level))
         above = parents[concat_ranges(head[level], head[level + 1] - head[level])]
         np.subtract.at(waiting, above, 1)
         level = _distinct(above[waiting[above] == 0], scratch)
-    roots = np.flatnonzero(~referenced)
+        k += 1
+    if levels is not None:
+        levels[refs < 2] = -1
+    roots = np.flatnonzero(refs == 0)
     if len(roots):
         yield (roots, *_bodies(slp, roots))
 
@@ -310,7 +327,10 @@ def check_structure(slp: Slp) -> None:
     if len(values) and (
         values.dtype.kind not in "iu" or values.min() < 0 or values.max() > ceiling
     ):
-        v = next((v for v in slp.terminals if not 0 <= v <= ceiling), None)
+        v = next(
+            (v for v in slp.terminals if isinstance(v, numbers.Real) and not 0 <= v <= ceiling),
+            None,
+        )
         if v is not None:
             raise GrammarError(f"{slp.kind[:-1]} terminal {v} outside [0, {ceiling}]")
         # Like ``ingest``, never coerce: ``serialize`` would truncate floats and booleans.
@@ -320,10 +340,13 @@ def check_structure(slp: Slp) -> None:
         raise GrammarError(f"start symbol {slp.start} out of range")
 
 
-def symbol_lengths(slp: Slp) -> np.ndarray:
-    """Expansion length of every symbol id; raises on 63-bit overflow."""
+def symbol_lengths(slp: Slp, levels: np.ndarray | None = None) -> np.ndarray:
+    """Expansion length of every symbol id; raises on 63-bit overflow.
+
+    ``levels``, if given, is filled as ``_bottom_up`` describes.
+    """
     lengths = np.ones(slp.symbol_count, dtype=np.int64)
-    for group, children, firsts in _bottom_up(slp):
+    for group, children, firsts in _bottom_up(slp, levels):
         lengths[slp.terminal_count + group] = _body_lengths(slp, group, lengths[children], firsts)
     return lengths
 
@@ -358,9 +381,18 @@ def expand_ids(slp: Slp, symbol: int | None = None) -> np.ndarray:
     ``_BATCH`` body symbols off a stack, splitting a slice that does not
     fit, writes them into the output and pushes every rule among them back
     as the slice of its own body.  The output is allocated once, at the
-    length the length table gives.  Work is linear in the derivation tree,
-    no temporary holds more than ``_BATCH`` symbols, and there is no
-    recursion-depth limit.
+    length the length table gives.
+
+    A rule of ``_COPY_MIN`` or more symbols that two or more body cells
+    reference is expanded only where the walk first meets it.  Its other
+    occurrences are recorded, and after the walk each is copied from the
+    first, a Kahn level at a time, lowest first: a rule's expansion holds
+    copies of lower-level rules only, so every copy reads finished cells.
+    Each long rule is thus expanded at most once, and the work is linear in
+    the grammar size plus the output (unary chains of shorter rules aside).
+    Besides tables of O(grammar size) for the lengths, levels and recorded
+    copies, no temporary holds more than ``_BATCH`` symbols, and there is
+    no recursion-depth limit.
     """
     if symbol is None:
         symbol = slp.start
@@ -368,10 +400,16 @@ def expand_ids(slp: Slp, symbol: int | None = None) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     if not 0 <= symbol < slp.symbol_count:
         raise GrammarError(f"symbol {symbol} outside [0, {slp.symbol_count})")
-    sym_len = symbol_lengths(slp)
+    levels = np.empty(len(slp.counts), dtype=np.int64)
+    sym_len = symbol_lengths(slp, levels)
     out = np.empty(int(sym_len[symbol]), dtype=np.int64)
     sigma = slp.terminal_count
     count, offset, flat = slp.counts, slp.offsets, slp.flat
+    # expanded_at[r]: where the walk expanded rule r; -1 for a rule it
+    # copies but has not met yet, -2 for one it expands at every occurrence.
+    expanded_at = np.where((levels >= 0) & (sym_len[sigma:] >= _COPY_MIN), -1, -2)
+    copying = bool((expanded_at == -1).any())
+    copies = []  # (output positions, rules) of the occurrences to copy
     out[0] = symbol
     top = np.array([symbol - sigma])
     stack = [(offset[top], count[top], np.zeros(1, dtype=np.int64))] if symbol >= sigma else []
@@ -400,18 +438,67 @@ def expand_ids(slp: Slp, symbol: int | None = None) -> np.ndarray:
         # sums stay below its length.
         cpos = np.cumsum(clen)
         cpos -= clen
+        del clen  # a step holds at most three _BATCH-sized arrays at once
         cpos += np.repeat(pos - cpos[firsts], counts)
         if tail:
-            after = cpos[-1] + clen[-1]
+            after = cpos[-1] + sym_len[children[-1]]
             stack.append((np.array([tail_start]), np.array([tail]), np.array([after])))
         # A rule's id is a placeholder: the first symbol of its expansion
-        # lands on the same cell in a later step.
+        # lands on the same cell in a later step or copy.
         out[cpos] = children
         is_rule = children >= sigma
-        rule = children[is_rule] - sigma
+        rule = children[is_rule]
+        rule -= sigma
+        rpos = cpos[is_rule]
+        del children, cpos, is_rule
+        if copying:
+            seen = expanded_at[rule]
+            new = seen == -1
+            expanded_at[rule[new]] = rpos[new]  # of repeats in one step, one write wins
+            copy = (seen > -2) & (expanded_at[rule] != rpos)
+            if copy.any():
+                copies.append((rpos[copy], rule[copy]))
+                rule, rpos = rule[~copy], rpos[~copy]
         if len(rule):
-            stack.append((offset[rule], count[rule], cpos[is_rule]))
+            stack.append((offset[rule], count[rule], rpos))
+    if copies:
+        pos = np.concatenate([p for p, _ in copies])
+        rule = np.concatenate([r for _, r in copies])
+        del copies
+        order = np.argsort(levels[rule], kind="stable")
+        pos, rule = pos[order], rule[order]
+        cuts = np.flatnonzero(np.diff(levels[rule])) + 1
+        for p, r in zip(np.split(pos, cuts), np.split(rule, cuts)):
+            _copy_spans(out, expanded_at[r], p, sym_len[sigma + r])
     return out
+
+
+def _copy_spans(out: np.ndarray, src: np.ndarray, dst: np.ndarray, lens: np.ndarray) -> None:
+    """``out[d : d + n] = out[s : s + n]`` for each (s, d, n) of the arrays.
+
+    No destination may overlap a source.  Spans of ``_BATCH`` or more cells
+    are slice assignments; the others are gathered in pieces of at most
+    ``_BATCH`` cells, cutting a span where a piece ends.
+    """
+    big = lens >= _BATCH
+    for s, d, n in zip(src[big].tolist(), dst[big].tolist(), lens[big].tolist()):
+        out[d : d + n] = out[s : s + n]
+    small = ~big
+    src, dst, lens = src[small], dst[small], lens[small]
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(ends) else 0
+    for a in range(0, total, _BATCH):
+        b = min(a + _BATCH, total)
+        i = int(np.searchsorted(ends, a, side="right"))  # first span ending after a
+        j = int(np.searchsorted(ends, b)) + 1  # past the span holding cell b - 1
+        s, n = src[i:j].copy(), lens[i:j].copy()
+        shift = dst[i:j] - s
+        cut = a - int(ends[i] - lens[i])  # cells of span i copied by earlier pieces
+        s[0] += cut
+        n[0] -= cut
+        n[-1] -= int(ends[j - 1]) - b
+        cells = concat_ranges(s, n)
+        out[cells + np.repeat(shift, n)] = out[cells]
 
 
 def expand(slp: Slp, symbol: int | None = None):

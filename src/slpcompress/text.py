@@ -65,12 +65,17 @@ class WorkingText:
     def replace_spans(self, starts, lengths, fresh) -> None:
         """Replace each span ``[start, start + length)`` of the compact text by one symbol.
 
-        Lengths below 2 and spans outside the text raise ``ValueError``
-        before any write; ``compact()`` catches overlapping spans.
+        ``starts``, ``lengths`` and ``fresh`` hold one entry per span.
+        Arrays of other shapes, lengths below 2 and spans outside the text
+        raise ``ValueError`` before any write; ``compact()`` catches
+        overlapping spans.
         """
         cells = self.live()
         starts = np.asarray(starts, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
+        fresh = np.asarray(fresh, dtype=np.int64)
+        if starts.ndim != 1 or lengths.shape != starts.shape or fresh.shape != starts.shape:
+            raise ValueError("starts, lengths and fresh need one entry per span")
         if lengths.min(initial=2) < 2:
             raise ValueError("spans shorter than 2 are never replaced")
         if starts.min(initial=0) < 0:

@@ -314,3 +314,15 @@ def test_radix_argsort_pair_key_wider_than_16_bits():
     order = radix_argsort(a * width + b, width * width)
     oracle = np.lexsort((np.arange(20000), b, a))
     assert np.array_equal(order, oracle)
+
+
+@pytest.mark.parametrize("bound", [1, 2**16, 2**16 + 1, 2**32, 2**63])
+def test_radix_argsort_matches_stable_argsort(bound):
+    rng = np.random.default_rng(14)
+    assert radix_argsort(np.empty(0, dtype=np.int64), bound).tolist() == []
+    # Few low digits under many high ones, so later passes must keep ties in order.
+    high = rng.integers(0, max(bound >> 16, 1), 3000, dtype=np.int64)
+    low = rng.integers(0, 3, 3000, dtype=np.int64)
+    uniform = rng.integers(0, bound - 1, 3000, dtype=np.int64, endpoint=True)
+    keys = np.concatenate([np.minimum((high << 16) | low, bound - 1), uniform, [0, bound - 1]])
+    assert np.array_equal(radix_argsort(keys, bound), np.argsort(keys, kind="stable"))

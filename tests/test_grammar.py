@@ -15,6 +15,7 @@ from helpers import (
     reference_symbol_lengths,
 )
 
+from slpcompress import grammar
 from slpcompress.alphabet import TOKEN_VALUE_CEILING
 from slpcompress.driver import compress
 from slpcompress.grammar import (
@@ -36,6 +37,7 @@ from slpcompress.grammar import (
     symbol_lengths,
     validate,
 )
+from slpcompress.text import concat_ranges
 
 
 def naive_expand(slp, symbol):
@@ -257,8 +259,34 @@ def assert_matches_reference(slp, symbol=None):
     assert np.array_equal(got, reference_expand_ids(slp, symbol))
 
 
+def doubling_chain(levels, base=(0,)):
+    """Rules X_1..X_levels with X_i = X_{i-1} X_{i-1} and X_0 = ``base``; returns their ids.
+
+    X_0 is a rule when ``base`` has two or more symbols, else terminal ``base[0]``.
+    """
+    slp = Slp("bytes", [ord("a"), ord("b"), ord("c")])
+    x = slp.emit_rule(base) if len(base) > 1 else base[0]
+    chain = [x]
+    for _ in range(levels):
+        chain.append(slp.emit_rule([chain[-1], chain[-1]]))
+    return slp, chain
+
+
 class TestExpandMatchesReference:
     """The batched expander against the memoized walk it replaced."""
+
+    @pytest.fixture(autouse=True)
+    def unwritten_cells_read_minus_7(self, monkeypatch):
+        # A cell that expand_ids never writes, or a copy that reads one, then
+        # shows as -7 instead of passing on stale heap contents.
+        empty = np.empty
+
+        def filled(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            out.fill(np.array(-7).astype(out.dtype))
+            return out
+
+        monkeypatch.setattr(np, "empty", filled)
 
     def test_random_grammars_every_symbol(self):
         rng = random.Random(11)
@@ -297,6 +325,68 @@ class TestExpandMatchesReference:
         for n_top in (_BATCH // 4 - 1, _BATCH // 3):
             slp.start = slp.emit_rule([rng.choice(mid + rules) for _ in range(n_top)])
             assert_matches_reference(slp)
+
+    def test_doubling_chain_copies_at_every_level(self):
+        # X_0 derives "abc", so a copy read from a shifted source shows.
+        slp, chain = doubling_chain(16, base=(0, 1, 2))
+        for symbol in chain[::5] + [chain[-1]]:
+            assert_matches_reference(slp, symbol)
+        # Every level once more, out of order and between terminals.
+        slp.start = slp.emit_rule([chain[16], 1, chain[3], chain[12], 2, chain[15], chain[3]])
+        assert_matches_reference(slp)
+
+    def test_unit_rules_over_a_long_repeated_rule(self):
+        # Y_k -> Y_{k-1} over a long X: equal lengths, and the copies of
+        # each Y_k read the region that a copy of Y_{k-1} or X fills.
+        slp = Slp("tokens", [10, 20, 30])
+        x = slp.emit_rule([0, 1, 2, 1, 0, 2, 2, 1, 0, 1])
+        ys = [x]
+        for _ in range(4):
+            ys.append(slp.emit_rule([ys[-1]]))
+        slp.start = slp.emit_rule([ys[4], x, ys[1], 0, ys[4], ys[2], ys[3], x, ys[1]])
+        assert_matches_reference(slp)
+        slp.start = slp.emit_rule([ys[3], ys[4]] * 3)
+        assert_matches_reference(slp)
+
+    def test_long_rule_repeated_within_and_across_batches(self):
+        rng = random.Random(5)
+        slp = Slp("bytes", [1, 2, 3])
+        short = slp.emit_rule([0, 1])
+        long_ = slp.emit_rule([short, 2, short, 0, short, 1, 2])  # 10 symbols
+        pair = slp.emit_rule([long_, 2, long_])
+        body = [rng.choice([0, short, long_, pair]) for _ in range(2 * _BATCH + 9)]
+        slp.start = slp.emit_rule(body)
+        assert_matches_reference(slp)
+
+    def test_copies_of_a_batch_or_more_and_cut_at_piece_ends(self):
+        slp = Slp("tokens", [10, 20, 30])
+        r9 = slp.emit_rule([0, 1, 2, 2, 1, 0, 1, 1, 2])
+        # 4000 copies of 9 cells at one level cross the _BATCH piece ends
+        # inside copies; a rule of _BATCH + 3 cells is copied as a slice.
+        many = slp.emit_rule([r9] * 4000)
+        big = slp.emit_rule([r9] * (_BATCH // 9) + [r9, 0, 1])
+        assert symbol_lengths(slp)[big] == _BATCH + 3
+        slp.start = slp.emit_rule([many, 2, big, r9, big, many, 1, big])
+        assert_matches_reference(slp)
+        slp.start = slp.emit_rule([big] * 3 + [r9] * 5)
+        assert_matches_reference(slp)
+
+    def test_work_is_bounded_by_grammar_and_output(self, monkeypatch):
+        # The tree walk gathers about 2N cells on this chain; copying bounds
+        # the cells that expand_ids gathers by O(grammar size) + N.
+        slp, chain = doubling_chain(16)
+        slp.start = chain[-1]
+        n = 2**16
+        gathered = []
+
+        def counting(starts, counts):
+            cells = concat_ranges(starts, counts)
+            gathered.append(len(cells))
+            return cells
+
+        monkeypatch.setattr(grammar, "concat_ranges", counting)
+        assert np.array_equal(expand_ids(slp), np.zeros(n, dtype=np.int64))
+        assert sum(gathered) <= 4 * slp.size + n
 
     @pytest.mark.parametrize("mode", ["plain", "improved"])
     def test_compress_output(self, mode):
@@ -598,6 +688,9 @@ class TestTerminalCeiling:
             ("tokens", [True]),
             ("bytes", [97.0]),
             ("tokens", np.array([3, 4], dtype=np.float64)),
+            ("bytes", ["a"]),
+            ("tokens", [None]),
+            ("tokens", [1, "b"]),
         ],
     )
     def test_non_integer_terminals_rejected(self, kind, terminals):

@@ -278,6 +278,22 @@ class TestSpanChecks:
             t.live()
         assert t.epoch == epoch
 
+    @pytest.mark.parametrize(
+        "starts,lengths,fresh",
+        [
+            ([0, 2], [2], [8, 9]),  # broadcast, it would compact to [8, 9, 3]
+            ([0, 2], [2, 2], [8]),
+            ([0], [2, 2], [8, 9]),
+            ([0, 2], [2, 2], 8),
+        ],
+    )
+    def test_one_entry_per_span(self, starts, lengths, fresh):
+        t = WorkingText([0, 1, 2, 3, 4])
+        with pytest.raises(ValueError, match="one entry per span"):
+            t.replace_spans(starts, lengths, fresh)
+        assert t.live().tolist() == [0, 1, 2, 3, 4]
+        assert len(t) == 5
+
     def test_empty_batch_writes_nothing(self):
         t = WorkingText([3, 3])
         t.replace_spans([], [], [])
