@@ -405,10 +405,13 @@ def expand_ids(slp: Slp, symbol: int | None = None) -> np.ndarray:
     out = np.empty(int(sym_len[symbol]), dtype=np.int64)
     sigma = slp.terminal_count
     count, offset, flat = slp.counts, slp.offsets, slp.flat
-    # expanded_at[r]: where the walk expanded rule r; -1 for a rule it
-    # copies but has not met yet, -2 for one it expands at every occurrence.
-    expanded_at = np.where((levels >= 0) & (sym_len[sigma:] >= _COPY_MIN), -1, -2)
-    copying = bool((expanded_at == -1).any())
+    # One table serves the walk and the copies.  For a rule the walk copies,
+    # levels[r] is its level until the walk first expands it at output
+    # position p, and -2 - p from then on; the level moves to ``met``.
+    # Every other rule, which the walk expands at each occurrence, has -1.
+    levels[sym_len[sigma:] < _COPY_MIN] = -1
+    copying = bool((levels >= 0).any())
+    met = []  # (rules, levels) of the rules the walk has expanded once
     copies = []  # (output positions, rules) of the occurrences to copy
     out[0] = symbol
     top = np.array([symbol - sigma])
@@ -431,7 +434,8 @@ def expand_ids(slp: Slp, symbol: int | None = None) -> np.ndarray:
             counts[k] = head
             ends = ends[: k + 1].copy()
             ends[k] = _BATCH
-        firsts = ends - counts
+        firsts = ends  # in place: ends is not read again
+        firsts -= counts
         children = flat[concat_ranges(starts, counts)]
         clen = sym_len[children]
         # Slices in flight cover disjoint stretches of the output, so these
@@ -447,15 +451,20 @@ def expand_ids(slp: Slp, symbol: int | None = None) -> np.ndarray:
         # lands on the same cell in a later step or copy.
         out[cpos] = children
         is_rule = children >= sigma
-        rule = children[is_rule]
-        rule -= sigma
         rpos = cpos[is_rule]
-        del children, cpos, is_rule
+        del cpos
+        rule = children[is_rule]
+        del children, is_rule
+        rule -= sigma
         if copying:
-            seen = expanded_at[rule]
-            new = seen == -1
-            expanded_at[rule[new]] = rpos[new]  # of repeats in one step, one write wins
-            copy = (seen > -2) & (expanded_at[rule] != rpos)
+            seen = levels[rule]
+            copy = seen < -1  # expanded in an earlier step
+            new = seen >= 0
+            if new.any():
+                r, p = rule[new], rpos[new]
+                met.append((r, seen[new]))
+                levels[r] = -2 - p  # of repeats in one step, one write wins
+                copy[new] = levels[r] != -2 - p
             if copy.any():
                 copies.append((rpos[copy], rule[copy]))
                 rule, rpos = rule[~copy], rpos[~copy]
@@ -465,26 +474,23 @@ def expand_ids(slp: Slp, symbol: int | None = None) -> np.ndarray:
         pos = np.concatenate([p for p, _ in copies])
         rule = np.concatenate([r for _, r in copies])
         del copies
+        src = -2 - levels[rule]
+        for r, k in met:
+            levels[r] = k
         order = np.argsort(levels[rule], kind="stable")
-        pos, rule = pos[order], rule[order]
+        pos, rule, src = pos[order], rule[order], src[order]
         cuts = np.flatnonzero(np.diff(levels[rule])) + 1
-        for p, r in zip(np.split(pos, cuts), np.split(rule, cuts)):
-            _copy_spans(out, expanded_at[r], p, sym_len[sigma + r])
+        for p, r, s in zip(np.split(pos, cuts), np.split(rule, cuts), np.split(src, cuts)):
+            _copy_spans(out, s, p, sym_len[sigma + r])
     return out
 
 
 def _copy_spans(out: np.ndarray, src: np.ndarray, dst: np.ndarray, lens: np.ndarray) -> None:
     """``out[d : d + n] = out[s : s + n]`` for each (s, d, n) of the arrays.
 
-    No destination may overlap a source.  Spans of ``_BATCH`` or more cells
-    are slice assignments; the others are gathered in pieces of at most
-    ``_BATCH`` cells, cutting a span where a piece ends.
+    No destination may overlap a source.  The spans are gathered in pieces
+    of at most ``_BATCH`` cells, cutting a span where a piece ends.
     """
-    big = lens >= _BATCH
-    for s, d, n in zip(src[big].tolist(), dst[big].tolist(), lens[big].tolist()):
-        out[d : d + n] = out[s : s + n]
-    small = ~big
-    src, dst, lens = src[small], dst[small], lens[small]
     ends = np.cumsum(lens)
     total = int(ends[-1]) if len(ends) else 0
     for a in range(0, total, _BATCH):

@@ -362,7 +362,7 @@ class TestExpandMatchesReference:
         slp = Slp("tokens", [10, 20, 30])
         r9 = slp.emit_rule([0, 1, 2, 2, 1, 0, 1, 1, 2])
         # 4000 copies of 9 cells at one level cross the _BATCH piece ends
-        # inside copies; a rule of _BATCH + 3 cells is copied as a slice.
+        # inside copies; a copy of _BATCH + 3 cells is cut where pieces end.
         many = slp.emit_rule([r9] * 4000)
         big = slp.emit_rule([r9] * (_BATCH // 9) + [r9, 0, 1])
         assert symbol_lengths(slp)[big] == _BATCH + 3
