@@ -336,8 +336,16 @@ def check_structure(slp: Slp) -> None:
         # Like ``ingest``, never coerce: ``serialize`` would truncate floats and booleans.
         raise GrammarError(f"{slp.kind[:-1]} terminals must be integers, not {values.dtype}")
     _check_bodies(slp.counts, slp.flat, slp.terminal_count)
-    if slp.start is not None and not 0 <= slp.start < slp.symbol_count:
-        raise GrammarError(f"start symbol {slp.start} out of range")
+    if slp.start is not None:
+        if not _is_integer(slp.start):
+            raise GrammarError(f"start symbol must be an integer, not {slp.start!r}")
+        if not 0 <= slp.start < slp.symbol_count:
+            raise GrammarError(f"start symbol {slp.start} out of range")
+
+
+def _is_integer(value) -> bool:
+    """An int or numpy integer; ``serialize`` writes floats and bools unreadably."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def symbol_lengths(slp: Slp, levels: np.ndarray | None = None) -> np.ndarray:
@@ -398,6 +406,8 @@ def expand_ids(slp: Slp, symbol: int | None = None) -> np.ndarray:
         symbol = slp.start
     if symbol is None:
         return np.empty(0, dtype=np.int64)
+    if not _is_integer(symbol):
+        raise GrammarError(f"symbol must be an integer, not {symbol!r}")
     if not 0 <= symbol < slp.symbol_count:
         raise GrammarError(f"symbol {symbol} outside [0, {slp.symbol_count})")
     levels = np.empty(len(slp.counts), dtype=np.int64)
@@ -509,7 +519,12 @@ def _copy_spans(out: np.ndarray, src: np.ndarray, dst: np.ndarray, lens: np.ndar
 
 def expand(slp: Slp, symbol: int | None = None):
     """Derive the raw byte string or token list of ``symbol``."""
-    lut = np.asarray(slp.terminals, dtype=np.uint8 if slp.kind == "bytes" else np.int64)
+    if slp.kind == "bytes":
+        lut = np.asarray(slp.terminals, dtype=np.uint8)
+    else:
+        # Python ints, so the token list shares one int object per terminal
+        # instead of boxing one per output symbol.
+        lut = np.array(np.asarray(slp.terminals, dtype=np.int64).tolist(), dtype=object)
     # The ids are a temporary, freed before the output object is built.
     derived = lut[expand_ids(slp, symbol)]
     return derived.tobytes() if slp.kind == "bytes" else derived.tolist()

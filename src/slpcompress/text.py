@@ -23,7 +23,11 @@ class StaleTextError(RuntimeError):
 
 def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Indices of the ranges ``[starts[i], starts[i] + counts[i])``, back to back."""
-    idx = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    shift = np.cumsum(counts, dtype=np.int64)
+    shift -= counts
+    np.subtract(starts, shift, out=shift)  # one span-sized array, not three
+    idx = np.repeat(shift, counts)
+    del shift  # before the arange, which sets the peak
     idx += np.arange(len(idx))
     return idx
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,37 @@ class TestExpand:
         with pytest.raises(ExpansionOverflow):
             expand(slp)
 
+    @pytest.mark.parametrize(
+        "terminals",
+        [[42, 7], np.array([42, 7], dtype=np.uint32), [np.int64(42), np.uint8(7)]],
+    )
+    def test_tokens_are_python_ints(self, terminals):
+        slp = Slp("tokens", terminals, rules=[(0, 1, 0)], start=2)
+        got = expand(slp)
+        assert got == [42, 7, 42]
+        assert all(type(v) is int for v in got)
+
+    def test_tokens_match_the_id_path_on_the_golden_corpus(self):
+        for slp in golden_grammars():
+            lut = np.asarray(slp.terminals, dtype=np.uint8 if slp.kind == "bytes" else np.int64)
+            want = lut[expand_ids(slp)]
+            got = expand(slp)
+            assert got == (want.tobytes() if slp.kind == "bytes" else want.tolist())
+
+    def test_token_list_shares_the_terminal_ints(self):
+        # Boxing one int per output symbol took about 48 bytes a symbol.
+        slp, chain = doubling_chain(16)
+        slp = Slp.from_arrays("tokens", [70000, 80000, 90000], slp.counts, slp.flat, chain[-1])
+        n = 2**16
+        tracemalloc.start()
+        try:
+            got = expand(slp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == n and got[0] == 70000
+        assert peak <= 24 * n
+
 
 def assert_matches_reference(slp, symbol=None):
     got = expand_ids(slp, symbol)
@@ -416,6 +448,30 @@ class TestValidate:
         slp = Slp("bytes", [1], rules=[(0, 0)], start=9)
         with pytest.raises(GrammarError):
             validate(slp)
+
+    @pytest.mark.parametrize(
+        "start", [1.0, 1.5, True, np.float64(1.0), "1"], ids=["float", "1.5", "bool", "np-float", "str"]
+    )
+    def test_non_integer_start_rejected(self, start):
+        # serialize would write "start 1.0" or "start True", which load refuses.
+        slp = Slp("bytes", [97], rules=[(0, 0)], start=start)
+        with pytest.raises(GrammarError, match="start symbol must be an integer"):
+            validate(slp)
+        with pytest.raises(GrammarError, match="symbol must be an integer"):
+            expand(slp)
+
+    @pytest.mark.parametrize("symbol", [1.0, False, np.float64(0.0)], ids=["float", "bool", "np-float"])
+    def test_non_integer_symbol_rejected(self, symbol):
+        slp = Slp("bytes", [97], rules=[(0, 0)], start=1)
+        with pytest.raises(GrammarError, match="symbol must be an integer"):
+            expand_ids(slp, symbol)
+
+    @pytest.mark.parametrize("start", [np.int64(1), np.uint8(1)])
+    def test_numpy_integer_start_accepted(self, start):
+        slp = Slp("bytes", [97], rules=[(0, 0)], start=start)
+        validate(slp)
+        assert expand(slp) == b"aa"
+        assert deserialize(serialize(slp)) == slp
 
     def test_byte_terminal_range(self):
         slp = Slp("bytes", [999], rules=[], start=0)

@@ -10,10 +10,12 @@ from helpers import (
     live_list,
     pair_occurrences,
     partition_from_sets,
+    reference_greedy_partition,
     right_of,
     side_of,
     total_occurrences,
 )
+from slpcompress import pairs
 from slpcompress.alphabet import AlphabetMap, ingest
 from slpcompress.blocks import compress_blocks, scan_blocks
 from slpcompress.grammar import Slp
@@ -174,6 +176,114 @@ class TestGreedyPartition:
             for sym in set(live_list(text)):
                 assert side_of(part, sym) in ("left", "right")
             assert not (part.in_left & part.in_right).any()
+
+
+
+def adjacency_of(symbols, width):
+    """The adjacency of a working text over ``[0, width)``."""
+    amap = AlphabetMap("tokens", list(range(width)))
+    return build_adjacency(WorkingText(np.asarray(symbols, dtype=np.int64)), amap)
+
+
+def inner_and_blocks(adj):
+    """How many edges share a block, and how many blocks the split cuts."""
+    shift = pairs._block_shift(len(adj.pair_a), adj.width)
+    lo = np.minimum(adj.pair_a, adj.pair_b)
+    hi = np.maximum(adj.pair_a, adj.pair_b)
+    inner = int(np.count_nonzero(lo >> shift == hi >> shift))
+    return inner, -(-adj.width // (1 << shift))
+
+
+def assert_split_matches_reference(adj):
+    part = greedy_partition(adj)
+    want = reference_greedy_partition(adj)
+    assert np.array_equal(part.in_left, want.in_left)
+    assert np.array_equal(part.in_right, want.in_right)
+    assert part.cover_pre_swap == want.cover_pre_swap
+    assert part.cover_chosen == want.cover_chosen
+    assert part.swapped == want.swapped
+    return part
+
+
+class TestBlockedSplit:
+    """The blocked walk against the two-counter reference split.
+
+    Lowering ``_EDGES_PER_BLOCK`` cuts hand-sized adjacencies into several
+    blocks; the block size changes how the walk is cut, never its result.
+    """
+
+    @pytest.mark.parametrize("per_block", [1, 1024])
+    @pytest.mark.parametrize(
+        "symbols,width", [([], 0), ([], 1), ([0], 1), ([0], 2), ([0, 1], 2), ([1, 0], 2)]
+    )
+    def test_empty_and_tiny(self, monkeypatch, per_block, symbols, width):
+        monkeypatch.setattr(pairs, "_EDGES_PER_BLOCK", per_block)
+        part = assert_split_matches_reference(adjacency_of(symbols, width))
+        assert len(part.in_left) == width
+
+    def test_path_of_2_17_edges(self):
+        # Only the edges across the block boundaries are outer.
+        n = 2**17
+        adj = adjacency_of(np.arange(n + 1), n + 1)
+        inner, blocks = inner_and_blocks(adj)
+        assert blocks >= 32 and inner == n - (blocks - 1)
+        part = assert_split_matches_reference(adj)
+        assert part.in_right[1::2].all() and part.in_left[0::2].all()
+
+    def test_all_outer_bipartite(self):
+        left, right = range(64), range(64, 128)
+        adj = adjacency_of([x for a in left for b in right for x in (a, b)], 128)
+        inner, blocks = inner_and_blocks(adj)
+        assert len(adj.pair_a) > 4096 and blocks == 4 and inner == 0
+        assert_split_matches_reference(adj)
+
+    def test_tie_goes_left(self, monkeypatch):
+        # 0 goes left and 1 right; 2 then meets each once, and the tie goes left.
+        monkeypatch.setattr(pairs, "_EDGES_PER_BLOCK", 1)
+        adj = adjacency_of([0, 1, 2, 0], 3)
+        assert inner_and_blocks(adj) == (0, 3)
+        balance = pairs._balances(adj.pair_a, adj.pair_b, adj.pair_count, adj.width)
+        assert balance.tolist() == [0, -1, 0]
+        part = assert_split_matches_reference(adj)
+        assert side_of(part, 2) == side_of(part, 0) != side_of(part, 1)
+
+    def test_ids_on_both_sides_of_a_block_boundary(self, monkeypatch):
+        # Blocks [0, 4) and [4, 8); 3 and 4 meet three times.
+        monkeypatch.setattr(pairs, "_EDGES_PER_BLOCK", 4)
+        adj = adjacency_of([3, 4, 3, 5, 2, 4, 6, 1, 7, 0, 4, 1, 2, 3, 4, 5], 8)
+        assert pairs._block_shift(len(adj.pair_a), adj.width) == 2
+        inner, blocks = inner_and_blocks(adj)
+        assert blocks == 2 and 0 < inner < len(adj.pair_a)
+        assert_split_matches_reference(adj)
+
+    def test_partial_last_block(self):
+        width = 3001
+        symbols = np.random.default_rng(5).integers(0, width, 20000)
+        adj = adjacency_of(symbols[np.append(True, symbols[1:] != symbols[:-1])], width)
+        shift = pairs._block_shift(len(adj.pair_a), width)
+        inner, blocks = inner_and_blocks(adj)
+        assert blocks > 8 and width % (1 << shift) and inner > 0
+        assert_split_matches_reference(adj)
+
+    def test_final_swap_fires(self, monkeypatch):
+        # 0 left, 1 right, 2 left, 3 right: (3, 2) and (1, 0) run right to left.
+        monkeypatch.setattr(pairs, "_EDGES_PER_BLOCK", 1)
+        adj = adjacency_of([3, 2, 1, 0], 4)
+        assert inner_and_blocks(adj) == (2, 2)
+        part = assert_split_matches_reference(adj)
+        assert part.swapped and part.cover_chosen == 2
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3, 16])
+    def test_random_small_alphabets(self, monkeypatch, per_block):
+        monkeypatch.setattr(pairs, "_EDGES_PER_BLOCK", per_block)
+        rng = np.random.default_rng(per_block)
+        swaps = 0
+        for _ in range(60):
+            width = int(rng.integers(2, 40))
+            symbols = rng.integers(0, width, int(rng.integers(2, 300)))
+            symbols = symbols[np.append(True, symbols[1:] != symbols[:-1])]
+            swaps += assert_split_matches_reference(adjacency_of(symbols, width)).swapped
+        assert swaps > 0
 
 
 class TestCompressPairs:
