@@ -169,36 +169,32 @@ def _balances(a: np.ndarray, b: np.ndarray, w: np.ndarray, width: int) -> np.nda
     size = 1 << shift
     n_blocks = -(-width // size)
     lo = np.minimum(a, b)
-    if n_blocks == 1:  # every edge is inner and every id block-local
-        inner_lo, inner_hi, inner_w = lo.tolist(), np.maximum(a, b).tolist(), w.tolist()
-        inner_ends, out_ends = [len(a)], [0]
-    else:
-        # In both edge groups below lo ascends block by block, so a binary
-        # search for each block's end finds where the block's edges end.
-        cuts = np.arange(1, n_blocks + 1) << shift
-        hi = a ^ b  # = lo ^ hi, below 2**s exactly when lo and hi share a block
-        inner = hi < size
-        hi ^= lo
-        # Outer edges, sorted by lo's block, stay numpy columns.
-        outer = np.flatnonzero(~inner)
-        outer = outer[radix_argsort(lo[outer] >> shift, n_blocks)]
-        out_lo, out_hi, out_w = lo[outer], hi[outer], w[outer]
-        out_ends = np.searchsorted(out_lo, cuts).tolist()
-        del outer
-        # Inner edges are grouped by block already, as a first symbol shares
-        # lo's block; they become Python lists of block-local ids.  Each column
-        # is freed once listed, so the lists do not sit beside the arrays.
-        lo = lo[inner]
-        inner_ends = np.searchsorted(lo, cuts).tolist()
-        lo &= size - 1
-        inner_lo = lo.tolist()
-        del lo
-        hi = hi[inner]
-        hi &= size - 1
-        inner_hi = hi.tolist()
-        del hi
-        inner_w = w[inner].tolist()
-        del inner
+    # In both edge groups below lo ascends block by block, so a binary
+    # search for each block's end finds where the block's edges end.
+    cuts = np.arange(1, n_blocks + 1) << shift
+    hi = a ^ b  # = lo ^ hi, below 2**s exactly when lo and hi share a block
+    inner = hi < size
+    hi ^= lo
+    # Outer edges, sorted by lo's block, stay numpy columns.
+    outer = np.flatnonzero(~inner)
+    outer = outer[radix_argsort(lo[outer] >> shift, n_blocks)]
+    out_lo, out_hi, out_w = lo[outer], hi[outer], w[outer]
+    out_ends = np.searchsorted(out_lo, cuts).tolist()
+    del outer
+    # Inner edges are grouped by block already, as a first symbol shares
+    # lo's block; they become Python lists of block-local ids.  Each column
+    # is freed once listed, so the lists do not sit beside the arrays.
+    lo = lo[inner]
+    inner_ends = np.searchsorted(lo, cuts).tolist()
+    lo &= size - 1
+    inner_lo = lo.tolist()
+    del lo
+    hi = hi[inner]
+    hi &= size - 1
+    inner_hi = hi.tolist()
+    del hi
+    inner_w = w[inner].tolist()
+    del inner
     edges = zip(inner_lo, inner_hi, inner_w)
     i = o = 0
     for k, (i_end, o_end) in enumerate(zip(inner_ends, out_ends)):

@@ -18,7 +18,7 @@ from slpcompress.grammar import (
     expansion_length,
     symbol_lengths,
 )
-from slpcompress.pairs import Partition
+from slpcompress.pairs import Partition, greedy_partition
 from slpcompress.text import TOMBSTONE, WorkingText
 
 
@@ -260,6 +260,20 @@ def reference_greedy_partition(adj) -> Partition:
         part.cover_chosen = cover_rl
     else:
         part.cover_chosen = cover_lr
+    return part
+
+
+def checked_split(adj) -> Partition:
+    """``greedy_partition(adj)``, asserted equal to the reference split."""
+    part = greedy_partition(adj)
+    want = reference_greedy_partition(adj)
+    assert np.array_equal(part.in_left, want.in_left)
+    assert np.array_equal(part.in_right, want.in_right)
+    assert (part.cover_pre_swap, part.cover_chosen, part.swapped) == (
+        want.cover_pre_swap,
+        want.cover_chosen,
+        want.swapped,
+    )
     return part
 
 

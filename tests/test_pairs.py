@@ -6,19 +6,19 @@ import numpy as np
 import pytest
 
 from helpers import (
+    checked_split,
     left_of,
     live_list,
     pair_occurrences,
     partition_from_sets,
-    reference_greedy_partition,
     right_of,
     side_of,
     total_occurrences,
 )
-from slpcompress import pairs
+from slpcompress import driver, pairs
 from slpcompress.alphabet import AlphabetMap, ingest
 from slpcompress.blocks import compress_blocks, scan_blocks
-from slpcompress.grammar import Slp
+from slpcompress.grammar import Slp, expand
 from slpcompress.pairs import (
     Partition,
     _pair_keys,
@@ -178,7 +178,6 @@ class TestGreedyPartition:
             assert not (part.in_left & part.in_right).any()
 
 
-
 def adjacency_of(symbols, width):
     """The adjacency of a working text over ``[0, width)``."""
     amap = AlphabetMap("tokens", list(range(width)))
@@ -194,17 +193,6 @@ def inner_and_blocks(adj):
     return inner, -(-adj.width // (1 << shift))
 
 
-def assert_split_matches_reference(adj):
-    part = greedy_partition(adj)
-    want = reference_greedy_partition(adj)
-    assert np.array_equal(part.in_left, want.in_left)
-    assert np.array_equal(part.in_right, want.in_right)
-    assert part.cover_pre_swap == want.cover_pre_swap
-    assert part.cover_chosen == want.cover_chosen
-    assert part.swapped == want.swapped
-    return part
-
-
 class TestBlockedSplit:
     """The blocked walk against the two-counter reference split.
 
@@ -218,7 +206,7 @@ class TestBlockedSplit:
     )
     def test_empty_and_tiny(self, monkeypatch, per_block, symbols, width):
         monkeypatch.setattr(pairs, "_EDGES_PER_BLOCK", per_block)
-        part = assert_split_matches_reference(adjacency_of(symbols, width))
+        part = checked_split(adjacency_of(symbols, width))
         assert len(part.in_left) == width
 
     def test_path_of_2_17_edges(self):
@@ -227,7 +215,7 @@ class TestBlockedSplit:
         adj = adjacency_of(np.arange(n + 1), n + 1)
         inner, blocks = inner_and_blocks(adj)
         assert blocks >= 32 and inner == n - (blocks - 1)
-        part = assert_split_matches_reference(adj)
+        part = checked_split(adj)
         assert part.in_right[1::2].all() and part.in_left[0::2].all()
 
     def test_all_outer_bipartite(self):
@@ -235,7 +223,7 @@ class TestBlockedSplit:
         adj = adjacency_of([x for a in left for b in right for x in (a, b)], 128)
         inner, blocks = inner_and_blocks(adj)
         assert len(adj.pair_a) > 4096 and blocks == 4 and inner == 0
-        assert_split_matches_reference(adj)
+        checked_split(adj)
 
     def test_tie_goes_left(self, monkeypatch):
         # 0 goes left and 1 right; 2 then meets each once, and the tie goes left.
@@ -244,7 +232,7 @@ class TestBlockedSplit:
         assert inner_and_blocks(adj) == (0, 3)
         balance = pairs._balances(adj.pair_a, adj.pair_b, adj.pair_count, adj.width)
         assert balance.tolist() == [0, -1, 0]
-        part = assert_split_matches_reference(adj)
+        part = checked_split(adj)
         assert side_of(part, 2) == side_of(part, 0) != side_of(part, 1)
 
     def test_ids_on_both_sides_of_a_block_boundary(self, monkeypatch):
@@ -254,7 +242,7 @@ class TestBlockedSplit:
         assert pairs._block_shift(len(adj.pair_a), adj.width) == 2
         inner, blocks = inner_and_blocks(adj)
         assert blocks == 2 and 0 < inner < len(adj.pair_a)
-        assert_split_matches_reference(adj)
+        checked_split(adj)
 
     def test_partial_last_block(self):
         width = 3001
@@ -263,14 +251,14 @@ class TestBlockedSplit:
         shift = pairs._block_shift(len(adj.pair_a), width)
         inner, blocks = inner_and_blocks(adj)
         assert blocks > 8 and width % (1 << shift) and inner > 0
-        assert_split_matches_reference(adj)
+        checked_split(adj)
 
     def test_final_swap_fires(self, monkeypatch):
         # 0 left, 1 right, 2 left, 3 right: (3, 2) and (1, 0) run right to left.
         monkeypatch.setattr(pairs, "_EDGES_PER_BLOCK", 1)
         adj = adjacency_of([3, 2, 1, 0], 4)
         assert inner_and_blocks(adj) == (2, 2)
-        part = assert_split_matches_reference(adj)
+        part = checked_split(adj)
         assert part.swapped and part.cover_chosen == 2
 
     @pytest.mark.parametrize("per_block", [1, 2, 3, 16])
@@ -282,8 +270,44 @@ class TestBlockedSplit:
             width = int(rng.integers(2, 40))
             symbols = rng.integers(0, width, int(rng.integers(2, 300)))
             symbols = symbols[np.append(True, symbols[1:] != symbols[:-1])]
-            swaps += assert_split_matches_reference(adjacency_of(symbols, width)).swapped
+            swaps += checked_split(adjacency_of(symbols, width)).swapped
         assert swaps > 0
+
+
+def many_block_inputs(n=2**15):
+    rng = np.random.default_rng(2718)
+    yield rng.integers(0, 64, n, dtype=np.uint8).tobytes()  # random bytes
+    doc = rng.integers(97, 123, 2048, dtype=np.uint8)
+    revisions = []
+    for _ in range(n // len(doc)):  # revisions, a few point edits each
+        doc = doc.copy()
+        doc[rng.integers(0, len(doc), 3)] = rng.integers(97, 123, 3)
+        revisions.append(doc)
+    yield np.concatenate(revisions).tobytes()
+    values = rng.zipf(1.3, n) % 2**32  # Zipf tokens in geometric runs
+    yield np.repeat(values, rng.geometric(0.4, n))[:n].tolist()
+
+
+def test_split_matches_reference_across_many_blocks(monkeypatch):
+    """Whole compressions whose phases cut the alphabet into dozens of blocks.
+
+    A smaller block target brings 2^15-symbol inputs to the block counts
+    that 2^18-symbol ones reach at the module's own; the block size
+    changes how the walk is cut, never its result.
+    """
+    monkeypatch.setattr(pairs, "_EDGES_PER_BLOCK", 256)
+    most_blocks = 0
+
+    def spy(adj):
+        nonlocal most_blocks
+        most_blocks = max(most_blocks, inner_and_blocks(adj)[1])
+        return checked_split(adj)
+
+    monkeypatch.setattr(driver, "greedy_partition", spy)
+    for data in many_block_inputs():
+        for mode in ("plain", "improved"):
+            assert expand(driver.compress(data, mode=mode).slp) == data
+    assert most_blocks >= 32
 
 
 class TestCompressPairs:

@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 
 from helpers import live_list, reference_greedy_partition
-from slpcompress import driver, pairs
+from slpcompress import driver
 from slpcompress.alphabet import ingest
 from slpcompress.driver import run_phase
 from slpcompress.grammar import Slp, expand
@@ -182,49 +182,3 @@ def test_greedy_matches_two_counter_reference_at_every_phase(monkeypatch):
     for data in _greedy_inputs():
         assert expand(driver.compress(data, mode="plain").slp) == data
     assert phases > 500 and swaps > 0
-
-
-def _many_block_inputs(n=2**15):
-    rng = np.random.default_rng(2718)
-    yield rng.integers(0, 64, n, dtype=np.uint8).tobytes()  # random bytes
-    doc = rng.integers(97, 123, 2048, dtype=np.uint8)
-    revisions = []
-    for _ in range(n // len(doc)):  # revisions, a few point edits each
-        doc = doc.copy()
-        doc[rng.integers(0, len(doc), 3)] = rng.integers(97, 123, 3)
-        revisions.append(doc)
-    yield np.concatenate(revisions).tobytes()
-    values = rng.zipf(1.3, n) % 2**32  # Zipf tokens in geometric runs
-    yield np.repeat(values, rng.geometric(0.4, n))[:n].tolist()
-
-
-def test_greedy_matches_reference_across_many_blocks(monkeypatch):
-    """Whole compressions whose phases cut the alphabet into dozens of blocks.
-
-    A smaller block target brings 2^15-symbol inputs to the block counts
-    that 2^18-symbol ones reach at the module's own; the block size
-    changes how the walk is cut, never its result.
-    """
-    monkeypatch.setattr(pairs, "_EDGES_PER_BLOCK", 256)
-    most_blocks = 0
-
-    def checked(adj):
-        nonlocal most_blocks
-        shift = pairs._block_shift(len(adj.pair_a), adj.width)
-        most_blocks = max(most_blocks, -(-adj.width // (1 << shift)))
-        part = greedy_partition(adj)
-        want = reference_greedy_partition(adj)
-        assert np.array_equal(part.in_left, want.in_left)
-        assert np.array_equal(part.in_right, want.in_right)
-        assert (part.cover_pre_swap, part.cover_chosen, part.swapped) == (
-            want.cover_pre_swap,
-            want.cover_chosen,
-            want.swapped,
-        )
-        return part
-
-    monkeypatch.setattr(driver, "greedy_partition", checked)
-    for data in _many_block_inputs():
-        for mode in ("plain", "improved"):
-            assert expand(driver.compress(data, mode=mode).slp) == data
-    assert most_blocks >= 32
