@@ -14,7 +14,6 @@ from .grammar import (
     deserialize,
     dump,
     expand,
-    expansion_length,
     load,
     prune_unreachable,
     serialize,
@@ -36,7 +35,6 @@ __all__ = [
     "deserialize",
     "dump",
     "expand",
-    "expansion_length",
     "ingest",
     "load",
     "prune_unreachable",

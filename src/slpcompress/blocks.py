@@ -28,6 +28,7 @@ from .grammar import Slp
 from .text import StaleTextError, WorkingText, concat_ranges
 
 
+@dataclass
 class BlockScan:
     """Maximal blocks of length >= 2, sorted by (letter, length).
 
@@ -35,12 +36,10 @@ class BlockScan:
     are only valid for the epoch they were scanned in.
     """
 
-    def __init__(self, letters: np.ndarray, lengths: np.ndarray, positions: np.ndarray,
-                 epoch: int = 0):
-        self.letters = letters
-        self.lengths = lengths
-        self.positions = positions
-        self.epoch = epoch
+    letters: np.ndarray
+    lengths: np.ndarray
+    positions: np.ndarray
+    epoch: int = 0
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -131,7 +131,7 @@ def cmd_stats(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     length, depth = gr.expansion_and_depth(slp)
-    print(f"rules {len(slp.rules)}")
+    print(f"rules {len(slp.counts)}")
     print(f"size {slp.size}")
     print(f"depth {depth}")
     print(f"expansion {'>=2^63' if length is None else length}")

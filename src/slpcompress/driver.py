@@ -89,7 +89,7 @@ def run_phase(
     if len(text) < 2:
         raise ValueError("phases need at least two live symbols")
     live_before = len(text)
-    rules_before = len(grammar.rules)
+    rules_before = len(grammar.counts)
     size_before = grammar.size
     clock = [time.perf_counter()]
     rename_dense(text, amap)
@@ -122,7 +122,7 @@ def run_phase(
         live_after=len(text),
         rules_before=rules_before,
         size_before=size_before,
-        rules_after=len(grammar.rules),
+        rules_after=len(grammar.counts),
         size_after=grammar.size,
         rename_s=rename_s,
         blocks_s=blocks_s,
@@ -156,7 +156,7 @@ def compress(data, mode: str = "improved", kind: str | None = None) -> Compressi
             candidate = len(text) + grammar.size
             if best is None or candidate < best.size:
                 snapshot = amap.canonical_of_array(text.live())
-                best = BestSnapshot(candidate, len(traces), snapshot, len(grammar.rules))
+                best = BestSnapshot(candidate, len(traces), snapshot, len(grammar.counts))
                 copy_work += len(snapshot)
             elif grammar.size + distinct_pairs(text, amap) + 1 >= best.size:
                 break  # no later stop costs less than the best one
@@ -175,7 +175,7 @@ def compress(data, mode: str = "improved", kind: str | None = None) -> Compressi
     stats = GrammarStats(
         input_length=input_length,
         terminal_count=slp.terminal_count,
-        rule_count=len(slp.rules),
+        rule_count=len(slp.counts),
         size=slp.size,
         phase_count=len(traces),
         phase_table=phase_table,

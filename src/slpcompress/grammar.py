@@ -10,7 +10,7 @@ Storage is two ``int64`` arrays: ``counts[i]`` is the length of rule
 ``i``'s body, and ``flat`` holds every body back to back, so rule ``i``'s
 body is ``flat[offsets[i] : offsets[i] + counts[i]]`` with ``offsets`` the
 exclusive prefix sum of ``counts``.  Both arrays grow by amortized
-doubling.  ``Slp.rules`` shows the bodies as tuples.
+doubling.  ``Slp.rules`` reads and rewrites single bodies as tuples.
 
 In the ``SLP 1`` text format (see README), each rule is a line holding its
 count and then its body, as plain ASCII decimals separated by single
@@ -61,7 +61,7 @@ class Slp:
     ``start`` is a symbol id, or ``None`` for the reserved empty-string
     grammar.  Instances are append-only while being built (``emit_rule``)
     and treated as immutable afterwards.  ``rules`` may be any iterable of
-    bodies; the constructor does not check them (see ``validate``).
+    bodies of integers; the constructor checks nothing more (see ``validate``).
     """
 
     def __init__(self, kind: str, terminals: list[int], rules=None, start: int | None = None):
@@ -79,14 +79,14 @@ class Slp:
             bodies = [tuple(body) for body in rules]
             self._append(
                 np.fromiter(map(len, bodies), dtype=np.int64, count=len(bodies)),
-                np.fromiter(itertools.chain.from_iterable(bodies), dtype=np.int64),
+                _symbols(list(itertools.chain.from_iterable(bodies))),
             )
 
     @classmethod
     def from_arrays(cls, kind: str, terminals, counts, flat, start: int | None = None) -> Slp:
         """A grammar over copies of a body-count and a body-symbol array; unchecked."""
         slp = cls(kind, terminals, start=start)
-        slp._append(np.asarray(counts, dtype=np.int64), np.asarray(flat, dtype=np.int64))
+        slp._append(np.asarray(counts, dtype=np.int64), _symbols(flat))
         return slp
 
     @property
@@ -134,10 +134,10 @@ class Slp:
     def emit_pair_rules(self, firsts: np.ndarray, seconds: np.ndarray) -> np.ndarray:
         """Append one two-symbol rule per (first, second); returns the ids.
 
-        Bulk equivalent of ``emit_rule((a, b))`` per pair, checked by
-        ``emit_rules``: a pair may use an earlier pair of the same batch.
+        Bulk ``emit_rule((a, b))`` per pair, checked by ``emit_rules`` in the
+        inputs' dtype: a pair may use an earlier pair of the same batch.
         """
-        flat = np.empty(2 * len(firsts), dtype=np.int64)
+        flat = np.empty(2 * len(firsts), dtype=np.result_type(firsts, seconds))
         flat[0::2] = firsts
         flat[1::2] = seconds
         return self.emit_rules(np.full(len(firsts), 2, dtype=np.int64), flat)
@@ -149,7 +149,7 @@ class Slp:
         every body symbol must already exist.  The checks are vectorized.
         """
         counts = np.asarray(counts, dtype=np.int64)
-        flat = np.asarray(flat, dtype=np.int64)
+        flat = _symbols(flat)
         base = self.symbol_count
         if int(counts.sum()) != len(flat):
             raise GrammarError("rule body counts do not match the body symbols")
@@ -180,12 +180,9 @@ def _reserve(buf: np.ndarray, used: int, extra: int) -> np.ndarray:
 class RuleView:
     """The rule bodies of an ``Slp`` as tuples, read from its flat arrays.
 
-    Supports ``len``, integer and slice indexing, iteration and ``==``
-    against a list of tuples.  Assigning ``rules[i] = body`` writes into the
-    flat array and needs a body of the same length.
+    Supports ``len``, integer indexing (and so iteration) and ``rules[i] =
+    body`` with a body of the same length, which writes into ``flat``.
     """
-
-    __hash__ = None
 
     def __init__(self, slp: Slp):
         self._slp = slp
@@ -193,43 +190,28 @@ class RuleView:
     def __len__(self) -> int:
         return self._slp._rule_count
 
-    def _index(self, key) -> int:
-        i = operator.index(key)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("rule index out of range")
-        return i
+    def _span(self, key) -> tuple[int, int]:
+        i = range(len(self))[operator.index(key)]  # negative from the end; IndexError outside
+        return int(self._slp.offsets[i]), int(self._slp.counts[i])
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return [self[i] for i in range(*key.indices(len(self)))]
-        i = self._index(key)
-        start = int(self._slp.offsets[i])
-        return tuple(self._slp.flat[start : start + int(self._slp.counts[i])].tolist())
+    def __getitem__(self, key) -> tuple[int, ...]:
+        start, count = self._span(key)
+        return tuple(self._slp.flat[start : start + count].tolist())
 
     def __setitem__(self, key, body) -> None:
-        i = self._index(key)
-        start, count = int(self._slp.offsets[i]), int(self._slp.counts[i])
+        start, count = self._span(key)
         if len(body) != count:
-            raise ValueError(f"rule {i} has {count} body symbols, not {len(body)}")
-        self._slp.flat[start : start + count] = body
+            raise ValueError(f"rule {key} has {count} body symbols, not {len(body)}")
+        self._slp.flat[start : start + count] = _symbols(body)
 
-    def __iter__(self):
-        symbols = iter(self._slp.flat.tolist())
-        return (tuple(itertools.islice(symbols, c)) for c in self._slp.counts.tolist())
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RuleView):
-            return np.array_equal(self._slp.counts, other._slp.counts) and np.array_equal(
-                self._slp.flat, other._slp.flat
-            )
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(list(self))
+def _symbols(values) -> np.ndarray:
+    """``values`` as ``int64`` body symbols; raises unless they are integers."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu" and values.size:
+        # Never coerce: floats would be truncated and numerals parsed.
+        raise GrammarError(f"rule body symbols must be integers, not {values.dtype}")
+    return values.astype(np.int64, copy=False)
 
 
 def _distinct(ids: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -336,16 +318,21 @@ def check_structure(slp: Slp) -> None:
         # Like ``ingest``, never coerce: ``serialize`` would truncate floats and booleans.
         raise GrammarError(f"{slp.kind[:-1]} terminals must be integers, not {values.dtype}")
     _check_bodies(slp.counts, slp.flat, slp.terminal_count)
-    if slp.start is not None:
-        if not _is_integer(slp.start):
-            raise GrammarError(f"start symbol must be an integer, not {slp.start!r}")
-        if not 0 <= slp.start < slp.symbol_count:
-            raise GrammarError(f"start symbol {slp.start} out of range")
+    _check_symbol(slp, slp.start, "start symbol")
 
 
-def _is_integer(value) -> bool:
-    """An int or numpy integer; ``serialize`` writes floats and bools unreadably."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _check_symbol(slp: Slp, symbol, what: str) -> None:
+    """Raise unless ``symbol`` is ``None`` or a symbol id of ``slp``.
+
+    Only ints and numpy integers pass: ``serialize`` would write floats and
+    bools unreadably, and a negative index would read the last symbol.
+    """
+    if symbol is None:
+        return
+    if not isinstance(symbol, (int, np.integer)) or isinstance(symbol, bool):
+        raise GrammarError(f"{what} must be an integer, not {symbol!r}")
+    if not 0 <= symbol < slp.symbol_count:
+        raise GrammarError(f"{what} {symbol} outside [0, {slp.symbol_count})")
 
 
 def symbol_lengths(slp: Slp, levels: np.ndarray | None = None) -> np.ndarray:
@@ -374,13 +361,6 @@ def _body_lengths(slp: Slp, group, child: np.ndarray, firsts: np.ndarray) -> np.
     return np.add.reduceat(child, firsts)
 
 
-def expansion_length(slp: Slp) -> int:
-    """Length of the derived string, from the length table alone."""
-    if slp.start is None:
-        return 0
-    return int(symbol_lengths(slp)[slp.start])
-
-
 def expand_ids(slp: Slp, symbol: int | None = None) -> np.ndarray:
     """Derive the terminal-id sequence of ``symbol`` (default: start).
 
@@ -406,10 +386,7 @@ def expand_ids(slp: Slp, symbol: int | None = None) -> np.ndarray:
         symbol = slp.start
     if symbol is None:
         return np.empty(0, dtype=np.int64)
-    if not _is_integer(symbol):
-        raise GrammarError(f"symbol must be an integer, not {symbol!r}")
-    if not 0 <= symbol < slp.symbol_count:
-        raise GrammarError(f"symbol {symbol} outside [0, {slp.symbol_count})")
+    _check_symbol(slp, symbol, "symbol")
     levels = np.empty(len(slp.counts), dtype=np.int64)
     sym_len = symbol_lengths(slp, levels)
     out = np.empty(int(sym_len[symbol]), dtype=np.int64)
@@ -536,13 +513,14 @@ def grammar_depth(slp: Slp) -> int:
 
 
 def expansion_and_depth(slp: Slp) -> tuple[int | None, int]:
-    """``expansion_length`` and ``grammar_depth`` from one bottom-up walk.
+    """The start symbol's expansion length and ``grammar_depth``, in one walk.
 
-    The length is ``None`` where ``expansion_length`` would raise
+    The length is ``None`` where ``symbol_lengths`` would raise
     ``ExpansionOverflow``; the depth is computed either way.
     """
     if slp.start is None:
         return 0, 0
+    _check_symbol(slp, slp.start, "start symbol")
     sigma = slp.terminal_count
     lengths = np.ones(slp.symbol_count, dtype=np.int64)
     depth = np.zeros(slp.symbol_count, dtype=np.int64)
@@ -562,6 +540,7 @@ def prune_unreachable(slp: Slp) -> Slp:
     Marks reachable rules a level at a time from the start, then renumbers
     the kept rules, in order, with one gather.
     """
+    _check_symbol(slp, slp.start, "start symbol")
     sigma, counts, flat = slp.terminal_count, slp.counts, slp.flat
     keep = np.zeros(len(counts), dtype=bool)
     if slp.start is not None and slp.start >= sigma:
@@ -643,11 +622,12 @@ def _header_numeral(text: str, what: str) -> int:
 
 def serialize(slp: Slp) -> str:
     """Render the grammar in the line-oriented text format (LF endings)."""
+    _check_symbol(slp, slp.start, "start symbol")
     head = f"SLP 1\nterminals {slp.terminal_count} {slp.kind}\n"
     if slp.terminal_count:
         values = np.array(slp.terminals, dtype=np.int64)
         head += _write_lines(values, np.array([len(values) - 1])).decode("ascii")
-    head += f"rules {len(slp.rules)}\n"
+    head += f"rules {len(slp.counts)}\n"
     # Each rule line is its count, then its body.
     counts = slp.counts
     count_at = slp.offsets + np.arange(len(counts))

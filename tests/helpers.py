@@ -15,7 +15,6 @@ from slpcompress.grammar import (
     GrammarError,
     GrammarStats,
     Slp,
-    expansion_length,
     symbol_lengths,
 )
 from slpcompress.pairs import Partition, greedy_partition
@@ -293,7 +292,7 @@ def reference_expand_ids(slp, symbol=None) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     lengths = symbol_lengths(slp)
     sigma = slp.terminal_count
-    rules = slp.rules
+    rules = bodies(slp)
     memo: dict[int, list[int]] = {}
 
     def small(sym: int) -> list[int]:
@@ -465,8 +464,17 @@ def powers_of_two(extra_terminals=0) -> Slp:
     return slp
 
 
+def bodies(slp: Slp) -> list[tuple[int, ...]]:
+    """Every rule body of ``slp`` as a tuple, read from ``counts`` and ``flat``."""
+    ends = np.cumsum(slp.counts).tolist()
+    flat = slp.flat.tolist()
+    return [tuple(flat[end - count : end]) for end, count in zip(ends, slp.counts.tolist())]
+
+
 def body_of(slp: Slp, symbol: int) -> tuple[int, ...]:
-    return slp.rules[symbol - slp.terminal_count]
+    i = symbol - slp.terminal_count
+    start = int(slp.offsets[i])
+    return tuple(slp.flat[start : start + int(slp.counts[i])].tolist())
 
 
 def total_occurrences(adj) -> int:
@@ -498,7 +506,7 @@ def side_of(part: Partition, sym: int) -> str | None:
 
 
 # The scalar grammar routines that the flat-array ones in ``grammar``
-# replaced, kept as oracles.  They read ``Slp.rules`` as tuples.
+# replaced, kept as oracles.  They read the rule bodies as tuples (``bodies``).
 # Whitespace int() skips around a numeral, and signs and digit separators.
 _NEVER_WRITTEN = "\t\r\v\f\x1c\x1d\x1e\x1f_+-"
 
@@ -514,7 +522,7 @@ def reference_check_structure(slp: Slp) -> None:
             if not 0 <= v:
                 raise GrammarError(f"negative token terminal {v}")
     sigma = slp.terminal_count
-    for i, body in enumerate(slp.rules):
+    for i, body in enumerate(bodies(slp)):
         rule_id = sigma + i
         if not body:
             raise GrammarError(f"rule {rule_id} has an empty body")
@@ -528,7 +536,7 @@ def reference_check_structure(slp: Slp) -> None:
 def reference_symbol_lengths(slp: Slp) -> list[int]:
     """Expansion length of every symbol; raises on 63-bit overflow."""
     lengths = [1] * slp.terminal_count
-    for i, body in enumerate(slp.rules):
+    for i, body in enumerate(bodies(slp)):
         total = 0
         for s in body:
             total += lengths[s]
@@ -545,39 +553,39 @@ def reference_grammar_depth(slp: Slp) -> int:
     if slp.start is None:
         return 0
     depth = [0] * slp.terminal_count
-    for body in slp.rules:
+    for body in bodies(slp):
         depth.append(1 + max(depth[s] for s in body))
     return depth[slp.start]
 
 
 def reference_prune_unreachable(slp: Slp) -> Slp:
     """Keep exactly the rules reachable from the start symbol."""
-    sigma = slp.terminal_count
-    keep = np.zeros(len(slp.rules), dtype=bool)
+    sigma, rules = slp.terminal_count, bodies(slp)
+    keep = np.zeros(len(rules), dtype=bool)
     if slp.start is not None and slp.start >= sigma:
         # Bodies reference smaller ids, so one descending sweep suffices.
         keep[slp.start - sigma] = True
         for i in range(slp.start - sigma, -1, -1):
             if keep[i]:
-                for s in slp.rules[i]:
+                for s in rules[i]:
                     if s >= sigma:
                         keep[s - sigma] = True
     if keep.all():
-        return Slp(slp.kind, slp.terminals, slp.rules, slp.start)
+        return Slp(slp.kind, slp.terminals, rules, slp.start)
     new_id = np.full(slp.symbol_count, -1, dtype=np.int64)
     new_id[:sigma] = np.arange(sigma)
     next_id = sigma
-    for i in range(len(slp.rules)):
+    for i in range(len(rules)):
         if keep[i]:
             new_id[sigma + i] = next_id
             next_id += 1
-    rules = [
+    kept = [
         tuple(int(new_id[s]) for s in body)
-        for i, body in enumerate(slp.rules)
+        for i, body in enumerate(rules)
         if keep[i]
     ]
     start = None if slp.start is None else int(new_id[slp.start])
-    return Slp(slp.kind, slp.terminals, rules, start)
+    return Slp(slp.kind, slp.terminals, kept, start)
 
 
 def reference_serialize(slp: Slp) -> str:
@@ -585,8 +593,8 @@ def reference_serialize(slp: Slp) -> str:
     lines = ["SLP 1", f"terminals {slp.terminal_count} {slp.kind}"]
     if slp.terminal_count:
         lines.append(" ".join(str(v) for v in slp.terminals))
-    lines.append(f"rules {len(slp.rules)}")
-    for body in slp.rules:
+    lines.append(f"rules {len(slp.counts)}")
+    for body in bodies(slp):
         lines.append(f"{len(body)} " + " ".join(str(s) for s in body))
     lines.append("start empty" if slp.start is None else f"start {slp.start}")
     return "\n".join(lines) + "\n"
@@ -738,7 +746,7 @@ def reference_compress_improved(data, kind: str | None = None) -> CompressionRes
         candidate = len(text) + grammar.size
         if best is None or candidate < best.size:
             snapshot = amap.canonical_of_array(text.live())
-            best = BestSnapshot(candidate, len(traces), snapshot, len(grammar.rules))
+            best = BestSnapshot(candidate, len(traces), snapshot, len(grammar.counts))
             copy_work += len(snapshot)
         if len(text) <= 1:
             break
@@ -747,7 +755,7 @@ def reference_compress_improved(data, kind: str | None = None) -> CompressionRes
     stats = GrammarStats(
         input_length=input_length,
         terminal_count=slp.terminal_count,
-        rule_count=len(slp.rules),
+        rule_count=len(slp.counts),
         size=slp.size,
         phase_count=len(traces),
         phase_table=phase_table,
@@ -758,16 +766,16 @@ def reference_compress_improved(data, kind: str | None = None) -> CompressionRes
 def reference_stats_lines(slp: Slp) -> list[str]:
     """The lines CLI ``stats`` printed before ``bytes``, from separate scalar walks.
 
-    Length comes from ``expansion_length``'s length table and depth from
-    the scalar ``reference_grammar_depth``, not from the single
-    ``expansion_and_depth`` walk that CLI ``stats`` runs.
+    Length comes from ``symbol_lengths``' table and depth from the scalar
+    ``reference_grammar_depth``, not from the single ``expansion_and_depth``
+    walk that CLI ``stats`` runs.
     """
     try:
-        length = str(expansion_length(slp))
+        length = str(0 if slp.start is None else symbol_lengths(slp)[slp.start])
     except ExpansionOverflow:
         length = ">=2^63"
     return [
-        f"rules {len(slp.rules)}",
+        f"rules {len(slp.counts)}",
         f"size {slp.size}",
         f"depth {reference_grammar_depth(slp)}",
         f"expansion {length}",

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import body_of, canonical_of, live_list, reference_block_representation
+from helpers import bodies, body_of, canonical_of, live_list, reference_block_representation
 from slpcompress.alphabet import ingest
 from slpcompress.blocks import build_block_rules, compress_blocks, scan_blocks
 from slpcompress.grammar import Slp, expand
@@ -73,7 +73,7 @@ class TestCompressBlocks:
         compress_blocks(text, scan_blocks(text, amap), grammar, amap)
         live = live_list(text)
         assert live == [live[0], 1, live[0], 1, live[0]]
-        assert len(grammar.rules) == 1  # one shared rule for the aa block
+        assert len(grammar.counts) == 1  # one shared rule for the aa block
 
     def test_unary_power_of_two_rule_budget(self):
         n = 2**20
@@ -91,7 +91,7 @@ class TestCompressBlocks:
         grammar = Slp("bytes", amap.terminal_of_id)
         result = compress_blocks(text, scan_blocks(text, amap), grammar, amap)
         assert result.blocks_replaced == 0
-        assert grammar.rules == []
+        assert bodies(grammar) == []
         assert live_list(text) == [0, 1, 0, 1]
 
     def test_no_equal_adjacent_after_stage(self):
@@ -130,7 +130,7 @@ class TestBlockRepresentation:
         grammar = Slp("bytes", [ord("a")])
         targets = one_letter_rules(grammar, 0, [2])
         assert grammar.size == 2
-        assert grammar.rules == [(0, 0)]
+        assert bodies(grammar) == [(0, 0)]
         assert expand(grammar, targets[2]) == b"aa"
 
     def test_chain_2_3_7(self):
@@ -185,7 +185,7 @@ class TestBulkMatchesReference:
         letters = [letter for letter, lengths in table for _ in lengths]
         lengths = [length for _, lengths in table for length in lengths]
         assert build_block_rules(got, letters, lengths).tolist() == targets
-        assert got.rules == expected.rules
+        assert bodies(got) == bodies(expected)
         assert got.size == expected.size
 
     @staticmethod

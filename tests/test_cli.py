@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import test_golden
-from helpers import powers_of_two, reference_parse_tokens, reference_stats_lines
+from helpers import bodies, powers_of_two, reference_parse_tokens, reference_stats_lines
 
 from slpcompress.cli import _parse_tokens, main
 from slpcompress.driver import compress
@@ -173,8 +173,8 @@ class TestCompressDecompressVerify:
             prev = slp.emit_rule([prev, prev])
         slp.start = prev
         # Bypass dump's validation by writing the text form directly.
-        lines = ["SLP 1", "terminals 1 bytes", "97", f"rules {len(slp.rules)}"]
-        for body in slp.rules:
+        lines = ["SLP 1", "terminals 1 bytes", "97", f"rules {len(slp.counts)}"]
+        for body in bodies(slp):
             lines.append(f"{len(body)} " + " ".join(map(str, body)))
         lines.append(f"start {slp.start}")
         gpath = make("big.slp", ("\n".join(lines) + "\n").encode())
@@ -253,7 +253,7 @@ class TestTokenReader:
         gpath = str(tmp / "g.slp")
         assert main(["compress", src, gpath, "--input", "tokens"]) == 0
         slp = load(gpath)
-        assert slp.kind == "tokens" and slp.start is None and len(slp.rules) == 0
+        assert slp.kind == "tokens" and slp.start is None and len(slp.counts) == 0
         assert main(["verify", gpath, src]) == 0
 
     @pytest.mark.parametrize(

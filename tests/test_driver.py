@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import bodies
 from slpcompress import driver
 from slpcompress.alphabet import ingest
 from slpcompress.driver import compress, run_phase
@@ -16,7 +17,7 @@ from slpcompress.text import StaleTextError
 class TestPlainMode:
     def test_two_distinct_symbols(self):
         result = compress(b"ab", mode="plain")
-        assert result.slp.rules == [(0, 1), (2,)]
+        assert bodies(result.slp) == [(0, 1), (2,)]
         assert result.slp.start == 3
         assert result.slp.size == 3
         assert result.stats.phase_count == 1
@@ -36,12 +37,12 @@ class TestPlainMode:
     def test_empty_input(self):
         result = compress(b"", mode="plain")
         assert result.slp.start is None
-        assert result.slp.rules == []
+        assert bodies(result.slp) == []
         assert expand(result.slp) == b""
 
     def test_single_symbol_input(self):
         result = compress(b"x", mode="plain")
-        assert result.slp.rules == [(0,)]
+        assert bodies(result.slp) == [(0,)]
         assert expand(result.slp) == b"x"
 
 
@@ -122,8 +123,8 @@ class TestPhase:
     def test_stats_size_matches_rules(self):
         for mode in ("plain", "improved"):
             result = compress(b"banana bandana" * 9, mode=mode)
-            assert result.stats.size == sum(len(b) for b in result.slp.rules)
-            assert result.stats.rule_count == len(result.slp.rules)
+            assert result.stats.size == sum(len(b) for b in bodies(result.slp))
+            assert result.stats.rule_count == len(result.slp.counts)
             assert result.stats.phase_count == len(result.traces)
             # one extra row for the state after the final phase
             assert len(result.stats.phase_table) == len(result.traces) + 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import test_golden
 from helpers import (
+    bodies,
     body_of,
     powers_of_two,
     reference_check_structure,
@@ -30,7 +31,6 @@ from slpcompress.grammar import (
     expand,
     expand_ids,
     expansion_and_depth,
-    expansion_length,
     format_tokens,
     grammar_depth,
     prune_unreachable,
@@ -108,7 +108,7 @@ class TestEmitRule:
             one.emit_rule(body)
         bulk = Slp("bytes", [ord("a"), ord("b")])
         assert bulk.emit_rules([2, 3, 1], [0, 1, 2, 2, 0, 3]).tolist() == [2, 3, 4]
-        assert bulk.rules == one.rules
+        assert bodies(bulk) == bodies(one)
         assert bulk.size == one.size
         assert bulk.emit_rules([], []).tolist() == []
 
@@ -126,7 +126,7 @@ class TestEmitRule:
         slp = Slp("bytes", [ord("a"), ord("b")])
         with pytest.raises(GrammarError):
             slp.emit_rules(counts, flat)
-        assert slp.rules == [] and slp.size == 0
+        assert bodies(slp) == [] and slp.size == 0
 
     def test_pair_rules_match_one_at_a_time(self):
         rng = random.Random(12)
@@ -147,7 +147,7 @@ class TestEmitRule:
         slp = Slp("bytes", [ord("a")])
         empty = np.empty(0, dtype=np.int64)
         assert slp.emit_pair_rules(empty, empty).tolist() == []
-        assert slp.rules == [] and slp.size == 0
+        assert bodies(slp) == [] and slp.size == 0
 
     @pytest.mark.parametrize(
         "firsts,seconds,message",
@@ -161,13 +161,52 @@ class TestEmitRule:
         slp = Slp("bytes", [ord("a"), ord("b")])
         with pytest.raises(GrammarError, match=message):
             slp.emit_pair_rules(np.array(firsts), np.array(seconds))
-        assert slp.rules == [] and slp.size == 0
+        assert bodies(slp) == [] and slp.size == 0
 
     def test_random_chains_validate(self):
         rng = random.Random(99)
         for _ in range(200):
             slp = random_slp(rng, max_rules=50)
             validate(slp)
+
+
+@pytest.mark.parametrize(
+    "body", [(0.7, 1.2), (0.0, 1.0), ("0", "1")], ids=["float", "whole-float", "str"]
+)
+class TestNonIntegerBodySymbols:
+    """Every way body symbols enter refuses non-integers instead of truncating them."""
+
+    def test_constructor(self, body):
+        with pytest.raises(GrammarError, match="must be integers"):
+            Slp("bytes", [97, 98], [(0, 1), body])
+
+    def test_from_arrays(self, body):
+        with pytest.raises(GrammarError, match="must be integers"):
+            Slp.from_arrays("bytes", [97, 98], [2], list(body))
+
+    def test_emit_rule(self, body):
+        slp = Slp("bytes", [97, 98])
+        with pytest.raises(GrammarError, match="must be integers"):
+            slp.emit_rule(body)
+        assert slp.size == 0
+
+    def test_emit_rules(self, body):
+        slp = Slp("bytes", [97, 98])
+        with pytest.raises(GrammarError, match="must be integers"):
+            slp.emit_rules([2], list(body))
+        assert slp.size == 0
+
+    def test_emit_pair_rules(self, body):
+        slp = Slp("bytes", [97, 98])
+        with pytest.raises(GrammarError, match="must be integers"):
+            slp.emit_pair_rules(np.array(body[:1]), np.array(body[1:]))
+        assert slp.size == 0
+
+    def test_rule_write(self, body):
+        slp = Slp("bytes", [97, 98], [(0, 1)], start=2)
+        with pytest.raises(GrammarError, match="must be integers"):
+            slp.rules[0] = body
+        assert bodies(slp) == [(0, 1)]
 
 
 class TestExpand:
@@ -237,12 +276,21 @@ class TestExpand:
         with pytest.raises(GrammarError, match=f"symbol {symbol} outside"):
             expand_ids(slp, symbol)
 
-    def test_unchecked_start_out_of_range(self):
-        slp = Slp("bytes", [ord("a"), ord("b")], rules=[(0, 1), (2, 2, 2)], start=-1)
-        with pytest.raises(GrammarError, match="symbol -1 outside"):
-            expand(slp)
-        with pytest.raises(GrammarError, match="symbol -1 outside"):
-            expand_ids(slp)
+    @pytest.mark.parametrize("start", [-1, 4, 1.0, True], ids=["-1", "symbol_count", "float", "bool"])
+    @pytest.mark.parametrize(
+        "function",
+        [expand, expand_ids, check_structure, serialize, expansion_and_depth, grammar_depth,
+         prune_unreachable],
+        ids=lambda function: function.__name__,
+    )
+    def test_unchecked_start_out_of_range(self, function, start):
+        # A negative start would read the last symbol, and ``serialize`` would
+        # write a start that ``load`` refuses.
+        slp = Slp("bytes", [ord("a"), ord("b")], rules=[(0, 1), (2, 2, 2)], start=start)
+        integer = not isinstance(start, (bool, float))
+        message = f"symbol {start} outside" if integer else "must be an integer"
+        with pytest.raises(GrammarError, match=message):
+            function(slp)
 
     def test_overflow_detected_before_streaming(self):
         slp = Slp("bytes", [ord("a")])
@@ -498,7 +546,7 @@ class TestPrune:
         slp.emit_rule([0, 0, 0])  # dead
         slp.start = slp.emit_rule([0, 1])
         pruned = prune_unreachable(slp)
-        assert len(pruned.rules) == 1
+        assert len(pruned.counts) == 1
         assert pruned.size == slp.size - 3
         assert expand(pruned) == expand(slp)
 
@@ -514,7 +562,7 @@ class TestPrune:
     def test_empty_start(self):
         slp = Slp("bytes", [1], rules=[(0, 0)], start=None)
         pruned = prune_unreachable(slp)
-        assert pruned.rules == []
+        assert bodies(pruned) == []
         assert pruned.start is None
 
 
@@ -635,7 +683,7 @@ class TestStatsHelpers:
         slp = Slp("bytes", [97])
         a2 = slp.emit_rule([0, 0])
         slp.start = slp.emit_rule([a2, a2, 0])
-        assert expansion_length(slp) == 5
+        assert expansion_and_depth(slp) == (5, 2)
 
 
 def golden_grammars():
@@ -649,7 +697,7 @@ def assert_matches_scalar_oracles(slp):
     assert text == reference_serialize(slp)
     back = deserialize(text)
     assert back == reference_deserialize(text) == slp
-    assert back.rules == list(slp.rules)
+    assert bodies(back) == bodies(slp)
     reference_check_structure(slp)
     check_structure(slp)
     lengths = reference_symbol_lengths(slp)
@@ -708,7 +756,7 @@ class TestExpansionCeiling:
     def test_exactly_the_ceiling_loads(self):
         slp = deserialize(serialize(powers_of_two()))
         validate(slp)
-        assert expansion_length(slp) == MAX_EXPANSION == 2**63 - 1
+        assert expansion_and_depth(slp)[0] == MAX_EXPANSION == 2**63 - 1
 
     def test_one_past_the_ceiling_overflows(self):
         slp = powers_of_two(extra_terminals=1)
@@ -772,13 +820,18 @@ class TestRuleView:
         slp = self.grammar()
         assert len(slp.rules) == 2
         assert slp.rules[0] == (0, 1) and slp.rules[-1] == (2, 0, 2)
-        assert slp.rules[:1] == [(0, 1)] and slp.rules[::-1] == [(2, 0, 2), (0, 1)]
+        # Iteration goes through integer indexing up to the IndexError.
         assert list(slp.rules) == [(0, 1), (2, 0, 2)]
         assert all(type(body) is tuple for body in slp.rules)
-        assert slp.rules == [(0, 1), (2, 0, 2)] and slp.rules != [(0, 1)]
-        assert slp.rules == self.grammar().rules
-        with pytest.raises(IndexError):
-            slp.rules[2]
+        for key in (2, -3):
+            with pytest.raises(IndexError):
+                slp.rules[key]
+
+    def test_only_the_benchmark_reads(self):
+        # ``perfbench`` counts the rules and reads and rewrites one body;
+        # everything else reads ``counts`` and ``flat``.
+        methods = {name for name, value in vars(grammar.RuleView).items() if callable(value)}
+        assert methods == {"__init__", "__len__", "__getitem__", "__setitem__", "_span"}
 
     def test_write_goes_through(self):
         slp = self.grammar()

@@ -4,7 +4,9 @@ Test-only code (oracles, the rewriting lab) lives in ``tests/``.  A module
 in ``src/slpcompress`` that ``import slpcompress.cli`` does not load is
 dead weight for every user, so this test fails on it.  The package holds
 no ``assert`` either: ``python -O`` strips them, so a runtime check must
-raise.
+raise.  Nor does it read an attribute named ``rules``: grammars are read
+through ``Slp.counts`` and ``Slp.flat``, and ``Slp.rules`` is kept only for
+the benchmark's reads (``tests/test_trace_names.py``).
 """
 
 import ast
@@ -41,11 +43,24 @@ def test_cli_import_loads_every_package_module():
     assert report["unloaded"] == []
 
 
+def package_nodes():
+    """Every syntax-tree node of the package, with its module's file name."""
+    for path in sorted((SRC / "slpcompress").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path.name, node
+
+
 def test_package_holds_no_assert_statements():
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted((SRC / "slpcompress").glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
+        f"{name}:{node.lineno}" for name, node in package_nodes() if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_package_reads_no_rules_attribute():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in package_nodes()
+        if isinstance(node, ast.Attribute) and node.attr == "rules"
     ]
     assert found == []
