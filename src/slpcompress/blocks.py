@@ -7,14 +7,17 @@ gap values as binary expansions over the squares, and a chain linking the
 block lengths in increasing order.  The emitted body length for lengths
 l1 < ... < lk is at most 4 * sum(1 + log2(li - l(i-1))), where l0 = 0.
 
-Rules are emitted, with consecutive ids, in this order.  Letters come in
-the order of the (letter, length) group table.  Within a letter, the
-squares ``a^2, a^4, ...`` come first, up to the largest gap.  Then, for
-each length in ascending order: a gap rule (the gap's squares, largest
-first) if the gap has more than one set bit and no earlier length of the
-letter had the same gap; and, for every length after the first, a chain
-rule ``(gap symbol, symbol of the previous length)``.  A gap with one set
-bit is the square itself, and the first length's symbol is its gap's.
+Rules are emitted, with consecutive ids, level by level, so that no rule
+names another of its level and each level is one id range of the
+grammar's range walk.  First the squares: ``a^2`` of every letter, then
+``a^4`` of every letter that needs it, and so on, each letter's up to its
+largest gap.  Then the gap rules: one (the gap's squares, largest first)
+for each length whose gap has more than one set bit when no shorter length
+of the letter had the same gap.  Then the chains: step j holds the rule
+``(gap symbol, symbol of the previous length)`` of each letter's (j+1)-th
+length, for j = 1, 2, ...  Within a level, letters and lengths keep the
+order of the (letter, length) group table.  A gap with one set bit is the
+square itself, and the first length's symbol is its gap's.
 """
 
 from __future__ import annotations
@@ -152,46 +155,37 @@ def build_block_rules(grammar: Slp, letters, lengths) -> np.ndarray:
     first_use[order] = order[new_key][np.cumsum(new_key) - 1]
     gap_rule = (popcount > 1) & (first_use == np.arange(n))
 
-    # Rule slots (ids less the grammar's symbol count): an exclusive cumsum
-    # of the rules each group emits, its letter's squares counted first.
+    # Rule slots (ids less the grammar's symbol count) go level by level as
+    # in the module docstring; stable sorts keep table order within a level.
     base = grammar.symbol_count
-    before = np.zeros(n, dtype=np.int64)
-    before[letter_first] = squares
-    per_group = before + gap_rule + ~first
-    gap_slot = np.cumsum(per_group) - per_group + before
-    chain_slot = gap_slot + gap_rule
-    square_slot = gap_slot[letter_first] - squares  # slot of a^2, per letter
-
-    def power(letter, e):
-        """Symbol deriving ``a^(2^e)`` for the letter at index ``letter``."""
-        return np.where(e == 0, letters[letter_first[letter]], base + square_slot[letter] + e - 1)
-
-    gap_sym = np.where(gap_rule, base + gap_slot, power(letter_of, bit_length - 1))[first_use]
-    targets = np.where(first, gap_sym, base + chain_slot)
-
-    # Bodies, laid out by slot in one flat array: two symbols per square and
-    # chain rule, one per set bit of a gap rule's gap.
-    rows = np.flatnonzero(gap_rule)
-    counts = np.full(int(per_group.sum()), 2, dtype=np.int64)
-    counts[gap_slot[rows]] = popcount[rows]
-    offsets = np.cumsum(counts) - counts
-    flat = np.empty(int(counts.sum()), dtype=np.int64)
-
     square_letter = np.repeat(np.arange(len(squares)), squares)
-    half = concat_ranges(np.zeros(len(squares), dtype=np.int64), squares)
-    at = offsets[square_slot[square_letter] + half]
-    flat[at] = flat[at + 1] = power(square_letter, half)  # a^(2^(e+1)) -> a^(2^e) a^(2^e)
+    half = concat_ranges(np.zeros(len(squares), dtype=np.int64), squares)  # exponent - 1
+    by_square = np.argsort(half, kind="stable")  # the squares in slot order
+    rows = np.flatnonzero(gap_rule)
+    chain = np.flatnonzero(~first)
+    by_chain = np.argsort(chain - letter_first[letter_of[chain]], kind="stable")  # by step
 
-    # Set bits row by row, largest exponent first: a row's k-th set bit
-    # fills place k of its body.
+    # power[at[letter] + e] derives the letter's a^(2^e).
+    at = np.cumsum(squares + 1) - squares - 1
+    power = np.empty(len(at) + len(half), dtype=np.int64)
+    power[at] = letters[letter_first]
+    power[(at[square_letter] + half + 1)[by_square]] = base + np.arange(len(half))
+    gap_sym = power[at[letter_of] + bit_length - 1]
+    gap_sym[rows] = base + len(half) + np.arange(len(rows))
+    gap_sym = gap_sym[first_use]
+    targets = gap_sym.copy()
+    targets[chain[by_chain]] = base + len(half) + len(rows) + np.arange(len(chain))
+
+    # Bodies in slot order: a^(2^(e+1)) -> a^(2^e) a^(2^e); a gap rule's
+    # squares, largest first; (gap symbol, symbol of the previous length).
     row, col = np.nonzero(bits[rows, ::-1])
-    at = concat_ranges(offsets[gap_slot[rows]], popcount[rows])
-    flat[at] = power(letter_of[rows[row]], width - 1 - col)
-
-    rows = np.flatnonzero(~first)
-    at = offsets[chain_slot[rows]]
-    flat[at] = gap_sym[rows]
-    flat[at + 1] = targets[rows - 1]
-
+    counts = np.concatenate([np.full(len(half), 2), popcount[rows], np.full(len(chain), 2)])
+    flat = np.concatenate(
+        [
+            np.repeat(power[at[square_letter] + half][by_square], 2),
+            power[at[letter_of[rows[row]]] + width - 1 - col],
+            np.column_stack([gap_sym[chain], targets[chain - 1]])[by_chain].ravel(),
+        ]
+    )
     grammar.emit_rules(counts, flat)
     return targets

@@ -12,6 +12,10 @@ body is ``flat[offsets[i] : offsets[i] + counts[i]]`` with ``offsets`` the
 exclusive prefix sum of ``counts``.  Both arrays grow by amortized
 doubling.  ``Slp.rules`` reads and rewrites single bodies as tuples.
 
+Lengths, depth, the copy order of ``expand_ids`` and pruning walk the
+maximal id ranges in which no rule names another (``_ranges``), one vector
+step per range: each range's bodies are one slice of ``flat``.
+
 In the ``SLP 1`` text format (see README), each rule is a line holding its
 count and then its body, as plain ASCII decimals separated by single
 spaces.  The rule lines and the terminal values are written by vector
@@ -28,14 +32,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alphabet import TOKEN_VALUE_CEILING, radix_argsort
+from .alphabet import TOKEN_VALUE_CEILING
 from .text import concat_ranges
 
-MAX_EXPANSION = 2**63 - 1
+MAX_EXPANSION = 2**63 - 1  # also the largest int64
 _BATCH = 1 << 15  # body symbols substituted per vector step of expand_ids
 # expand_ids expands a rule referenced twice or more only once, and copies its
 # other occurrences, when the rule derives at least this many symbols.
 _COPY_MIN = 8
+_WINDOW = 64  # body cells _ranges searches at first for the end of a range
 # A numeral has at most this many digits, so every value parsed fits an
 # int64; no valid symbol id, count or terminal comes near 10**18.
 _MAX_DIGITS = 18
@@ -79,14 +84,14 @@ class Slp:
             bodies = [tuple(body) for body in rules]
             self._append(
                 np.fromiter(map(len, bodies), dtype=np.int64, count=len(bodies)),
-                _symbols(list(itertools.chain.from_iterable(bodies))),
+                _integers(list(itertools.chain.from_iterable(bodies)), "rule body symbols"),
             )
 
     @classmethod
     def from_arrays(cls, kind: str, terminals, counts, flat, start: int | None = None) -> Slp:
         """A grammar over copies of a body-count and a body-symbol array; unchecked."""
         slp = cls(kind, terminals, start=start)
-        slp._append(np.asarray(counts, dtype=np.int64), _symbols(flat))
+        slp._append(_integers(counts, "rule body counts"), _integers(flat, "rule body symbols"))
         return slp
 
     @property
@@ -148,8 +153,8 @@ class Slp:
         Rule ``i``'s body is the next ``counts[i]`` symbols of ``flat``, and
         every body symbol must already exist.  The checks are vectorized.
         """
-        counts = np.asarray(counts, dtype=np.int64)
-        flat = _symbols(flat)
+        counts = _integers(counts, "rule body counts")
+        flat = _integers(flat, "rule body symbols")
         base = self.symbol_count
         if int(counts.sum()) != len(flat):
             raise GrammarError("rule body counts do not match the body symbols")
@@ -202,23 +207,31 @@ class RuleView:
         start, count = self._span(key)
         if len(body) != count:
             raise ValueError(f"rule {key} has {count} body symbols, not {len(body)}")
-        self._slp.flat[start : start + count] = _symbols(body)
+        self._slp.flat[start : start + count] = _integers(body, "rule body symbols")
 
 
-def _symbols(values) -> np.ndarray:
-    """``values`` as ``int64`` body symbols; raises unless they are integers."""
-    values = np.asarray(values)
-    if values.dtype.kind not in "iu" and values.size:
-        # Never coerce: floats would be truncated and numerals parsed.
-        raise GrammarError(f"rule body symbols must be integers, not {values.dtype}")
-    return values.astype(np.int64, copy=False)
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as ``int64``; raises ``GrammarError`` unless each is an int64 integer.
 
-
-def _distinct(ids: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """``ids`` without repeats; ``scratch`` is any array indexable by every id."""
-    rank = np.arange(len(ids))
-    scratch[ids] = rank
-    return ids[scratch[ids] == rank]
+    Never coerces: numpy would truncate floats, read bools as 0 and 1, parse
+    numerals, and wrap or round integers of 2**63 or more.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind == "u" and values.size and values.max() > MAX_EXPANSION:
+            wide = values[np.argmax(values > MAX_EXPANSION)]
+            raise GrammarError(f"{what} must fit in int64, not {wide}")
+        if values.dtype.kind not in "iu" and values.size:
+            raise GrammarError(f"{what} must be integers, not {values.dtype}")
+        return values.astype(np.int64, copy=False)
+    values = list(values)
+    for kind in set(map(type, values)):
+        if issubclass(kind, (bool, np.bool_)) or not issubclass(kind, (int, np.integer)):
+            raise GrammarError(f"{what} must be integers, not {kind.__name__}")
+    try:
+        return np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:
+        wide = next(v for v in values if not -MAX_EXPANSION - 1 <= v <= MAX_EXPANSION)
+        raise GrammarError(f"{what} must fit in int64, not {wide}") from None
 
 
 def _check_bodies(counts: np.ndarray, flat: np.ndarray, base: int) -> None:
@@ -233,59 +246,38 @@ def _check_bodies(counts: np.ndarray, flat: np.ndarray, base: int) -> None:
         raise GrammarError(f"rule {owner[at]} references symbol {flat[at]} (not yet defined)")
 
 
-def _bodies(slp: Slp, rules: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bodies of ``rules`` back to back, and where each body starts."""
-    counts = slp.counts[rules]
-    return slp.flat[concat_ranges(slp.offsets[rules], counts)], np.cumsum(counts) - counts
+def _ranges(slp: Slp) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+    """The maximal rule ranges ``[s, e)`` in which no rule names another.
 
-
-def _bottom_up(slp: Slp, levels: np.ndarray | None = None):
-    """Yield groups of rule indices, each rule after all of its rule children.
-
-    Each group comes with its ``_bodies``.  Rules that some body references
-    go by Kahn's algorithm over the child-to-parent edges, one group per
-    level, so the work is linear in the grammar size plus one vector step
-    per level.  The rules nothing references, such as the start rule, come
-    last in one group: their bodies, often the longest, add no edges.
-    Raises ``GrammarError`` first unless ``_check_bodies`` passes, which
-    makes the grammar acyclic.
-
-    If ``levels`` is given, an array with one entry per rule, the entry of
-    each rule that two or more body cells reference receives the index of
-    the rule's group, and every other entry -1.
+    Each comes with its bodies, a slice of ``flat``, and where each body
+    starts in it.  A range's rule children lie in earlier ranges, so the
+    list is bottom up, and reversed top down.  Raises ``GrammarError``
+    unless ``_check_bodies`` passes.  Rule ``e`` owns the first cell of
+    ``flat`` naming rule ``s`` or a later one, searched for from rule ``s``
+    in windows that double in size: O(grammar size) vector work in all, and
+    O(log size) calls per range.
     """
-    sigma, counts, flat = slp.terminal_count, slp.counts, slp.flat
+    sigma, counts, offsets, flat = slp.terminal_count, slp.counts, slp.offsets, slp.flat
     _check_bodies(counts, flat, sigma)
-    n = len(counts)
-    refs = np.bincount(flat, minlength=sigma + n)[sigma:]  # body cells naming each rule
-    # The edges that Kahn's algorithm needs lie in the bodies of referenced rules.
-    inner = np.flatnonzero(refs)
-    child = _bodies(slp, inner)[0]
-    is_rule = child >= sigma
-    parent = np.repeat(inner, counts[inner])[is_rule]
-    child = child[is_rule] - sigma
-    waiting = np.bincount(parent, minlength=n)  # rule children not yet placed
-    parents = parent[radix_argsort(child, max(n, 1))]
-    head = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(child, minlength=n), out=head[1:])
-    # A generator keeps its locals for the whole walk: drop the unsorted edges.
-    del inner, is_rule, child, parent
-    scratch = np.empty(n, dtype=np.int64)
-    level = np.flatnonzero((refs > 0) & (waiting == 0))
-    k = 0
-    while len(level):
-        if levels is not None:
-            levels[level] = k
-        yield (level, *_bodies(slp, level))
-        above = parents[concat_ranges(head[level], head[level + 1] - head[level])]
-        np.subtract.at(waiting, above, 1)
-        level = _distinct(above[waiting[above] == 0], scratch)
-        k += 1
-    if levels is not None:
-        levels[refs < 2] = -1
-    roots = np.flatnonzero(refs == 0)
-    if len(roots):
-        yield (roots, *_bodies(slp, roots))
+    ends = offsets + counts
+    cuts = [0]
+    while cuts[-1] < len(counts):
+        first = sigma + cuts[-1]  # the first id the next range must not name
+        at, width, end = int(offsets[cuts[-1]]), _WINDOW, len(counts)
+        while at < len(flat):
+            window = flat[at : at + width]
+            hit = int((window >= first).argmax())
+            if window[hit] >= first:
+                end = int(ends.searchsorted(at + hit, side="right"))
+                break
+            at, width = at + width, 2 * width
+        cuts.append(end)
+    at = offsets[cuts[:-1]]
+    firsts = offsets - np.repeat(at, np.diff(cuts))  # within the range's bodies
+    at = at.tolist() + [slp.size]
+    return [
+        (s, e, flat[a:b], firsts[s:e]) for s, e, a, b in zip(cuts, cuts[1:], at, at[1:])
+    ]
 
 
 def validate(slp: Slp) -> None:
@@ -335,20 +327,24 @@ def _check_symbol(slp: Slp, symbol, what: str) -> None:
         raise GrammarError(f"{what} {symbol} outside [0, {slp.symbol_count})")
 
 
-def symbol_lengths(slp: Slp, levels: np.ndarray | None = None) -> np.ndarray:
+def symbol_lengths(slp: Slp, starts: list | None = None) -> np.ndarray:
     """Expansion length of every symbol id; raises on 63-bit overflow.
 
-    ``levels``, if given, is filled as ``_bottom_up`` describes.
+    ``starts``, if given, a list, receives the first rule of each range of
+    ``_ranges``, in order.
     """
+    sigma = slp.terminal_count
     lengths = np.ones(slp.symbol_count, dtype=np.int64)
-    for group, children, firsts in _bottom_up(slp, levels):
-        lengths[slp.terminal_count + group] = _body_lengths(slp, group, lengths[children], firsts)
+    for s, e, children, firsts in _ranges(slp):
+        lengths[sigma + s : sigma + e] = _body_lengths(slp, s, lengths[children], firsts)
+        if starts is not None:
+            starts.append(s)
     return lengths
 
 
-def _body_lengths(slp: Slp, group, child: np.ndarray, firsts: np.ndarray) -> np.ndarray:
-    """Sum the child lengths of each body in ``group``; raises on 63-bit overflow."""
-    if int(child.max()) * int(slp.counts[group].max()) > MAX_EXPANSION:
+def _body_lengths(slp: Slp, s: int, child: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+    """Sum the child lengths of each body in the range from rule ``s``; raises on overflow."""
+    if int(child.max()) * len(child) > MAX_EXPANSION:
         # int64 sums may wrap here: a float sum finds every body that
         # may reach 2**62, and Python ints sum those exactly.
         ends = np.append(firsts[1:], len(child))
@@ -356,7 +352,7 @@ def _body_lengths(slp: Slp, group, child: np.ndarray, firsts: np.ndarray) -> np.
         for j in np.flatnonzero(near).tolist():
             if sum(child[firsts[j] : ends[j]].tolist()) > MAX_EXPANSION:
                 raise ExpansionOverflow(
-                    f"rule {slp.terminal_count + group[j]} expands to more than 2**63-1 symbols"
+                    f"rule {slp.terminal_count + s + j} expands to more than 2**63-1 symbols"
                 )
     return np.add.reduceat(child, firsts)
 
@@ -374,31 +370,31 @@ def expand_ids(slp: Slp, symbol: int | None = None) -> np.ndarray:
     A rule of ``_COPY_MIN`` or more symbols that two or more body cells
     reference is expanded only where the walk first meets it.  Its other
     occurrences are recorded, and after the walk each is copied from the
-    first, a Kahn level at a time, lowest first: a rule's expansion holds
-    copies of lower-level rules only, so every copy reads finished cells.
-    Each long rule is thus expanded at most once, and the work is linear in
-    the grammar size plus the output (unary chains of shorter rules aside).
-    Besides tables of O(grammar size) for the lengths, levels and recorded
-    copies, no temporary holds more than ``_BATCH`` symbols, and there is
-    no recursion-depth limit.
+    first, one range of ``_ranges`` at a time, lowest first: a rule's
+    expansion holds copies of rules of lower ranges only, so every copy
+    reads finished cells.  Each long rule is thus expanded at most once,
+    and the work is linear in the grammar size plus the output (unary
+    chains of shorter rules aside).  Besides tables of O(grammar size) for
+    the lengths, the copy state and the recorded copies, no temporary holds
+    more than ``_BATCH`` symbols, and there is no recursion-depth limit.
     """
     if symbol is None:
         symbol = slp.start
     if symbol is None:
         return np.empty(0, dtype=np.int64)
     _check_symbol(slp, symbol, "symbol")
-    levels = np.empty(len(slp.counts), dtype=np.int64)
-    sym_len = symbol_lengths(slp, levels)
+    range_starts = []
+    sym_len = symbol_lengths(slp, range_starts)
     out = np.empty(int(sym_len[symbol]), dtype=np.int64)
     sigma = slp.terminal_count
     count, offset, flat = slp.counts, slp.offsets, slp.flat
     # One table serves the walk and the copies.  For a rule the walk copies,
-    # levels[r] is its level until the walk first expands it at output
-    # position p, and -2 - p from then on; the level moves to ``met``.
-    # Every other rule, which the walk expands at each occurrence, has -1.
-    levels[sym_len[sigma:] < _COPY_MIN] = -1
-    copying = bool((levels >= 0).any())
-    met = []  # (rules, levels) of the rules the walk has expanded once
+    # state[r] is 0 until the walk first expands it at output position p,
+    # and -2 - p from then on.  Every other rule, which the walk expands at
+    # each occurrence, has -1.
+    state = np.where(sym_len[sigma:] >= _COPY_MIN, 0, -1)
+    state[np.bincount(flat, minlength=slp.symbol_count)[sigma:] < 2] = -1
+    copying = bool((state == 0).any())
     copies = []  # (output positions, rules) of the occurrences to copy
     out[0] = symbol
     top = np.array([symbol - sigma])
@@ -444,14 +440,14 @@ def expand_ids(slp: Slp, symbol: int | None = None) -> np.ndarray:
         del children, is_rule
         rule -= sigma
         if copying:
-            seen = levels[rule]
+            seen = state[rule]
             copy = seen < -1  # expanded in an earlier step
-            new = seen >= 0
+            new = seen == 0
+            del seen
             if new.any():
                 r, p = rule[new], rpos[new]
-                met.append((r, seen[new]))
-                levels[r] = -2 - p  # of repeats in one step, one write wins
-                copy[new] = levels[r] != -2 - p
+                state[r] = -2 - p  # of repeats in one step, one write wins
+                copy[new] = state[r] != -2 - p
             if copy.any():
                 copies.append((rpos[copy], rule[copy]))
                 rule, rpos = rule[~copy], rpos[~copy]
@@ -461,12 +457,13 @@ def expand_ids(slp: Slp, symbol: int | None = None) -> np.ndarray:
         pos = np.concatenate([p for p, _ in copies])
         rule = np.concatenate([r for _, r in copies])
         del copies
-        src = -2 - levels[rule]
-        for r, k in met:
-            levels[r] = k
-        order = np.argsort(levels[rule], kind="stable")
+        src = -2 - state[rule]
+        del state
+        level = np.searchsorted(range_starts, rule, side="right")  # 1 + the rule's range index
+        order = np.argsort(level, kind="stable")
         pos, rule, src = pos[order], rule[order], src[order]
-        cuts = np.flatnonzero(np.diff(levels[rule])) + 1
+        cuts = np.flatnonzero(np.diff(level[order])) + 1
+        del level, order
         for p, r, s in zip(np.split(pos, cuts), np.split(rule, cuts), np.split(src, cuts)):
             _copy_spans(out, s, p, sym_len[sigma + r])
     return out
@@ -524,11 +521,11 @@ def expansion_and_depth(slp: Slp) -> tuple[int | None, int]:
     sigma = slp.terminal_count
     lengths = np.ones(slp.symbol_count, dtype=np.int64)
     depth = np.zeros(slp.symbol_count, dtype=np.int64)
-    for group, children, firsts in _bottom_up(slp):
-        depth[sigma + group] = 1 + np.maximum.reduceat(depth[children], firsts)
+    for s, e, children, firsts in _ranges(slp):
+        depth[sigma + s : sigma + e] = 1 + np.maximum.reduceat(depth[children], firsts)
         if lengths is not None:
             try:
-                lengths[sigma + group] = _body_lengths(slp, group, lengths[children], firsts)
+                lengths[sigma + s : sigma + e] = _body_lengths(slp, s, lengths[children], firsts)
             except ExpansionOverflow:
                 lengths = None
     return None if lengths is None else int(lengths[slp.start]), int(depth[slp.start])
@@ -537,21 +534,21 @@ def expansion_and_depth(slp: Slp) -> tuple[int | None, int]:
 def prune_unreachable(slp: Slp) -> Slp:
     """Keep exactly the rules reachable from the start symbol.
 
-    Marks reachable rules a level at a time from the start, then renumbers
-    the kept rules, in order, with one gather.
+    Marks reachable rules a range of ``_ranges`` at a time, top down from
+    the start, then renumbers the kept rules, in order, with one gather.
     """
     _check_symbol(slp, slp.start, "start symbol")
     sigma, counts, flat = slp.terminal_count, slp.counts, slp.flat
-    keep = np.zeros(len(counts), dtype=bool)
+    keep = np.zeros(slp.symbol_count, dtype=bool)  # by symbol id
     if slp.start is not None and slp.start >= sigma:
-        level = np.array([slp.start - sigma])
-        keep[level] = True
-        scratch = np.empty(len(counts), dtype=np.int64)
-        while len(level):
-            below = _bodies(slp, level)[0] - sigma
-            below = below[below >= 0]
-            level = _distinct(below[~keep[below]], scratch)
-            keep[level] = True
+        keep[slp.start] = True
+        for s, e, children, _ in reversed(_ranges(slp)):
+            live = keep[sigma + s : sigma + e]
+            if live.all():
+                keep[children] = True
+            elif live.any():
+                keep[children[np.repeat(live, counts[s:e])]] = True
+    keep = keep[sigma:]
     if keep.all():
         return Slp.from_arrays(slp.kind, slp.terminals, counts, flat, slp.start)
     new_id = np.arange(slp.symbol_count, dtype=np.int64)

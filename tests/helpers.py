@@ -7,6 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from rewriting_lab import Ref, Run, RunSlp
+from slpcompress import blocks, compress, expand
 from slpcompress.alphabet import AlphabetMap, InputFormatError, ingest, radix_argsort
 from slpcompress.driver import BestSnapshot, CompressionResult, _snapshot_grammar, run_phase
 from slpcompress.grammar import (
@@ -18,7 +19,7 @@ from slpcompress.grammar import (
     symbol_lengths,
 )
 from slpcompress.pairs import Partition, greedy_partition
-from slpcompress.text import TOMBSTONE, WorkingText
+from slpcompress.text import TOMBSTONE, WorkingText, concat_ranges
 
 
 def random_runslp(rng: random.Random, max_rules=30, alphabet=4, expansion_cap=10**6,
@@ -374,6 +375,102 @@ def reference_block_representation(grammar: Slp, letter: int, lengths: list[int]
     return targets
 
 
+def reference_build_block_rules(grammar: Slp, letters, lengths) -> np.ndarray:
+    """The letter-by-letter emission order that ``blocks.build_block_rules`` replaced.
+
+    Emits the same rules as ``build_block_rules``, for the same arguments,
+    but numbered letter by letter: within a letter, its squares ``a^2, a^4,
+    ...`` come first, up to the largest gap.  Then, for each length in
+    ascending order: a gap rule (the gap's squares, largest first) if the
+    gap has more than one set bit and no earlier length of the letter had
+    the same gap; and, for every length after the first, a chain rule ``(gap
+    symbol, symbol of the previous length)``.  Each chain rule thus names
+    the one before it, so a letter with k lengths alone adds k ranges to
+    ``grammar._ranges``.  The golden hashes of this order stay pinned.
+    """
+    letters = np.asarray(letters, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    n = len(lengths)
+    if n == 0:
+        raise ValueError("no block lengths")
+    first = np.empty(n, dtype=bool)  # first group of its letter
+    first[0] = True
+    np.not_equal(letters[1:], letters[:-1], out=first[1:])
+    gaps = lengths.copy()
+    gaps[1:] -= lengths[:-1]
+    gaps[first] = lengths[first]
+    if lengths[first].min() < 2:
+        raise ValueError("block lengths start at 2")
+    if gaps.min() < 1:
+        raise ValueError("block lengths must be strictly increasing")
+    # Bit e of every gap; popcount and bit length come from it exactly, with
+    # no float logarithm to round gaps above 2**53.
+    width = int(gaps.max()).bit_length()
+    bits = np.empty((n, width), dtype=bool)
+    for e in range(width):
+        bits[:, e] = (gaps >> e) & 1
+    popcount = bits.sum(axis=1)
+    bit_length = width - np.argmax(bits[:, ::-1], axis=1)
+
+    letter_first = np.flatnonzero(first)
+    letter_of = np.cumsum(first) - 1
+    squares = np.maximum.reduceat(bit_length, letter_first) - 1
+    # The first group of each (letter, gap) owns the gap's symbol.
+    order = np.lexsort((np.arange(n), gaps, letter_of))
+    new_key = np.empty(n, dtype=bool)
+    new_key[0] = True
+    new_key[1:] = (letter_of[order[1:]] != letter_of[order[:-1]]) | (
+        gaps[order[1:]] != gaps[order[:-1]]
+    )
+    first_use = np.empty(n, dtype=np.int64)
+    first_use[order] = order[new_key][np.cumsum(new_key) - 1]
+    gap_rule = (popcount > 1) & (first_use == np.arange(n))
+
+    # Rule slots (ids less the grammar's symbol count): an exclusive cumsum
+    # of the rules each group emits, its letter's squares counted first.
+    base = grammar.symbol_count
+    before = np.zeros(n, dtype=np.int64)
+    before[letter_first] = squares
+    per_group = before + gap_rule + ~first
+    gap_slot = np.cumsum(per_group) - per_group + before
+    chain_slot = gap_slot + gap_rule
+    square_slot = gap_slot[letter_first] - squares  # slot of a^2, per letter
+
+    def power(letter, e):
+        """Symbol deriving ``a^(2^e)`` for the letter at index ``letter``."""
+        return np.where(e == 0, letters[letter_first[letter]], base + square_slot[letter] + e - 1)
+
+    gap_sym = np.where(gap_rule, base + gap_slot, power(letter_of, bit_length - 1))[first_use]
+    targets = np.where(first, gap_sym, base + chain_slot)
+
+    # Bodies, laid out by slot in one flat array: two symbols per square and
+    # chain rule, one per set bit of a gap rule's gap.
+    rows = np.flatnonzero(gap_rule)
+    counts = np.full(int(per_group.sum()), 2, dtype=np.int64)
+    counts[gap_slot[rows]] = popcount[rows]
+    offsets = np.cumsum(counts) - counts
+    flat = np.empty(int(counts.sum()), dtype=np.int64)
+
+    square_letter = np.repeat(np.arange(len(squares)), squares)
+    half = concat_ranges(np.zeros(len(squares), dtype=np.int64), squares)
+    at = offsets[square_slot[square_letter] + half]
+    flat[at] = flat[at + 1] = power(square_letter, half)  # a^(2^(e+1)) -> a^(2^e) a^(2^e)
+
+    # Set bits row by row, largest exponent first: a row's k-th set bit
+    # fills place k of its body.
+    row, col = np.nonzero(bits[rows, ::-1])
+    at = concat_ranges(offsets[gap_slot[rows]], popcount[rows])
+    flat[at] = power(letter_of[rows[row]], width - 1 - col)
+
+    rows = np.flatnonzero(~first)
+    at = offsets[chain_slot[rows]]
+    flat[at] = gap_sym[rows]
+    flat[at + 1] = targets[rows - 1]
+
+    grammar.emit_rules(counts, flat)
+    return targets
+
+
 def symbol_of_block(result) -> dict[tuple[int, int], int]:
     """(canonical letter, length) -> replacing symbol, from a block stage."""
     return dict(zip(zip(result.letters.tolist(), result.lengths.tolist()), result.symbols.tolist()))
@@ -471,6 +568,68 @@ def bodies(slp: Slp) -> list[tuple[int, ...]]:
     return [tuple(flat[end - count : end]) for end, count in zip(ends, slp.counts.tolist())]
 
 
+def rule_id_map(got: Slp, want: Slp, got_roots=None, want_roots=None) -> list[int]:
+    """The rule-id map under which ``got`` equals ``want``; asserts that it exists.
+
+    Terminals map to themselves, and the roots (default: the start symbols)
+    to each other.  The map is read off the bodies from the roots down, and
+    must be one-to-one and reach every rule, so ``want`` is ``got`` with its
+    rule ids permuted.  Returns ``map[got id] = want id``.
+    """
+    assert (got.kind, got.terminals) == (want.kind, want.terminals)
+    assert (len(got.counts), got.size) == (len(want.counts), want.size)
+    if got_roots is None:
+        got_roots = [] if got.start is None else [got.start]
+        want_roots = [] if want.start is None else [want.start]
+    assert (got.start is None) == (want.start is None)
+    sigma = got.terminal_count
+    got_bodies, want_bodies = bodies(got), bodies(want)
+    to_want = {s: s for s in range(sigma)}
+    to_got = dict(to_want)
+    stack = list(zip(list(got_roots), list(want_roots), strict=True))
+    while stack:
+        g, w = stack.pop()
+        if g in to_want or w in to_got:
+            assert to_want.get(g) == w and to_got.get(w) == g, f"symbol {g} maps to {w} and not"
+            continue
+        to_want[g], to_got[w] = w, g
+        g_body, w_body = got_bodies[g - sigma], want_bodies[w - sigma]
+        assert len(g_body) == len(w_body), f"rule {g} and rule {w} differ in length"
+        stack.extend(zip(g_body, w_body))
+    assert len(to_want) == got.symbol_count, "some rule is reached from no root"
+    if got.start is not None:
+        assert to_want[got.start] == want.start
+    return [to_want[s] for s in range(got.symbol_count)]
+
+
+def compress_in_reference_order(data, mode: str) -> CompressionResult:
+    """``compress`` with block rules numbered by ``reference_build_block_rules``."""
+    saved = blocks.build_block_rules
+    blocks.build_block_rules = reference_build_block_rules
+    try:
+        return compress(data, mode=mode)
+    finally:
+        blocks.build_block_rules = saved
+
+
+def assert_same_up_to_rule_ids(got: CompressionResult, want: CompressionResult) -> None:
+    """Two compressions differ at most in their rule ids.
+
+    The grammars are equal under one id map, and so are their sizes, rule
+    counts, expansions, phase tables and per-phase traces (timings aside).
+    """
+    rule_id_map(got.slp, want.slp)
+    assert expand(got.slp) == expand(want.slp)
+    assert got.stats == want.stats
+    def untimed(result):
+        return [{k: v for k, v in t.as_dict().items() if not k.endswith("_s")} for t in result.traces]
+
+    assert untimed(got) == untimed(want)
+    assert (got.mode, got.best_phase, got.snapshot_copy_work) == (
+        want.mode, want.best_phase, want.snapshot_copy_work
+    )
+
+
 def body_of(slp: Slp, symbol: int) -> tuple[int, ...]:
     i = symbol - slp.terminal_count
     start = int(slp.offsets[i])
@@ -548,14 +707,17 @@ def reference_symbol_lengths(slp: Slp) -> list[int]:
     return lengths
 
 
-def reference_grammar_depth(slp: Slp) -> int:
-    """Longest rule chain from the start symbol (terminals have depth 0)."""
-    if slp.start is None:
-        return 0
+def reference_symbol_depths(slp: Slp) -> list[int]:
+    """Longest rule chain below each symbol (terminals have depth 0)."""
     depth = [0] * slp.terminal_count
     for body in bodies(slp):
         depth.append(1 + max(depth[s] for s in body))
-    return depth[slp.start]
+    return depth
+
+
+def reference_grammar_depth(slp: Slp) -> int:
+    """Longest rule chain from the start symbol (terminals have depth 0)."""
+    return 0 if slp.start is None else reference_symbol_depths(slp)[slp.start]
 
 
 def reference_prune_unreachable(slp: Slp) -> Slp:

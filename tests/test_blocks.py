@@ -3,10 +3,19 @@ import random
 
 import pytest
 
-from helpers import bodies, body_of, canonical_of, live_list, reference_block_representation
+from helpers import (
+    bodies,
+    body_of,
+    canonical_of,
+    live_list,
+    reference_block_representation,
+    reference_build_block_rules,
+    reference_symbol_depths,
+    rule_id_map,
+)
 from slpcompress.alphabet import ingest
 from slpcompress.blocks import build_block_rules, compress_blocks, scan_blocks
-from slpcompress.grammar import Slp, expand
+from slpcompress.grammar import Slp, _ranges, expand
 
 
 def naive_expand_ids(slp, symbol):
@@ -171,7 +180,13 @@ class TestBlockRepresentation:
 
 
 class TestBulkMatchesReference:
-    """``build_block_rules`` emits what a per-letter loop of the old builder did."""
+    """``build_block_rules`` emits what a per-letter loop of the old builder did.
+
+    The rules are the same, renumbered level by level: the grammars are
+    equal under one rule-id map that sends target to target.  The
+    letter-by-letter ``reference_build_block_rules`` still matches the
+    per-letter loop id for id.
+    """
 
     @staticmethod
     def check(sigma, table):
@@ -181,12 +196,17 @@ class TestBulkMatchesReference:
         for letter, lengths in table:
             by_length = reference_block_representation(expected, letter, lengths)
             targets.extend(by_length[length] for length in lengths)
-        got = Slp("tokens", list(range(sigma)))
         letters = [letter for letter, lengths in table for _ in lengths]
         lengths = [length for _, lengths in table for length in lengths]
-        assert build_block_rules(got, letters, lengths).tolist() == targets
-        assert bodies(got) == bodies(expected)
-        assert got.size == expected.size
+        reference = Slp("tokens", list(range(sigma)))
+        assert reference_build_block_rules(reference, letters, lengths).tolist() == targets
+        assert bodies(reference) == bodies(expected)
+        got = Slp("tokens", list(range(sigma)))
+        got_targets = build_block_rules(got, letters, lengths).tolist()
+        rule_id_map(got, expected, got_targets, targets)
+        # Level by level: no rule names another of its id range, so each
+        # chain of rules adds one range per rule and no more.
+        assert len(_ranges(got)) <= 2 * max(reference_symbol_depths(got))
 
     @staticmethod
     def random_lengths(rng, k):

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import test_golden
 from helpers import (
     bodies,
     body_of,
+    compress_in_reference_order,
     powers_of_two,
     reference_check_structure,
     reference_deserialize,
@@ -209,6 +211,68 @@ class TestNonIntegerBodySymbols:
         assert bodies(slp) == [(0, 1)]
 
 
+@pytest.mark.parametrize(
+    "counts", [[1.7], [1.0], [True], np.array([1.9]), np.array([True]), np.array([1], dtype=object)],
+    ids=["float", "whole-float", "bool", "float64", "bool-array", "object-array"],
+)
+class TestNonIntegerCounts:
+    """Body counts are refused, not truncated, at both entry points that take them."""
+
+    def test_emit_rules(self, counts):
+        slp = Slp("bytes", [97, 98])
+        with pytest.raises(GrammarError, match="rule body counts must be integers"):
+            slp.emit_rules(counts, [0])
+        assert (slp.size, len(slp.counts)) == (0, 0)
+
+    def test_from_arrays(self, counts):
+        with pytest.raises(GrammarError, match="rule body counts must be integers"):
+            Slp.from_arrays("bytes", [97, 98], counts, [0])
+
+
+class TestBodySymbolValues:
+    """Bools among ints and integers outside int64 are refused by value."""
+
+    @pytest.mark.parametrize("body", [(0, True), (False, 1), (0, np.True_)], ids=["True", "False", "np.True_"])
+    def test_bools_among_ints(self, body):
+        with pytest.raises(GrammarError, match="must be integers, not bool"):
+            Slp("bytes", [97, 98], [body])
+        with pytest.raises(GrammarError, match="must be integers, not bool"):
+            Slp.from_arrays("bytes", [97, 98], [2], list(body))
+        slp = Slp("bytes", [97, 98], [(0, 1)], start=2)
+        with pytest.raises(GrammarError, match="must be integers, not bool"):
+            slp.emit_rule(body)
+        with pytest.raises(GrammarError, match="must be integers, not bool"):
+            slp.rules[0] = body
+        assert bodies(slp) == [(0, 1)]
+
+    @pytest.mark.parametrize("value", [2**63, 2**64, -(2**63) - 1, 10**30])
+    def test_integers_outside_int64(self, value):
+        # numpy stores these lists as float64, uint64 or object arrays.
+        for body in [(value,), (0, value), (value, 0)]:
+            with pytest.raises(GrammarError, match=f"must fit in int64, not {value}$"):
+                Slp("bytes", [97], [body])
+            with pytest.raises(GrammarError, match=f"must fit in int64, not {value}$"):
+                Slp("bytes", [97]).emit_rules([len(body)], list(body))
+
+    def test_uint64_array_above_int64(self):
+        flat = np.array([0, 2**63 + 5], dtype=np.uint64)
+        with pytest.raises(GrammarError, match=f"must fit in int64, not {2**63 + 5}$"):
+            Slp.from_arrays("bytes", [97], [2], flat)
+        with pytest.raises(GrammarError, match=f"rule body counts must fit in int64, not {2**64 - 1}$"):
+            Slp.from_arrays("bytes", [97], np.array([2**64 - 1], dtype=np.uint64), [0])
+
+    def test_int64_extremes_reach_the_body_check(self):
+        for value in (2**63 - 1, -(2**63)):
+            with pytest.raises(GrammarError, match=f"references symbol {value} "):
+                Slp("bytes", [97]).emit_rule([0, value])
+
+    def test_numpy_integers_accepted(self):
+        slp = Slp("bytes", [97], [(np.int64(0), np.uint8(0))], start=np.int32(1))
+        assert bodies(slp) == [(0, 0)]
+        slp.emit_rules(np.array([1], dtype=np.uint16), np.array([1], dtype=np.uint64))
+        assert bodies(slp) == [(0, 0), (1,)]
+
+
 class TestExpand:
     def test_power_chain_from_squares(self):
         # a2 -> aa, a3 -> a2 a, a6 -> a3 a3, a12 -> a6 a6 derives 12 a's.
@@ -254,6 +318,7 @@ class TestExpand:
     def test_deep_unary_chain(self):
         # Rule i derives a^(i+1): every level grows by one letter.
         slp = unary_chain(20000)
+        assert len(grammar._ranges(slp)) == 20000
         assert expand(slp) == b"a" * 20001
         assert symbol_lengths(slp).tolist() == reference_symbol_lengths(slp)
         assert grammar_depth(slp) == reference_grammar_depth(slp) == 20000
@@ -750,6 +815,115 @@ class TestFlatMatchesScalarOracles:
         assert format_tokens(values, ids) == want.encode("ascii")
         assert format_tokens(values, ids[:1]) == f"{values[ids[0]]}\n".encode()
         assert format_tokens(values, ids[:0]) == b""
+
+
+def renumbered(slp, rng):
+    """``slp`` with its rules in a random topological order.
+
+    Each step takes a random rule among those whose rule children are all
+    placed, so the ranges of ``_ranges`` fall anywhere.
+    """
+    sigma, rules = slp.terminal_count, bodies(slp)
+    waiting = [len({s for s in body if s >= sigma}) for body in rules]
+    parents = [[] for _ in rules]
+    for i, body in enumerate(rules):
+        for s in {s for s in body if s >= sigma}:
+            parents[s - sigma].append(i)
+    ready = [i for i, w in enumerate(waiting) if w == 0]
+    new_id = list(range(sigma)) + [None] * len(rules)
+    order = []
+    while ready:
+        i = ready.pop(rng.randrange(len(ready)))
+        new_id[sigma + i] = sigma + len(order)
+        order.append(i)
+        for p in parents[i]:
+            waiting[p] -= 1
+            if waiting[p] == 0:
+                ready.append(p)
+    out = Slp(slp.kind, slp.terminals, [tuple(new_id[s] for s in rules[i]) for i in order])
+    out.start = None if slp.start is None else new_id[slp.start]
+    return out
+
+
+def assert_walk_matches_scalar_oracles(slp):
+    """Lengths, depth, pruning and expansion from the range walk, against the oracles."""
+    ranges = grammar._ranges(slp)
+    sigma = slp.terminal_count
+    rules = bodies(slp)
+    cuts = [0] + [e for _, e, _, _ in ranges]
+    assert [s for s, _, _, _ in ranges] == cuts[:-1] and cuts[-1] == len(rules)
+    for s, e, children, firsts in ranges:
+        assert s < e
+        assert children.tolist() == [x for body in rules[s:e] for x in body]
+        assert firsts.tolist() == np.cumsum([0] + [len(b) for b in rules[s : e - 1]]).tolist()
+        assert all(x < sigma + s for x in children.tolist())  # children in earlier ranges
+        if e < len(rules):  # maximal: the next rule names a rule of this range
+            assert max(rules[e]) >= sigma + s
+    try:
+        lengths = reference_symbol_lengths(slp)
+    except ExpansionOverflow as error:
+        with pytest.raises(ExpansionOverflow, match=re.escape(str(error))):
+            symbol_lengths(slp)
+        lengths = None
+    else:
+        assert symbol_lengths(slp).tolist() == lengths
+    depth = reference_grammar_depth(slp)
+    length = None if lengths is None else 0 if slp.start is None else lengths[slp.start]
+    assert expansion_and_depth(slp) == (length, depth)
+    assert prune_unreachable(slp) == reference_prune_unreachable(slp)
+    if length is not None and length <= 10**5:
+        assert expand_ids(slp).tolist() == reference_expand_ids(slp).tolist()
+
+
+class TestRangeWalkMatchesScalarOracles:
+    """``_ranges`` serves grammars in any topological order, not only the compressor's."""
+
+    def test_reference_order_grammars(self):
+        for gen, seed, mode in sorted(test_golden.GOLDEN):
+            data = getattr(test_golden, gen)(seed)
+            assert_walk_matches_scalar_oracles(compress_in_reference_order(data, mode).slp)
+
+    def test_random_topological_renumberings(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            slp = random_slp(rng, kind=rng.choice(["bytes", "tokens"]))
+            if rng.random() < 0.2:
+                slp.start = None
+            assert_walk_matches_scalar_oracles(slp)
+            assert_walk_matches_scalar_oracles(renumbered(slp, rng))
+
+    def test_renumbered_golden_grammars(self):
+        rng = random.Random(32)
+        for slp in golden_grammars():
+            assert_walk_matches_scalar_oracles(renumbered(slp, rng))
+
+    @pytest.mark.parametrize("rules", [1, 2, 3, 1000])
+    def test_unary_chains(self, rules):
+        slp = unary_chain(rules)
+        assert len(grammar._ranges(slp)) == rules
+        slp.emit_rule([0, 0])  # unreachable; it joins the start's range
+        assert_walk_matches_scalar_oracles(slp)
+
+    @pytest.mark.parametrize("terminals,start", [([], None), ([97], None), ([97, 98], 1)])
+    def test_grammars_without_rules(self, terminals, start):
+        slp = Slp("bytes", terminals, start=start)
+        assert grammar._ranges(slp) == []
+        assert_walk_matches_scalar_oracles(slp)
+
+    def test_overflow_inside_one_range(self):
+        # Three rules of one range; the middle one wraps an int64 sum.
+        slp = powers_of_two()
+        slp.start = None
+        first = slp.emit_rule([1, 1])
+        wraps = slp.emit_rule([62] * 5)
+        slp.emit_rule([2, 61])
+        sigma = slp.terminal_count
+        s, e = next((s, e) for s, e, _, _ in grammar._ranges(slp) if s <= wraps - sigma < e)
+        assert s <= first - sigma and wraps + 1 - sigma < e
+        with pytest.raises(ExpansionOverflow, match=f"rule {wraps} expands"):
+            symbol_lengths(slp)
+        slp.start = wraps
+        assert_walk_matches_scalar_oracles(slp)
 
 
 class TestExpansionCeiling:
