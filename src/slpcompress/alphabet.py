@@ -28,10 +28,37 @@ from .text import WorkingText
 TOKEN_VALUE_CEILING = 2**32 - 1
 
 _DIGIT_BITS = 16
+_INT64_MAX = 2**63 - 1
 
 
 class InputFormatError(ValueError):
     """Raised when raw input cannot be turned into a symbol sequence."""
+
+
+def as_int64(values, what: str, error: type[ValueError]) -> np.ndarray:
+    """``values`` as a flat ``int64`` array; raises ``error`` unless each is an int64 integer.
+
+    Never coerces: numpy would truncate floats, read bools as 0 and 1, parse
+    numerals, and wrap or round integers of 2**63 or more.
+    """
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1:
+            raise error(f"{what} must be a flat sequence, not of shape {values.shape}")
+        if values.dtype.kind == "u" and values.size and values.max() > _INT64_MAX:
+            wide = values[np.argmax(values > _INT64_MAX)]
+            raise error(f"{what} must fit in int64, not {wide}")
+        if values.dtype.kind not in "iu" and values.size:
+            raise error(f"{what} must be integers, not {values.dtype}")
+        return values.astype(np.int64, copy=False)
+    values = list(values)
+    for kind in set(map(type, values)):
+        if issubclass(kind, (bool, np.bool_)) or not issubclass(kind, (int, np.integer)):
+            raise error(f"{what} must be integers, not {kind.__name__}")
+    try:
+        return np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:
+        wide = next(v for v in values if not -_INT64_MAX - 1 <= v <= _INT64_MAX)
+        raise error(f"{what} must fit in int64, not {wide}") from None
 
 
 def radix_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
@@ -115,20 +142,10 @@ def ingest(raw, kind: str | None = None) -> tuple[WorkingText, AlphabetMap]:
         arr = np.frombuffer(bytes(raw), dtype=np.uint8).astype(np.int64)
         lut, values = _first_occurrence_ids(arr, domain=256)
     elif kind == "tokens":
-        try:
-            arr = np.asarray(raw)
-        except ValueError:  # ragged nesting
-            raise InputFormatError("tokens must be a flat sequence of integers") from None
-        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
-            # Floats, booleans, strings and ints too wide for numpy would
-            # otherwise be truncated or coerced into tokens silently.
-            raise InputFormatError(
-                f"tokens must be a flat sequence of integers in [0, {TOKEN_VALUE_CEILING}]"
-                f", not {arr.dtype} of shape {arr.shape}"
-            )
+        arr = as_int64(raw, "tokens", InputFormatError)
         if arr.size and (arr.min() < 0 or arr.max() > TOKEN_VALUE_CEILING):
             raise InputFormatError(f"token values must lie in [0, {TOKEN_VALUE_CEILING}]")
-        arr, distinct = _value_ranks(arr.astype(np.int64, copy=False))
+        arr, distinct = _value_ranks(arr)
         lut, first = _first_occurrence_ids(arr, domain=len(distinct))
         values = distinct[first]
     else:

@@ -4,13 +4,15 @@ Rule bodies are arbitrary non-empty sequences of symbol ids (not forced
 binary: power-chain and snapshot rules are naturally n-ary).  Ids are
 topological: terminals are ``0..terminal_count-1`` and rule ``i`` has id
 ``terminal_count + i`` with every body symbol strictly smaller, so exactly
-one string is derived.
+one string is derived.  Every ``Slp`` is valid from the moment it exists
+(see ``Slp``), so the walks and the codec below trust it.
 
 Storage is two ``int64`` arrays: ``counts[i]`` is the length of rule
 ``i``'s body, and ``flat`` holds every body back to back, so rule ``i``'s
 body is ``flat[offsets[i] : offsets[i] + counts[i]]`` with ``offsets`` the
 exclusive prefix sum of ``counts``.  Both arrays grow by amortized
-doubling.  ``Slp.rules`` reads and rewrites single bodies as tuples.
+doubling and are read through read-only views.  ``Slp.rules`` reads and
+rewrites single bodies as tuples.
 
 Lengths, depth, the copy order of ``expand_ids`` and pruning walk the
 maximal id ranges in which no rule names another (``_ranges``), one vector
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alphabet import TOKEN_VALUE_CEILING
+from .alphabet import TOKEN_VALUE_CEILING, as_int64
 from .text import concat_ranges
 
 MAX_EXPANSION = 2**63 - 1  # also the largest int64
@@ -61,38 +63,48 @@ class ExpansionOverflow(GrammarError):
 
 
 class Slp:
-    """A straight-line program over byte or token terminals.
+    """A straight-line program over byte or token terminals, valid by construction.
 
     ``start`` is a symbol id, or ``None`` for the reserved empty-string
-    grammar.  Instances are append-only while being built (``emit_rule``)
-    and treated as immutable afterwards.  ``rules`` may be any iterable of
-    bodies of integers; the constructor checks nothing more (see ``validate``).
+    grammar.  Each way in checks what it adds, once, and raises
+    ``GrammarError``: the constructor and ``from_arrays`` check the
+    terminals, ``emit_rules`` (which they and ``emit_*`` use) the new
+    bodies, ``rules[i] = body`` the one body and ``start =`` the symbol.
+    The kind and terminals are read-only, and the arrays read-only views, so
+    nothing else changes them.  ``validate`` checks the 63-bit length bound.
     """
 
-    def __init__(self, kind: str, terminals: list[int], rules=None, start: int | None = None):
+    def __init__(self, kind: str, terminals, rules=None, start: int | None = None):
         if kind not in ("bytes", "tokens"):
             raise GrammarError(f"unknown terminal kind {kind!r}")
-        self.kind = kind
-        self.terminals = list(terminals)
-        self.start = start
-        self.size = 0  # body symbols in use
+        self._kind = kind
+        self._terminals = _terminals(kind, terminals)
+        self._size = 0  # body symbols in use
         self._rule_count = 0
         self._counts = np.empty(0, dtype=np.int64)
         self._flat = np.empty(0, dtype=np.int64)
         self._offsets = None  # cache of ``offsets``, dropped on append
         if rules:
             bodies = [tuple(body) for body in rules]
-            self._append(
-                np.fromiter(map(len, bodies), dtype=np.int64, count=len(bodies)),
-                _integers(list(itertools.chain.from_iterable(bodies)), "rule body symbols"),
-            )
+            self.emit_rules(list(map(len, bodies)), list(itertools.chain.from_iterable(bodies)))
+        self.start = start
 
     @classmethod
     def from_arrays(cls, kind: str, terminals, counts, flat, start: int | None = None) -> Slp:
-        """A grammar over copies of a body-count and a body-symbol array; unchecked."""
-        slp = cls(kind, terminals, start=start)
-        slp._append(_integers(counts, "rule body counts"), _integers(flat, "rule body symbols"))
+        """A grammar over copies of a body-count and a body-symbol array."""
+        slp = cls(kind, terminals)
+        slp.emit_rules(counts, flat)
+        slp.start = start
         return slp
+
+    def _set_start(self, symbol: int | None) -> None:
+        _check_symbol(self, symbol, "start symbol")
+        self._start = symbol
+
+    start = property(operator.attrgetter("_start"), _set_start)
+    kind = property(operator.attrgetter("_kind"))
+    terminals = property(operator.attrgetter("_terminals"))
+    size = property(operator.attrgetter("_size"), doc="Body symbols in all rules.")
 
     @property
     def terminal_count(self) -> int:
@@ -104,19 +116,19 @@ class Slp:
 
     @property
     def counts(self) -> np.ndarray:
-        """Body length of each rule (a view; do not write to it)."""
-        return self._counts[: self._rule_count]
+        """Body length of each rule (a read-only view)."""
+        return _read_only(self._counts[: self._rule_count])
 
     @property
     def flat(self) -> np.ndarray:
-        """Every rule body, back to back (a view)."""
-        return self._flat[: self.size]
+        """Every rule body, back to back (a read-only view)."""
+        return _read_only(self._flat[: self._size])
 
     @property
     def offsets(self) -> np.ndarray:
-        """Index in ``flat`` of each rule body's first symbol."""
+        """Index in ``flat`` of each rule body's first symbol (read-only)."""
         if self._offsets is None:
-            self._offsets = np.cumsum(self.counts) - self.counts
+            self._offsets = _read_only(np.cumsum(self.counts) - self.counts)
         return self._offsets
 
     @property
@@ -125,11 +137,11 @@ class Slp:
 
     def _append(self, counts: np.ndarray, flat: np.ndarray) -> None:
         self._counts = _reserve(self._counts, self._rule_count, len(counts))
-        self._flat = _reserve(self._flat, self.size, len(flat))
+        self._flat = _reserve(self._flat, self._size, len(flat))
         self._counts[self._rule_count : self._rule_count + len(counts)] = counts
-        self._flat[self.size : self.size + len(flat)] = flat
+        self._flat[self._size : self._size + len(flat)] = flat
         self._rule_count += len(counts)
-        self.size += len(flat)
+        self._size += len(flat)
         self._offsets = None
 
     def emit_rule(self, body) -> int:
@@ -153,10 +165,12 @@ class Slp:
         Rule ``i``'s body is the next ``counts[i]`` symbols of ``flat``, and
         every body symbol must already exist.  The checks are vectorized.
         """
-        counts = _integers(counts, "rule body counts")
-        flat = _integers(flat, "rule body symbols")
+        counts = as_int64(counts, "rule body counts", GrammarError)
+        flat = as_int64(flat, "rule body symbols", GrammarError)
         base = self.symbol_count
-        if int(counts.sum()) != len(flat):
+        if len(counts) and counts.min() < 1:
+            raise GrammarError(f"rule {base + int(np.argmin(counts))} has an empty body")
+        if counts.sum(dtype=np.float64) != len(flat):  # an int64 sum may wrap
             raise GrammarError("rule body counts do not match the body symbols")
         _check_bodies(counts, flat, base)
         self._append(counts, flat)
@@ -173,6 +187,11 @@ class Slp:
         )
 
 
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
+
+
 def _reserve(buf: np.ndarray, used: int, extra: int) -> np.ndarray:
     """``buf`` with room for ``extra`` more entries after ``used``."""
     if used + extra <= len(buf):
@@ -186,7 +205,7 @@ class RuleView:
     """The rule bodies of an ``Slp`` as tuples, read from its flat arrays.
 
     Supports ``len``, integer indexing (and so iteration) and ``rules[i] =
-    body`` with a body of the same length, which writes into ``flat``.
+    body`` with a valid body of the same length, which writes into ``flat``.
     """
 
     def __init__(self, slp: Slp):
@@ -195,49 +214,44 @@ class RuleView:
     def __len__(self) -> int:
         return self._slp._rule_count
 
-    def _span(self, key) -> tuple[int, int]:
+    def _span(self, key) -> tuple[int, int, int]:
         i = range(len(self))[operator.index(key)]  # negative from the end; IndexError outside
-        return int(self._slp.offsets[i]), int(self._slp.counts[i])
+        return i, int(self._slp.offsets[i]), int(self._slp.counts[i])
 
     def __getitem__(self, key) -> tuple[int, ...]:
-        start, count = self._span(key)
+        _, start, count = self._span(key)
         return tuple(self._slp.flat[start : start + count].tolist())
 
     def __setitem__(self, key, body) -> None:
-        start, count = self._span(key)
+        i, start, count = self._span(key)
         if len(body) != count:
             raise ValueError(f"rule {key} has {count} body symbols, not {len(body)}")
-        self._slp.flat[start : start + count] = _integers(body, "rule body symbols")
+        body = as_int64(body, "rule body symbols", GrammarError)
+        _check_bodies(self._slp.counts[i : i + 1], body, self._slp.terminal_count + i)
+        self._slp._flat[start : start + count] = body
 
 
-def _integers(values, what: str) -> np.ndarray:
-    """``values`` as ``int64``; raises ``GrammarError`` unless each is an int64 integer.
-
-    Never coerces: numpy would truncate floats, read bools as 0 and 1, parse
-    numerals, and wrap or round integers of 2**63 or more.
-    """
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind == "u" and values.size and values.max() > MAX_EXPANSION:
-            wide = values[np.argmax(values > MAX_EXPANSION)]
-            raise GrammarError(f"{what} must fit in int64, not {wide}")
-        if values.dtype.kind not in "iu" and values.size:
-            raise GrammarError(f"{what} must be integers, not {values.dtype}")
-        return values.astype(np.int64, copy=False)
-    values = list(values)
-    for kind in set(map(type, values)):
-        if issubclass(kind, (bool, np.bool_)) or not issubclass(kind, (int, np.integer)):
-            raise GrammarError(f"{what} must be integers, not {kind.__name__}")
+def _terminals(kind: str, values) -> tuple[int, ...]:
+    """``values`` as ints; raises ``GrammarError`` unless each is one ``ingest`` accepts."""
+    what, ceiling = f"{kind[:-1]} terminal", 255 if kind == "bytes" else TOKEN_VALUE_CEILING
+    values = values if isinstance(values, np.ndarray) else list(values)
     try:
-        return np.fromiter(values, dtype=np.int64, count=len(values))
-    except OverflowError:
-        wide = next(v for v in values if not -MAX_EXPANSION - 1 <= v <= MAX_EXPANSION)
-        raise GrammarError(f"{what} must fit in int64, not {wide}") from None
+        ints = as_int64(values, f"{what}s", GrammarError)
+        if not len(ints) or 0 <= ints.min() and ints.max() <= ceiling:
+            # ``operator.index`` keeps a Python int's object: no terminal is boxed twice.
+            kept = ints.tolist() if isinstance(values, np.ndarray) else map(operator.index, values)
+            return tuple(kept)
+    except GrammarError as exc:
+        error = exc
+    # A number outside the range is named before a value that is no integer.
+    for v in values:
+        if isinstance(v, numbers.Real) and not 0 <= v <= ceiling:
+            raise GrammarError(f"{what} {v} outside [0, {ceiling}]")
+    raise error  # every number is in range, so some value is no integer
 
 
 def _check_bodies(counts: np.ndarray, flat: np.ndarray, base: int) -> None:
-    """Raise unless rule ``i`` (id ``base + i``) has a non-empty body of smaller ids."""
-    if len(counts) and counts.min() < 1:
-        raise GrammarError(f"rule {base + int(np.argmin(counts))} has an empty body")
+    """Raise unless each body symbol of rule ``i`` (id ``base + i``) names a smaller id."""
     owner = np.repeat(np.arange(base, base + len(counts), dtype=np.int64), counts)
     bad = (flat >= owner) | (flat < 0)
     if bad.any():
@@ -251,14 +265,12 @@ def _ranges(slp: Slp) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
 
     Each comes with its bodies, a slice of ``flat``, and where each body
     starts in it.  A range's rule children lie in earlier ranges, so the
-    list is bottom up, and reversed top down.  Raises ``GrammarError``
-    unless ``_check_bodies`` passes.  Rule ``e`` owns the first cell of
-    ``flat`` naming rule ``s`` or a later one, searched for from rule ``s``
-    in windows that double in size: O(grammar size) vector work in all, and
-    O(log size) calls per range.
+    list is bottom up, and reversed top down.  Rule ``e`` owns the first
+    cell of ``flat`` naming rule ``s`` or a later one, searched for from
+    rule ``s`` in windows that double in size: O(grammar size) vector work
+    in all, and O(log size) calls per range.
     """
     sigma, counts, offsets, flat = slp.terminal_count, slp.counts, slp.offsets, slp.flat
-    _check_bodies(counts, flat, sigma)
     ends = offsets + counts
     cuts = [0]
     while cuts[-1] < len(counts):
@@ -281,36 +293,8 @@ def _ranges(slp: Slp) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
 
 
 def validate(slp: Slp) -> None:
-    """Raise ``GrammarError`` unless the grammar is sound.
-
-    Checks topological ids, non-empty bodies, the terminal values, the start
-    symbol, and that the length table is computable without 63-bit overflow.
-    """
-    check_structure(slp)
-    symbol_lengths(slp)  # raises ExpansionOverflow on unrepresentable lengths
-
-
-def check_structure(slp: Slp) -> None:
-    """Structural soundness only; expansion lengths may still overflow.
-
-    Byte terminals lie in ``[0, 255]`` and token terminals in ``[0,
-    TOKEN_VALUE_CEILING]``, the values ``ingest`` accepts.
-    """
-    ceiling = 255 if slp.kind == "bytes" else TOKEN_VALUE_CEILING
-    values = np.asarray(slp.terminals)  # ints too wide for numpy become objects
-    if len(values) and (
-        values.dtype.kind not in "iu" or values.min() < 0 or values.max() > ceiling
-    ):
-        v = next(
-            (v for v in slp.terminals if isinstance(v, numbers.Real) and not 0 <= v <= ceiling),
-            None,
-        )
-        if v is not None:
-            raise GrammarError(f"{slp.kind[:-1]} terminal {v} outside [0, {ceiling}]")
-        # Like ``ingest``, never coerce: ``serialize`` would truncate floats and booleans.
-        raise GrammarError(f"{slp.kind[:-1]} terminals must be integers, not {values.dtype}")
-    _check_bodies(slp.counts, slp.flat, slp.terminal_count)
-    _check_symbol(slp, slp.start, "start symbol")
+    """Raise ``ExpansionOverflow`` unless all lengths fit 63 bits; all else is checked on entry."""
+    symbol_lengths(slp)
 
 
 def _check_symbol(slp: Slp, symbol, what: str) -> None:
@@ -378,11 +362,11 @@ def expand_ids(slp: Slp, symbol: int | None = None) -> np.ndarray:
     the lengths, the copy state and the recorded copies, no temporary holds
     more than ``_BATCH`` symbols, and there is no recursion-depth limit.
     """
+    _check_symbol(slp, symbol, "symbol")
     if symbol is None:
         symbol = slp.start
     if symbol is None:
         return np.empty(0, dtype=np.int64)
-    _check_symbol(slp, symbol, "symbol")
     range_starts = []
     sym_len = symbol_lengths(slp, range_starts)
     out = np.empty(int(sym_len[symbol]), dtype=np.int64)
@@ -496,9 +480,9 @@ def expand(slp: Slp, symbol: int | None = None):
     if slp.kind == "bytes":
         lut = np.asarray(slp.terminals, dtype=np.uint8)
     else:
-        # Python ints, so the token list shares one int object per terminal
-        # instead of boxing one per output symbol.
-        lut = np.array(np.asarray(slp.terminals, dtype=np.int64).tolist(), dtype=object)
+        # The terminals are Python ints, so the token list shares one int
+        # object per terminal instead of boxing one per output symbol.
+        lut = np.array(slp.terminals, dtype=object)
     # The ids are a temporary, freed before the output object is built.
     derived = lut[expand_ids(slp, symbol)]
     return derived.tobytes() if slp.kind == "bytes" else derived.tolist()
@@ -517,7 +501,6 @@ def expansion_and_depth(slp: Slp) -> tuple[int | None, int]:
     """
     if slp.start is None:
         return 0, 0
-    _check_symbol(slp, slp.start, "start symbol")
     sigma = slp.terminal_count
     lengths = np.ones(slp.symbol_count, dtype=np.int64)
     depth = np.zeros(slp.symbol_count, dtype=np.int64)
@@ -536,8 +519,8 @@ def prune_unreachable(slp: Slp) -> Slp:
 
     Marks reachable rules a range of ``_ranges`` at a time, top down from
     the start, then renumbers the kept rules, in order, with one gather.
+    Returns ``slp`` itself when every rule is reachable.
     """
-    _check_symbol(slp, slp.start, "start symbol")
     sigma, counts, flat = slp.terminal_count, slp.counts, slp.flat
     keep = np.zeros(slp.symbol_count, dtype=bool)  # by symbol id
     if slp.start is not None and slp.start >= sigma:
@@ -550,7 +533,7 @@ def prune_unreachable(slp: Slp) -> Slp:
                 keep[children[np.repeat(live, counts[s:e])]] = True
     keep = keep[sigma:]
     if keep.all():
-        return Slp.from_arrays(slp.kind, slp.terminals, counts, flat, slp.start)
+        return slp
     new_id = np.arange(slp.symbol_count, dtype=np.int64)
     new_id[sigma:] = sigma + np.cumsum(keep) - 1
     start = None if slp.start is None else int(new_id[slp.start])
@@ -619,7 +602,6 @@ def _header_numeral(text: str, what: str) -> int:
 
 def serialize(slp: Slp) -> str:
     """Render the grammar in the line-oriented text format (LF endings)."""
-    _check_symbol(slp, slp.start, "start symbol")
     head = f"SLP 1\nterminals {slp.terminal_count} {slp.kind}\n"
     if slp.terminal_count:
         values = np.array(slp.terminals, dtype=np.int64)
@@ -665,14 +647,13 @@ def deserialize(data: str) -> Slp:
         raise GrammarError("bad terminals line")
     sigma = _header_numeral(parts[1], "terminal count")
     kind = parts[2]
-    terminals: list[int] = []
+    terminals = np.empty(0, dtype=np.int64)
     if sigma:
         begin = pos
         next_line("terminal values")
-        values, _ = _read_lines(raw[begin:pos])
-        if len(values) != sigma:
-            raise GrammarError(f"expected {sigma} terminal values, got {len(values)}")
-        terminals = values.tolist()
+        terminals, _ = _read_lines(raw[begin:pos])
+        if len(terminals) != sigma:
+            raise GrammarError(f"expected {sigma} terminal values, got {len(terminals)}")
     parts = next_line("rules line").split(" ")
     if len(parts) != 2 or parts[0] != "rules":
         raise GrammarError("bad rules line")
@@ -698,9 +679,7 @@ def deserialize(data: str) -> Slp:
     if len(parts) != 2 or parts[0] != "start":
         raise GrammarError("bad start line")
     start = None if parts[1] == "empty" else _header_numeral(parts[1], "start symbol")
-    slp = Slp.from_arrays(kind, terminals, counts, flat, start)
-    check_structure(slp)
-    return slp
+    return Slp.from_arrays(kind, terminals, counts, flat, start)
 
 
 def format_tokens(terminals, ids: np.ndarray) -> bytes:
@@ -729,7 +708,8 @@ def dump(slp: Slp, path) -> None:
 
 
 def load(path) -> Slp:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # Bytes that are not UTF-8 read as U+FFFD, which ``deserialize`` refuses.
+    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
         return deserialize(fh.read())
 
 

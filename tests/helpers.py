@@ -670,26 +670,48 @@ def side_of(part: Partition, sym: int) -> str | None:
 _NEVER_WRITTEN = "\t\r\v\f\x1c\x1d\x1e\x1f_+-"
 
 
-def reference_check_structure(slp: Slp) -> None:
-    """Structural soundness only; expansion lengths may still overflow."""
-    if slp.kind == "bytes":
-        for v in slp.terminals:
-            if not 0 <= v <= 255:
-                raise GrammarError(f"byte terminal {v} out of range")
-    else:
-        for v in slp.terminals:
-            if not 0 <= v:
-                raise GrammarError(f"negative token terminal {v}")
-    sigma = slp.terminal_count
-    for i, body in enumerate(bodies(slp)):
+def reference_check_structure(kind, terminals, counts, flat, start) -> None:
+    """Raise ``GrammarError`` unless the raw parts make a valid grammar.
+
+    Judges one value at a time: every terminal, count, body symbol and the
+    start an integer (not a bool) that fits ``int64``; terminals in ``[0,
+    255]`` for bytes and ``[0, 2**32 - 1]`` for tokens; counts that split
+    ``flat`` into non-empty bodies of smaller ids; a start that is ``None``
+    or an id.  A non-empty numpy array of a dtype other than int or uint is
+    refused whole, as numpy would convert its values.
+    """
+
+    def integers(values, what):
+        if isinstance(values, np.ndarray) and values.size and values.dtype.kind not in "iu":
+            raise GrammarError(f"{what} of dtype {values.dtype}")
+        values = list(values)
+        for v in values:
+            if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+                raise GrammarError(f"{what} holds {v!r}")
+            if not -(2**63) <= v < 2**63:
+                raise GrammarError(f"{what} holds {v}, outside int64")
+        return [int(v) for v in values]
+
+    if kind not in ("bytes", "tokens"):
+        raise GrammarError(f"unknown terminal kind {kind!r}")
+    ceiling = 255 if kind == "bytes" else 2**32 - 1
+    for v in integers(terminals, "terminals"):
+        if not 0 <= v <= ceiling:
+            raise GrammarError(f"{kind[:-1]} terminal {v} out of range")
+    counts, flat = integers(counts, "counts"), integers(flat, "flat")
+    if sum(counts) != len(flat) or any(count < 1 for count in counts):
+        raise GrammarError("counts do not split flat into non-empty bodies")
+    sigma, at = len(terminals), 0
+    for i, count in enumerate(counts):
         rule_id = sigma + i
-        if not body:
-            raise GrammarError(f"rule {rule_id} has an empty body")
-        for s in body:
+        for s in flat[at : at + count]:
             if not 0 <= s < rule_id:
                 raise GrammarError(f"rule {rule_id} references symbol {s} (not yet defined)")
-    if slp.start is not None and not 0 <= slp.start < slp.symbol_count:
-        raise GrammarError(f"start symbol {slp.start} out of range")
+        at += count
+    if start is not None:
+        (start,) = integers([start], "start")
+        if not 0 <= start < sigma + len(counts):
+            raise GrammarError(f"start symbol {start} out of range")
 
 
 def reference_symbol_lengths(slp: Slp) -> list[int]:
@@ -844,9 +866,10 @@ def reference_deserialize(data: str) -> Slp:
         pass
     else:
         raise GrammarError("trailing data after start line")
-    slp = Slp(kind, terminals, rules, start)
-    reference_check_structure(slp)
-    return slp
+    counts = [len(body) for body in rules]
+    flat = [s for body in rules for s in body]
+    reference_check_structure(kind, terminals, counts, flat, start)
+    return Slp(kind, terminals, rules, start)
 
 
 def reference_first_occurrence_ids(arr: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -44,6 +44,19 @@ class TestIngest:
         assert amap.terminal_of_id == [500, 7, 9]
         assert amap.input_kind == "tokens"
 
+    @pytest.mark.parametrize(
+        "raw", [[1, True], [np.int64(3), True], [1, np.True_], [3, True, 3, 1]],
+        ids=["True", "np.int64-True", "np.True_", "among-repeats"],
+    )
+    def test_bools_among_int_tokens_rejected(self, raw):
+        # numpy reads such a list as int64, so True would become the token 1.
+        with pytest.raises(InputFormatError, match="tokens must be integers, not bool"):
+            ingest(raw)
+
+    def test_tokens_must_be_flat(self):
+        with pytest.raises(InputFormatError, match="flat sequence"):
+            ingest(np.zeros((2, 2), dtype=np.int64))
+
     def test_token_ceiling(self):
         ingest([2**32 - 1])  # at the ceiling: fine
         with pytest.raises(InputFormatError):

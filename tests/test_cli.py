@@ -351,6 +351,16 @@ class TestTrace:
 
 
 class TestStats:
+    @pytest.mark.parametrize("command", ["stats", "decompress", "verify"])
+    def test_non_utf8_grammar_is_bad_input(self, files, capsys, command):
+        # A strict UTF-8 read would raise UnicodeDecodeError out of ``main``.
+        make, tmp = files
+        gpath = make("g.slp", b"SLP 1\nterminals 1 bytes\n\xff7\nrules 0\nstart 0\n")
+        other = make("x.bin", b"a")
+        args = {"stats": [gpath], "decompress": [gpath, str(tmp / "out")], "verify": [gpath, other]}
+        assert main([command, *args[command]]) == 2
+        assert capsys.readouterr().err.startswith("error: grammar text holds a character")
+
     def test_known_grammar(self, files, capsys):
         make, tmp = files
         slp = Slp("bytes", [97])

@@ -28,7 +28,6 @@ from slpcompress.grammar import (
     ExpansionOverflow,
     GrammarError,
     Slp,
-    check_structure,
     deserialize,
     expand,
     expand_ids,
@@ -326,9 +325,8 @@ class TestExpand:
         assert prune_unreachable(slp) == reference_prune_unreachable(slp)
 
     def test_empty_body_from_unchecked_constructor(self):
-        slp = Slp("bytes", [97], rules=[(), (0, 1, 0)], start=2)
-        with pytest.raises(GrammarError):
-            expand(slp)
+        with pytest.raises(GrammarError, match="rule 1 has an empty body"):
+            Slp("bytes", [97], rules=[(), (0, 1, 0)], start=2)
 
     @pytest.mark.parametrize("symbol", [-1, -2, 4])
     def test_symbol_out_of_range(self, symbol):
@@ -342,20 +340,25 @@ class TestExpand:
             expand_ids(slp, symbol)
 
     @pytest.mark.parametrize("start", [-1, 4, 1.0, True], ids=["-1", "symbol_count", "float", "bool"])
-    @pytest.mark.parametrize(
-        "function",
-        [expand, expand_ids, check_structure, serialize, expansion_and_depth, grammar_depth,
-         prune_unreachable],
-        ids=lambda function: function.__name__,
-    )
-    def test_unchecked_start_out_of_range(self, function, start):
+    @pytest.mark.parametrize("way_in", ["constructor", "from_arrays", "assignment"])
+    def test_unchecked_start_out_of_range(self, way_in, start):
         # A negative start would read the last symbol, and ``serialize`` would
         # write a start that ``load`` refuses.
-        slp = Slp("bytes", [ord("a"), ord("b")], rules=[(0, 1), (2, 2, 2)], start=start)
+        terminals, rules = [ord("a"), ord("b")], [(0, 1), (2, 2, 2)]
+        slp = Slp("bytes", terminals, rules, start=3)
         integer = not isinstance(start, (bool, float))
         message = f"symbol {start} outside" if integer else "must be an integer"
         with pytest.raises(GrammarError, match=message):
-            function(slp)
+            if way_in == "constructor":
+                Slp("bytes", terminals, rules, start=start)
+            elif way_in == "from_arrays":
+                Slp.from_arrays("bytes", terminals, slp.counts, slp.flat, start)
+            else:
+                slp.start = start
+        # A refused assignment leaves the grammar as it was.
+        assert slp.start == 3
+        assert expand(slp) == b"ababab"
+        assert deserialize(serialize(slp)) == slp
 
     def test_overflow_detected_before_streaming(self):
         slp = Slp("bytes", [ord("a")])
@@ -553,25 +556,25 @@ class TestValidate:
         validate(slp)
 
     def test_cycle_via_constructor(self):
-        slp = Slp("bytes", [1], rules=[(1,)], start=1)
         with pytest.raises(GrammarError):
-            validate(slp)
+            Slp("bytes", [1], rules=[(1,)], start=1)
 
     def test_bad_start(self):
-        slp = Slp("bytes", [1], rules=[(0, 0)], start=9)
         with pytest.raises(GrammarError):
-            validate(slp)
+            Slp("bytes", [1], rules=[(0, 0)], start=9)
 
     @pytest.mark.parametrize(
         "start", [1.0, 1.5, True, np.float64(1.0), "1"], ids=["float", "1.5", "bool", "np-float", "str"]
     )
     def test_non_integer_start_rejected(self, start):
         # serialize would write "start 1.0" or "start True", which load refuses.
-        slp = Slp("bytes", [97], rules=[(0, 0)], start=start)
         with pytest.raises(GrammarError, match="start symbol must be an integer"):
-            validate(slp)
+            Slp("bytes", [97], rules=[(0, 0)], start=start)
+        slp = Slp("bytes", [97], rules=[(0, 0)], start=1)
+        with pytest.raises(GrammarError, match="start symbol must be an integer"):
+            slp.start = start
         with pytest.raises(GrammarError, match="symbol must be an integer"):
-            expand(slp)
+            expand(slp, start)
 
     @pytest.mark.parametrize("symbol", [1.0, False, np.float64(0.0)], ids=["float", "bool", "np-float"])
     def test_non_integer_symbol_rejected(self, symbol):
@@ -587,9 +590,8 @@ class TestValidate:
         assert deserialize(serialize(slp)) == slp
 
     def test_byte_terminal_range(self):
-        slp = Slp("bytes", [999], rules=[], start=0)
         with pytest.raises(GrammarError):
-            validate(slp)
+            Slp("bytes", [999], rules=[], start=0)
 
     def test_length_table(self):
         slp = Slp("bytes", [1, 2])
@@ -644,7 +646,8 @@ class TestSerialization:
         for _ in range(100):
             slp = random_slp(rng, kind=rng.choice(["bytes", "tokens"]))
             if slp.kind == "tokens":
-                slp.terminals = [v * 7 for v in range(slp.terminal_count)]
+                terminals = [v * 7 for v in range(slp.terminal_count)]
+                slp = Slp.from_arrays("tokens", terminals, slp.counts, slp.flat, slp.start)
             text = serialize(slp)
             back = deserialize(text)
             assert back == slp
@@ -763,8 +766,7 @@ def assert_matches_scalar_oracles(slp):
     back = deserialize(text)
     assert back == reference_deserialize(text) == slp
     assert bodies(back) == bodies(slp)
-    reference_check_structure(slp)
-    check_structure(slp)
+    reference_check_structure(slp.kind, slp.terminals, slp.counts, slp.flat, slp.start)
     lengths = reference_symbol_lengths(slp)
     assert symbol_lengths(slp).tolist() == lengths
     assert grammar_depth(slp) == reference_grammar_depth(slp)
@@ -803,7 +805,8 @@ class TestFlatMatchesScalarOracles:
     def test_start_body_longer_than_three_batches(self):
         rng = random.Random(8)
         slp = random_slp(rng, kind="tokens", max_rules=30)
-        slp.terminals = [v * 1000003 for v in range(slp.terminal_count)]
+        terminals = [v * 1000003 for v in range(slp.terminal_count)]
+        slp = Slp.from_arrays("tokens", terminals, slp.counts, slp.flat, slp.start)
         body = [rng.randrange(slp.symbol_count) for _ in range(3 * _BATCH + 17)]
         slp.start = slp.emit_rule(body)
         assert_matches_scalar_oracles(slp)
@@ -973,11 +976,19 @@ class TestTerminalCeiling:
     )
     def test_non_integer_terminals_rejected(self, kind, terminals):
         # serialize would write them as truncated integers.
-        slp = Slp(kind, terminals, rules=[(0, 0)], start=len(terminals))
         with pytest.raises(GrammarError, match="must be integers"):
-            validate(slp)
+            Slp(kind, terminals, rules=[(0, 0)], start=len(terminals))
         with pytest.raises(GrammarError, match="must be integers"):
-            check_structure(slp)
+            Slp.from_arrays(kind, terminals, [2], [0, 0], len(terminals))
+
+    @pytest.mark.parametrize("kind", ["bytes", "tokens"])
+    @pytest.mark.parametrize("true", [True, np.True_], ids=["True", "np.True_"])
+    def test_bool_terminals_among_ints_rejected(self, kind, true):
+        # numpy reads True as 1, so ``serialize`` would write "97 1".
+        with pytest.raises(GrammarError, match=f"{kind[:-1]} terminals must be integers, not bool"):
+            Slp(kind, [97, true], [(0, 1)], start=2)
+        with pytest.raises(GrammarError, match=f"{kind[:-1]} terminals must be integers, not bool"):
+            Slp.from_arrays(kind, [97, true], [2], [0, 1], 2)
 
     def test_numpy_integer_terminals_accepted(self):
         validate(Slp("tokens", np.array([3, 4], dtype=np.uint32), rules=[(0, 1)], start=2))
@@ -1023,3 +1034,72 @@ class TestRuleView:
             slp.rules[0] = body
         assert slp == self.grammar()
 
+
+    @pytest.mark.parametrize("key,body", [(0, (0, 2)), (1, (0, 3, 0)), (-1, (-1, 0, 1))])
+    def test_write_of_an_undefined_symbol_raises(self, key, body):
+        # A rule that names itself or a later rule would make the range walk loop.
+        slp = self.grammar()
+        with pytest.raises(GrammarError, match="not yet defined"):
+            slp.rules[key] = body
+        assert slp == self.grammar()
+
+
+class TestCheckedOnce:
+    """An ``Slp`` is checked where it is built, and trusted from then on."""
+
+    def spy(self, monkeypatch):
+        calls = []
+        check = grammar._check_bodies
+
+        def counting(counts, flat, base):
+            calls.append(len(counts))
+            check(counts, flat, base)
+
+        monkeypatch.setattr(grammar, "_check_bodies", counting)
+        return calls
+
+    @pytest.mark.parametrize("key", sorted(test_golden.GOLDEN))
+    def test_one_body_check_per_grammar_built(self, monkeypatch, tmp_path, key):
+        gen, seed, mode = key
+        slp = compress(getattr(test_golden, gen)(seed), mode=mode).slp
+        path = tmp_path / "g.slp"
+        grammar.dump(slp, path)
+        calls = self.spy(monkeypatch)
+        loaded = grammar.load(path)
+        assert calls == [len(slp.counts)]
+        expand(loaded)
+        expand_ids(loaded)
+        expansion_and_depth(loaded)
+        serialize(loaded)
+        validate(loaded)
+        assert calls == [len(slp.counts)]
+        assert prune_unreachable(loaded) is loaded  # every rule is reachable
+        assert calls == [len(slp.counts)]
+        loaded.emit_rule([0])  # unreachable
+        assert calls == [len(slp.counts), 1]
+        pruned = prune_unreachable(loaded)
+        assert calls == [len(slp.counts), 1, len(pruned.counts)]
+        assert pruned == slp
+
+    def test_views_are_read_only(self):
+        slp = Slp("bytes", [97, 98], [(0, 1), (2, 2)], start=3)
+        for view in (slp.flat, slp.counts, slp.offsets):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            slp.flat[-1] = 3  # a rule naming itself: the range walk would not end
+        with pytest.raises(AttributeError):
+            slp.size = 1
+        with pytest.raises((AttributeError, TypeError)):
+            slp.terminals[0] = 1000
+        with pytest.raises(AttributeError):
+            slp.kind = "tokens"
+        assert bodies(slp) == [(0, 1), (2, 2)] and slp.size == 4
+
+    def test_wrapping_counts_refused(self):
+        # Four counts of 2**62 sum to 0 in int64, and a body check over them
+        # would ask numpy for 2**64 cells, which crashes the interpreter.
+        with pytest.raises(GrammarError, match="counts do not match"):
+            Slp("bytes", [97]).emit_rules([2**62] * 4, [])
+        with pytest.raises(GrammarError, match="counts do not match"):
+            Slp.from_arrays("bytes", [97], [2**63 - 1, 2**63 - 1, 3], [0])
