@@ -8,11 +8,12 @@ spaces coexist:
   Grammar bodies contain canonical ids only, and a canonical id never
   changes meaning.
 * working ids: the symbols stored in the mutable text.  They are local to
-  a phase: at its start the ``k`` symbols that occur are renamed to
-  ``0..k-1`` in order of first occurrence, so records over them can be
-  bucket sorted, and the symbols minted during the phase continue from
-  ``k``.  ``AlphabetMap`` keeps the alias table from working ids back to
-  canonical ids.
+  a phase: at its start the ``k`` symbols that occur are numbered
+  ``0..k-1`` in order of first occurrence (by ``ingest`` for the first
+  phase, by the ``rename_dense`` that ends each phase for the next), so
+  records over them can be bucket sorted, and the symbols minted during
+  the phase continue from ``k``.  ``AlphabetMap`` keeps the alias table
+  from working ids back to canonical ids.
 
 So at any moment the working alphabet is ``[0, next_working)``.
 """
@@ -50,7 +51,10 @@ def as_int64(values, what: str, error: type[ValueError]) -> np.ndarray:
         if values.dtype.kind not in "iu" and values.size:
             raise error(f"{what} must be integers, not {values.dtype}")
         return values.astype(np.int64, copy=False)
-    values = list(values)
+    try:
+        values = list(values)
+    except TypeError:
+        raise error(f"{what} must be a sequence, not {type(values).__name__}") from None
     for kind in set(map(type, values)):
         if issubclass(kind, (bool, np.bool_)) or not issubclass(kind, (int, np.integer)):
             raise error(f"{what} must be integers, not {kind.__name__}")
@@ -131,33 +135,45 @@ class AlphabetMap:
 def ingest(raw, kind: str | None = None) -> tuple[WorkingText, AlphabetMap]:
     """Turn raw input into a working text over dense terminal ids.
 
-    Terminals are numbered in first-occurrence order.  ``raw`` is either a
-    byte string or a sequence of unsigned token values; token values above
-    ``TOKEN_VALUE_CEILING`` and anything but integers (floats, booleans,
-    strings) are rejected with ``InputFormatError``.
+    Terminals are numbered in first-occurrence order, so the text starts
+    its first phase in the numbering ``rename_dense`` gives.  ``raw`` is
+    either a byte string or a sequence of unsigned token values; token
+    values above ``TOKEN_VALUE_CEILING`` and anything but integers (floats,
+    booleans, strings, a non-sequence) are rejected with
+    ``InputFormatError``.  Bytes are numbered through a 256-entry table;
+    tokens by ranking only the first token of each run, since the first
+    occurrence of a value always starts a run, and then spreading each run
+    head's id over its run.
     """
     if kind is None:
         kind = "bytes" if isinstance(raw, (bytes, bytearray, memoryview)) else "tokens"
     if kind == "bytes":
         arr = np.frombuffer(bytes(raw), dtype=np.uint8).astype(np.int64)
         lut, values = _first_occurrence_ids(arr, domain=256)
+        ids = lut[arr]
     elif kind == "tokens":
         arr = as_int64(raw, "tokens", InputFormatError)
         if arr.size and (arr.min() < 0 or arr.max() > TOKEN_VALUE_CEILING):
             raise InputFormatError(f"token values must lie in [0, {TOKEN_VALUE_CEILING}]")
-        arr, distinct = _value_ranks(arr)
+        heads = np.empty(len(arr), dtype=bool)
+        heads[:1] = True
+        np.not_equal(arr[1:], arr[:-1], out=heads[1:])
+        run_lengths = np.diff(np.flatnonzero(heads), append=len(arr))
+        arr, distinct = _value_ranks(np.compress(heads, arr))
+        del heads
         lut, first = _first_occurrence_ids(arr, domain=len(distinct))
         values = distinct[first]
+        ids = np.repeat(lut[arr], run_lengths)
     else:
         raise ValueError(f"unknown input kind {kind!r}")
-    return WorkingText(lut[arr]), AlphabetMap(input_kind=kind, terminal_of_id=values.tolist())
+    return WorkingText(ids), AlphabetMap(input_kind=kind, terminal_of_id=values.tolist())
 
 
 def _value_ranks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each token value's rank among the distinct values, and those values.
 
     One radix argsort over the token domain, so the cost is linear in the
-    text length; every temporary is freed as soon as it has been read.
+    number of values; every temporary is freed as soon as it has been read.
     """
     order = radix_argsort(arr, TOKEN_VALUE_CEILING + 1)
     ascending = arr[order]

@@ -36,12 +36,15 @@ class BlockScan:
     """Maximal blocks of length >= 2, sorted by (letter, length).
 
     Column-array layout.  Positions are indices into the compact text and
-    are only valid for the epoch they were scanned in.
+    are only valid for the epoch they were scanned in, as is ``run_starts``,
+    the mask of the cells that start a maximal run of any length: the cells
+    that survive the block stage.
     """
 
     letters: np.ndarray
     lengths: np.ndarray
     positions: np.ndarray
+    run_starts: np.ndarray
     epoch: int = 0
 
     def __len__(self) -> int:
@@ -54,7 +57,7 @@ def scan_blocks(text: WorkingText, amap: AlphabetMap) -> BlockScan:
     n = len(live)
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
-        return BlockScan(empty, empty, empty, text.epoch)
+        return BlockScan(empty, empty, empty, np.empty(0, dtype=bool), text.epoch)
     boundary = np.empty(n, dtype=bool)
     boundary[0] = True
     np.not_equal(live[1:], live[:-1], out=boundary[1:])
@@ -66,7 +69,7 @@ def scan_blocks(text: WorkingText, amap: AlphabetMap) -> BlockScan:
     pos = starts[keep]
     span = int(lengths.max()) + 1 if len(lengths) else 1
     order = radix_argsort(letters * span + lengths, amap.next_working * span)
-    return BlockScan(letters[order], lengths[order], pos[order], text.epoch)
+    return BlockScan(letters[order], lengths[order], pos[order], boundary, text.epoch)
 
 
 @dataclass
@@ -84,9 +87,9 @@ def compress_blocks(
 ) -> BlockCompression:
     """Replace every scanned block; equal (letter, length) share one symbol.
 
-    Afterwards no two adjacent live symbols are equal.  The replaced blocks
-    leave dead cells, so the text needs a ``compact()`` before the next
-    stage reads it.
+    Afterwards no two adjacent live symbols are equal.  The write keeps
+    only the run starts and stays pending, so the text needs a
+    ``compact()`` before the next stage reads it.
     """
     if len(scan) == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -105,7 +108,7 @@ def compress_blocks(
     targets = build_block_rules(grammar, group_letters, group_lengths)
     fresh = amap.allocate_working(targets)
     group_of_record = np.cumsum(new_group) - 1
-    text.replace_spans(scan.positions, lengths, fresh[group_of_record])
+    text.replace_spans(scan.positions, fresh[group_of_record], scan.run_starts)
     return BlockCompression(len(scan), group_letters, group_lengths, targets)
 
 

@@ -1,7 +1,9 @@
 """Phase orchestration: plain and improved (min-over-phases) compression.
 
-A phase renames the alphabet to ``0..k-1``, compresses all maximal
-blocks, then compresses the pairs selected by the greedy split; the text
+A phase compresses all maximal blocks, then the pairs selected by the
+greedy split, and ends by renaming the alphabet to ``0..k-1``, so every
+phase starts on a text numbered in first-occurrence order (the first one
+as ``ingest`` numbers it); the text
 shrinks to at most ``3/4 |T| + 1/4`` per phase, so the total work is linear
 in the input.  Improved mode additionally prices stopping at each phase
 (remaining text emitted verbatim plus the rules so far) and returns the
@@ -84,7 +86,9 @@ def run_phase(
     """Execute one block-then-pair compression phase over the text.
 
     The text is compacted after each of the two stages, so every stage
-    reads a compact text whose positions are plain indices.
+    reads a compact text whose positions are plain indices.  The phase ends
+    by renaming the text's symbols to ``0..k-1`` in first-occurrence order,
+    the numbering that ``ingest`` gives the first phase.
     """
     if len(text) < 2:
         raise ValueError("phases need at least two live symbols")
@@ -92,10 +96,8 @@ def run_phase(
     rules_before = len(grammar.counts)
     size_before = grammar.size
     clock = [time.perf_counter()]
-    rename_dense(text, amap)
-    clock.append(time.perf_counter())
-    scan = scan_blocks(text, amap)
-    blocks = compress_blocks(text, scan, grammar, amap)
+    # No name holds the scan: its run-start mask is freed at the compaction.
+    blocks = compress_blocks(text, scan_blocks(text, amap), grammar, amap)
     clock.append(time.perf_counter())
     live_after_blocks = len(text)
     text.compact()
@@ -108,7 +110,9 @@ def run_phase(
     clock.append(time.perf_counter())
     text.compact()
     clock.append(time.perf_counter())
-    rename_s, blocks_s, blocks_compact_s, adjacency_s, partition_s, pairs_s, compact_s = (
+    rename_dense(text, amap)
+    clock.append(time.perf_counter())
+    blocks_s, blocks_compact_s, adjacency_s, partition_s, pairs_s, compact_s, rename_s = (
         end - start for start, end in zip(clock, clock[1:])
     )
     return PhaseTrace(
@@ -185,8 +189,7 @@ def compress(data, mode: str = "improved", kind: str | None = None) -> Compressi
 
 def _snapshot_grammar(grammar: Slp, best: BestSnapshot) -> Slp:
     """Materialize the grammar for a snapshot: truncated rules + text rule."""
-    counts = grammar.counts[: best.rule_watermark]
-    slp = Slp.from_arrays(grammar.kind, grammar.terminals, counts, grammar.flat[: int(counts.sum())])
+    slp = grammar.prefix(best.rule_watermark)
     if len(best.text_canonical):
         slp.start = slp.emit_rule(best.text_canonical)
     return prune_unreachable(slp)

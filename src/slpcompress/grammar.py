@@ -27,6 +27,7 @@ parsing them with one ``np.fromstring`` call.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import numbers
 import operator
@@ -69,7 +70,8 @@ class Slp:
     grammar.  Each way in checks what it adds, once, and raises
     ``GrammarError``: the constructor and ``from_arrays`` check the
     terminals, ``emit_rules`` (which they and ``emit_*`` use) the new
-    bodies, ``rules[i] = body`` the one body and ``start =`` the symbol.
+    bodies, ``rules[i] = body`` the one body and ``start =`` the symbol;
+    ``prefix`` copies rules that are checked already.
     The kind and terminals are read-only, and the arrays read-only views, so
     nothing else changes them.  ``validate`` checks the 63-bit length bound.
     """
@@ -85,7 +87,10 @@ class Slp:
         self._flat = np.empty(0, dtype=np.int64)
         self._offsets = None  # cache of ``offsets``, dropped on append
         if rules:
-            bodies = [tuple(body) for body in rules]
+            try:
+                bodies = [tuple(body) for body in rules]
+            except TypeError:
+                raise GrammarError("rules must be a sequence of symbol sequences") from None
             self.emit_rules(list(map(len, bodies)), list(itertools.chain.from_iterable(bodies)))
         self.start = start
 
@@ -95,6 +100,19 @@ class Slp:
         slp = cls(kind, terminals)
         slp.emit_rules(counts, flat)
         slp.start = start
+        return slp
+
+    def prefix(self, rule_count: int) -> Slp:
+        """A grammar of copies of the first ``rule_count`` rules, with no start.
+
+        Nothing is checked again: a prefix of a valid grammar is valid.
+        """
+        if not 0 <= rule_count <= self._rule_count:
+            raise ValueError(f"no prefix of {rule_count} rules in {self._rule_count}")
+        size = int(self.counts[:rule_count].sum())
+        slp = copy.copy(self)  # shares the kind and the terminal tuple
+        slp._counts, slp._flat = self._counts[:rule_count].copy(), self._flat[:size].copy()
+        slp._rule_count, slp._size, slp._offsets, slp._start = rule_count, size, None, None
         return slp
 
     def _set_start(self, symbol: int | None) -> None:
@@ -234,7 +252,10 @@ class RuleView:
 def _terminals(kind: str, values) -> tuple[int, ...]:
     """``values`` as ints; raises ``GrammarError`` unless each is one ``ingest`` accepts."""
     what, ceiling = f"{kind[:-1]} terminal", 255 if kind == "bytes" else TOKEN_VALUE_CEILING
-    values = values if isinstance(values, np.ndarray) else list(values)
+    try:
+        values = values if isinstance(values, np.ndarray) else list(values)
+    except TypeError:
+        raise GrammarError(f"{what}s must be a sequence, not {type(values).__name__}") from None
     try:
         ints = as_int64(values, f"{what}s", GrammarError)
         if not len(ints) or 0 <= ints.min() and ints.max() <= ceiling:

@@ -243,9 +243,10 @@ def compress_pairs(
     # Gather the occurrence slices of the selected pairs in one shot.
     counts = adj.pair_count[selected]
     occs = adj.occurrences[concat_ranges(adj.occ_start[selected], counts)]
-    fresh_per_occ = np.repeat(fresh, counts)
-    # Distinct left.right pairs never overlap (the classes are disjoint), so
-    # every adjacency position takes part in at most one replacement;
-    # compact() checks it.
-    text.replace_spans(occs, np.full(len(occs), 2, dtype=np.int64), fresh_per_occ)
+    # Each occurrence keeps its first cell and drops its second.  Distinct
+    # left.right pairs never overlap (the classes are disjoint), so no
+    # occurrence starts on a dropped cell; replace_spans checks it.
+    kept = np.ones(len(text), dtype=bool)
+    kept[1:][occs] = False
+    text.replace_spans(occs, np.repeat(fresh, counts), kept)
     return PairCompression(len(occs), canon_a, canon_b, rule_ids)

@@ -2,23 +2,21 @@
 
 Each stage of a phase is one pass over the current text, and every
 position it hands out is a plain index into ``cells``.  Both stages write
-through ``replace_spans``, which keeps the array in place: the replacing
-symbol goes into the first cell of each span and the others become
-``TOMBSTONE``.  Dead cells exist only until the next ``compact()``, which
-checks that the spans were disjoint; until then ``live()`` refuses to read
-the text.  Every compaction bumps ``epoch``, so positions taken before it
-are detected as stale.
+through ``replace_spans``, which puts the replacing symbol into the first
+cell of each span and records, as a mask over the cells, which cells
+survive.  The write stays pending until the next ``compact()``, which
+gathers the surviving cells in one pass; until then ``live()`` refuses to
+read the text.  Every compaction bumps ``epoch``, so positions taken before
+it are detected as stale.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-TOMBSTONE = -1
-
 
 class StaleTextError(RuntimeError):
-    """Dead cells are pending, or a position predates the last compaction."""
+    """A write is pending, or a position predates the last compaction."""
 
 
 def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -39,59 +37,66 @@ class WorkingText:
             raise ValueError("working text must be one-dimensional")
         if self.cells.size and self.cells.min() < 0:
             raise ValueError("symbols must be non-negative")
-        self.live_count = int(self.cells.size)
+        self.kept = None  # while a write is pending, the cells compact() keeps
         self.epoch = 0
 
     def __len__(self) -> int:
-        return self.live_count
+        """The number of symbols, counting a pending write as applied."""
+        return len(self.cells) if self.kept is None else int(np.count_nonzero(self.kept))
 
     def live(self) -> np.ndarray:
-        """The symbol sequence; raises ``StaleTextError`` while dead cells are pending."""
-        if self.live_count != len(self.cells):
-            raise StaleTextError("the text has dead cells: compact() it first")
+        """The symbol sequence; raises ``StaleTextError`` while a write is pending."""
+        if self.kept is not None:
+            raise StaleTextError("a write is pending: compact() the text first")
         return self.cells
 
     def compact(self) -> None:
-        """Drop dead cells; invalidates all outstanding positions.
+        """Apply the pending write, if any; invalidates all outstanding positions.
 
-        Raises ``ValueError``, leaving the text unreadable, unless the
-        surviving cells number ``live_count``.  From a compact text they do
-        exactly when the replaced spans were disjoint and every fresh
-        symbol non-negative; a negative one is dropped here.
+        The write is one gather of the surviving cells.
         """
-        if self.live_count != len(self.cells):
-            kept = self.cells[self.cells >= 0]
-            if len(kept) != self.live_count:
-                raise ValueError("replaced spans overlap or a fresh symbol is negative")
-            self.cells = kept
+        if self.kept is not None:
+            self.cells = np.compress(self.kept, self.cells)  # faster than cells[kept] here
+            self.kept = None
         self.epoch += 1
 
-    def replace_spans(self, starts, lengths, fresh) -> None:
-        """Replace each span ``[start, start + length)`` of the compact text by one symbol.
+    def replace_spans(self, starts, fresh, kept) -> None:
+        """Replace disjoint spans of the compact text, each by one symbol.
 
-        ``starts``, ``lengths`` and ``fresh`` hold one entry per span.
-        Arrays of other shapes, lengths below 2 and spans outside the text
-        raise ``ValueError`` before any write; ``compact()`` catches
-        overlapping spans.
+        Span ``i`` is the cell ``starts[i]``, which takes ``fresh[i]``, and
+        the cells after it that the bool mask ``kept`` drops, up to the next
+        cell it keeps; ``compact()`` then keeps the cells that ``kept`` does.
+        The starts must be distinct kept cells, each followed by a dropped
+        one, and the runs of dropped cells must number one per span, so
+        that every dropped cell lies in a span.  Arrays of other shapes,
+        positions outside the text, a span start that another span drops,
+        spans of one cell, a count of dropped runs other than the count of
+        spans and negative fresh symbols raise ``ValueError`` before any
+        write.
         """
         cells = self.live()
         starts = np.asarray(starts, dtype=np.int64)
-        lengths = np.asarray(lengths, dtype=np.int64)
         fresh = np.asarray(fresh, dtype=np.int64)
-        if starts.ndim != 1 or lengths.shape != starts.shape or fresh.shape != starts.shape:
-            raise ValueError("starts, lengths and fresh need one entry per span")
-        if lengths.min(initial=2) < 2:
-            raise ValueError("spans shorter than 2 are never replaced")
+        kept = np.asarray(kept)
+        if starts.ndim != 1 or fresh.shape != starts.shape:
+            raise ValueError("starts and fresh need one entry per span")
+        if kept.dtype != bool or kept.shape != cells.shape:
+            raise ValueError("kept needs one bool per cell of the text")
         if starts.min(initial=0) < 0:
             raise ValueError("span starts before the text")
-        if (starts + lengths).max(initial=0) > len(cells):
+        if starts.size and starts.max() >= len(cells) - 1:
             raise ValueError("span extends past the end of the text")
-        # The cells strictly inside each span, span after span.
-        inside = concat_ranges(starts, lengths - 1)
-        inside += 1  # shift in place; passing starts + 1 adds a span-sized array at the peak
-        cells[inside] = TOMBSTONE
+        if not kept[starts].all():
+            raise ValueError("a span starts on a cell another span drops")
+        if kept[1:][starts].any():
+            raise ValueError("spans shorter than 2 are never replaced")
+        drop_runs = np.count_nonzero(kept[:-1] > kept[1:]) + int(len(kept) > 0 and not kept[0])
+        if drop_runs != len(starts):
+            raise ValueError("a dropped cell lies in no span, or a span is given twice")
+        if fresh.min(initial=0) < 0:
+            raise ValueError("fresh symbols must be non-negative")
         cells[starts] = fresh
-        self.live_count -= len(inside)
+        self.kept = kept
 
     def _remap_live(self, lut: np.ndarray) -> None:
         """Apply ``sym -> lut[sym]`` to every cell of the compact text."""

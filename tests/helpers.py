@@ -19,7 +19,7 @@ from slpcompress.grammar import (
     symbol_lengths,
 )
 from slpcompress.pairs import Partition, greedy_partition
-from slpcompress.text import TOMBSTONE, WorkingText, concat_ranges
+from slpcompress.text import WorkingText, concat_ranges
 
 
 def random_runslp(rng: random.Random, max_rules=30, alphabet=4, expansion_cap=10**6,
@@ -482,18 +482,30 @@ def symbol_of_pair(result) -> dict[tuple[int, int], int]:
 
 
 # Scalar oracles for ``WorkingText``'s bulk replacements.  They address
-# cells by raw index and step over dead cells, so a sequence of them can
-# run without a compaction in between.
+# cells by raw index and record their writes as a pending write does: the
+# fresh symbol in the first cell, the others dropped from ``text.kept``.  So
+# a sequence of them can run without a compaction in between.
+
+
+def _kept(text) -> np.ndarray:
+    """The pending write's mask of surviving cells; all of them if none is pending."""
+    if text.kept is None:
+        text.kept = np.ones(len(text.cells), dtype=bool)
+    return text.kept
+
+
+def _is_live(text, at: int) -> bool:
+    return text.kept is None or bool(text.kept[at])
 
 
 def _check_live(text, at: int) -> None:
-    if not 0 <= at < len(text.cells) or text.cells[at] == TOMBSTONE:
+    if not 0 <= at < len(text.cells) or not _is_live(text, at):
         raise ValueError(f"position {at} is not a live cell")
 
 
 def _next_live(text, at: int) -> int:
     j = at + 1
-    while j < len(text.cells) and text.cells[j] == TOMBSTONE:
+    while j < len(text.cells) and not _is_live(text, j):
         j += 1
     if j >= len(text.cells):
         raise ValueError(f"no live cell after position {at}")
@@ -502,12 +514,31 @@ def _next_live(text, at: int) -> int:
 
 def live_list(text) -> list[int]:
     """The live symbols in order, also between a replacement and ``compact()``."""
-    return text.cells[text.cells != TOMBSTONE].tolist()
+    return (text.cells if text.kept is None else text.cells[text.kept]).tolist()
 
 
 def live_positions(text) -> np.ndarray:
     """Raw indices of the live cells, in order."""
-    return np.flatnonzero(text.cells != TOMBSTONE)
+    return np.flatnonzero(np.ones(len(text.cells), dtype=bool) if text.kept is None else text.kept)
+
+
+def kept_outside(n: int, starts, lengths) -> np.ndarray:
+    """The mask of a write of spans ``[start, start + length)`` over ``n`` cells.
+
+    Each span keeps its first cell and drops the others.
+    """
+    kept = np.ones(n, dtype=bool)
+    for start, length in zip(starts, lengths):
+        kept[start + 1 : start + length] = False
+    return kept
+
+
+def reference_replace_spans(symbols, starts, lengths, fresh) -> list[int]:
+    """The text after replacing disjoint spans, by list surgery from the right."""
+    out = list(symbols)
+    for start, length, f in sorted(zip(starts, lengths, fresh), reverse=True):
+        out[start : start + length] = [f]
+    return out
 
 
 def replace_pair(text, at: int, fresh: int) -> None:
@@ -515,8 +546,7 @@ def replace_pair(text, at: int, fresh: int) -> None:
     _check_live(text, at)
     j = _next_live(text, at)
     text.cells[at] = fresh
-    text.cells[j] = TOMBSTONE
-    text.live_count -= 1
+    _kept(text)[j] = False
 
 
 def replace_run(text, at: int, length: int, fresh: int) -> None:
@@ -533,8 +563,7 @@ def replace_run(text, at: int, length: int, fresh: int) -> None:
             raise ValueError(f"cells from {at} do not hold a uniform run of {length}")
         tail.append(pos)
     text.cells[at] = fresh
-    text.cells[tail] = TOMBSTONE
-    text.live_count -= length - 1
+    _kept(text)[tail] = False
 
 
 # Scalar accessors of the compressor's column-array types.

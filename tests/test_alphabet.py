@@ -124,6 +124,43 @@ class TestIngest:
         assert live_list(text) == want_ids.tolist()
         assert amap.terminal_of_id == want_terminals
 
+    @staticmethod
+    def runs(rng, run_mean, n):
+        """``n`` seeded 32-bit tokens over 50 values, in geometric runs of mean ``run_mean``."""
+        values = rng.integers(0, 2**32, 50)[rng.integers(0, 50, n)]
+        return np.repeat(values, rng.geometric(1 / run_mean, n))[:n]
+
+    @pytest.mark.parametrize(
+        "shape", ["long-runs", "no-runs", "single-run", "runs-at-both-ends", "empty"]
+    )
+    def test_run_shapes_match_comparison_sort_reference(self, shape):
+        rng = np.random.default_rng(4242)
+        for _ in range(20):
+            n = int(rng.integers(1, 400))
+            if shape == "long-runs":
+                arr = self.runs(rng, 30, n)
+            elif shape == "no-runs":  # as in the golden corpus's wide_tokens
+                arr = rng.integers(0, 2**32, n)
+                arr = arr[np.append(True, arr[1:] != arr[:-1])]
+            elif shape == "single-run":
+                arr = np.full(n, rng.integers(0, 2**32))
+            elif shape == "runs-at-both-ends":
+                head, tail = rng.integers(0, 2**32, 2)
+                arr = np.concatenate([np.full(n, head), self.runs(rng, 2, n), np.full(n, tail)])
+            else:
+                arr = np.empty(0, dtype=np.int64)
+            want_ids, want_terminals = reference_first_occurrence_ids(arr)
+            text, amap = ingest(arr, "tokens")
+            assert live_list(text) == want_ids.tolist()
+            assert amap.terminal_of_id == want_terminals
+            assert amap.next_working == len(want_terminals)
+
+    @pytest.mark.parametrize("raw", [5, 2.5, None, object()], ids=["int", "float", "None", "object"])
+    @pytest.mark.parametrize("kind", ["tokens", None])
+    def test_non_sequence_rejected(self, raw, kind):
+        with pytest.raises(InputFormatError, match="tokens must be a sequence, not"):
+            ingest(raw, kind=kind)
+
     def test_sigma_bounded(self):
         text, amap = ingest(bytes(range(256)) * 3)
         assert amap.terminal_count == 256

@@ -130,7 +130,7 @@ class TestPhase:
             assert len(result.stats.phase_table) == len(result.traces) + 1
 
     def test_every_reader_sees_a_compact_text(self, monkeypatch):
-        # Readers find no dead cells; both replacing stages leave some, and
+        # Readers find no pending write; both replacing stages leave one, and
         # live() refuses the text until run_phase compacts it.  The
         # improved-mode snapshot reads the text through live() as well.
         calls = []
@@ -139,7 +139,8 @@ class TestPhase:
             original = getattr(driver, name)
 
             def guarded(text, *args):
-                assert len(text.cells) == len(text), f"{name} got dead cells"
+                assert text.kept is None, f"{name} got a pending write"
+                assert len(text.cells) == len(text)
                 calls.append(name)
                 return original(text, *args)
 
@@ -152,7 +153,7 @@ class TestPhase:
                 epoch = text.epoch
                 out = original(text, *args)
                 assert text.epoch == epoch, f"{name} compacted the text itself"
-                if len(text.cells) != len(text):
+                if text.kept is not None:
                     with pytest.raises(StaleTextError):
                         text.live()
                     calls.append(name)

@@ -19,7 +19,7 @@ from helpers import (
     reference_symbol_lengths,
 )
 
-from slpcompress import grammar
+from slpcompress import driver, grammar
 from slpcompress.alphabet import TOKEN_VALUE_CEILING
 from slpcompress.driver import compress
 from slpcompress.grammar import (
@@ -990,6 +990,19 @@ class TestTerminalCeiling:
         with pytest.raises(GrammarError, match=f"{kind[:-1]} terminals must be integers, not bool"):
             Slp.from_arrays(kind, [97, true], [2], [0, 1], 2)
 
+    @pytest.mark.parametrize("kind", ["bytes", "tokens"])
+    @pytest.mark.parametrize("terminals", [5, 2.5, None], ids=["int", "float", "None"])
+    def test_non_sequence_terminals_rejected(self, kind, terminals):
+        with pytest.raises(GrammarError, match=f"{kind[:-1]} terminals must be a sequence, not"):
+            Slp(kind, terminals)
+        with pytest.raises(GrammarError, match=f"{kind[:-1]} terminals must be a sequence, not"):
+            Slp.from_arrays(kind, terminals, [], [])
+
+    @pytest.mark.parametrize("rules", [5, [5], [(0,), 7]], ids=["int", "int-body", "int-among-bodies"])
+    def test_non_sequence_rules_rejected(self, rules):
+        with pytest.raises(GrammarError, match="rules must be a sequence of symbol sequences"):
+            Slp("bytes", [97], rules)
+
     def test_numpy_integer_terminals_accepted(self):
         validate(Slp("tokens", np.array([3, 4], dtype=np.uint32), rules=[(0, 1)], start=2))
 
@@ -1080,6 +1093,48 @@ class TestCheckedOnce:
         pruned = prune_unreachable(loaded)
         assert calls == [len(slp.counts), 1, len(pruned.counts)]
         assert pruned == slp
+
+    @pytest.mark.parametrize("key", sorted(k for k in test_golden.GOLDEN if k[2] == "improved"))
+    def test_snapshot_checks_only_its_text_rule(self, monkeypatch, key):
+        # The snapshot takes a prefix of the driver's checked grammar: its
+        # terminals and rules are not checked again, only the text rule.
+        gen, seed, _ = key
+        calls = self.spy(monkeypatch)
+        terminals = []
+        check_terminals = grammar._terminals
+        monkeypatch.setattr(
+            grammar, "_terminals", lambda kind, values: terminals.append(kind) or check_terminals(kind, values)
+        )
+        seen = []
+        snapshot = driver._snapshot_grammar
+
+        def spy(built, best):
+            del calls[:], terminals[:]
+            slp = snapshot(built, best)
+            seen.append((list(calls), list(terminals), len(best.text_canonical), slp))
+            return slp
+
+        monkeypatch.setattr(driver, "_snapshot_grammar", spy)
+        data = getattr(test_golden, gen)(seed)
+        result = compress(data, mode="improved")
+        [(body_checks, terminal_checks, text_length, slp)] = seen
+        assert terminal_checks == []
+        assert body_checks == ([1] if text_length else [])
+        assert slp is result.slp and expand(slp) == data
+
+    def test_prefix_is_a_copy_of_the_first_rules(self):
+        slp = Slp("tokens", [500, 7], [(0, 1), (2, 2), (3, 0)], start=4)
+        for k in range(4):
+            prefix = slp.prefix(k)
+            assert bodies(prefix) == bodies(slp)[:k]
+            assert prefix.terminals is slp.terminals and prefix.start is None
+            assert prefix.kind == "tokens" and prefix.size == sum(map(len, bodies(slp)[:k]))
+        prefix = slp.prefix(2)
+        prefix.emit_rule([3, 3])  # appends to the copy only
+        assert bodies(slp) == [(0, 1), (2, 2), (3, 0)]
+        for k in (-1, 4):
+            with pytest.raises(ValueError, match="no prefix"):
+                slp.prefix(k)
 
     def test_views_are_read_only(self):
         slp = Slp("bytes", [97, 98], [(0, 1), (2, 2)], start=3)

@@ -334,17 +334,16 @@ class TestCompressPairs:
         assert bodies(grammar) == []
         assert live_list(text) == [0, 1, 2, 0, 1]
 
-    def test_overlapping_selection_caught_at_compact(self):
-        # Classes that share a symbol select both (a, b) and (b, a) in "aba".
+    def test_overlapping_selection_refused_before_the_write(self):
+        # Classes that share a symbol select both (a, b) and (b, a) in "aba":
+        # the occurrence at 1 starts on the cell that the one at 0 drops.
         text, amap = ingest(b"aba")
         grammar = Slp("bytes", amap.terminal_of_id)
         adj = build_adjacency(text, amap)
         both = np.ones(amap.next_working, dtype=bool)
-        compress_pairs(text, Partition(both, both), adj, grammar, amap)
-        with pytest.raises(ValueError, match="spans overlap"):
-            text.compact()
-        with pytest.raises(StaleTextError):
-            text.live()
+        with pytest.raises(ValueError, match="another span drops"):
+            compress_pairs(text, Partition(both, both), adj, grammar, amap)
+        assert text.live().tolist() == [0, 1, 0]
 
     def test_fresh_symbols_not_recompressed(self):
         text, amap = ingest(b"abab")

@@ -3,8 +3,15 @@ import random
 import numpy as np
 import pytest
 
-from helpers import live_list, live_positions, replace_pair, replace_run
-from slpcompress.text import TOMBSTONE, StaleTextError, WorkingText
+from helpers import (
+    kept_outside,
+    live_list,
+    live_positions,
+    reference_replace_spans,
+    replace_pair,
+    replace_run,
+)
+from slpcompress.text import StaleTextError, WorkingText, concat_ranges
 
 
 class TestReplacePair:
@@ -14,11 +21,11 @@ class TestReplacePair:
         assert live_list(t) == [9, 2]
         assert len(t) == 2
 
-    def test_adjacency_skips_tombstones(self):
-        # Build [0, dead, 1, 2], then the pair at position 2 is (1, 2).
+    def test_adjacency_skips_dropped_cells(self):
+        # Build [0, dropped, 1, 2], then the pair at position 2 is (1, 2).
         t = WorkingText([0, 5, 1, 2])
         replace_pair(t, 0, 0)
-        assert t.cells[1] == TOMBSTONE
+        assert not t.kept[1]
         replace_pair(t, 2, 9)
         assert live_list(t) == [0, 9]
 
@@ -35,7 +42,7 @@ class TestReplacePair:
         t = WorkingText([0, 1, 2])
         replace_pair(t, 1, 9)
         with pytest.raises(ValueError):
-            replace_pair(t, 2, 5)  # tombstone
+            replace_pair(t, 2, 5)  # a dropped cell
         with pytest.raises(ValueError):
             replace_pair(t, 1, 5)  # last live cell, no successor
 
@@ -68,7 +75,7 @@ class TestReplaceRun:
 
 
 class TestCompact:
-    def test_removes_tombstones_preserves_order(self):
+    def test_keeps_surviving_cells_in_order(self):
         t = WorkingText([0, 1, 2, 2, 3])
         replace_pair(t, 0, 9)
         replace_run(t, 2, 2, 7)
@@ -153,7 +160,7 @@ def test_bulk_runs_equal_scalar_sequence():
                 lengths.append(j - i)
             i = j
         fresh = [1000 + k for k in range(len(starts))]
-        a.replace_spans(np.array(starts, dtype=np.int64), np.array(lengths, dtype=np.int64), np.array(fresh, dtype=np.int64))
+        a.replace_spans(np.array(starts, dtype=np.int64), np.array(fresh, dtype=np.int64), kept_outside(n, starts, lengths))
         for s, l, f in zip(starts, lengths, fresh):
             replace_run(b, s, l, f)
         assert live_list(a) == live_list(b)
@@ -165,7 +172,7 @@ def test_bulk_pairs_equal_scalar_sequence():
     b = WorkingText(syms)
     firsts = np.array([0, 2, 4], dtype=np.int64)
     fresh = np.array([10, 11, 12], dtype=np.int64)
-    a.replace_spans(firsts, np.full(3, 2), fresh)
+    a.replace_spans(firsts, fresh, kept_outside(6, firsts, [2] * 3))
     for f, s in zip(firsts, fresh):
         replace_pair(b, int(f), int(s))
     assert live_list(a) == live_list(b) == [10, 11, 12]
@@ -184,24 +191,80 @@ def test_bulk_random_pairs_equal_scalar_sequence():
             firsts.append(i)
             i += rng.randrange(2, 5)
         fresh = [100 + k for k in range(len(firsts))]
-        a.replace_spans(np.array(firsts, dtype=np.int64), np.full(len(firsts), 2), np.array(fresh, dtype=np.int64))
+        a.replace_spans(np.array(firsts, dtype=np.int64), np.array(fresh, dtype=np.int64), kept_outside(n, firsts, [2] * len(firsts)))
         for f, s in zip(firsts, fresh):
             replace_pair(b, f, s)
         assert live_list(a) == live_list(b)
         assert len(a) == len(b)
 
 
+def test_random_disjoint_spans_match_list_reference():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(0, 80))
+        symbols = rng.integers(0, 4, n)
+        starts, lengths = [], []
+        i = int(rng.integers(0, 3))
+        while i + 1 < n:
+            length = int(rng.integers(2, min(6, n - i) + 1))
+            starts.append(i)
+            lengths.append(length)
+            i += length + int(rng.integers(0, 3))
+        order = rng.permutation(len(starts))  # the stages hand spans out of text order
+        starts = np.array(starts, dtype=np.int64)[order]
+        lengths = np.array(lengths, dtype=np.int64)[order]
+        fresh = 100 + np.arange(len(starts))
+        t = WorkingText(symbols)
+        t.replace_spans(starts, fresh, kept_outside(n, starts, lengths))
+        want = reference_replace_spans(symbols.tolist(), starts.tolist(), lengths.tolist(), fresh.tolist())
+        assert len(t) == len(want)
+        t.compact()
+        assert t.live().tolist() == want
+
+
+def reference_concat_ranges(starts, counts) -> list[int]:
+    return [i for start, count in zip(starts, counts) for i in range(start, start + count)]
+
+
+@pytest.mark.parametrize(
+    "starts,counts",
+    [
+        ([], []),
+        ([5], [3]),
+        ([5], [0]),
+        ([0, 9, 4, 4], [2, 0, 3, 1]),
+        ([3, 1, 7], [0, 0, 2]),
+        ([2, 8], [4, 0]),
+    ],
+    ids=["empty", "single", "single-empty", "zero-inside", "zeros-first", "zero-last"],
+)
+def test_concat_ranges_matches_scalar_reference(starts, counts):
+    got = concat_ranges(np.array(starts, dtype=np.int64), np.array(counts, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == reference_concat_ranges(starts, counts)
+
+
+def test_random_concat_ranges_match_scalar_reference():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        k = int(rng.integers(0, 20))
+        starts = rng.integers(0, 1000, k)
+        counts = rng.integers(0, 5, k) * (rng.random(k) < 0.7)
+        got = concat_ranges(starts, counts)
+        assert got.tolist() == reference_concat_ranges(starts.tolist(), counts.tolist())
+
+
 class TestDeadCells:
-    def test_live_raises_while_dead_cells_are_pending(self):
+    def test_live_raises_while_a_write_is_pending(self):
         t = WorkingText([3, 3, 3, 5, 6])
         assert t.live() is t.cells
-        t.replace_spans(np.array([0]), np.array([3]), np.array([8]))
+        t.replace_spans(np.array([0]), np.array([8]), kept_outside(5, [0], [3]))
         with pytest.raises(StaleTextError):
             t.live()
         assert live_list(t) == [8, 5, 6]
         t.compact()
         assert t.live().tolist() == [8, 5, 6]
-        t.replace_spans(np.array([1]), np.array([2]), np.array([9]))
+        t.replace_spans(np.array([1]), np.array([9]), kept_outside(3, [1], [2]))
         with pytest.raises(StaleTextError):
             t.live()
         t.compact()
@@ -209,32 +272,32 @@ class TestDeadCells:
 
     def test_bulk_runs_reject_dead_cells(self):
         t = WorkingText([4, 4, 4, 4, 5])
-        t.replace_spans(np.array([0]), np.array([2]), np.array([8]))
-        with pytest.raises(StaleTextError, match="dead cells"):
-            t.replace_spans(np.array([0]), np.array([3]), np.array([9]))
-        with pytest.raises(StaleTextError, match="dead cells"):
-            t.replace_spans(np.array([1]), np.array([2]), np.array([9]))
+        t.replace_spans(np.array([0]), np.array([8]), kept_outside(5, [0], [2]))
+        with pytest.raises(StaleTextError, match="pending"):
+            t.replace_spans(np.array([0]), np.array([9]), kept_outside(5, [0], [3]))
+        with pytest.raises(StaleTextError, match="pending"):
+            t.replace_spans(np.array([1]), np.array([9]), kept_outside(5, [1], [2]))
         assert live_list(t) == [8, 4, 4, 5]
 
     def test_bulk_runs_reject_bad_lengths(self):
         t = WorkingText([4, 4, 5])
         with pytest.raises(ValueError, match="shorter than 2"):
-            t.replace_spans(np.array([0]), np.array([1]), np.array([8]))
+            t.replace_spans(np.array([0]), np.array([8]), np.ones(3, dtype=bool))
         with pytest.raises(ValueError, match="past the end"):
-            t.replace_spans(np.array([1]), np.array([3]), np.array([8]))
+            t.replace_spans(np.array([2]), np.array([8]), kept_outside(3, [1], [2]))
         assert t.live().tolist() == [4, 4, 5]
 
     def test_bulk_pairs_reject_dead_cells(self):
         t = WorkingText([0, 1, 2, 3])
-        t.replace_spans(np.array([0]), np.array([2]), np.array([9]))
+        t.replace_spans(np.array([0]), np.array([9]), kept_outside(4, [0], [2]))
         for first in (0, 1):
-            with pytest.raises(StaleTextError, match="dead cells"):
-                t.replace_spans(np.array([first]), np.array([2]), np.array([7]))
+            with pytest.raises(StaleTextError, match="pending"):
+                t.replace_spans(np.array([first]), np.array([7]), kept_outside(4, [first], [2]))
         assert live_list(t) == [9, 2, 3]
 
     def test_remap_reads_a_compact_text(self):
         t = WorkingText([0, 1, 2])
-        t.replace_spans(np.array([0]), np.array([2]), np.array([3]))
+        t.replace_spans(np.array([0]), np.array([3]), kept_outside(3, [0], [2]))
         with pytest.raises(StaleTextError):
             t._remap_live(np.arange(10, 14))
         t.compact()
@@ -254,47 +317,53 @@ class TestSpanChecks:
     def test_bad_positions_rejected_before_any_write(self, start, message):
         t = WorkingText([1, 2, 3, 4, 4])
         with pytest.raises(ValueError, match=message):
-            t.replace_spans([start], [2], [9])
+            t.replace_spans([start], [9], kept_outside(5, [3], [2]))
         assert t.live().tolist() == [1, 2, 3, 4, 4]
         assert len(t) == 5
 
     @pytest.mark.parametrize(
-        "symbols,starts,lengths,fresh",
+        "symbols,starts,lengths,fresh,message",
         [
-            ([0, 1, 2, 3], [1, 2], [2, 2], [8, 9]),  # pairs at p and p + 1
-            ([4, 4, 4, 4, 5], [0, 1], [3, 2], [8, 9]),  # a run starts inside another
-            ([4, 4, 4, 5], [0, 0], [2, 3], [8, 9]),  # two spans with the same start
-            ([0, 1, 2], [0], [2], [-5]),  # a negative fresh symbol
-            ([0, 1, 2], [0], [2], [TOMBSTONE]),
+            ([0, 1, 2, 3], [1, 2], [2, 2], [8, 9], "another span drops"),  # pairs at p and p + 1
+            ([4, 4, 4, 4, 5], [0, 1], [3, 2], [8, 9], "another span drops"),  # a run inside another
+            ([4, 4, 4, 5], [0, 0], [2, 3], [8, 9], "given twice"),  # two spans, one start
+            ([0, 1, 2, 3], [0], [2], [8], None),  # drops cell 3 as well, in no span
+            ([0, 1, 2], [0], [2], [-5], "non-negative"),  # a negative fresh symbol
         ],
     )
-    def test_compact_rejects_a_bad_replacement(self, symbols, starts, lengths, fresh):
+    def test_bad_replacement_rejected_before_any_write(self, symbols, starts, lengths, fresh, message):
         t = WorkingText(symbols)
-        t.replace_spans(starts, lengths, fresh)
+        kept = kept_outside(len(symbols), starts, lengths)
+        if message is None:
+            kept[-1] = False
+            message = "lies in no span"
         epoch = t.epoch
-        with pytest.raises(ValueError, match="spans overlap"):
-            t.compact()
-        with pytest.raises(StaleTextError):
-            t.live()
+        with pytest.raises(ValueError, match=message):
+            t.replace_spans(starts, fresh, kept)
+        assert t.live().tolist() == symbols
+        assert len(t) == len(symbols)
         assert t.epoch == epoch
 
     @pytest.mark.parametrize(
-        "starts,lengths,fresh",
+        "starts,fresh,kept,message",
         [
-            ([0, 2], [2], [8, 9]),  # broadcast, it would compact to [8, 9, 3]
-            ([0, 2], [2, 2], [8]),
-            ([0], [2, 2], [8, 9]),
-            ([0, 2], [2, 2], 8),
+            ([0, 2], [8], [True, False, True, False, True], "one entry per span"),
+            ([0], [8, 9], [True, False, True, False, True], "one entry per span"),
+            ([0, 2], 8, [True, False, True, False, True], "one entry per span"),
+            ([0], [8], [True, False, True, True], "one bool per cell"),
+            ([0], [8], [1, 0, 1, 1, 1], "one bool per cell"),
         ],
     )
-    def test_one_entry_per_span(self, starts, lengths, fresh):
+    def test_one_entry_per_span_and_one_mask_cell_per_cell(self, starts, fresh, kept, message):
         t = WorkingText([0, 1, 2, 3, 4])
-        with pytest.raises(ValueError, match="one entry per span"):
-            t.replace_spans(starts, lengths, fresh)
+        with pytest.raises(ValueError, match=message):
+            t.replace_spans(starts, fresh, kept)
         assert t.live().tolist() == [0, 1, 2, 3, 4]
         assert len(t) == 5
 
     def test_empty_batch_writes_nothing(self):
         t = WorkingText([3, 3])
-        t.replace_spans([], [], [])
+        t.replace_spans([], [], np.ones(2, dtype=bool))
+        assert len(t) == 2
+        t.compact()
         assert t.live().tolist() == [3, 3]

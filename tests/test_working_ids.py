@@ -1,11 +1,12 @@
 """Working ids are phase-local inside real compressions.
 
-Each phase starts by renaming the ``k`` symbols of the text to ``0..k-1``
-in order of first occurrence, which drops every other alias, so
-``next_working == k``.  The block and pair stages of that phase then mint
-their symbols from ``k`` up.  Spies on the driver's stage functions check
-this at every phase of the golden-corpus inputs and of seeded inputs, in
-both modes.
+Every phase starts on a text whose ``k`` symbols are numbered ``0..k-1`` in
+order of first occurrence, with every other alias dropped, so
+``next_working == k``: the first phase as ``ingest`` numbers the input,
+each later one as the rename that ends the phase before it leaves the
+text.  The block and pair stages of that phase then mint their symbols
+from ``k`` up.  Spies on the driver's stage functions check this at every
+phase of the golden-corpus inputs and of seeded inputs, in both modes.
 """
 
 import random
@@ -29,20 +30,25 @@ def inputs():
 
 
 @pytest.mark.parametrize("mode", ["plain", "improved"])
-def test_rename_numbers_from_zero_and_stages_mint_from_k(monkeypatch, mode):
-    rename, blocks, pairs = driver.rename_dense, driver.compress_blocks, driver.compress_pairs
+def test_phases_start_numbered_from_zero_and_stages_mint_from_k(monkeypatch, mode):
+    run_phase, rename = driver.run_phase, driver.rename_dense
+    blocks, pairs = driver.compress_blocks, driver.compress_pairs
     phase = {}
+
+    def spy_phase(text, amap, *args):
+        live = text.live()
+        k = len(np.unique(live))
+        # The text is in first-occurrence order: renaming it would be the identity.
+        assert np.array_equal(live, reference_first_occurrence_ids(live)[0])
+        assert amap.next_working == k
+        phase["k"] = k
+        phase["phases"] += 1
+        return run_phase(text, amap, *args)
 
     def spy_rename(text, amap):
         canonical = amap.canonical_of_array(text.live())
         rename(text, amap)
-        live = text.live()
-        k = len(np.unique(live))
-        # Renumbering a text that is already in first-occurrence order is the identity.
-        assert np.array_equal(live, reference_first_occurrence_ids(live)[0])
-        assert amap.next_working == k
-        assert np.array_equal(amap.canonical_of_array(live), canonical)
-        phase["k"] = k
+        assert np.array_equal(amap.canonical_of_array(text.live()), canonical)
         phase["renames"] += 1
 
     def minting(stage):
@@ -59,14 +65,15 @@ def test_rename_numbers_from_zero_and_stages_mint_from_k(monkeypatch, mode):
 
         return spy
 
+    monkeypatch.setattr(driver, "run_phase", spy_phase)
     monkeypatch.setattr(driver, "rename_dense", spy_rename)
     monkeypatch.setattr(driver, "compress_blocks", minting(blocks))
     monkeypatch.setattr(driver, "compress_pairs", minting(pairs))
     total = 0
     for data in inputs():
-        phase["renames"] = 0
+        phase["phases"] = phase["renames"] = 0
         result = driver.compress(data, mode=mode)
-        assert phase["renames"] == len(result.traces)
+        assert phase["phases"] == phase["renames"] == len(result.traces)
         assert expand(result.slp) == data
-        total += phase["renames"]
+        total += phase["phases"]
     assert total > 300
