@@ -99,9 +99,9 @@ def run_phase(
     # No name holds the scan: its run-start mask is freed at the compaction.
     blocks = compress_blocks(text, scan_blocks(text, amap), grammar, amap)
     clock.append(time.perf_counter())
-    live_after_blocks = len(text)
     text.compact()
     clock.append(time.perf_counter())
+    live_after_blocks = len(text)
     adj = build_adjacency(text, amap)
     clock.append(time.perf_counter())
     part = greedy_partition(adj)

@@ -70,9 +70,8 @@ class WorkingText:
         one, and the runs of dropped cells must number one per span, so
         that every dropped cell lies in a span.  Arrays of other shapes,
         positions outside the text, a span start that another span drops,
-        spans of one cell, a count of dropped runs other than the count of
-        spans and negative fresh symbols raise ``ValueError`` before any
-        write.
+        spans of one cell, a start given twice, a dropped cell in no span
+        and negative fresh symbols raise ``ValueError`` before any write.
         """
         cells = self.live()
         starts = np.asarray(starts, dtype=np.int64)
@@ -90,9 +89,14 @@ class WorkingText:
             raise ValueError("a span starts on a cell another span drops")
         if kept[1:][starts].any():
             raise ValueError("spans shorter than 2 are never replaced")
+        seen = np.zeros(len(kept), dtype=bool)
+        seen[starts] = True
+        if np.count_nonzero(seen) != len(starts):
+            raise ValueError("a span is given twice")
+        # Distinct starts open distinct runs of dropped cells; any further run is in no span.
         drop_runs = np.count_nonzero(kept[:-1] > kept[1:]) + int(len(kept) > 0 and not kept[0])
         if drop_runs != len(starts):
-            raise ValueError("a dropped cell lies in no span, or a span is given twice")
+            raise ValueError("a dropped cell lies in no span")
         if fresh.min(initial=0) < 0:
             raise ValueError("fresh symbols must be non-negative")
         cells[starts] = fresh

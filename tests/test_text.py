@@ -322,21 +322,24 @@ class TestSpanChecks:
         assert len(t) == 5
 
     @pytest.mark.parametrize(
-        "symbols,starts,lengths,fresh,message",
+        "symbols,starts,lengths,fresh,also_dropped,message",
         [
-            ([0, 1, 2, 3], [1, 2], [2, 2], [8, 9], "another span drops"),  # pairs at p and p + 1
-            ([4, 4, 4, 4, 5], [0, 1], [3, 2], [8, 9], "another span drops"),  # a run inside another
-            ([4, 4, 4, 5], [0, 0], [2, 3], [8, 9], "given twice"),  # two spans, one start
-            ([0, 1, 2, 3], [0], [2], [8], None),  # drops cell 3 as well, in no span
-            ([0, 1, 2], [0], [2], [-5], "non-negative"),  # a negative fresh symbol
+            ([0, 1, 2, 3], [1, 2], [2, 2], [8, 9], [], "another span drops"),  # pairs at p and p + 1
+            ([4, 4, 4, 4, 5], [0, 1], [3, 2], [8, 9], [], "another span drops"),  # a run inside another
+            ([4, 4, 4, 5], [0, 0], [2, 3], [8, 9], [], "given twice"),  # two spans, one start
+            # Two drop runs for two starts, but both starts are cell 0 and cell 3 is in no span.
+            ([0, 1, 2, 3], [0, 0], [2, 2], [8, 9], [3], "given twice"),
+            ([0, 1, 2, 3], [0], [2], [8], [3], "lies in no span"),
+            ([0, 1, 2, 3], [2], [2], [8], [0], "lies in no span"),  # a leading drop run
+            ([0, 1, 2], [0], [2], [-5], [], "non-negative"),  # a negative fresh symbol
         ],
     )
-    def test_bad_replacement_rejected_before_any_write(self, symbols, starts, lengths, fresh, message):
+    def test_bad_replacement_rejected_before_any_write(
+        self, symbols, starts, lengths, fresh, also_dropped, message
+    ):
         t = WorkingText(symbols)
         kept = kept_outside(len(symbols), starts, lengths)
-        if message is None:
-            kept[-1] = False
-            message = "lies in no span"
+        kept[also_dropped] = False
         epoch = t.epoch
         with pytest.raises(ValueError, match=message):
             t.replace_spans(starts, fresh, kept)

@@ -12,8 +12,7 @@ first.  For every workload and metric the script prints each side's median
 and quartiles, the ratio of the change's median to the parent's,
 and in how many pairs the change read better (ties count for neither),
 with the direction of "better" taken from ``BENCHMARK.json``.  It also
-says whether the grammar digests of the two sides agree.  With ``--out``
-it writes every run's result line and digests as JSON.
+says whether the grammar digests of the two sides agree.
 """
 
 from __future__ import annotations
@@ -88,7 +87,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=88)
     parser.add_argument("--seconds", type=float, default=35)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
-    parser.add_argument("--out", type=Path, help="write every run's results here as JSON")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -116,8 +114,6 @@ def main(argv=None) -> int:
             print(f"  {name:32s} {summarize(values['parent'], values['change'], better[name])}")
         failed = {s: sum(r["failed"] for r in sides[s]) for s in sides}
         print(f"  failed operations: parent {failed['parent']}, change {failed['change']}")
-    if args.out:
-        args.out.write_text(json.dumps(runs, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
