@@ -4,12 +4,11 @@ Builds a straight-line program of size O(g log(N/g)) for an input string
 in linear time.
 """
 
-from .alphabet import AlphabetMap, InputFormatError, ingest, rename_dense
+from .alphabet import InputFormatError, ingest, rename_dense
 from .driver import CompressionResult, PhaseTrace, compress, run_phase
 from .grammar import (
     ExpansionOverflow,
     GrammarError,
-    GrammarStats,
     Slp,
     deserialize,
     dump,
@@ -22,11 +21,9 @@ from .grammar import (
 from .text import WorkingText
 
 __all__ = [
-    "AlphabetMap",
     "CompressionResult",
     "ExpansionOverflow",
     "GrammarError",
-    "GrammarStats",
     "InputFormatError",
     "PhaseTrace",
     "Slp",

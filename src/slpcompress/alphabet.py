@@ -12,15 +12,13 @@ spaces coexist:
   ``0..k-1`` in order of first occurrence (by ``ingest`` for the first
   phase, by the ``rename_dense`` that ends each phase for the next), so
   records over them can be bucket sorted, and the symbols minted during
-  the phase continue from ``k``.  ``AlphabetMap`` keeps the alias table
-  from working ids back to canonical ids.
+  the phase continue from ``k``.  The text keeps the alias table from its
+  working ids back to canonical ids (``WorkingText.alias``).
 
-So at any moment the working alphabet is ``[0, next_working)``.
+So at any moment the working alphabet is ``[0, text.width)``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,65 +87,30 @@ def radix_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     return order
 
 
-@dataclass
-class AlphabetMap:
-    """Terminal table plus the working-id -> canonical-id alias table.
-
-    Working id ``w`` (``0 <= w < next_working``) is an alias of canonical
-    id ``alias_table[w]``.  The table is total and injective over
-    ``[0, next_working)``; a rename keeps the entries of the ids that
-    occur, in their new order, and drops the others.
-    """
-
-    input_kind: str  # "bytes" | "tokens"
-    terminal_of_id: list[int]
-    alias_table: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-
-    def __post_init__(self):
-        if self.input_kind not in ("bytes", "tokens"):
-            raise ValueError(f"unknown input kind {self.input_kind!r}")
-        if self.alias_table.size == 0 and self.terminal_of_id:
-            # Fresh map: working ids coincide with the canonical terminals.
-            self.alias_table = np.arange(len(self.terminal_of_id), dtype=np.int64)
-
-    @property
-    def terminal_count(self) -> int:
-        return len(self.terminal_of_id)
-
-    @property
-    def next_working(self) -> int:
-        return len(self.alias_table)
-
-    def canonical_of_array(self, working_ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(working_ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= len(self.alias_table)):
-            raise ValueError("working id outside the working alphabet")
-        return self.alias_table[ids]
-
-    def allocate_working(self, canonical_ids: np.ndarray) -> np.ndarray:
-        """Mint fresh working ids aliased to the given canonical ids."""
-        canonical_ids = np.asarray(canonical_ids, dtype=np.int64)
-        start = self.next_working
-        self.alias_table = np.concatenate([self.alias_table, canonical_ids])
-        return np.arange(start, start + len(canonical_ids), dtype=np.int64)
-
-
-def ingest(raw, kind: str | None = None) -> tuple[WorkingText, AlphabetMap]:
+def ingest(raw, kind: str | None = None) -> tuple[WorkingText, str, list[int]]:
     """Turn raw input into a working text over dense terminal ids.
 
-    Terminals are numbered in first-occurrence order, so the text starts
-    its first phase in the numbering ``rename_dense`` gives.  ``raw`` is
-    either a byte string or a sequence of unsigned token values; token
-    values above ``TOKEN_VALUE_CEILING`` and anything but integers (floats,
+    Returns the text, the input kind and the terminal values, working id
+    ``i`` standing for ``terminals[i]``.  Terminals are numbered in
+    first-occurrence order, so the text starts its first phase in the
+    numbering ``rename_dense`` gives.  ``raw`` is either a byte string
+    (``bytes``, ``bytearray`` or ``memoryview``) or a sequence of unsigned
+    token values; other byte input, token values above
+    ``TOKEN_VALUE_CEILING`` and tokens that are not integers (floats,
     booleans, strings, a non-sequence) are rejected with
     ``InputFormatError``.  Bytes are numbered through a 256-entry table;
     tokens by ranking only the first token of each run, since the first
     occurrence of a value always starts a run, and then spreading each run
     head's id over its run.
     """
+    is_bytes = isinstance(raw, (bytes, bytearray, memoryview))
     if kind is None:
-        kind = "bytes" if isinstance(raw, (bytes, bytearray, memoryview)) else "tokens"
+        kind = "bytes" if is_bytes else "tokens"
     if kind == "bytes":
+        if not is_bytes:
+            raise InputFormatError(
+                f"bytes input must be bytes, bytearray or memoryview, not {type(raw).__name__}"
+            )
         arr = np.frombuffer(bytes(raw), dtype=np.uint8).astype(np.int64)
         lut, values = _first_occurrence_ids(arr, domain=256)
         ids = lut[arr]
@@ -166,7 +129,7 @@ def ingest(raw, kind: str | None = None) -> tuple[WorkingText, AlphabetMap]:
         ids = np.repeat(lut[arr], run_lengths)
     else:
         raise ValueError(f"unknown input kind {kind!r}")
-    return WorkingText(ids), AlphabetMap(input_kind=kind, terminal_of_id=values.tolist())
+    return WorkingText(ids), kind, values.tolist()
 
 
 def _value_ranks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,20 +174,19 @@ def _first_occurrence_ids(arr: np.ndarray, domain: int) -> tuple[np.ndarray, np.
     return lut, values
 
 
-def rename_dense(text: WorkingText, amap: AlphabetMap) -> None:
+def rename_dense(text: WorkingText) -> None:
     """Rename the ``k`` symbols occurring in ``text`` to ``0..k-1``.
 
     Symbols are numbered in first-occurrence order, alias entries are
     carried over so canonical ids stay recoverable, and the entries of
-    ids that no longer occur are dropped, so ``next_working`` becomes
-    ``k``.  Runs in time linear in the text length plus ``next_working``.
+    ids that no longer occur are dropped, so ``text.width`` becomes ``k``.
+    Runs in time linear in the text length plus the old width.
     """
     live = text.live()
     if len(live) == 0:
         return
-    width = amap.next_working
-    if live.min() < 0 or live.max() >= width:
+    if live.min() < 0 or live.max() >= text.width:
         raise ValueError("text symbol outside the working alphabet")
-    lut, old_ids = _first_occurrence_ids(live, width)
+    lut, old_ids = _first_occurrence_ids(live, text.width)
     text._remap_live(lut)
-    amap.alias_table = amap.alias_table[old_ids]
+    text.alias = text.alias[old_ids]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import AlphabetMap, radix_argsort
+from .alphabet import radix_argsort
 from .grammar import Slp
 from .text import StaleTextError, WorkingText, concat_ranges
 
@@ -51,7 +51,7 @@ class BlockScan:
         return len(self.letters)
 
 
-def scan_blocks(text: WorkingText, amap: AlphabetMap) -> BlockScan:
+def scan_blocks(text: WorkingText) -> BlockScan:
     """Find all maximal blocks of length >= 2, radix-sorted by (letter, length)."""
     live = text.live()
     n = len(live)
@@ -68,7 +68,7 @@ def scan_blocks(text: WorkingText, amap: AlphabetMap) -> BlockScan:
     lengths = run_lengths[keep]
     pos = starts[keep]
     span = int(lengths.max()) + 1 if len(lengths) else 1
-    order = radix_argsort(letters * span + lengths, amap.next_working * span)
+    order = radix_argsort(letters * span + lengths, text.width * span)
     return BlockScan(letters[order], lengths[order], pos[order], boundary, text.epoch)
 
 
@@ -82,9 +82,7 @@ class BlockCompression:
     symbols: np.ndarray  # canonical id of the replacing symbol
 
 
-def compress_blocks(
-    text: WorkingText, scan: BlockScan, grammar: Slp, amap: AlphabetMap
-) -> BlockCompression:
+def compress_blocks(text: WorkingText, scan: BlockScan, grammar: Slp) -> BlockCompression:
     """Replace every scanned block; equal (letter, length) share one symbol.
 
     Afterwards no two adjacent live symbols are equal.  The write keeps
@@ -103,10 +101,10 @@ def compress_blocks(
     group_starts = np.flatnonzero(new_group)
     # Records are sorted by letter, so each letter's distinct lengths form a
     # contiguous increasing slice.
-    group_letters = amap.canonical_of_array(letters[group_starts])
+    group_letters = text.canonical(letters[group_starts])
     group_lengths = lengths[group_starts]
     targets = build_block_rules(grammar, group_letters, group_lengths)
-    fresh = amap.allocate_working(targets)
+    fresh = text.mint(targets)
     group_of_record = np.cumsum(new_group) - 1
     text.replace_spans(scan.positions, fresh[group_of_record], scan.run_starts)
     return BlockCompression(len(scan), group_letters, group_lengths, targets)

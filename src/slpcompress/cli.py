@@ -95,11 +95,11 @@ def cmd_compress(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WRITE_FAILURE
-    st = result.stats
-    ratio = st.input_length / st.size if st.size else 1.0
+    slp, n = result.slp, result.input_length
+    ratio = n / slp.size if slp.size else 1.0
     print(
-        f"N={st.input_length} sigma={st.terminal_count} phases={st.phase_count} "
-        f"rules={st.rule_count} size={st.size} ratio={ratio:.3f}",
+        f"N={n} sigma={slp.terminal_count} phases={len(result.traces)} "
+        f"rules={len(slp.counts)} size={slp.size} ratio={ratio:.3f}",
         file=sys.stderr,
     )
     return EXIT_OK

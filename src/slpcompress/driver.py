@@ -29,9 +29,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .alphabet import AlphabetMap, ingest, rename_dense
+from .alphabet import ingest, rename_dense
 from .blocks import compress_blocks, scan_blocks
-from .grammar import GrammarStats, Slp, prune_unreachable
+from .grammar import Slp, prune_unreachable
 from .pairs import build_adjacency, compress_pairs, distinct_pairs, greedy_partition
 from .text import WorkingText
 
@@ -72,23 +72,32 @@ class BestSnapshot:
 
 @dataclass
 class CompressionResult:
+    """The grammar, the per-phase traces, and the two facts neither holds.
+
+    ``phase_table`` has one row ``(live symbols, grammar size)`` at the top
+    of each phase, plus a final row where the loop stopped; row ``i`` is
+    the cost of stopping at phase ``i`` and emitting the text verbatim.
+    """
+
     slp: Slp
-    stats: GrammarStats
     traces: list[PhaseTrace]
     mode: str
+    input_length: int
+    phase_table: list[tuple[int, int]]
     best_phase: int | None = None
     snapshot_copy_work: int = 0
 
 
-def run_phase(
-    text: WorkingText, amap: AlphabetMap, grammar: Slp, phase_index: int
-) -> PhaseTrace:
+def run_phase(text: WorkingText, grammar: Slp, phase_index: int) -> PhaseTrace:
     """Execute one block-then-pair compression phase over the text.
 
-    The text is compacted after each of the two stages, so every stage
-    reads a compact text whose positions are plain indices.  The phase ends
-    by renaming the text's symbols to ``0..k-1`` in first-occurrence order,
-    the numbering that ``ingest`` gives the first phase.
+    The text carries its working alphabet: each stage mints the working
+    ids of the rules it emits into ``grammar`` on the text.  The text is
+    compacted after each of the two stages, so every stage reads a compact
+    text whose positions are plain indices.  The phase ends by renaming
+    the text's symbols, and its alias table with them, to ``0..k-1`` in
+    first-occurrence order, the numbering that ``ingest`` gives the first
+    phase.
     """
     if len(text) < 2:
         raise ValueError("phases need at least two live symbols")
@@ -97,20 +106,20 @@ def run_phase(
     size_before = grammar.size
     clock = [time.perf_counter()]
     # No name holds the scan: its run-start mask is freed at the compaction.
-    blocks = compress_blocks(text, scan_blocks(text, amap), grammar, amap)
+    blocks = compress_blocks(text, scan_blocks(text), grammar)
     clock.append(time.perf_counter())
     text.compact()
     clock.append(time.perf_counter())
     live_after_blocks = len(text)
-    adj = build_adjacency(text, amap)
+    adj = build_adjacency(text)
     clock.append(time.perf_counter())
     part = greedy_partition(adj)
     clock.append(time.perf_counter())
-    pairs = compress_pairs(text, part, adj, grammar, amap)
+    pairs = compress_pairs(text, part, adj, grammar)
     clock.append(time.perf_counter())
     text.compact()
     clock.append(time.perf_counter())
-    rename_dense(text, amap)
+    rename_dense(text)
     clock.append(time.perf_counter())
     blocks_s, blocks_compact_s, adjacency_s, partition_s, pairs_s, compact_s, rename_s = (
         end - start for start, end in zip(clock, clock[1:])
@@ -147,8 +156,8 @@ def compress(data, mode: str = "improved", kind: str | None = None) -> Compressi
     """
     if mode not in ("plain", "improved"):
         raise ValueError(f"unknown mode {mode!r}")
-    text, amap = ingest(data, kind=kind)
-    grammar = Slp(kind=amap.input_kind, terminals=amap.terminal_of_id)
+    text, kind, terminals = ingest(data, kind=kind)
+    grammar = Slp(kind, terminals)
     input_length = len(text)
     traces: list[PhaseTrace] = []
     phase_table: list[tuple[int, int]] = []
@@ -159,32 +168,24 @@ def compress(data, mode: str = "improved", kind: str | None = None) -> Compressi
         if mode == "improved":
             candidate = len(text) + grammar.size
             if best is None or candidate < best.size:
-                snapshot = amap.canonical_of_array(text.live())
+                snapshot = text.canonical(text.live())
                 best = BestSnapshot(candidate, len(traces), snapshot, len(grammar.counts))
                 copy_work += len(snapshot)
-            elif grammar.size + distinct_pairs(text, amap) + 1 >= best.size:
+            elif grammar.size + distinct_pairs(text) + 1 >= best.size:
                 break  # no later stop costs less than the best one
         if len(text) <= 1:
             break
-        traces.append(run_phase(text, amap, grammar, len(traces) + 1))
+        traces.append(run_phase(text, grammar, len(traces) + 1))
     if mode == "improved":
         slp = _snapshot_grammar(grammar, best)
         best_phase = best.phase
     else:
-        final_canonical = amap.canonical_of_array(text.live())
+        final_canonical = text.canonical(text.live())
         if len(final_canonical):
             grammar.start = grammar.emit_rule(final_canonical)
         slp = grammar
         best_phase = None
-    stats = GrammarStats(
-        input_length=input_length,
-        terminal_count=slp.terminal_count,
-        rule_count=len(slp.counts),
-        size=slp.size,
-        phase_count=len(traces),
-        phase_table=phase_table,
-    )
-    return CompressionResult(slp, stats, traces, mode, best_phase, copy_work)
+    return CompressionResult(slp, traces, mode, input_length, phase_table, best_phase, copy_work)
 
 
 def _snapshot_grammar(grammar: Slp, best: BestSnapshot) -> Slp:

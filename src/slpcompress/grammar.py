@@ -31,7 +31,6 @@ import copy
 import itertools
 import numbers
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -733,17 +732,3 @@ def load(path) -> Slp:
     with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
         return deserialize(fh.read())
 
-
-@dataclass
-class GrammarStats:
-    """Size accounting for one compression run."""
-
-    input_length: int
-    terminal_count: int
-    rule_count: int
-    size: int
-    phase_count: int
-    # (live symbols, cumulative representation cost) at the top of each
-    # phase, plus a final row where the loop stopped; row i is the cost of
-    # stopping at phase i and emitting the remaining text verbatim.
-    phase_table: list[tuple[int, int]] = field(default_factory=list)

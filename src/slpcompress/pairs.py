@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .alphabet import AlphabetMap, radix_argsort
+from .alphabet import radix_argsort
 from .grammar import Slp
 from .text import StaleTextError, WorkingText, concat_ranges
 
@@ -37,9 +37,9 @@ class PairAdjacency:
     Positions are indices into the compact text of the adjacency's epoch.
     """
 
-    def __init__(self, text: WorkingText, amap: AlphabetMap):
+    def __init__(self, text: WorkingText):
         self.epoch = text.epoch
-        self.width = amap.next_working
+        self.width = text.width
         lv = text.live()
         n = len(lv)
         if n >= 2 and (lv[1:] == lv[:-1]).any():
@@ -54,7 +54,7 @@ class PairAdjacency:
             return
         a = lv[:-1]
         b = lv[1:]
-        key, bound = _pair_keys(lv, amap)
+        key, bound = _pair_keys(text)
         order = radix_argsort(key, bound)
         self.occurrences = order  # position of the first symbol, grouped by pair
         key = key[order]
@@ -68,25 +68,25 @@ class PairAdjacency:
         self.pair_count = np.diff(self.occ_start)
 
 
-def _pair_keys(lv: np.ndarray, amap: AlphabetMap) -> tuple[np.ndarray, int]:
+def _pair_keys(text: WorkingText) -> tuple[np.ndarray, int]:
     """One key per adjacency, ``(first, second)`` over the working alphabet, and its bound."""
-    width = amap.next_working
+    lv, width = text.live(), text.width
     return lv[:-1] * width + lv[1:], width * width
 
 
-def distinct_pairs(text: WorkingText, amap: AlphabetMap) -> int:
+def distinct_pairs(text: WorkingText) -> int:
     """Number of distinct adjacent pairs in the text, equal neighbours included."""
     lv = text.live()
     if len(lv) < 2:
         return 0
-    key, bound = _pair_keys(lv, amap)
+    key, bound = _pair_keys(text)
     key = key[radix_argsort(key, bound)]
     return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
 
 
-def build_adjacency(text: WorkingText, amap: AlphabetMap) -> PairAdjacency:
+def build_adjacency(text: WorkingText) -> PairAdjacency:
     """Radix-sorted neighbour lists for every adjacent pair in the text."""
-    return PairAdjacency(text, amap)
+    return PairAdjacency(text)
 
 
 @dataclass
@@ -226,20 +226,16 @@ class PairCompression:
 
 
 def compress_pairs(
-    text: WorkingText,
-    part: Partition,
-    adj: PairAdjacency,
-    grammar: Slp,
-    amap: AlphabetMap,
+    text: WorkingText, part: Partition, adj: PairAdjacency, grammar: Slp
 ) -> PairCompression:
     """Replace every occurrence of every left.right pair with a fresh symbol."""
     if adj.epoch != text.epoch:
         raise StaleTextError("adjacency positions predate the last compaction")
     selected = np.flatnonzero(part.in_left[adj.pair_a] & part.in_right[adj.pair_b])
-    canon_a = amap.canonical_of_array(adj.pair_a[selected])
-    canon_b = amap.canonical_of_array(adj.pair_b[selected])
+    canon_a = text.canonical(adj.pair_a[selected])
+    canon_b = text.canonical(adj.pair_b[selected])
     rule_ids = grammar.emit_pair_rules(canon_a, canon_b)
-    fresh = amap.allocate_working(rule_ids)
+    fresh = text.mint(rule_ids)
     # Gather the occurrence slices of the selected pairs in one shot.
     counts = adj.pair_count[selected]
     occs = adj.occurrences[concat_ranges(adj.occ_start[selected], counts)]

@@ -8,6 +8,12 @@ survive.  The write stays pending until the next ``compact()``, which
 gathers the surviving cells in one pass; until then ``live()`` refuses to
 read the text.  Every compaction bumps ``epoch``, so positions taken before
 it are detected as stale.
+
+The text also carries its working alphabet: its symbols are working ids in
+``[0, width)``, and working id ``w`` stands for the canonical id (grammar
+symbol) ``alias[w]``.  A new text's alias is the identity over ``0..max``;
+the stages ``mint`` the ids of the symbols they write, and
+``alphabet.rename_dense`` renumbers the symbols and the alias together.
 """
 
 from __future__ import annotations
@@ -35,10 +41,30 @@ class WorkingText:
         self.cells = np.asarray(symbols, dtype=np.int64).copy()
         if self.cells.ndim != 1:
             raise ValueError("working text must be one-dimensional")
-        if self.cells.size and self.cells.min() < 0:
+        if self.cells.min(initial=0) < 0:
             raise ValueError("symbols must be non-negative")
+        self.alias = np.arange(self.cells.max(initial=-1) + 1)  # working id -> canonical id
         self.kept = None  # while a write is pending, the cells compact() keeps
         self.epoch = 0
+
+    @property
+    def width(self) -> int:
+        """The size of the working alphabet: every symbol lies in ``[0, width)``."""
+        return len(self.alias)
+
+    def canonical(self, ids) -> np.ndarray:
+        """The canonical ids of working ids; ``ValueError`` for one outside ``[0, width)``."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= len(self.alias)):
+            raise ValueError("working id outside the working alphabet")
+        return self.alias[ids]
+
+    def mint(self, canonical_ids) -> np.ndarray:
+        """Fresh working ids, from ``width`` up, aliased to the given canonical ids."""
+        canonical_ids = np.asarray(canonical_ids, dtype=np.int64)
+        start = len(self.alias)
+        self.alias = np.concatenate([self.alias, canonical_ids])
+        return np.arange(start, len(self.alias), dtype=np.int64)
 
     def __len__(self) -> int:
         """The number of symbols, counting a pending write as applied."""

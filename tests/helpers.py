@@ -8,13 +8,12 @@ import numpy as np
 
 from rewriting_lab import Ref, Run, RunSlp
 from slpcompress import blocks, compress, expand
-from slpcompress.alphabet import AlphabetMap, InputFormatError, ingest, radix_argsort
+from slpcompress.alphabet import InputFormatError, ingest, radix_argsort
 from slpcompress.driver import BestSnapshot, CompressionResult, _snapshot_grammar, run_phase
 from slpcompress.grammar import (
     MAX_EXPANSION,
     ExpansionOverflow,
     GrammarError,
-    GrammarStats,
     Slp,
     symbol_lengths,
 )
@@ -569,11 +568,11 @@ def replace_run(text, at: int, length: int, fresh: int) -> None:
 # Scalar accessors of the compressor's column-array types.
 
 
-def canonical_of(amap, working_id: int) -> int:
-    """The canonical id a working id aliases."""
-    if not 0 <= working_id < len(amap.alias_table):
+def canonical_of(text: WorkingText, working_id: int) -> int:
+    """The canonical id a working id of ``text`` aliases."""
+    if not 0 <= working_id < len(text.alias):
         raise ValueError(f"working id {working_id} outside the working alphabet")
-    return int(amap.alias_table[working_id])
+    return int(text.alias[working_id])
 
 
 def powers_of_two(extra_terminals=0) -> Slp:
@@ -649,7 +648,7 @@ def assert_same_up_to_rule_ids(got: CompressionResult, want: CompressionResult) 
     """
     rule_id_map(got.slp, want.slp)
     assert expand(got.slp) == expand(want.slp)
-    assert got.stats == want.stats
+    assert (got.input_length, got.phase_table) == (want.input_length, want.phase_table)
     def untimed(result):
         return [{k: v for k, v in t.as_dict().items() if not k.endswith("_s")} for t in result.traces]
 
@@ -948,8 +947,8 @@ def reference_compress_improved(data, kind: str | None = None) -> CompressionRes
 
     The snapshot is the first row of least stop cost, as in the driver.
     """
-    text, amap = ingest(data, kind=kind)
-    grammar = Slp(kind=amap.input_kind, terminals=amap.terminal_of_id)
+    text, kind, terminals = ingest(data, kind=kind)
+    grammar = Slp(kind, terminals)
     input_length = len(text)
     traces = []
     phase_table: list[tuple[int, int]] = []
@@ -959,22 +958,16 @@ def reference_compress_improved(data, kind: str | None = None) -> CompressionRes
         phase_table.append((len(text), grammar.size))
         candidate = len(text) + grammar.size
         if best is None or candidate < best.size:
-            snapshot = amap.canonical_of_array(text.live())
+            snapshot = text.canonical(text.live())
             best = BestSnapshot(candidate, len(traces), snapshot, len(grammar.counts))
             copy_work += len(snapshot)
         if len(text) <= 1:
             break
-        traces.append(run_phase(text, amap, grammar, len(traces) + 1))
+        traces.append(run_phase(text, grammar, len(traces) + 1))
     slp = _snapshot_grammar(grammar, best)
-    stats = GrammarStats(
-        input_length=input_length,
-        terminal_count=slp.terminal_count,
-        rule_count=len(slp.counts),
-        size=slp.size,
-        phase_count=len(traces),
-        phase_table=phase_table,
+    return CompressionResult(
+        slp, traces, "improved", input_length, phase_table, best.phase, copy_work
     )
-    return CompressionResult(slp, stats, traces, "improved", best.phase, copy_work)
 
 
 def reference_stats_lines(slp: Slp) -> list[str]:
@@ -1008,7 +1001,7 @@ def _first_occurrence_order(first_pos: np.ndarray) -> np.ndarray:
     return by_position[by_position >= 0]
 
 
-def reference_rename_dense(text: WorkingText, amap: AlphabetMap) -> None:
+def reference_rename_dense(text: WorkingText) -> None:
     """Rename the ``k`` symbols occurring in ``text`` to ``0..k-1``.
 
     ``rename_dense`` as it was before it shared ``ingest``'s renumbering.
@@ -1020,14 +1013,14 @@ def reference_rename_dense(text: WorkingText, amap: AlphabetMap) -> None:
     live = text.live()
     if len(live) == 0:
         return
-    width = amap.next_working
+    width = text.width
     if live.min() < 0 or live.max() >= width:
         raise ValueError("text symbol outside the working alphabet")
     first_pos = np.full(width, -1, dtype=np.int64)
     first_pos[live[::-1]] = np.arange(len(live) - 1, -1, -1, dtype=np.int64)
     old_ids = _first_occurrence_order(first_pos)
-    new_table = amap.alias_table[old_ids].copy()
+    new_table = text.alias[old_ids].copy()
     lut = np.full(width, -1, dtype=np.int64)
     lut[old_ids] = np.arange(len(old_ids), dtype=np.int64)
     text._remap_live(lut)
-    amap.alias_table = new_table
+    text.alias = new_table

@@ -138,9 +138,9 @@ def test_criterion_4_block_invariant(corpus):
     for i in range(300):
         sigma = rng.randint(1, 8)
         data = bytes(rng.randrange(sigma) for _ in range(rng.randint(1, 500)))
-        text, amap = ingest(data)
-        grammar = Slp("bytes", amap.terminal_of_id)
-        compress_blocks(text, scan_blocks(text, amap), grammar, amap)
+        text, _, terminals = ingest(data)
+        grammar = Slp("bytes", terminals)
+        compress_blocks(text, scan_blocks(text), grammar)
         live = live_list(text)
         if any(x == y for x, y in zip(live, live[1:])):
             failures.append(f"case {i}")

@@ -12,37 +12,47 @@ from helpers import (
     reference_rename_dense,
 )
 
-from slpcompress.alphabet import (
-    AlphabetMap,
-    InputFormatError,
-    ingest,
-    radix_argsort,
-    rename_dense,
-)
+from slpcompress.alphabet import InputFormatError, ingest, radix_argsort, rename_dense
+from slpcompress.text import WorkingText
 
 
 class TestIngest:
     def test_bytes_first_occurrence(self):
-        text, amap = ingest(b"abab")
+        text, kind, terminals = ingest(b"abab")
         assert live_list(text) == [0, 1, 0, 1]
-        assert amap.terminal_count == 2
-        assert amap.terminal_of_id == [ord("a"), ord("b")]
+        assert kind == "bytes"
+        assert terminals == [ord("a"), ord("b")]
+        assert text.width == 2
 
     def test_empty(self):
-        text, amap = ingest(b"")
+        text, _, terminals = ingest(b"")
         assert live_list(text) == []
-        assert amap.terminal_count == 0
+        assert terminals == []
+        assert text.width == 0
 
     def test_first_occurrence_order_not_value_order(self):
-        text, amap = ingest(b"cba")
+        text, _, terminals = ingest(b"cba")
         assert live_list(text) == [0, 1, 2]
-        assert amap.terminal_of_id == [ord("c"), ord("b"), ord("a")]
+        assert terminals == [ord("c"), ord("b"), ord("a")]
 
     def test_tokens(self):
-        text, amap = ingest([500, 7, 500, 9])
+        text, kind, terminals = ingest([500, 7, 500, 9])
         assert live_list(text) == [0, 1, 0, 2]
-        assert amap.terminal_of_id == [500, 7, 9]
-        assert amap.input_kind == "tokens"
+        assert terminals == [500, 7, 9]
+        assert kind == "tokens"
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_byte_strings_accepted_as_bytes(self, wrap):
+        text, kind, terminals = ingest(wrap(b"abca"), kind="bytes")
+        assert (live_list(text), kind, terminals) == ([0, 1, 2, 0], "bytes", [97, 98, 99])
+
+    @pytest.mark.parametrize(
+        "raw, name", [(5, "int"), ([97, 98], "list"), ("ab", "str")], ids=["int", "list", "str"]
+    )
+    def test_other_bytes_input_rejected(self, raw, name):
+        # bytes(5) is five zero bytes and bytes([97, 98]) is b"ab": never guess.
+        with pytest.raises(InputFormatError, match=f"bytes input must be .*, not {name}$"):
+            ingest(raw, kind="bytes")
 
     @pytest.mark.parametrize(
         "raw", [[1, True], [np.int64(3), True], [1, np.True_], [3, True, 3, 1]],
@@ -92,8 +102,8 @@ class TestIngest:
     @settings(max_examples=100, deadline=None)
     def test_integer_tokens_accepted_in_any_integer_dtype(self, values, dtype):
         raw = values if dtype is None else np.asarray(values, dtype=dtype)
-        text, amap = ingest(raw)
-        assert [amap.terminal_of_id[i] for i in live_list(text)] == values
+        text, _, terminals = ingest(raw)
+        assert [terminals[i] for i in live_list(text)] == values
 
     @pytest.mark.parametrize(
         "values",
@@ -110,9 +120,9 @@ class TestIngest:
     def test_tokens_match_comparison_sort_reference(self, values):
         arr = np.asarray(values, dtype=np.int64)
         want_ids, want_terminals = reference_first_occurrence_ids(arr)
-        text, amap = ingest(arr, "tokens")
+        text, _, terminals = ingest(arr, "tokens")
         assert live_list(text) == want_ids.tolist()
-        assert amap.terminal_of_id == want_terminals
+        assert terminals == want_terminals
         assert arr.tolist() == values  # the caller's array is read, not reused
 
     @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=300))
@@ -120,9 +130,9 @@ class TestIngest:
     def test_random_tokens_match_comparison_sort_reference(self, values):
         arr = np.asarray(values, dtype=np.int64)
         want_ids, want_terminals = reference_first_occurrence_ids(arr)
-        text, amap = ingest(arr, "tokens")
+        text, _, terminals = ingest(arr, "tokens")
         assert live_list(text) == want_ids.tolist()
-        assert amap.terminal_of_id == want_terminals
+        assert terminals == want_terminals
 
     @staticmethod
     def runs(rng, run_mean, n):
@@ -150,10 +160,10 @@ class TestIngest:
             else:
                 arr = np.empty(0, dtype=np.int64)
             want_ids, want_terminals = reference_first_occurrence_ids(arr)
-            text, amap = ingest(arr, "tokens")
+            text, _, terminals = ingest(arr, "tokens")
             assert live_list(text) == want_ids.tolist()
-            assert amap.terminal_of_id == want_terminals
-            assert amap.next_working == len(want_terminals)
+            assert terminals == want_terminals
+            assert text.width == len(want_terminals)
 
     @pytest.mark.parametrize("raw", [5, 2.5, None, object()], ids=["int", "float", "None", "object"])
     @pytest.mark.parametrize("kind", ["tokens", None])
@@ -162,8 +172,8 @@ class TestIngest:
             ingest(raw, kind=kind)
 
     def test_sigma_bounded(self):
-        text, amap = ingest(bytes(range(256)) * 3)
-        assert amap.terminal_count == 256
+        text, _, terminals = ingest(bytes(range(256)) * 3)
+        assert len(terminals) == 256
         assert len(text) == 768
 
 
@@ -225,76 +235,70 @@ class TestRadixSort:
         assert [r.key for r in out] == sorted(keys)
 
 
-def _synthetic_map(canon):
-    """A map whose working id ``w`` aliases canonical id ``canon[w]``."""
-    amap = AlphabetMap(input_kind="tokens", terminal_of_id=list(range(max(canon) + 1 if canon else 0)))
-    amap.alias_table = np.asarray(canon, dtype=np.int64)
-    return amap
+def _text_over(symbols, canon):
+    """A text of ``symbols`` whose working id ``w`` aliases canonical id ``canon[w]``."""
+    text = WorkingText(symbols)
+    text.alias = np.asarray(canon, dtype=np.int64)
+    return text
 
 
 class TestRenameDense:
     def test_hand_trace(self):
         # Working ids 0..4 alias canonical 5..9; 1 and 3 do not occur.
-        from slpcompress.text import WorkingText
-
-        amap = _synthetic_map([5, 6, 7, 8, 9])
-        text = WorkingText([2, 4, 2])
-        rename_dense(text, amap)
+        text = _text_over([2, 4, 2], [5, 6, 7, 8, 9])
+        rename_dense(text)
         assert live_list(text) == [0, 1, 0]
-        assert amap.next_working == 2
-        assert canonical_of(amap, 0) == 7
-        assert canonical_of(amap, 1) == 9
+        assert text.width == 2
+        assert canonical_of(text, 0) == 7
+        assert canonical_of(text, 1) == 9
 
     def test_empty_text(self):
-        from slpcompress.text import WorkingText
-
-        amap = _synthetic_map([0, 1])
-        text = WorkingText([])
-        rename_dense(text, amap)
+        text = _text_over([], [0, 1])
+        rename_dense(text)
         assert live_list(text) == []
-        assert amap.next_working == 2
+        assert text.width == 2
 
     def test_idempotent(self):
-        from slpcompress.text import WorkingText
-
-        amap = _synthetic_map(list(range(4)))
-        text = WorkingText([3, 1, 3, 0])
-        rename_dense(text, amap)
+        text = _text_over([3, 1, 3, 0], list(range(4)))
+        rename_dense(text)
         once = live_list(text)
-        rename_dense(text, amap)
+        rename_dense(text)
         assert once == live_list(text) == [0, 1, 0, 2]
-        assert amap.next_working == 3
+        assert text.width == 3
 
     def test_occurring_symbols_form_interval(self):
-        from slpcompress.text import WorkingText
-
         rng = np.random.default_rng(3)
         for _ in range(25):
             width = int(rng.integers(1, 40))
             n = int(rng.integers(0, 200))
             syms = rng.integers(0, width, n)
-            amap = _synthetic_map(list(range(width)))
-            text = WorkingText(syms)
-            rename_dense(text, amap)
+            text = _text_over(syms, list(range(width)))
+            rename_dense(text)
             live = live_list(text)
             if live:
-                assert sorted(set(live)) == list(range(amap.next_working))
+                assert sorted(set(live)) == list(range(text.width))
                 # canonical ids are preserved through the rename
-                originals = [canonical_of(amap, s) for s in live]
+                originals = [canonical_of(text, s) for s in live]
                 assert originals == [int(s) for s in syms]
 
     def test_canonicals_recoverable_through_two_renames(self):
-        from slpcompress.text import WorkingText
+        text = _text_over([4, 2, 4, 1], list(range(5)))
+        rename_dense(text)
+        rename_dense(text)
+        assert [canonical_of(text, s) for s in live_list(text)] == [4, 2, 4, 1]
 
-        amap = _synthetic_map(list(range(5)))
-        text = WorkingText([4, 2, 4, 1])
-        rename_dense(text, amap)
-        rename_dense(text, amap)
-        assert [canonical_of(amap, s) for s in live_list(text)] == [4, 2, 4, 1]
+    def test_keeps_each_live_symbols_canonical_id(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            width = int(rng.integers(1, 60))
+            canon = rng.choice(10 * width, width, replace=False)
+            syms = rng.integers(0, width, int(rng.integers(1, 200)))
+            text = _text_over(syms, canon)
+            before = text.canonical(text.live()).tolist()
+            rename_dense(text)
+            assert text.canonical(text.live()).tolist() == before == canon[syms].tolist()
 
     def test_matches_reference_on_random_alias_tables(self):
-        from slpcompress.text import WorkingText
-
         rng = np.random.default_rng(17)
         for _ in range(200):
             width = int(rng.integers(1, 300))
@@ -302,39 +306,53 @@ class TestRenameDense:
             # Some ids of the working alphabet do not occur in the text.
             used = rng.choice(width, int(rng.integers(1, width + 1)), replace=False)
             syms = rng.choice(used, int(rng.integers(0, 600)))
-            got, want = WorkingText(syms), WorkingText(syms)
-            got_map, want_map = _synthetic_map(canon.tolist()), _synthetic_map(canon.tolist())
-            rename_dense(got, got_map)
-            reference_rename_dense(want, want_map)
+            got, want = _text_over(syms, canon), _text_over(syms, canon)
+            rename_dense(got)
+            reference_rename_dense(want)
             assert np.array_equal(got.cells, want.cells)
-            assert np.array_equal(got_map.alias_table, want_map.alias_table)
-            assert got_map.next_working == (len(set(syms.tolist())) if len(syms) else width)
+            assert np.array_equal(got.alias, want.alias)
+            assert got.width == (len(set(syms.tolist())) if len(syms) else width)
 
     def test_symbol_outside_alphabet_rejected(self):
-        from slpcompress.text import WorkingText
-
         with pytest.raises(ValueError, match="outside the working alphabet"):
-            rename_dense(WorkingText([0, 3]), _synthetic_map([0, 1, 2]))
+            rename_dense(_text_over([0, 3], [0, 1, 2]))
 
 
-class TestAllocateWorking:
+class TestWorkingAlphabet:
+    def test_new_text_alias_is_identity_over_its_symbols(self):
+        text = WorkingText([3, 0, 3])
+        assert text.alias.tolist() == [0, 1, 2, 3]
+        assert text.width == 4
+        assert WorkingText([]).width == 0
+
+    def test_mint_continues_from_width(self):
+        text = ingest(b"abcab")[0]
+        assert text.mint(np.array([7])).tolist() == [3]
+        text = _text_over([4, 2, 4], list(range(10, 15)))
+        rename_dense(text)
+        assert text.width == 2
+        assert text.mint(np.array([20, 21])).tolist() == [2, 3]
+        assert text.mint(np.empty(0, dtype=np.int64)).tolist() == []
+        assert text.alias.tolist() == [14, 12, 20, 21]
+
     def test_alias_total_and_injective(self):
-        amap = _synthetic_map([0, 1, 2])
-        fresh = amap.allocate_working(np.array([10, 11]))
+        text = WorkingText([0, 1, 2])
+        fresh = text.mint(np.array([10, 11]))
         assert fresh.tolist() == [3, 4]
-        assert canonical_of(amap, 3) == 10
-        assert canonical_of(amap, 4) == 11
-        seen = {canonical_of(amap, w) for w in range(amap.next_working)}
-        assert len(seen) == amap.next_working == 5
+        assert canonical_of(text, 3) == 10
+        assert canonical_of(text, 4) == 11
+        seen = {canonical_of(text, w) for w in range(text.width)}
+        assert len(seen) == text.width == 5
 
     def test_out_of_interval_rejected(self):
-        amap = _synthetic_map([5, 6])
+        text = _text_over([1, 0], [5, 6])
         for w in (-1, 2):
             with pytest.raises(ValueError):
-                canonical_of(amap, w)
-            with pytest.raises(ValueError):
-                amap.canonical_of_array(np.array([0, w]))
-        assert amap.canonical_of_array(np.array([1, 0, 1])).tolist() == [6, 5, 6]
+                canonical_of(text, w)
+            with pytest.raises(ValueError, match="outside the working alphabet"):
+                text.canonical(np.array([0, w]))
+        assert text.canonical(np.array([1, 0, 1])).tolist() == [6, 5, 6]
+        assert text.canonical([]).tolist() == []
 
 
 def test_radix_argsort_matches_lexsort():

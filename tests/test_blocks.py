@@ -40,65 +40,65 @@ def scanned(scan):
 
 class TestScanBlocks:
     def test_hand_scan(self):
-        text, amap = ingest(b"aabbbab")
-        assert scanned(scan_blocks(text, amap)) == [(0, 2, 0), (1, 3, 2)]
+        text = ingest(b"aabbbab")[0]
+        assert scanned(scan_blocks(text)) == [(0, 2, 0), (1, 3, 2)]
 
     def test_no_blocks(self):
-        text, amap = ingest(b"abab")
-        assert len(scan_blocks(text, amap)) == 0
+        text = ingest(b"abab")[0]
+        assert len(scan_blocks(text)) == 0
 
     def test_whole_text_is_one_block(self):
-        text, amap = ingest(b"aaaa")
-        assert scanned(scan_blocks(text, amap)) == [(0, 4, 0)]
+        text = ingest(b"aaaa")[0]
+        assert scanned(scan_blocks(text)) == [(0, 4, 0)]
 
     def test_sorted_by_letter_then_length(self):
-        text, amap = ingest(b"bbb" + b"aa" + b"c" + b"aaa" + b"bb")
-        scan = scan_blocks(text, amap)
+        text = ingest(b"bbb" + b"aa" + b"c" + b"aaa" + b"bb")[0]
+        scan = scan_blocks(text)
         keys = list(zip(scan.letters.tolist(), scan.lengths.tolist()))
         assert keys == sorted(keys)
 
     def test_empty(self):
-        text, amap = ingest(b"")
-        assert len(scan_blocks(text, amap)) == 0
+        text = ingest(b"")[0]
+        assert len(scan_blocks(text)) == 0
 
 
 class TestCompressBlocks:
     def test_hand_trace(self):
-        text, amap = ingest(b"aabbbab")
-        grammar = Slp("bytes", amap.terminal_of_id)
-        scan = scan_blocks(text, amap)
-        result = compress_blocks(text, scan, grammar, amap)
+        text, _, terminals = ingest(b"aabbbab")
+        grammar = Slp("bytes", terminals)
+        scan = scan_blocks(text)
+        result = compress_blocks(text, scan, grammar)
         assert result.blocks_replaced == 2
         live = live_list(text)
         # One fresh symbol per distinct block, then the unchanged a b tail.
         assert live[2:] == [0, 1]
         z1, z2 = live[0], live[1]
-        assert expand(grammar, canonical_of(amap, z1)) == b"aa"
-        assert expand(grammar, canonical_of(amap, z2)) == b"bbb"
+        assert expand(grammar, canonical_of(text, z1)) == b"aa"
+        assert expand(grammar, canonical_of(text, z2)) == b"bbb"
 
     def test_equal_blocks_share_one_symbol(self):
-        text, amap = ingest(b"aabaabaa")
-        grammar = Slp("bytes", amap.terminal_of_id)
-        compress_blocks(text, scan_blocks(text, amap), grammar, amap)
+        text, _, terminals = ingest(b"aabaabaa")
+        grammar = Slp("bytes", terminals)
+        compress_blocks(text, scan_blocks(text), grammar)
         live = live_list(text)
         assert live == [live[0], 1, live[0], 1, live[0]]
         assert len(grammar.counts) == 1  # one shared rule for the aa block
 
     def test_unary_power_of_two_rule_budget(self):
         n = 2**20
-        text, amap = ingest(b"a" * n)
-        grammar = Slp("bytes", amap.terminal_of_id)
-        compress_blocks(text, scan_blocks(text, amap), grammar, amap)
+        text, _, terminals = ingest(b"a" * n)
+        grammar = Slp("bytes", terminals)
+        compress_blocks(text, scan_blocks(text), grammar)
         assert live_list(text) == [1]  # one fresh working symbol
         assert grammar.size <= 4 * 20 + 4
         from slpcompress.grammar import symbol_lengths
 
-        assert symbol_lengths(grammar)[canonical_of(amap, 1)] == n
+        assert symbol_lengths(grammar)[canonical_of(text, 1)] == n
 
     def test_no_blocks_no_rules(self):
-        text, amap = ingest(b"abab")
-        grammar = Slp("bytes", amap.terminal_of_id)
-        result = compress_blocks(text, scan_blocks(text, amap), grammar, amap)
+        text, _, terminals = ingest(b"abab")
+        grammar = Slp("bytes", terminals)
+        result = compress_blocks(text, scan_blocks(text), grammar)
         assert result.blocks_replaced == 0
         assert bodies(grammar) == []
         assert live_list(text) == [0, 1, 0, 1]
@@ -107,9 +107,9 @@ class TestCompressBlocks:
         rng = random.Random(8)
         for _ in range(40):
             data = bytes(rng.choice(b"abc") for _ in range(rng.randrange(1, 120)))
-            text, amap = ingest(data)
-            grammar = Slp("bytes", amap.terminal_of_id)
-            compress_blocks(text, scan_blocks(text, amap), grammar, amap)
+            text, _, terminals = ingest(data)
+            grammar = Slp("bytes", terminals)
+            compress_blocks(text, scan_blocks(text), grammar)
             live = live_list(text)
             assert all(x != y for x, y in zip(live, live[1:]))
 
@@ -117,14 +117,14 @@ class TestCompressBlocks:
         rng = random.Random(9)
         for _ in range(30):
             data = bytes(rng.choice(b"ab") for _ in range(rng.randrange(2, 80)))
-            text, amap = ingest(data)
+            text, _, terminals = ingest(data)
             original = live_list(text)
-            grammar = Slp("bytes", amap.terminal_of_id)
-            compress_blocks(text, scan_blocks(text, amap), grammar, amap)
+            grammar = Slp("bytes", terminals)
+            compress_blocks(text, scan_blocks(text), grammar)
             # Re-expanding the live text through the aliases restores the input.
             restored = []
             for w in live_list(text):
-                restored.extend(naive_expand_ids(grammar, canonical_of(amap, w)))
+                restored.extend(naive_expand_ids(grammar, canonical_of(text, w)))
             assert restored == original
 
 

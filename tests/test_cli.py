@@ -11,7 +11,10 @@ import pytest
 
 import test_golden
 from helpers import bodies, powers_of_two, reference_parse_tokens, reference_stats_lines
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from slpcompress.alphabet import InputFormatError
 from slpcompress.cli import _parse_tokens, main
 from slpcompress.driver import compress
 from slpcompress.grammar import Slp, dump, load
@@ -233,6 +236,31 @@ def random_token_text(rng: random.Random) -> bytes:
     return gap(0) + b"".join(f + gap(1) for f in fields[:-1]) + fields[-1] + gap(0)
 
 
+@st.composite
+def fuzzed_token_text(draw) -> bytes:
+    """Numerals and ASCII whitespace, with at most one stray ``x`` or ``-``.
+
+    The stray goes anywhere, or, for a ``-``, in front of a numeral.
+    Numerals have at most 18 significant digits, so every one fits in
+    int64, and a ``-`` never precedes a ``0``; ``+``, ``_`` and ``-0`` are
+    the divergences that ``reference_parse_tokens`` documents.
+    """
+    gap = st.binary(max_size=3).map(lambda b: bytes(WHITESPACE[c % 6] for c in b))
+    numeral = st.tuples(st.integers(0, 2), st.integers(0, 10**18 - 1)).map(
+        lambda zv: b"0" * zv[0] + str(zv[1]).encode()
+    )
+    fields = draw(st.lists(numeral, max_size=12))
+    stray = draw(st.sampled_from([b"", b"x", b"-", b"-field"]))
+    if stray == b"-field" and fields:
+        fields[draw(st.integers(0, len(fields) - 1))] = b"-%d" % draw(st.integers(1, 10**18 - 1))
+    text = draw(gap) + b"".join(f + (draw(gap) or b" ") for f in fields)
+    if stray in (b"x", b"-"):
+        at = draw(st.integers(0, len(text)))
+        assume(not (stray == b"-" and text[at : at + 1] == b"0"))
+        text = text[:at] + stray + text[at:]
+    return text
+
+
 class TestTokenReader:
     def test_matches_int_per_field_reference(self):
         rng = random.Random(2024)
@@ -241,6 +269,19 @@ class TestTokenReader:
             tokens = _parse_tokens(text)
             assert tokens.dtype == np.int64
             assert tokens.tolist() == reference_parse_tokens(text), text
+
+    @given(fuzzed_token_text())
+    @settings(max_examples=600, derandomize=True, database=None, deadline=None)
+    def test_fuzz_matches_int_per_field_reference(self, text):
+        # The same values, or InputFormatError with the same message from both.
+        try:
+            want = reference_parse_tokens(text)
+        except InputFormatError as exc:
+            with pytest.raises(InputFormatError) as got:
+                _parse_tokens(text)
+            assert str(got.value) == str(exc)
+        else:
+            assert _parse_tokens(text).tolist() == want
 
     @pytest.mark.parametrize("content", [b"", b" \t\n\r\v\f  \n"], ids=["empty", "blank"])
     def test_no_tokens(self, files, content):

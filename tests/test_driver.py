@@ -20,7 +20,7 @@ class TestPlainMode:
         assert bodies(result.slp) == [(0, 1), (2,)]
         assert result.slp.start == 3
         assert result.slp.size == 3
-        assert result.stats.phase_count == 1
+        assert len(result.traces) == 1
 
     def test_two_equal_symbols_block_phase_alone(self):
         result = compress(b"aa", mode="plain")
@@ -32,7 +32,7 @@ class TestPlainMode:
         for exp in (10, 16, 20):
             result = compress(b"a" * 2**exp, mode="plain")
             assert result.slp.size <= 4 * exp + 16
-            assert result.stats.phase_count == 1
+            assert len(result.traces) == 1
 
     def test_empty_input(self):
         result = compress(b"", mode="plain")
@@ -60,7 +60,7 @@ class TestImprovedMode:
     def test_best_phase_recorded(self):
         result = compress(b"ab" * 10, mode="improved")
         assert result.best_phase is not None
-        live, cost = result.stats.phase_table[result.best_phase]
+        live, cost = result.phase_table[result.best_phase]
         assert result.slp.size == live + cost
 
     def test_snapshot_copy_work_bounded(self):
@@ -83,7 +83,7 @@ class TestImprovedMode:
             n = rng.randrange(1, 400)
             data = bytes(rng.choice(b"abc") for _ in range(n))
             result = compress(data, mode="improved")
-            stop_costs = [live + cost for live, cost in result.stats.phase_table]
+            stop_costs = [live + cost for live, cost in result.phase_table]
             assert result.slp.size <= min(stop_costs)
             assert result.best_phase == stop_costs.index(min(stop_costs))
 
@@ -99,10 +99,10 @@ class TestPhase:
                     assert trace.live_after <= 0.75 * trace.live_before + 0.25
 
     def test_phase_requires_two_symbols(self):
-        text, amap = ingest(b"a")
-        grammar = Slp("bytes", amap.terminal_of_id)
+        text, _, terminals = ingest(b"a")
+        grammar = Slp("bytes", terminals)
         with pytest.raises(ValueError):
-            run_phase(text, amap, grammar, 1)
+            run_phase(text, grammar, 1)
 
     def test_phase_count_bound(self):
         rng = random.Random(5)
@@ -110,7 +110,7 @@ class TestPhase:
             n = rng.randrange(2, 2000)
             data = bytes(rng.choice(b"ab") for _ in range(n))
             result = compress(data, mode="plain")
-            assert result.stats.phase_count <= math.ceil(math.log(n, 4 / 3)) + 2
+            assert len(result.traces) <= math.ceil(math.log(n, 4 / 3)) + 2
 
     def test_trace_bookkeeping_consistent(self):
         result = compress(b"abracadabra" * 20, mode="plain")
@@ -120,14 +120,14 @@ class TestPhase:
             assert trace.size_after >= trace.size_before
             assert trace.cover_chosen == trace.pairs_compressed
 
-    def test_stats_size_matches_rules(self):
+    def test_size_and_phase_table_match_the_run(self):
         for mode in ("plain", "improved"):
-            result = compress(b"banana bandana" * 9, mode=mode)
-            assert result.stats.size == sum(len(b) for b in bodies(result.slp))
-            assert result.stats.rule_count == len(result.slp.counts)
-            assert result.stats.phase_count == len(result.traces)
+            data = b"banana bandana" * 9
+            result = compress(data, mode=mode)
+            assert result.slp.size == sum(len(b) for b in bodies(result.slp))
+            assert result.input_length == len(data) == result.phase_table[0][0]
             # one extra row for the state after the final phase
-            assert len(result.stats.phase_table) == len(result.traces) + 1
+            assert len(result.phase_table) == len(result.traces) + 1
 
     def test_every_reader_sees_a_compact_text(self, monkeypatch):
         # Readers find no pending write; both replacing stages leave one, and

@@ -17,7 +17,7 @@ from helpers import (
     total_occurrences,
 )
 from slpcompress import driver, pairs
-from slpcompress.alphabet import AlphabetMap, ingest
+from slpcompress.alphabet import ingest
 from slpcompress.blocks import compress_blocks, scan_blocks
 from slpcompress.grammar import Slp, expand
 from slpcompress.pairs import (
@@ -48,16 +48,16 @@ def best_one_directional_cover(symbols):
 
 class TestBuildAdjacency:
     def test_hand_scan(self):
-        text, amap = ingest(b"abcab")
-        adj = build_adjacency(text, amap)
+        text = ingest(b"abcab")[0]
+        adj = build_adjacency(text)
         assert right_of(adj, 0) == [(1, [0, 3])]
         assert right_of(adj, 1) == [(2, [1])]
         assert right_of(adj, 2) == [(0, [2])]
         assert left_of(adj, 1) == [(0, [0, 3])]
 
     def test_single_symbol_all_lists_empty(self):
-        text, amap = ingest(b"a")
-        adj = build_adjacency(text, amap)
+        text = ingest(b"a")[0]
+        adj = build_adjacency(text)
         assert total_occurrences(adj) == 0
         assert right_of(adj, 0) == []
 
@@ -67,18 +67,18 @@ class TestBuildAdjacency:
             data = bytes(rng.choice(b"abcd") for _ in range(rng.randrange(1, 100)))
             # strip equal-adjacent repetitions to satisfy the precondition
             data = bytes(c for i, c in enumerate(data) if i == 0 or c != data[i - 1])
-            text, amap = ingest(data)
-            adj = build_adjacency(text, amap)
+            text = ingest(data)[0]
+            adj = build_adjacency(text)
             assert total_occurrences(adj) == max(0, len(text) - 1)
 
     def test_equal_adjacent_symbols_rejected(self):
-        text, amap = ingest(b"aab")
+        text = ingest(b"aab")[0]
         with pytest.raises(ValueError, match="block compression"):
-            build_adjacency(text, amap)
+            build_adjacency(text)
 
     def test_pair_occurrence_records(self):
-        text, amap = ingest(b"abcab")
-        adj = build_adjacency(text, amap)
+        text = ingest(b"abcab")[0]
+        adj = build_adjacency(text)
         recs = [(o.first, o.second, o.pos) for o in pair_occurrences(adj)]
         assert sorted(recs) == [(0, 1, 0), (0, 1, 3), (1, 2, 1), (2, 0, 2)]
         # each adjacent position appears exactly once
@@ -93,54 +93,54 @@ class TestDistinctPairs:
 
     @pytest.mark.parametrize("data", [b"", b"a", b"ab", b"aa", b"aaab", b"abab", b"aabbaabb"])
     def test_short_texts(self, data):
-        text, amap = ingest(data)
-        assert distinct_pairs(text, amap) == self.oracle(text)
+        text = ingest(data)[0]
+        assert distinct_pairs(text) == self.oracle(text)
 
     def test_equal_neighbours_count(self):
         rng = random.Random(8)
         for _ in range(200):
             runs = range(rng.randrange(60))
             data = b"".join(rng.choice([b"a", b"b", b"c", b"d"]) * rng.randrange(1, 5) for _ in runs)
-            text, amap = ingest(data)
-            assert distinct_pairs(text, amap) == self.oracle(text)
+            text = ingest(data)[0]
+            assert distinct_pairs(text) == self.oracle(text)
 
     def test_wide_interval_takes_three_radix_passes(self):
         width = 78970
-        amap = AlphabetMap("tokens", list(range(width)))
         rng = np.random.default_rng(21)
         lv = rng.integers(0, width, 30000)
         lv[:4] = [0, 0, width - 1, width - 1]
         lv[100:200] = lv[300:400]  # repeated pairs
         text = WorkingText(lv)
-        bound = _pair_keys(text.live(), amap)[1]
+        assert text.width == width
+        bound = _pair_keys(text)[1]
         assert 32 < (bound - 1).bit_length() <= 48
-        assert distinct_pairs(text, amap) == self.oracle(text)
+        assert distinct_pairs(text) == self.oracle(text)
 
 
 class TestGreedyPartition:
     def test_two_letter_trace(self):
         # a is a tie -> left; b then has a left count of 1 -> right.
-        text, amap = ingest(b"ab")
-        adj = build_adjacency(text, amap)
+        text = ingest(b"ab")[0]
+        adj = build_adjacency(text)
         part = greedy_partition(adj)
         assert side_of(part, 0) == "left"
         assert side_of(part, 1) == "right"
         assert part.cover_chosen == 1
 
     def test_alternating_word(self):
-        text, amap = ingest(b"ababab")
-        adj = build_adjacency(text, amap)
+        text = ingest(b"ababab")[0]
+        adj = build_adjacency(text)
         part = greedy_partition(adj)
         assert part.cover_chosen >= math.ceil((6 - 1) / 4)
         # Deterministic outcome: repeated runs agree.
-        text2, amap2 = ingest(b"ababab")
-        part2 = greedy_partition(build_adjacency(text2, amap2))
+        text2 = ingest(b"ababab")[0]
+        part2 = greedy_partition(build_adjacency(text2))
         assert side_of(part, 0) == side_of(part2, 0)
         assert side_of(part, 1) == side_of(part2, 1)
 
     def test_single_symbol_text(self):
-        text, amap = ingest(b"a")
-        adj = build_adjacency(text, amap)
+        text = ingest(b"a")[0]
+        adj = build_adjacency(text)
         part = greedy_partition(adj)
         assert part.cover_chosen == 0
         assert part.cover_pre_swap == 0
@@ -155,8 +155,8 @@ class TestGreedyPartition:
                 c = rng.randrange(sigma)
                 if not data or data[-1] != c:
                     data.append(c)
-            text, amap = ingest(bytes(data))
-            adj = build_adjacency(text, amap)
+            text = ingest(bytes(data))[0]
+            adj = build_adjacency(text)
             part = greedy_partition(adj)
             m = len(data)
             assert part.cover_chosen >= math.ceil((m - 1) / 4)
@@ -172,8 +172,8 @@ class TestGreedyPartition:
                 c = rng.randrange(5)
                 if not data or data[-1] != c:
                     data.append(c)
-            text, amap = ingest(bytes(data))
-            part = greedy_partition(build_adjacency(text, amap))
+            text = ingest(bytes(data))[0]
+            part = greedy_partition(build_adjacency(text))
             for sym in set(live_list(text)):
                 assert side_of(part, sym) in ("left", "right")
             assert not (part.in_left & part.in_right).any()
@@ -181,8 +181,9 @@ class TestGreedyPartition:
 
 def adjacency_of(symbols, width):
     """The adjacency of a working text over ``[0, width)``."""
-    amap = AlphabetMap("tokens", list(range(width)))
-    return build_adjacency(WorkingText(np.asarray(symbols, dtype=np.int64)), amap)
+    text = WorkingText(np.asarray(symbols, dtype=np.int64))
+    text.mint(np.arange(text.width, width))  # widen the alphabet to [0, width)
+    return build_adjacency(text)
 
 
 def inner_and_blocks(adj):
@@ -313,11 +314,11 @@ def test_split_matches_reference_across_many_blocks(monkeypatch):
 
 class TestCompressPairs:
     def test_hand_trace(self):
-        text, amap = ingest(b"abcab")
-        grammar = Slp("bytes", amap.terminal_of_id)
-        adj = build_adjacency(text, amap)
-        part = partition_from_sets(amap.next_working, left={0}, right={1, 2})
-        result = compress_pairs(text, part, adj, grammar, amap)
+        text, _, terminals = ingest(b"abcab")
+        grammar = Slp("bytes", terminals)
+        adj = build_adjacency(text)
+        part = partition_from_sets(text.width, left={0}, right={1, 2})
+        result = compress_pairs(text, part, adj, grammar)
         assert result.occurrences_replaced == 2
         text.compact()
         live = live_list(text)
@@ -325,11 +326,11 @@ class TestCompressPairs:
         assert bodies(grammar) == [(0, 1)]
 
     def test_no_selected_pairs_is_identity(self):
-        text, amap = ingest(b"abcab")
-        grammar = Slp("bytes", amap.terminal_of_id)
-        adj = build_adjacency(text, amap)
-        part = partition_from_sets(amap.next_working, left={1, 2}, right=set())
-        result = compress_pairs(text, part, adj, grammar, amap)
+        text, _, terminals = ingest(b"abcab")
+        grammar = Slp("bytes", terminals)
+        adj = build_adjacency(text)
+        part = partition_from_sets(text.width, left={1, 2}, right=set())
+        result = compress_pairs(text, part, adj, grammar)
         assert result.occurrences_replaced == 0
         assert bodies(grammar) == []
         assert live_list(text) == [0, 1, 2, 0, 1]
@@ -337,33 +338,33 @@ class TestCompressPairs:
     def test_overlapping_selection_refused_before_the_write(self):
         # Classes that share a symbol select both (a, b) and (b, a) in "aba":
         # the occurrence at 1 starts on the cell that the one at 0 drops.
-        text, amap = ingest(b"aba")
-        grammar = Slp("bytes", amap.terminal_of_id)
-        adj = build_adjacency(text, amap)
-        both = np.ones(amap.next_working, dtype=bool)
+        text, _, terminals = ingest(b"aba")
+        grammar = Slp("bytes", terminals)
+        adj = build_adjacency(text)
+        both = np.ones(text.width, dtype=bool)
         with pytest.raises(ValueError, match="another span drops"):
-            compress_pairs(text, Partition(both, both), adj, grammar, amap)
+            compress_pairs(text, Partition(both, both), adj, grammar)
         assert text.live().tolist() == [0, 1, 0]
 
     def test_fresh_symbols_not_recompressed(self):
-        text, amap = ingest(b"abab")
-        grammar = Slp("bytes", amap.terminal_of_id)
-        adj = build_adjacency(text, amap)
+        text, _, terminals = ingest(b"abab")
+        grammar = Slp("bytes", terminals)
+        adj = build_adjacency(text)
         part = greedy_partition(adj)
-        result = compress_pairs(text, part, adj, grammar, amap)
+        result = compress_pairs(text, part, adj, grammar)
         text.compact()
         for sym in set(live_list(text)):
             if sym >= 2:  # a fresh symbol
                 assert side_of(part, sym) is None
 
     def test_stale_positions_rejected(self):
-        text, amap = ingest(b"abab")
-        grammar = Slp("bytes", amap.terminal_of_id)
-        adj = build_adjacency(text, amap)
+        text, _, terminals = ingest(b"abab")
+        grammar = Slp("bytes", terminals)
+        adj = build_adjacency(text)
         part = greedy_partition(adj)
         text.compact()
         with pytest.raises(StaleTextError):
-            compress_pairs(text, part, adj, grammar, amap)
+            compress_pairs(text, part, adj, grammar)
 
     def test_coverage_accounting_matches_replacements(self):
         rng = random.Random(31)
@@ -373,12 +374,12 @@ class TestCompressPairs:
                 c = rng.randrange(6)
                 if not data or data[-1] != c:
                     data.append(c)
-            text, amap = ingest(bytes(data))
-            grammar = Slp("bytes", amap.terminal_of_id)
-            adj = build_adjacency(text, amap)
+            text, _, terminals = ingest(bytes(data))
+            grammar = Slp("bytes", terminals)
+            adj = build_adjacency(text)
             part = greedy_partition(adj)
             before = len(text)
-            result = compress_pairs(text, part, adj, grammar, amap)
+            result = compress_pairs(text, part, adj, grammar)
             assert result.occurrences_replaced == part.cover_chosen
             assert len(text) == before - result.occurrences_replaced
             assert result.occurrences_replaced >= math.ceil((before - 1) / 4)
@@ -386,13 +387,13 @@ class TestCompressPairs:
 
 def test_full_phase_pair_stage_after_blocks():
     # Fresh block symbols take part in the same phase's pair stage.
-    text, amap = ingest(b"aab")
-    grammar = Slp("bytes", amap.terminal_of_id)
-    compress_blocks(text, scan_blocks(text, amap), grammar, amap)
+    text, _, terminals = ingest(b"aab")
+    grammar = Slp("bytes", terminals)
+    compress_blocks(text, scan_blocks(text), grammar)
     text.compact()
-    adj = build_adjacency(text, amap)
+    adj = build_adjacency(text)
     part = greedy_partition(adj)
-    result = compress_pairs(text, part, adj, grammar, amap)
+    result = compress_pairs(text, part, adj, grammar)
     text.compact()
     assert result.occurrences_replaced == 1
     assert len(text) == 1

@@ -99,9 +99,9 @@ def test_phase_matches_reference_on_random_inputs():
         sigma = rng.randint(1, 12)
         n = rng.randint(2, 300)
         data = bytes(rng.randrange(sigma) for _ in range(n))
-        text, amap = ingest(data)
-        grammar = Slp("bytes", amap.terminal_of_id)
-        trace = run_phase(text, amap, grammar, 1)
+        text, _, terminals = ingest(data)
+        grammar = Slp("bytes", terminals)
+        trace = run_phase(text, grammar, 1)
         want, blocks_compressed, chosen, pre_swap = reference_phase(list(data))
         assert canonical_pattern(live_list(text)) == canonical_pattern(want)
         assert trace.blocks_compressed == blocks_compressed
@@ -122,9 +122,9 @@ def test_phase_matches_reference_on_structured_inputs():
         bytes([0, 1, 0, 2, 0, 1, 0, 2, 0]),
     ]
     for data in cases:
-        text, amap = ingest(data)
-        grammar = Slp("bytes", amap.terminal_of_id)
-        trace = run_phase(text, amap, grammar, 1)
+        text, _, terminals = ingest(data)
+        grammar = Slp("bytes", terminals)
+        trace = run_phase(text, grammar, 1)
         want, blocks_compressed, chosen, pre_swap = reference_phase(list(data))
         assert canonical_pattern(live_list(text)) == canonical_pattern(want)
         assert trace.blocks_compressed == blocks_compressed

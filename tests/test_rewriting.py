@@ -345,7 +345,6 @@ class TestSimulatedPhaseMatchesTextPhase:
     def test_random_instances(self):
         import numpy as np
 
-        from slpcompress.alphabet import AlphabetMap
         from slpcompress.blocks import compress_blocks, scan_blocks
         from slpcompress.grammar import Slp
         from slpcompress.pairs import build_adjacency, compress_pairs, greedy_partition
@@ -360,17 +359,16 @@ class TestSimulatedPhaseMatchesTextPhase:
                 continue
             done += 1
             sigma = slp.alphabet_size
-            # Text side: identity aliases over the letters of the lab grammar.
-            amap = AlphabetMap(input_kind="tokens", terminal_of_id=list(range(sigma)))
+            # Text side: a new text's identity aliases keep the lab grammar's letters.
             text = WorkingText(np.array(s, dtype=np.int64))
             grammar = Slp("tokens", list(range(sigma)))
-            blocks = compress_blocks(text, scan_blocks(text, amap), grammar, amap)
+            blocks = compress_blocks(text, scan_blocks(text), grammar)
             text.compact()
-            adj = build_adjacency(text, amap)
+            adj = build_adjacency(text)
             part = greedy_partition(adj)
-            pairs = compress_pairs(text, part, adj, grammar, amap)
+            pairs = compress_pairs(text, part, adj, grammar)
             text.compact()
-            text_canonical = [canonical_of(amap, w) for w in live_list(text)]
+            text_canonical = [canonical_of(text, w) for w in live_list(text)]
 
             # Grammar side, reusing the text side's fresh names and split.
             g = pop_boundary_runs(slp)
@@ -383,12 +381,12 @@ class TestSimulatedPhaseMatchesTextPhase:
                 g = compress_noncrossing_blocks(g, letter, fresh)
             left = set()
             right = set()
-            for w in range(amap.next_working):
+            for w in range(text.width):
                 side = side_of(part, w)
                 if side == "left":
-                    left.add(canonical_of(amap, w))
+                    left.add(canonical_of(text, w))
                 elif side == "right":
-                    right.add(canonical_of(amap, w))
+                    right.add(canonical_of(text, w))
             g = pop_letters(g, left, right)
             for (ca, cb), sym in sorted(symbol_of_pair(pairs).items()):
                 g = compress_noncrossing_pair(g, ca, cb, sym)

