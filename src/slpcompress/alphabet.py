@@ -14,53 +14,21 @@ spaces coexist:
   records over them can be bucket sorted, and the symbols minted during
   the phase continue from ``k``.  The text keeps the alias table from its
   working ids back to canonical ids (``WorkingText.alias``).
-
-So at any moment the working alphabet is ``[0, text.width)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .text import WorkingText
+from .text import WorkingText, as_int64
 
 TOKEN_VALUE_CEILING = 2**32 - 1
 
 _DIGIT_BITS = 16
-_INT64_MAX = 2**63 - 1
 
 
 class InputFormatError(ValueError):
     """Raised when raw input cannot be turned into a symbol sequence."""
-
-
-def as_int64(values, what: str, error: type[ValueError]) -> np.ndarray:
-    """``values`` as a flat ``int64`` array; raises ``error`` unless each is an int64 integer.
-
-    Never coerces: numpy would truncate floats, read bools as 0 and 1, parse
-    numerals, and wrap or round integers of 2**63 or more.
-    """
-    if isinstance(values, np.ndarray):
-        if values.ndim != 1:
-            raise error(f"{what} must be a flat sequence, not of shape {values.shape}")
-        if values.dtype.kind == "u" and values.size and values.max() > _INT64_MAX:
-            wide = values[np.argmax(values > _INT64_MAX)]
-            raise error(f"{what} must fit in int64, not {wide}")
-        if values.dtype.kind not in "iu" and values.size:
-            raise error(f"{what} must be integers, not {values.dtype}")
-        return values.astype(np.int64, copy=False)
-    try:
-        values = list(values)
-    except TypeError:
-        raise error(f"{what} must be a sequence, not {type(values).__name__}") from None
-    for kind in set(map(type, values)):
-        if issubclass(kind, (bool, np.bool_)) or not issubclass(kind, (int, np.integer)):
-            raise error(f"{what} must be integers, not {kind.__name__}")
-    try:
-        return np.fromiter(values, dtype=np.int64, count=len(values))
-    except OverflowError:
-        wide = next(v for v in values if not -_INT64_MAX - 1 <= v <= _INT64_MAX)
-        raise error(f"{what} must fit in int64, not {wide}") from None
 
 
 def radix_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
@@ -185,8 +153,5 @@ def rename_dense(text: WorkingText) -> None:
     live = text.live()
     if len(live) == 0:
         return
-    if live.min() < 0 or live.max() >= text.width:
-        raise ValueError("text symbol outside the working alphabet")
     lut, old_ids = _first_occurrence_ids(live, text.width)
-    text._remap_live(lut)
-    text.alias = text.alias[old_ids]
+    text._rename(lut, old_ids)

@@ -101,7 +101,7 @@ def compress_blocks(text: WorkingText, scan: BlockScan, grammar: Slp) -> BlockCo
     group_starts = np.flatnonzero(new_group)
     # Records are sorted by letter, so each letter's distinct lengths form a
     # contiguous increasing slice.
-    group_letters = text.canonical(letters[group_starts])
+    group_letters = text.alias[letters[group_starts]]
     group_lengths = lengths[group_starts]
     targets = build_block_rules(grammar, group_letters, group_lengths)
     fresh = text.mint(targets)

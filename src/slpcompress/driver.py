@@ -168,7 +168,7 @@ def compress(data, mode: str = "improved", kind: str | None = None) -> Compressi
         if mode == "improved":
             candidate = len(text) + grammar.size
             if best is None or candidate < best.size:
-                snapshot = text.canonical(text.live())
+                snapshot = text.alias[text.live()]
                 best = BestSnapshot(candidate, len(traces), snapshot, len(grammar.counts))
                 copy_work += len(snapshot)
             elif grammar.size + distinct_pairs(text) + 1 >= best.size:
@@ -180,7 +180,7 @@ def compress(data, mode: str = "improved", kind: str | None = None) -> Compressi
         slp = _snapshot_grammar(grammar, best)
         best_phase = best.phase
     else:
-        final_canonical = text.canonical(text.live())
+        final_canonical = text.alias[text.live()]
         if len(final_canonical):
             grammar.start = grammar.emit_rule(final_canonical)
         slp = grammar

@@ -34,8 +34,8 @@ import operator
 
 import numpy as np
 
-from .alphabet import TOKEN_VALUE_CEILING, as_int64
-from .text import concat_ranges
+from .alphabet import TOKEN_VALUE_CEILING
+from .text import as_int64, concat_ranges
 
 MAX_EXPANSION = 2**63 - 1  # also the largest int64
 _BATCH = 1 << 15  # body symbols substituted per vector step of expand_ids

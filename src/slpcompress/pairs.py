@@ -232,8 +232,8 @@ def compress_pairs(
     if adj.epoch != text.epoch:
         raise StaleTextError("adjacency positions predate the last compaction")
     selected = np.flatnonzero(part.in_left[adj.pair_a] & part.in_right[adj.pair_b])
-    canon_a = text.canonical(adj.pair_a[selected])
-    canon_b = text.canonical(adj.pair_b[selected])
+    canon_a = text.alias[adj.pair_a[selected]]
+    canon_b = text.alias[adj.pair_b[selected]]
     rule_ids = grammar.emit_pair_rules(canon_a, canon_b)
     fresh = text.mint(rule_ids)
     # Gather the occurrence slices of the selected pairs in one shot.

@@ -14,15 +14,53 @@ The text also carries its working alphabet: its symbols are working ids in
 symbol) ``alias[w]``.  A new text's alias is the identity over ``0..max``;
 the stages ``mint`` the ids of the symbols they write, and
 ``alphabet.rename_dense`` renumbers the symbols and the alias together.
+
+Every cell lies in ``[0, width)`` by construction.  That is checked only
+where symbols are written, before any write: the constructor takes only
+integers of at least 0, and ``replace_spans`` only fresh symbols below
+``width``.  ``mint`` only widens the alphabet, ``compact`` only drops cells
+and a rename maps onto ``[0, k)``, so readers index ``alias`` with cells
+directly.  No other module writes ``cells``, ``alias`` or ``kept``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+_INT64_MAX = 2**63 - 1
+
 
 class StaleTextError(RuntimeError):
     """A write is pending, or a position predates the last compaction."""
+
+
+def as_int64(values, what: str, error: type[ValueError]) -> np.ndarray:
+    """``values`` as a flat ``int64`` array; raises ``error`` unless each is an int64 integer.
+
+    Never coerces: numpy would truncate floats, read bools as 0 and 1, parse
+    numerals, and wrap or round integers of 2**63 or more.
+    """
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1:
+            raise error(f"{what} must be a flat sequence, not of shape {values.shape}")
+        if values.dtype.kind == "u" and values.size and values.max() > _INT64_MAX:
+            wide = values[np.argmax(values > _INT64_MAX)]
+            raise error(f"{what} must fit in int64, not {wide}")
+        if values.dtype.kind not in "iu" and values.size:
+            raise error(f"{what} must be integers, not {values.dtype}")
+        return values.astype(np.int64, copy=False)
+    try:
+        values = list(values)
+    except TypeError:
+        raise error(f"{what} must be a sequence, not {type(values).__name__}") from None
+    for kind in set(map(type, values)):
+        if issubclass(kind, (bool, np.bool_)) or not issubclass(kind, (int, np.integer)):
+            raise error(f"{what} must be integers, not {kind.__name__}")
+    try:
+        return np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:
+        wide = next(v for v in values if not -_INT64_MAX - 1 <= v <= _INT64_MAX)
+        raise error(f"{what} must fit in int64, not {wide}") from None
 
 
 def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -38,9 +76,7 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 class WorkingText:
     def __init__(self, symbols):
-        self.cells = np.asarray(symbols, dtype=np.int64).copy()
-        if self.cells.ndim != 1:
-            raise ValueError("working text must be one-dimensional")
+        self.cells = as_int64(symbols, "symbols", ValueError).copy()
         if self.cells.min(initial=0) < 0:
             raise ValueError("symbols must be non-negative")
         self.alias = np.arange(self.cells.max(initial=-1) + 1)  # working id -> canonical id
@@ -51,13 +87,6 @@ class WorkingText:
     def width(self) -> int:
         """The size of the working alphabet: every symbol lies in ``[0, width)``."""
         return len(self.alias)
-
-    def canonical(self, ids) -> np.ndarray:
-        """The canonical ids of working ids; ``ValueError`` for one outside ``[0, width)``."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= len(self.alias)):
-            raise ValueError("working id outside the working alphabet")
-        return self.alias[ids]
 
     def mint(self, canonical_ids) -> np.ndarray:
         """Fresh working ids, from ``width`` up, aliased to the given canonical ids."""
@@ -96,14 +125,15 @@ class WorkingText:
         one, and the runs of dropped cells must number one per span, so
         that every dropped cell lies in a span.  Arrays of other shapes,
         positions outside the text, a span start that another span drops,
-        spans of one cell, a start given twice, a dropped cell in no span
-        and negative fresh symbols raise ``ValueError`` before any write.
+        spans of one cell, a start given twice, a dropped cell in no span,
+        starts or symbols that are not integers and fresh symbols outside
+        ``[0, width)`` raise ``ValueError`` before any write.
         """
         cells = self.live()
-        starts = np.asarray(starts, dtype=np.int64)
-        fresh = np.asarray(fresh, dtype=np.int64)
+        starts = as_int64(starts, "span starts", ValueError)
+        fresh = as_int64(fresh, "fresh symbols", ValueError)
         kept = np.asarray(kept)
-        if starts.ndim != 1 or fresh.shape != starts.shape:
+        if fresh.shape != starts.shape:
             raise ValueError("starts and fresh need one entry per span")
         if kept.dtype != bool or kept.shape != cells.shape:
             raise ValueError("kept needs one bool per cell of the text")
@@ -123,11 +153,12 @@ class WorkingText:
         drop_runs = np.count_nonzero(kept[:-1] > kept[1:]) + int(len(kept) > 0 and not kept[0])
         if drop_runs != len(starts):
             raise ValueError("a dropped cell lies in no span")
-        if fresh.min(initial=0) < 0:
-            raise ValueError("fresh symbols must be non-negative")
+        if fresh.size and (fresh.min() < 0 or fresh.max() >= len(self.alias)):
+            raise ValueError("fresh symbol outside the working alphabet")
         cells[starts] = fresh
         self.kept = kept
 
-    def _remap_live(self, lut: np.ndarray) -> None:
-        """Apply ``sym -> lut[sym]`` to every cell of the compact text."""
+    def _rename(self, lut: np.ndarray, old_ids: np.ndarray) -> None:
+        """Symbol ``s`` becomes ``lut[s]``; new id ``i`` takes old id ``old_ids[i]``'s alias."""
         self.cells = lut[self.live()]
+        self.alias = self.alias[old_ids]

@@ -958,7 +958,7 @@ def reference_compress_improved(data, kind: str | None = None) -> CompressionRes
         phase_table.append((len(text), grammar.size))
         candidate = len(text) + grammar.size
         if best is None or candidate < best.size:
-            snapshot = text.canonical(text.live())
+            snapshot = text.alias[text.live()]
             best = BestSnapshot(candidate, len(traces), snapshot, len(grammar.counts))
             copy_work += len(snapshot)
         if len(text) <= 1:
@@ -1022,5 +1022,5 @@ def reference_rename_dense(text: WorkingText) -> None:
     new_table = text.alias[old_ids].copy()
     lut = np.full(width, -1, dtype=np.int64)
     lut[old_ids] = np.arange(len(old_ids), dtype=np.int64)
-    text._remap_live(lut)
+    text.cells = lut[live]
     text.alias = new_table

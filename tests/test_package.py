@@ -6,7 +6,10 @@ dead weight for every user, so this test fails on it.  The package holds
 no ``assert`` either: ``python -O`` strips them, so a runtime check must
 raise.  Nor does it read an attribute named ``rules``: grammars are read
 through ``Slp.counts`` and ``Slp.flat``, and ``Slp.rules`` is kept only for
-the benchmark's reads (``tests/test_trace_names.py``).
+the benchmark's reads (``tests/test_trace_names.py``).  Only ``text.py``
+assigns to, or into, an attribute named ``cells``, ``alias`` or ``kept``,
+so the checks that keep every text symbol in its working alphabet sit in
+one module.
 """
 
 import ast
@@ -64,3 +67,20 @@ def test_package_reads_no_rules_attribute():
         if isinstance(node, ast.Attribute) and node.attr == "rules"
     ]
     assert found == []
+
+
+def text_state_writes(nodes):
+    """Where ``nodes`` assign to, or into, an attribute named ``cells``, ``alias`` or ``kept``."""
+    for name, node in nodes:
+        target = node.value if isinstance(node, ast.Subscript) else node
+        if (
+            isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+            and isinstance(target, ast.Attribute)
+            and target.attr in ("cells", "alias", "kept")
+        ):
+            yield f"{name}:{node.lineno}"
+
+
+def test_only_the_text_module_writes_text_state():
+    others = ((name, node) for name, node in package_nodes() if name != "text.py")
+    assert list(text_state_writes(others)) == []

@@ -11,7 +11,19 @@ from helpers import (
     replace_pair,
     replace_run,
 )
+from slpcompress.alphabet import rename_dense
 from slpcompress.text import StaleTextError, WorkingText, concat_ranges
+
+
+def text_of(symbols, width: int) -> WorkingText:
+    """A text of ``symbols`` whose alphabet is widened to ``width`` by ``mint``.
+
+    ``replace_spans`` writes only symbols below the width, so the fresh
+    symbols of a test must lie below it.
+    """
+    text = WorkingText(symbols)
+    text.mint(np.arange(text.width, width))
+    return text
 
 
 class TestReplacePair:
@@ -145,7 +157,7 @@ def test_bulk_runs_equal_scalar_sequence():
     for _ in range(30):
         n = int(rng.integers(2, 60))
         syms = rng.integers(0, 3, n)
-        a = WorkingText(syms)
+        a = text_of(syms, 1100)
         b = WorkingText(syms)
         # maximal runs of length >= 2
         starts, lengths = [], []
@@ -168,7 +180,7 @@ def test_bulk_runs_equal_scalar_sequence():
 
 def test_bulk_pairs_equal_scalar_sequence():
     syms = [0, 1, 2, 3, 4, 5]
-    a = WorkingText(syms)
+    a = text_of(syms, 13)
     b = WorkingText(syms)
     firsts = np.array([0, 2, 4], dtype=np.int64)
     fresh = np.array([10, 11, 12], dtype=np.int64)
@@ -183,7 +195,7 @@ def test_bulk_random_pairs_equal_scalar_sequence():
     for _ in range(30):
         n = rng.randrange(2, 60)
         syms = [rng.randrange(5) for _ in range(n)]
-        a = WorkingText(syms)
+        a = text_of(syms, 200)
         b = WorkingText(syms)
         firsts = []
         i = rng.randrange(2)
@@ -214,7 +226,7 @@ def test_random_disjoint_spans_match_list_reference():
         starts = np.array(starts, dtype=np.int64)[order]
         lengths = np.array(lengths, dtype=np.int64)[order]
         fresh = 100 + np.arange(len(starts))
-        t = WorkingText(symbols)
+        t = text_of(symbols, 100 + len(starts))
         t.replace_spans(starts, fresh, kept_outside(n, starts, lengths))
         want = reference_replace_spans(symbols.tolist(), starts.tolist(), lengths.tolist(), fresh.tolist())
         assert len(t) == len(want)
@@ -256,7 +268,7 @@ def test_random_concat_ranges_match_scalar_reference():
 
 class TestDeadCells:
     def test_live_raises_while_a_write_is_pending(self):
-        t = WorkingText([3, 3, 3, 5, 6])
+        t = text_of([3, 3, 3, 5, 6], 10)
         assert t.live() is t.cells
         t.replace_spans(np.array([0]), np.array([8]), kept_outside(5, [0], [3]))
         with pytest.raises(StaleTextError):
@@ -271,7 +283,7 @@ class TestDeadCells:
         assert t.live().tolist() == [8, 9]
 
     def test_bulk_runs_reject_dead_cells(self):
-        t = WorkingText([4, 4, 4, 4, 5])
+        t = text_of([4, 4, 4, 4, 5], 10)
         t.replace_spans(np.array([0]), np.array([8]), kept_outside(5, [0], [2]))
         with pytest.raises(StaleTextError, match="pending"):
             t.replace_spans(np.array([0]), np.array([9]), kept_outside(5, [0], [3]))
@@ -280,7 +292,7 @@ class TestDeadCells:
         assert live_list(t) == [8, 4, 4, 5]
 
     def test_bulk_runs_reject_bad_lengths(self):
-        t = WorkingText([4, 4, 5])
+        t = text_of([4, 4, 5], 10)
         with pytest.raises(ValueError, match="shorter than 2"):
             t.replace_spans(np.array([0]), np.array([8]), np.ones(3, dtype=bool))
         with pytest.raises(ValueError, match="past the end"):
@@ -288,21 +300,22 @@ class TestDeadCells:
         assert t.live().tolist() == [4, 4, 5]
 
     def test_bulk_pairs_reject_dead_cells(self):
-        t = WorkingText([0, 1, 2, 3])
+        t = text_of([0, 1, 2, 3], 10)
         t.replace_spans(np.array([0]), np.array([9]), kept_outside(4, [0], [2]))
         for first in (0, 1):
             with pytest.raises(StaleTextError, match="pending"):
                 t.replace_spans(np.array([first]), np.array([7]), kept_outside(4, [first], [2]))
         assert live_list(t) == [9, 2, 3]
 
-    def test_remap_reads_a_compact_text(self):
-        t = WorkingText([0, 1, 2])
+    def test_rename_reads_a_compact_text(self):
+        t = text_of([0, 1, 2], 4)
         t.replace_spans(np.array([0]), np.array([3]), kept_outside(3, [0], [2]))
         with pytest.raises(StaleTextError):
-            t._remap_live(np.arange(10, 14))
+            rename_dense(t)
         t.compact()
-        t._remap_live(np.arange(10, 14))
-        assert live_list(t) == [13, 12]
+        rename_dense(t)
+        assert live_list(t) == [0, 1]
+        assert t.alias.tolist() == [3, 2]
 
 
 class TestSpanChecks:
@@ -315,7 +328,7 @@ class TestSpanChecks:
         ],
     )
     def test_bad_positions_rejected_before_any_write(self, start, message):
-        t = WorkingText([1, 2, 3, 4, 4])
+        t = text_of([1, 2, 3, 4, 4], 10)
         with pytest.raises(ValueError, match=message):
             t.replace_spans([start], [9], kept_outside(5, [3], [2]))
         assert t.live().tolist() == [1, 2, 3, 4, 4]
@@ -331,13 +344,16 @@ class TestSpanChecks:
             ([0, 1, 2, 3], [0, 0], [2, 2], [8, 9], [3], "given twice"),
             ([0, 1, 2, 3], [0], [2], [8], [3], "lies in no span"),
             ([0, 1, 2, 3], [2], [2], [8], [0], "lies in no span"),  # a leading drop run
-            ([0, 1, 2], [0], [2], [-5], [], "non-negative"),  # a negative fresh symbol
+            ([0, 1, 2], [0], [2], [-5], [], "outside the working alphabet"),  # negative
+            ([0, 1, 2], [0], [2], [10], [], "outside the working alphabet"),  # fresh == width
+            ([0, 1, 2], [0], [2], [1.5], [], "must be integers"),  # truncated to 1 before
+            ([0, 1, 2], [0], [2], [True], [], "must be integers"),  # read as 1 before
         ],
     )
     def test_bad_replacement_rejected_before_any_write(
         self, symbols, starts, lengths, fresh, also_dropped, message
     ):
-        t = WorkingText(symbols)
+        t = text_of(symbols, 10)
         kept = kept_outside(len(symbols), starts, lengths)
         kept[also_dropped] = False
         epoch = t.epoch
@@ -346,19 +362,20 @@ class TestSpanChecks:
         assert t.live().tolist() == symbols
         assert len(t) == len(symbols)
         assert t.epoch == epoch
+        assert t.width == 10
 
     @pytest.mark.parametrize(
         "starts,fresh,kept,message",
         [
             ([0, 2], [8], [True, False, True, False, True], "one entry per span"),
             ([0], [8, 9], [True, False, True, False, True], "one entry per span"),
-            ([0, 2], 8, [True, False, True, False, True], "one entry per span"),
+            ([0, 2], 8, [True, False, True, False, True], "must be a sequence"),
             ([0], [8], [True, False, True, True], "one bool per cell"),
             ([0], [8], [1, 0, 1, 1, 1], "one bool per cell"),
         ],
     )
     def test_one_entry_per_span_and_one_mask_cell_per_cell(self, starts, fresh, kept, message):
-        t = WorkingText([0, 1, 2, 3, 4])
+        t = text_of([0, 1, 2, 3, 4], 10)
         with pytest.raises(ValueError, match=message):
             t.replace_spans(starts, fresh, kept)
         assert t.live().tolist() == [0, 1, 2, 3, 4]

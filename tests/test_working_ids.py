@@ -5,7 +5,8 @@ order of first occurrence, with every other alias dropped, so
 ``text.width == k``: the first phase as ``ingest`` numbers the input,
 each later one as the rename that ends the phase before it leaves the
 text.  The block and pair stages of that phase then mint their symbols
-from ``k`` up.  Spies on the driver's stage functions check this at every
+from ``k`` up, and after every stage and rename each cell still lies in
+``[0, width)``.  Spies on the driver's stage functions check this at every
 phase of the golden-corpus inputs and of seeded inputs, in both modes.
 """
 
@@ -45,10 +46,14 @@ def test_phases_start_numbered_from_zero_and_stages_mint_from_k(monkeypatch, mod
         phase["phases"] += 1
         return run_phase(text, *args)
 
+    def in_alphabet(text):
+        assert 0 <= text.cells.min() and text.cells.max() < text.width
+
     def spy_rename(text):
-        canonical = text.canonical(text.live())
+        canonical = text.alias[text.live()]
         rename(text)
-        assert np.array_equal(text.canonical(text.live()), canonical)
+        assert np.array_equal(text.alias[text.live()], canonical)
+        in_alphabet(text)
         phase["renames"] += 1
 
     def minting(stage):
@@ -60,6 +65,7 @@ def test_phases_start_numbered_from_zero_and_stages_mint_from_k(monkeypatch, mod
             minted = set(live_list(text)) - old
             assert all(phase["k"] <= w < text.width for w in minted)
             assert text.width - start == len(out.symbols)
+            in_alphabet(text)
             return out
 
         return spy

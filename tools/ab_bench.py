@@ -79,20 +79,21 @@ def summarize(parent: list[float], change: list[float], better: str) -> str:
 
 
 def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", default="HEAD", help="commit to compare against")
     parser.add_argument("--dir", type=Path, required=True,
                         help="empty directory to export the parent commit into")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workload", action="append",
+    parser.add_argument("--workload", action="append", choices=names,
                         help="workload to run (repeatable); default: all of BENCHMARK.json")
     parser.add_argument("--seed", type=int, default=88)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     args = parser.parse_args(argv)
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["per_layer" if args.trace else "end_to_end"]}
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    workloads = args.workload or names
     trees = {"parent": export_parent(args.parent, args.dir), "change": ROOT}
     runs: dict[str, dict[str, list[dict]]] = {w: {"parent": [], "change": []} for w in workloads}
     for i in range(args.pairs):
