@@ -16,7 +16,6 @@ from .grammar import (
     load,
     prune_unreachable,
     serialize,
-    validate,
 )
 from .text import WorkingText
 
@@ -38,5 +37,4 @@ __all__ = [
     "rename_dense",
     "run_phase",
     "serialize",
-    "validate",
 ]

@@ -150,8 +150,5 @@ def rename_dense(text: WorkingText) -> None:
     ids that no longer occur are dropped, so ``text.width`` becomes ``k``.
     Runs in time linear in the text length plus the old width.
     """
-    live = text.live()
-    if len(live) == 0:
-        return
-    lut, old_ids = _first_occurrence_ids(live, text.width)
+    lut, old_ids = _first_occurrence_ids(text.live(), text.width)
     text._rename(lut, old_ids)

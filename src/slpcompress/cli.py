@@ -130,11 +130,14 @@ def cmd_stats(args) -> int:
     except (OSError, gr.GrammarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    length, depth = gr.expansion_and_depth(slp)
+    try:
+        length = 0 if slp.start is None else int(gr.symbol_lengths(slp)[slp.start])
+    except gr.ExpansionOverflow:
+        length = ">=2^63"
     print(f"rules {len(slp.counts)}")
     print(f"size {slp.size}")
-    print(f"depth {depth}")
-    print(f"expansion {'>=2^63' if length is None else length}")
+    print(f"depth {gr.grammar_depth(slp)}")
+    print(f"expansion {length}")
     print(f"bytes {on_disk}")
     return EXIT_OK
 

@@ -28,7 +28,6 @@ parsing them with one ``np.fromstring`` call.
 from __future__ import annotations
 
 import copy
-import itertools
 import numbers
 import operator
 
@@ -65,17 +64,20 @@ class ExpansionOverflow(GrammarError):
 class Slp:
     """A straight-line program over byte or token terminals, valid by construction.
 
-    ``start`` is a symbol id, or ``None`` for the reserved empty-string
-    grammar.  Each way in checks what it adds, once, and raises
-    ``GrammarError``: the constructor and ``from_arrays`` check the
-    terminals, ``emit_rules`` (which they and ``emit_*`` use) the new
-    bodies, ``rules[i] = body`` the one body and ``start =`` the symbol;
-    ``prefix`` copies rules that are checked already.
-    The kind and terminals are read-only, and the arrays read-only views, so
-    nothing else changes them.  ``validate`` checks the 63-bit length bound.
+    ``Slp(kind, terminals)`` is the empty grammar that rules are emitted
+    into, with no start.  Bodies come in through ``from_arrays`` and
+    ``emit_*``, and the start through ``from_arrays`` or ``start =``: a
+    symbol id, or ``None`` for the reserved empty-string grammar.  Each way
+    in checks what it adds, once, and raises ``GrammarError``: the
+    constructor (which ``from_arrays`` uses) the terminals, ``emit_rules``
+    (which ``from_arrays`` and ``emit_*`` use) the new bodies, ``rules[i] =
+    body`` the one body and ``start =`` the symbol; ``prefix`` copies rules
+    that are checked already.  The kind and terminals are read-only, and the
+    arrays read-only views, so nothing else changes them.
+    ``symbol_lengths`` checks the 63-bit length bound.
     """
 
-    def __init__(self, kind: str, terminals, rules=None, start: int | None = None):
+    def __init__(self, kind: str, terminals):
         if kind not in ("bytes", "tokens"):
             raise GrammarError(f"unknown terminal kind {kind!r}")
         self._kind = kind
@@ -85,13 +87,7 @@ class Slp:
         self._counts = np.empty(0, dtype=np.int64)
         self._flat = np.empty(0, dtype=np.int64)
         self._offsets = None  # cache of ``offsets``, dropped on append
-        if rules:
-            try:
-                bodies = [tuple(body) for body in rules]
-            except TypeError:
-                raise GrammarError("rules must be a sequence of symbol sequences") from None
-            self.emit_rules(list(map(len, bodies)), list(itertools.chain.from_iterable(bodies)))
-        self.start = start
+        self._start = None
 
     @classmethod
     def from_arrays(cls, kind: str, terminals, counts, flat, start: int | None = None) -> Slp:
@@ -312,11 +308,6 @@ def _ranges(slp: Slp) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
     ]
 
 
-def validate(slp: Slp) -> None:
-    """Raise ``ExpansionOverflow`` unless all lengths fit 63 bits; all else is checked on entry."""
-    symbol_lengths(slp)
-
-
 def _check_symbol(slp: Slp, symbol, what: str) -> None:
     """Raise unless ``symbol`` is ``None`` or a symbol id of ``slp``.
 
@@ -340,25 +331,21 @@ def symbol_lengths(slp: Slp, starts: list | None = None) -> np.ndarray:
     sigma = slp.terminal_count
     lengths = np.ones(slp.symbol_count, dtype=np.int64)
     for s, e, children, firsts in _ranges(slp):
-        lengths[sigma + s : sigma + e] = _body_lengths(slp, s, lengths[children], firsts)
+        child = lengths[children]
+        if int(child.max()) * len(child) > MAX_EXPANSION:
+            # int64 sums may wrap here: a float sum finds every body that
+            # may reach 2**62, and Python ints sum those exactly.
+            ends = np.append(firsts[1:], len(child))
+            near = np.add.reduceat(child.astype(np.float64), firsts) >= 2.0**62
+            for j in np.flatnonzero(near).tolist():
+                if sum(child[firsts[j] : ends[j]].tolist()) > MAX_EXPANSION:
+                    raise ExpansionOverflow(
+                        f"rule {sigma + s + j} expands to more than 2**63-1 symbols"
+                    )
+        lengths[sigma + s : sigma + e] = np.add.reduceat(child, firsts)
         if starts is not None:
             starts.append(s)
     return lengths
-
-
-def _body_lengths(slp: Slp, s: int, child: np.ndarray, firsts: np.ndarray) -> np.ndarray:
-    """Sum the child lengths of each body in the range from rule ``s``; raises on overflow."""
-    if int(child.max()) * len(child) > MAX_EXPANSION:
-        # int64 sums may wrap here: a float sum finds every body that
-        # may reach 2**62, and Python ints sum those exactly.
-        ends = np.append(firsts[1:], len(child))
-        near = np.add.reduceat(child.astype(np.float64), firsts) >= 2.0**62
-        for j in np.flatnonzero(near).tolist():
-            if sum(child[firsts[j] : ends[j]].tolist()) > MAX_EXPANSION:
-                raise ExpansionOverflow(
-                    f"rule {slp.terminal_count + s + j} expands to more than 2**63-1 symbols"
-                )
-    return np.add.reduceat(child, firsts)
 
 
 def expand_ids(slp: Slp, symbol: int | None = None) -> np.ndarray:
@@ -509,29 +496,17 @@ def expand(slp: Slp, symbol: int | None = None):
 
 
 def grammar_depth(slp: Slp) -> int:
-    """Longest rule chain from the start symbol (terminals have depth 0)."""
-    return expansion_and_depth(slp)[1]
+    """Longest rule chain from the start symbol (terminals have depth 0).
 
-
-def expansion_and_depth(slp: Slp) -> tuple[int | None, int]:
-    """The start symbol's expansion length and ``grammar_depth``, in one walk.
-
-    The length is ``None`` where ``symbol_lengths`` would raise
-    ``ExpansionOverflow``; the depth is computed either way.
+    One ``np.maximum.reduceat`` pass per range of ``_ranges``, bottom up.
     """
     if slp.start is None:
-        return 0, 0
+        return 0
     sigma = slp.terminal_count
-    lengths = np.ones(slp.symbol_count, dtype=np.int64)
     depth = np.zeros(slp.symbol_count, dtype=np.int64)
     for s, e, children, firsts in _ranges(slp):
         depth[sigma + s : sigma + e] = 1 + np.maximum.reduceat(depth[children], firsts)
-        if lengths is not None:
-            try:
-                lengths[sigma + s : sigma + e] = _body_lengths(slp, s, lengths[children], firsts)
-            except ExpansionOverflow:
-                lengths = None
-    return None if lengths is None else int(lengths[slp.start]), int(depth[slp.start])
+    return int(depth[slp.start])
 
 
 def prune_unreachable(slp: Slp) -> Slp:

@@ -89,8 +89,14 @@ class WorkingText:
         return len(self.alias)
 
     def mint(self, canonical_ids) -> np.ndarray:
-        """Fresh working ids, from ``width`` up, aliased to the given canonical ids."""
-        canonical_ids = np.asarray(canonical_ids, dtype=np.int64)
+        """Fresh working ids, from ``width`` up, aliased to the given canonical ids.
+
+        Ids that are not integers of at least 0 raise ``ValueError`` before
+        the alias changes.
+        """
+        canonical_ids = as_int64(canonical_ids, "canonical ids", ValueError)
+        if canonical_ids.min(initial=0) < 0:
+            raise ValueError("canonical ids must be non-negative")
         start = len(self.alias)
         self.alias = np.concatenate([self.alias, canonical_ids])
         return np.arange(start, len(self.alias), dtype=np.int64)

@@ -589,6 +589,12 @@ def powers_of_two(extra_terminals=0) -> Slp:
     return slp
 
 
+def slp_of(kind: str, terminals, rules=(), start=None) -> Slp:
+    """The grammar of a list of rule bodies, built through ``Slp.from_arrays``."""
+    flat = [s for body in rules for s in body]
+    return Slp.from_arrays(kind, terminals, [len(body) for body in rules], flat, start)
+
+
 def bodies(slp: Slp) -> list[tuple[int, ...]]:
     """Every rule body of ``slp`` as a tuple, read from ``counts`` and ``flat``."""
     ends = np.cumsum(slp.counts).tolist()
@@ -783,7 +789,7 @@ def reference_prune_unreachable(slp: Slp) -> Slp:
                     if s >= sigma:
                         keep[s - sigma] = True
     if keep.all():
-        return Slp(slp.kind, slp.terminals, rules, slp.start)
+        return slp_of(slp.kind, slp.terminals, rules, slp.start)
     new_id = np.full(slp.symbol_count, -1, dtype=np.int64)
     new_id[:sigma] = np.arange(sigma)
     next_id = sigma
@@ -797,7 +803,7 @@ def reference_prune_unreachable(slp: Slp) -> Slp:
         if keep[i]
     ]
     start = None if slp.start is None else int(new_id[slp.start])
-    return Slp(slp.kind, slp.terminals, kept, start)
+    return slp_of(slp.kind, slp.terminals, kept, start)
 
 
 def reference_serialize(slp: Slp) -> str:
@@ -897,7 +903,7 @@ def reference_deserialize(data: str) -> Slp:
     counts = [len(body) for body in rules]
     flat = [s for body in rules for s in body]
     reference_check_structure(kind, terminals, counts, flat, start)
-    return Slp(kind, terminals, rules, start)
+    return slp_of(kind, terminals, rules, start)
 
 
 def reference_first_occurrence_ids(arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -971,14 +977,14 @@ def reference_compress_improved(data, kind: str | None = None) -> CompressionRes
 
 
 def reference_stats_lines(slp: Slp) -> list[str]:
-    """The lines CLI ``stats`` printed before ``bytes``, from separate scalar walks.
+    """The lines CLI ``stats`` prints before ``bytes``, from the scalar walks.
 
-    Length comes from ``symbol_lengths``' table and depth from the scalar
-    ``reference_grammar_depth``, not from the single ``expansion_and_depth``
-    walk that CLI ``stats`` runs.
+    Length comes from ``reference_symbol_lengths`` and depth from
+    ``reference_grammar_depth``, not from the vector range walks
+    (``symbol_lengths`` and ``grammar_depth``) that CLI ``stats`` runs.
     """
     try:
-        length = str(0 if slp.start is None else symbol_lengths(slp)[slp.start])
+        length = str(0 if slp.start is None else reference_symbol_lengths(slp)[slp.start])
     except ExpansionOverflow:
         length = ">=2^63"
     return [
@@ -1011,10 +1017,8 @@ def reference_rename_dense(text: WorkingText) -> None:
     length plus the width of the working alphabet.
     """
     live = text.live()
-    if len(live) == 0:
-        return
     width = text.width
-    if live.min() < 0 or live.max() >= width:
+    if len(live) and (live.min() < 0 or live.max() >= width):
         raise ValueError("text symbol outside the working alphabet")
     first_pos = np.full(width, -1, dtype=np.int64)
     first_pos[live[::-1]] = np.arange(len(live) - 1, -1, -1, dtype=np.int64)

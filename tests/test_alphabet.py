@@ -256,7 +256,7 @@ class TestRenameDense:
         text = _text_over([], [0, 1])
         rename_dense(text)
         assert live_list(text) == []
-        assert text.width == 2
+        assert text.width == 0
 
     def test_idempotent(self):
         text = _text_over([3, 1, 3, 0], list(range(4)))
@@ -311,7 +311,7 @@ class TestRenameDense:
             reference_rename_dense(want)
             assert np.array_equal(got.cells, want.cells)
             assert np.array_equal(got.alias, want.alias)
-            assert got.width == (len(set(syms.tolist())) if len(syms) else width)
+            assert got.width == len(set(syms.tolist()))
 
 
 class TestWorkingAlphabet:
@@ -339,6 +339,23 @@ class TestWorkingAlphabet:
         assert canonical_of(text, 4) == 11
         seen = {canonical_of(text, w) for w in range(text.width)}
         assert len(seen) == text.width == 5
+
+    @pytest.mark.parametrize(
+        "canonical_ids,message",
+        [
+            ([1.5], "must be integers, not float"),  # aliased as 1 before
+            ([True], "must be integers, not bool"),  # aliased as 1 before
+            ([-3], "non-negative"),  # aliased as -3 before
+            (np.array([2.5]), "must be integers, not float64"),
+            (np.array([4, -1]), "non-negative"),
+        ],
+    )
+    def test_mint_refuses_what_is_not_a_canonical_id(self, canonical_ids, message):
+        text = WorkingText([0, 1])
+        with pytest.raises(ValueError, match=message):
+            text.mint(canonical_ids)
+        assert text.width == 2
+        assert text.alias.tolist() == [0, 1]
 
     @pytest.mark.parametrize(
         "symbols,message",

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import test_golden
-from helpers import bodies, powers_of_two, reference_parse_tokens, reference_stats_lines
+from helpers import bodies, powers_of_two, reference_parse_tokens, reference_stats_lines, slp_of
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -143,7 +143,7 @@ class TestCompressDecompressVerify:
         src = make("in.txt", content)
         assert main(["compress", src, str(tmp / "o.slp"), "--input", "tokens"]) == 2
         assert capsys.readouterr().err.strip() == message
-        dump(Slp("tokens", [12], rules=[(0, 0)], start=1), tmp / "g.slp")
+        dump(slp_of("tokens", [12], rules=[(0, 0)], start=1), tmp / "g.slp")
         assert main(["verify", str(tmp / "g.slp"), src]) == 2
         assert capsys.readouterr().err.strip() == message
 
@@ -458,8 +458,8 @@ class TestStats:
         assert ">=2^63" in capsys.readouterr().out
 
     def test_one_walk_matches_two_walks(self, files, capsys):
-        # Expansion and depth come from one level walk; the output is the
-        # one that separate length and depth walks give.
+        # Expansion and depth come from the vector range walks; the output
+        # is the one that the scalar length and depth walks give.
         make, tmp = files
         grammars = [
             compress(getattr(test_golden, gen)(seed), mode=mode).slp
@@ -473,7 +473,7 @@ class TestStats:
         unreachable_overflow.start = 5
         grammars += [
             powers_of_two(), powers_of_two(extra_terminals=1), doubling, unreachable_overflow,
-            Slp("bytes", []), Slp("bytes", [97, 98], [(0, 1)], start=1),
+            Slp("bytes", []), slp_of("bytes", [97, 98], [(0, 1)], start=1),
         ]
         for i, slp in enumerate(grammars):
             gpath = tmp / f"g{i}.slp"

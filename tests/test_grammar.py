@@ -17,6 +17,7 @@ from helpers import (
     reference_prune_unreachable,
     reference_serialize,
     reference_symbol_lengths,
+    slp_of,
 )
 
 from slpcompress import driver, grammar
@@ -31,13 +32,11 @@ from slpcompress.grammar import (
     deserialize,
     expand,
     expand_ids,
-    expansion_and_depth,
     format_tokens,
     grammar_depth,
     prune_unreachable,
     serialize,
     symbol_lengths,
-    validate,
 )
 from slpcompress.text import concat_ranges
 
@@ -168,7 +167,7 @@ class TestEmitRule:
         rng = random.Random(99)
         for _ in range(200):
             slp = random_slp(rng, max_rules=50)
-            validate(slp)
+            symbol_lengths(slp)
 
 
 @pytest.mark.parametrize(
@@ -179,7 +178,7 @@ class TestNonIntegerBodySymbols:
 
     def test_constructor(self, body):
         with pytest.raises(GrammarError, match="must be integers"):
-            Slp("bytes", [97, 98], [(0, 1), body])
+            slp_of("bytes", [97, 98], [(0, 1), body])
 
     def test_from_arrays(self, body):
         with pytest.raises(GrammarError, match="must be integers"):
@@ -204,7 +203,7 @@ class TestNonIntegerBodySymbols:
         assert slp.size == 0
 
     def test_rule_write(self, body):
-        slp = Slp("bytes", [97, 98], [(0, 1)], start=2)
+        slp = slp_of("bytes", [97, 98], [(0, 1)], start=2)
         with pytest.raises(GrammarError, match="must be integers"):
             slp.rules[0] = body
         assert bodies(slp) == [(0, 1)]
@@ -234,10 +233,10 @@ class TestBodySymbolValues:
     @pytest.mark.parametrize("body", [(0, True), (False, 1), (0, np.True_)], ids=["True", "False", "np.True_"])
     def test_bools_among_ints(self, body):
         with pytest.raises(GrammarError, match="must be integers, not bool"):
-            Slp("bytes", [97, 98], [body])
+            slp_of("bytes", [97, 98], [body])
         with pytest.raises(GrammarError, match="must be integers, not bool"):
             Slp.from_arrays("bytes", [97, 98], [2], list(body))
-        slp = Slp("bytes", [97, 98], [(0, 1)], start=2)
+        slp = slp_of("bytes", [97, 98], [(0, 1)], start=2)
         with pytest.raises(GrammarError, match="must be integers, not bool"):
             slp.emit_rule(body)
         with pytest.raises(GrammarError, match="must be integers, not bool"):
@@ -249,7 +248,7 @@ class TestBodySymbolValues:
         # numpy stores these lists as float64, uint64 or object arrays.
         for body in [(value,), (0, value), (value, 0)]:
             with pytest.raises(GrammarError, match=f"must fit in int64, not {value}$"):
-                Slp("bytes", [97], [body])
+                slp_of("bytes", [97], [body])
             with pytest.raises(GrammarError, match=f"must fit in int64, not {value}$"):
                 Slp("bytes", [97]).emit_rules([len(body)], list(body))
 
@@ -266,7 +265,7 @@ class TestBodySymbolValues:
                 Slp("bytes", [97]).emit_rule([0, value])
 
     def test_numpy_integers_accepted(self):
-        slp = Slp("bytes", [97], [(np.int64(0), np.uint8(0))], start=np.int32(1))
+        slp = slp_of("bytes", [97], [(np.int64(0), np.uint8(0))], start=np.int32(1))
         assert bodies(slp) == [(0, 0)]
         slp.emit_rules(np.array([1], dtype=np.uint16), np.array([1], dtype=np.uint64))
         assert bodies(slp) == [(0, 0), (1,)]
@@ -284,7 +283,7 @@ class TestExpand:
         assert expand(slp) == b"a" * 12
 
     def test_terminal_start(self):
-        slp = Slp("bytes", [ord("x")], start=0)
+        slp = slp_of("bytes", [ord("x")], start=0)
         assert expand(slp) == b"x"
 
     def test_empty_start(self):
@@ -326,13 +325,13 @@ class TestExpand:
 
     def test_empty_body_from_unchecked_constructor(self):
         with pytest.raises(GrammarError, match="rule 1 has an empty body"):
-            Slp("bytes", [97], rules=[(), (0, 1, 0)], start=2)
+            slp_of("bytes", [97], rules=[(), (0, 1, 0)], start=2)
 
     @pytest.mark.parametrize("symbol", [-1, -2, 4])
     def test_symbol_out_of_range(self, symbol):
         # Without a range check, -2 read as rule r (b"aa"), -1 as raw heap
         # words and 4 as a bare IndexError.
-        slp = Slp("bytes", [ord("a"), ord("b")], rules=[(0, 1), (2, 2, 2)], start=3)
+        slp = slp_of("bytes", [ord("a"), ord("b")], rules=[(0, 1), (2, 2, 2)], start=3)
         assert slp.symbol_count == 4
         with pytest.raises(GrammarError, match=f"symbol {symbol} outside"):
             expand(slp, symbol)
@@ -340,18 +339,16 @@ class TestExpand:
             expand_ids(slp, symbol)
 
     @pytest.mark.parametrize("start", [-1, 4, 1.0, True], ids=["-1", "symbol_count", "float", "bool"])
-    @pytest.mark.parametrize("way_in", ["constructor", "from_arrays", "assignment"])
+    @pytest.mark.parametrize("way_in", ["from_arrays", "assignment"])
     def test_unchecked_start_out_of_range(self, way_in, start):
         # A negative start would read the last symbol, and ``serialize`` would
         # write a start that ``load`` refuses.
         terminals, rules = [ord("a"), ord("b")], [(0, 1), (2, 2, 2)]
-        slp = Slp("bytes", terminals, rules, start=3)
+        slp = slp_of("bytes", terminals, rules, start=3)
         integer = not isinstance(start, (bool, float))
         message = f"symbol {start} outside" if integer else "must be an integer"
         with pytest.raises(GrammarError, match=message):
-            if way_in == "constructor":
-                Slp("bytes", terminals, rules, start=start)
-            elif way_in == "from_arrays":
+            if way_in == "from_arrays":
                 Slp.from_arrays("bytes", terminals, slp.counts, slp.flat, start)
             else:
                 slp.start = start
@@ -374,7 +371,7 @@ class TestExpand:
         [[42, 7], np.array([42, 7], dtype=np.uint32), [np.int64(42), np.uint8(7)]],
     )
     def test_tokens_are_python_ints(self, terminals):
-        slp = Slp("tokens", terminals, rules=[(0, 1, 0)], start=2)
+        slp = slp_of("tokens", terminals, rules=[(0, 1, 0)], start=2)
         got = expand(slp)
         assert got == [42, 7, 42]
         assert all(type(v) is int for v in got)
@@ -553,15 +550,15 @@ class TestValidate:
     def test_valid(self):
         slp = Slp("bytes", [1, 2])
         slp.start = slp.emit_rule([0, 1])
-        validate(slp)
+        symbol_lengths(slp)
 
     def test_cycle_via_constructor(self):
         with pytest.raises(GrammarError):
-            Slp("bytes", [1], rules=[(1,)], start=1)
+            slp_of("bytes", [1], rules=[(1,)], start=1)
 
     def test_bad_start(self):
         with pytest.raises(GrammarError):
-            Slp("bytes", [1], rules=[(0, 0)], start=9)
+            slp_of("bytes", [1], rules=[(0, 0)], start=9)
 
     @pytest.mark.parametrize(
         "start", [1.0, 1.5, True, np.float64(1.0), "1"], ids=["float", "1.5", "bool", "np-float", "str"]
@@ -569,8 +566,8 @@ class TestValidate:
     def test_non_integer_start_rejected(self, start):
         # serialize would write "start 1.0" or "start True", which load refuses.
         with pytest.raises(GrammarError, match="start symbol must be an integer"):
-            Slp("bytes", [97], rules=[(0, 0)], start=start)
-        slp = Slp("bytes", [97], rules=[(0, 0)], start=1)
+            slp_of("bytes", [97], rules=[(0, 0)], start=start)
+        slp = slp_of("bytes", [97], rules=[(0, 0)], start=1)
         with pytest.raises(GrammarError, match="start symbol must be an integer"):
             slp.start = start
         with pytest.raises(GrammarError, match="symbol must be an integer"):
@@ -578,20 +575,20 @@ class TestValidate:
 
     @pytest.mark.parametrize("symbol", [1.0, False, np.float64(0.0)], ids=["float", "bool", "np-float"])
     def test_non_integer_symbol_rejected(self, symbol):
-        slp = Slp("bytes", [97], rules=[(0, 0)], start=1)
+        slp = slp_of("bytes", [97], rules=[(0, 0)], start=1)
         with pytest.raises(GrammarError, match="symbol must be an integer"):
             expand_ids(slp, symbol)
 
     @pytest.mark.parametrize("start", [np.int64(1), np.uint8(1)])
     def test_numpy_integer_start_accepted(self, start):
-        slp = Slp("bytes", [97], rules=[(0, 0)], start=start)
-        validate(slp)
+        slp = slp_of("bytes", [97], rules=[(0, 0)], start=start)
+        symbol_lengths(slp)
         assert expand(slp) == b"aa"
         assert deserialize(serialize(slp)) == slp
 
     def test_byte_terminal_range(self):
         with pytest.raises(GrammarError):
-            Slp("bytes", [999], rules=[], start=0)
+            slp_of("bytes", [999], rules=[], start=0)
 
     def test_length_table(self):
         slp = Slp("bytes", [1, 2])
@@ -624,10 +621,10 @@ class TestPrune:
             pruned = prune_unreachable(slp)
             assert expand(pruned) == expand(slp)
             assert pruned.size <= slp.size
-            validate(pruned)
+            symbol_lengths(pruned)
 
     def test_empty_start(self):
-        slp = Slp("bytes", [1], rules=[(0, 0)], start=None)
+        slp = slp_of("bytes", [1], rules=[(0, 0)], start=None)
         pruned = prune_unreachable(slp)
         assert bodies(pruned) == []
         assert pruned.start is None
@@ -751,7 +748,7 @@ class TestStatsHelpers:
         slp = Slp("bytes", [97])
         a2 = slp.emit_rule([0, 0])
         slp.start = slp.emit_rule([a2, a2, 0])
-        assert expansion_and_depth(slp) == (5, 2)
+        assert (symbol_lengths(slp)[slp.start], grammar_depth(slp)) == (5, 2)
 
 
 def golden_grammars():
@@ -770,8 +767,6 @@ def assert_matches_scalar_oracles(slp):
     lengths = reference_symbol_lengths(slp)
     assert symbol_lengths(slp).tolist() == lengths
     assert grammar_depth(slp) == reference_grammar_depth(slp)
-    length = 0 if slp.start is None else lengths[slp.start]
-    assert expansion_and_depth(slp) == (length, reference_grammar_depth(slp))
     pruned = prune_unreachable(slp)
     assert pruned == reference_prune_unreachable(slp)
     assert serialize(pruned) == reference_serialize(pruned)
@@ -843,7 +838,7 @@ def renumbered(slp, rng):
             waiting[p] -= 1
             if waiting[p] == 0:
                 ready.append(p)
-    out = Slp(slp.kind, slp.terminals, [tuple(new_id[s] for s in rules[i]) for i in order])
+    out = slp_of(slp.kind, slp.terminals, [tuple(new_id[s] for s in rules[i]) for i in order])
     out.start = None if slp.start is None else new_id[slp.start]
     return out
 
@@ -870,9 +865,8 @@ def assert_walk_matches_scalar_oracles(slp):
         lengths = None
     else:
         assert symbol_lengths(slp).tolist() == lengths
-    depth = reference_grammar_depth(slp)
+    assert grammar_depth(slp) == reference_grammar_depth(slp)
     length = None if lengths is None else 0 if slp.start is None else lengths[slp.start]
-    assert expansion_and_depth(slp) == (length, depth)
     assert prune_unreachable(slp) == reference_prune_unreachable(slp)
     if length is not None and length <= 10**5:
         assert expand_ids(slp).tolist() == reference_expand_ids(slp).tolist()
@@ -909,7 +903,7 @@ class TestRangeWalkMatchesScalarOracles:
 
     @pytest.mark.parametrize("terminals,start", [([], None), ([97], None), ([97, 98], 1)])
     def test_grammars_without_rules(self, terminals, start):
-        slp = Slp("bytes", terminals, start=start)
+        slp = slp_of("bytes", terminals, start=start)
         assert grammar._ranges(slp) == []
         assert_walk_matches_scalar_oracles(slp)
 
@@ -932,15 +926,14 @@ class TestRangeWalkMatchesScalarOracles:
 class TestExpansionCeiling:
     def test_exactly_the_ceiling_loads(self):
         slp = deserialize(serialize(powers_of_two()))
-        validate(slp)
-        assert expansion_and_depth(slp)[0] == MAX_EXPANSION == 2**63 - 1
+        assert symbol_lengths(slp)[slp.start] == MAX_EXPANSION == 2**63 - 1
 
     def test_one_past_the_ceiling_overflows(self):
         slp = powers_of_two(extra_terminals=1)
         with pytest.raises(ExpansionOverflow):
             symbol_lengths(slp)
         with pytest.raises(ExpansionOverflow):
-            validate(deserialize(serialize(slp)))
+            symbol_lengths(deserialize(serialize(slp)))
 
     def test_wrapping_sums_are_caught(self):
         # Five children of 2**62 each wrap an int64 sum to 2**62.
@@ -954,13 +947,13 @@ class TestTerminalCeiling:
     @pytest.mark.parametrize("value", [TOKEN_VALUE_CEILING + 1, 10**22, -1, -(10**22)])
     def test_token_terminal_out_of_range(self, value):
         with pytest.raises(GrammarError, match=f"token terminal {value} outside"):
-            validate(Slp("tokens", [5, value], rules=[(0, 1)], start=2))
+            slp_of("tokens", [5, value], rules=[(0, 1)], start=2)
         # A float beside it does not change the message.
         with pytest.raises(GrammarError, match=f"token terminal {value} outside"):
-            validate(Slp("tokens", [5, 1.5, value], rules=[(0, 1)], start=3))
+            slp_of("tokens", [5, 1.5, value], rules=[(0, 1)], start=3)
 
     def test_token_terminal_at_ceiling(self):
-        validate(Slp("tokens", [0, TOKEN_VALUE_CEILING], rules=[(0, 1)], start=2))
+        symbol_lengths(slp_of("tokens", [0, TOKEN_VALUE_CEILING], rules=[(0, 1)], start=2))
 
     @pytest.mark.parametrize(
         "kind,terminals",
@@ -977,7 +970,7 @@ class TestTerminalCeiling:
     def test_non_integer_terminals_rejected(self, kind, terminals):
         # serialize would write them as truncated integers.
         with pytest.raises(GrammarError, match="must be integers"):
-            Slp(kind, terminals, rules=[(0, 0)], start=len(terminals))
+            slp_of(kind, terminals, rules=[(0, 0)], start=len(terminals))
         with pytest.raises(GrammarError, match="must be integers"):
             Slp.from_arrays(kind, terminals, [2], [0, 0], len(terminals))
 
@@ -986,7 +979,7 @@ class TestTerminalCeiling:
     def test_bool_terminals_among_ints_rejected(self, kind, true):
         # numpy reads True as 1, so ``serialize`` would write "97 1".
         with pytest.raises(GrammarError, match=f"{kind[:-1]} terminals must be integers, not bool"):
-            Slp(kind, [97, true], [(0, 1)], start=2)
+            slp_of(kind, [97, true], [(0, 1)], start=2)
         with pytest.raises(GrammarError, match=f"{kind[:-1]} terminals must be integers, not bool"):
             Slp.from_arrays(kind, [97, true], [2], [0, 1], 2)
 
@@ -998,13 +991,8 @@ class TestTerminalCeiling:
         with pytest.raises(GrammarError, match=f"{kind[:-1]} terminals must be a sequence, not"):
             Slp.from_arrays(kind, terminals, [], [])
 
-    @pytest.mark.parametrize("rules", [5, [5], [(0,), 7]], ids=["int", "int-body", "int-among-bodies"])
-    def test_non_sequence_rules_rejected(self, rules):
-        with pytest.raises(GrammarError, match="rules must be a sequence of symbol sequences"):
-            Slp("bytes", [97], rules)
-
     def test_numpy_integer_terminals_accepted(self):
-        validate(Slp("tokens", np.array([3, 4], dtype=np.uint32), rules=[(0, 1)], start=2))
+        symbol_lengths(slp_of("tokens", np.array([3, 4], dtype=np.uint32), rules=[(0, 1)], start=2))
 
 
 class TestRuleView:
@@ -1082,9 +1070,9 @@ class TestCheckedOnce:
         assert calls == [len(slp.counts)]
         expand(loaded)
         expand_ids(loaded)
-        expansion_and_depth(loaded)
+        grammar_depth(loaded)
         serialize(loaded)
-        validate(loaded)
+        symbol_lengths(loaded)
         assert calls == [len(slp.counts)]
         assert prune_unreachable(loaded) is loaded  # every rule is reachable
         assert calls == [len(slp.counts)]
@@ -1122,8 +1110,14 @@ class TestCheckedOnce:
         assert body_checks == ([1] if text_length else [])
         assert slp is result.slp and expand(slp) == data
 
+    def test_constructor_builds_the_empty_grammar(self):
+        slp = Slp("tokens", [500, 7])
+        assert (len(slp.counts), slp.size, slp.start) == (0, 0, None)
+        with pytest.raises(TypeError):
+            Slp("tokens", [500, 7], [(0, 1)])  # bodies come in through from_arrays
+
     def test_prefix_is_a_copy_of_the_first_rules(self):
-        slp = Slp("tokens", [500, 7], [(0, 1), (2, 2), (3, 0)], start=4)
+        slp = slp_of("tokens", [500, 7], [(0, 1), (2, 2), (3, 0)], start=4)
         for k in range(4):
             prefix = slp.prefix(k)
             assert bodies(prefix) == bodies(slp)[:k]
@@ -1137,7 +1131,7 @@ class TestCheckedOnce:
                 slp.prefix(k)
 
     def test_views_are_read_only(self):
-        slp = Slp("bytes", [97, 98], [(0, 1), (2, 2)], start=3)
+        slp = slp_of("bytes", [97, 98], [(0, 1), (2, 2)], start=3)
         for view in (slp.flat, slp.counts, slp.offsets):
             with pytest.raises(ValueError, match="read-only"):
                 view[0] = 1

@@ -9,7 +9,8 @@ through ``Slp.counts`` and ``Slp.flat``, and ``Slp.rules`` is kept only for
 the benchmark's reads (``tests/test_trace_names.py``).  Only ``text.py``
 assigns to, or into, an attribute named ``cells``, ``alias`` or ``kept``,
 so the checks that keep every text symbol in its working alphabet sit in
-one module.
+one module.  Every public top-level function or class is used by the
+package or the benchmark, not by the tests alone.
 """
 
 import ast
@@ -19,7 +20,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 PROBE = """
 import json, pkgutil, sys
@@ -84,3 +86,41 @@ def text_state_writes(nodes):
 def test_only_the_text_module_writes_text_state():
     others = ((name, node) for name, node in package_nodes() if name != "text.py")
     assert list(text_state_writes(others)) == []
+
+
+def names_used(tree):
+    """Every name that ``tree`` reads, imports or spells as a string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value  # the benchmark wraps functions by name
+
+
+def test_every_public_definition_has_a_user_outside_the_tests():
+    # A user is the defining module beyond the definition, another package
+    # module (re-exports in ``__init__.py`` do not count) or the benchmark.
+    modules = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted((SRC / "slpcompress").glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    benchmark = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        benchmark.update(names_used(ast.parse(path.read_text())))
+    unused = []
+    for name, tree in modules.items():
+        used = set(benchmark)
+        for other, other_tree in modules.items():
+            if other != name:
+                used.update(names_used(other_tree))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                rest = ast.Module(body=[n for n in tree.body if n is not node], type_ignores=[])
+                if node.name not in used and node.name not in names_used(rest):
+                    unused.append(f"{name}:{node.name}")
+    assert unused == []
