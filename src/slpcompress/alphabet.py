@@ -111,7 +111,7 @@ def _value_ranks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     new = np.empty(len(ascending), dtype=bool)
     new[:1] = True
     np.not_equal(ascending[1:], ascending[:-1], out=new[1:])
-    distinct = ascending[new]
+    distinct = np.compress(new, ascending)
     sorted_ranks = np.cumsum(new, out=ascending)
     del new
     sorted_ranks -= 1
@@ -136,7 +136,7 @@ def _first_occurrence_ids(arr: np.ndarray, domain: int) -> tuple[np.ndarray, np.
     by_position = np.full(int(first_pos.max()) + 1 if len(occurring) else 0, -1, dtype=np.int64)
     by_position[first_pos[occurring]] = occurring
     del first_pos, occurring
-    values = by_position[by_position >= 0]
+    values = np.compress(by_position >= 0, by_position)
     lut = np.empty(domain, dtype=np.int64)
     lut[values] = np.arange(len(values), dtype=np.int64)
     return lut, values

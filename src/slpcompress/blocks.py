@@ -64,9 +64,9 @@ def scan_blocks(text: WorkingText) -> BlockScan:
     starts = np.flatnonzero(boundary)
     run_lengths = np.diff(np.append(starts, n))
     keep = run_lengths >= 2
-    letters = live[starts[keep]]
-    lengths = run_lengths[keep]
-    pos = starts[keep]
+    pos = np.compress(keep, starts)
+    letters = live[pos]
+    lengths = np.compress(keep, run_lengths)
     span = int(lengths.max()) + 1 if len(lengths) else 1
     order = radix_argsort(letters * span + lengths, text.width * span)
     return BlockScan(letters[order], lengths[order], pos[order], boundary, text.epoch)

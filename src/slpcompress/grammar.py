@@ -20,9 +20,11 @@ step per range: each range's bodies are one slice of ``flat``.
 
 In the ``SLP 1`` text format (see README), each rule is a line holding its
 count and then its body, as plain ASCII decimals separated by single
-spaces.  The rule lines and the terminal values are written by vector
-passes over one ``uint8`` buffer, and read back by checking its bytes and
-parsing them with one ``np.fromstring`` call.
+spaces.  The rule lines and the terminal values are written as one digit
+table, a row of digits per value filled a column at a time, whose padding
+one ``bytes.translate`` drops.  They are read back by checking the bytes
+with one ``bytes.translate`` and parsing them with one ``np.fromstring``
+call.
 """
 
 from __future__ import annotations
@@ -42,15 +44,10 @@ _BATCH = 1 << 15  # body symbols substituted per vector step of expand_ids
 # other occurrences, when the rule derives at least this many symbols.
 _COPY_MIN = 8
 _WINDOW = 64  # body cells _ranges searches at first for the end of a range
-# A numeral has at most this many digits, so every value parsed fits an
-# int64; no valid symbol id, count or terminal comes near 10**18.
+# A numeral the reader accepts has at most this many digits, so it fits an
+# int64; no valid symbol id, count or terminal comes near 10**18, and the
+# writer's digit table holds every value below it.
 _MAX_DIGITS = 18
-_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # 10 .. 10**18
-# Byte classes inside the numeral lines: 1 digit, 2 field end (space or
-# newline), 0 a byte the format never writes there.
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-_BYTE_CLASS[ord("0") : ord("9") + 1] = 1
-_BYTE_CLASS[[ord(" "), ord("\n")]] = 2
 
 
 class GrammarError(ValueError):
@@ -536,54 +533,55 @@ def prune_unreachable(slp: Slp) -> Slp:
     return Slp.from_arrays(slp.kind, slp.terminals, counts[keep], kept, start)
 
 
-def _decimal_widths(values: np.ndarray) -> np.ndarray:
-    """Digits in the decimal numeral of each non-negative value."""
-    return 1 + np.searchsorted(_POW10, values, side="right")
+def _digit_table(values: np.ndarray) -> np.ndarray:
+    """A ``uint8`` row per non-negative value: its decimal digits, right-aligned.
 
-
-def _write_digits(buf: np.ndarray, values: np.ndarray, ends: np.ndarray) -> None:
-    """Write each value's decimal digits into ``buf``, ending before ``ends[i]``.
-
-    One vector pass per digit position, least significant first.
+    The leading cells before the digits hold ``0`` bytes, and a last cell,
+    also ``0``, is left for a separator.  The table has one column per digit
+    of the largest value, filled by one scalar floor-divide per column, least
+    significant digit first, in ``uint32`` (which holds every id and token)
+    or else ``uint64``.
     """
-    pos = ends - 1
-    while len(values):
-        values, digit = np.divmod(values, 10)
-        buf[pos] = digit + ord("0")
-        more = values > 0
-        values, pos = values[more], pos[more] - 1
+    top = int(values.max()) if len(values) else 0
+    width = len(str(top))
+    rest = values.astype(np.uint32 if top <= np.iinfo(np.uint32).max else np.uint64)
+    table = np.zeros((len(values), width + 1), dtype=np.uint8)
+    alive = True  # the units digit is written for 0 too
+    for col in range(width - 1, -1, -1):
+        quot = rest // 10
+        table[:, col] = (rest - quot * 10 + ord("0")) * alive
+        rest, alive = quot, quot > 0
+    return table
 
 
 def _write_lines(values: np.ndarray, line_last: np.ndarray) -> bytes:
     """Numerals separated by spaces, with a newline after each ``line_last`` one."""
-    ends = np.cumsum(_decimal_widths(values) + 1) - 1  # separator positions
-    buf = np.full(int(ends[-1]) + 1 if len(ends) else 0, ord(" "), dtype=np.uint8)
-    _write_digits(buf, values, ends)
-    buf[ends[line_last]] = ord("\n")
-    return buf.tobytes()
+    table = _digit_table(values)
+    table[:, -1] = ord(" ")
+    table[line_last, -1] = ord("\n")
+    return table.tobytes().translate(None, b"\0")
 
 
-def _read_lines(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _read_lines(raw: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Parse whole lines of numerals; the inverse of ``_write_lines``.
 
-    ``buf`` is a non-empty, read-only ``uint8`` array ending in a newline.
-    Returns the values and, per line, the index of its last value.  Every
-    field is one or more ASCII digits without a leading zero, followed by
-    one space or newline.  The bytes are checked first, so the parser sees
-    only fields it reads exactly.
+    ``raw`` is non-empty and ends in a newline.  Returns the values and, per
+    line, the index of its last value.  Every field is one or more ASCII
+    digits without a leading zero, followed by one space or newline.  The
+    bytes are checked first, so the parser sees only fields it reads exactly.
     """
-    cls = _BYTE_CLASS[buf]
-    if not cls.all():
+    if raw.translate(None, b"0123456789 \n"):
         raise GrammarError("grammar text holds a character the format never writes")
-    ends = np.flatnonzero(cls == 2)
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf < ord("0"))
     width = np.diff(ends, prepend=-1) - 1
     if width.min() < 1:
         raise GrammarError("empty field: fields are separated by single spaces")
     if width.max() > _MAX_DIGITS:
         raise GrammarError(f"numeral of more than {_MAX_DIGITS} digits")
-    if (buf[ends - width] == ord("0"))[width > 1].any():
+    if ((buf[ends - width] == ord("0")) & (width > 1)).any():
         raise GrammarError("numeral with a leading zero")
-    values = np.fromstring(buf, dtype=np.int64, sep=" ")
+    values = np.fromstring(raw, dtype=np.int64, sep=" ")
     if len(values) != len(ends):
         raise GrammarError(f"grammar text parsed into {len(values)} numerals, not {len(ends)}")
     return values, np.flatnonzero(buf[ends] == ord("\n"))
@@ -624,7 +622,7 @@ def deserialize(data: str) -> Slp:
         raise GrammarError("grammar text holds a character the format never writes")
     if not data.endswith("\n"):
         raise GrammarError("grammar text does not end with a newline")
-    raw = np.frombuffer(data.encode("ascii"), dtype=np.uint8)
+    raw = data.encode("ascii")
     pos = 0
 
     def next_line(what: str) -> str:
@@ -669,7 +667,7 @@ def deserialize(data: str) -> Slp:
         raise GrammarError("rule body length prefix mismatch")
     in_body = np.ones(len(values), dtype=bool)
     in_body[count_at] = False
-    flat = values[in_body]
+    flat = np.compress(in_body, values)
     parts = data[last:-1].split(" ")
     if len(parts) != 2 or parts[0] != "start":
         raise GrammarError("bad start line")
@@ -680,21 +678,17 @@ def deserialize(data: str) -> Slp:
 def format_tokens(terminals, ids: np.ndarray) -> bytes:
     """The token text of ``terminals[ids]``: numerals joined by spaces, then LF.
 
-    Each distinct terminal is written once, right-aligned in a fixed-width
-    row of the codec's digit writer; the rows are gathered by id and the
-    padding dropped.  Empty ``ids`` give an empty text.
+    Each distinct terminal is written once, as a row of the codec's digit
+    table; the rows are gathered by id and the padding dropped.  Empty
+    ``ids`` give an empty text.
     """
     if not len(ids):
         return b""
-    values = np.asarray(terminals, dtype=np.int64)
-    width = int(_decimal_widths(values).max()) + 1
-    table = np.zeros((len(values), width), dtype=np.uint8)
+    table = _digit_table(np.asarray(terminals, dtype=np.int64))
     table[:, -1] = ord(" ")
-    _write_digits(table.reshape(-1), values, np.arange(1, len(values) + 1) * width - 1)
     rows = table[ids]
-    out = rows[rows != 0]
-    out[-1] = ord("\n")
-    return out.tobytes()
+    rows[-1, -1] = ord("\n")
+    return rows.tobytes().translate(None, b"\0")
 
 
 def dump(slp: Slp, path) -> None:

@@ -184,16 +184,16 @@ def _balances(a: np.ndarray, b: np.ndarray, w: np.ndarray, width: int) -> np.nda
     # Inner edges are grouped by block already, as a first symbol shares
     # lo's block; they become Python lists of block-local ids.  Each column
     # is freed once listed, so the lists do not sit beside the arrays.
-    lo = lo[inner]
+    lo = np.compress(inner, lo)
     inner_ends = np.searchsorted(lo, cuts).tolist()
     lo &= size - 1
     inner_lo = lo.tolist()
     del lo
-    hi = hi[inner]
+    hi = np.compress(inner, hi)
     hi &= size - 1
     inner_hi = hi.tolist()
     del hi
-    inner_w = w[inner].tolist()
+    inner_w = np.compress(inner, w).tolist()
     del inner
     edges = zip(inner_lo, inner_hi, inner_w)
     i = o = 0

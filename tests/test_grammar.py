@@ -701,6 +701,30 @@ class TestSerialization:
         with pytest.raises(GrammarError):
             deserialize(payload)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0] + [v for k in range(1, 18) for v in (10**k - 1, 10**k)] + [10**18 - 1],
+            [0, 7, 2**32 - 1],  # the largest value the uint32 digits hold
+            [0, 7, 2**32 - 1, 2**32],  # one more, so the digits are uint64
+            [],
+        ],
+    )
+    def test_written_lines_match_str_join(self, values):
+        rng = random.Random(len(values))
+        values = values * 3
+        rng.shuffle(values)
+        ends = [i for i in range(len(values)) if rng.random() < 0.3 or i == len(values) - 1]
+        want = "".join(f"{v}{chr(10) if i in ends else ' '}" for i, v in enumerate(values))
+        got = grammar._write_lines(np.array(values, dtype=np.int64), np.array(ends, dtype=np.int64))
+        assert got == want.encode("ascii")
+
+    def test_every_byte_the_format_never_writes_is_refused(self):
+        for byte in set(range(256)) - set(b"0123456789 \n"):
+            text = f"SLP 1\nterminals 1 bytes\n97\nrules 1\n2 0 {chr(byte)}0\nstart 1\n"
+            with pytest.raises(GrammarError, match="holds a character the format never writes"):
+                deserialize(text)
+
     def test_eighteen_digit_numeral_read_exactly(self):
         # The nearest float64 to this id is ...680, so a parse through
         # floats would name another symbol in the message.

@@ -13,8 +13,9 @@ length the benchmark itself uses.  For every workload and metric the
 script prints each side's median and quartiles, the ratio of the change's
 median to the parent's, and in how many pairs the change read better
 (ties count for neither), with the direction of "better" taken from
-``BENCHMARK.json``.  It also says whether the grammar digests of the two
-sides agree.
+``BENCHMARK.json``.  Without ``--trace 1`` each end-to-end metric also gets
+a verdict against its bound in ``BENCHMARK.json`` (see ``verdict``).  It
+also says whether the grammar digests of the two sides agree.
 """
 
 from __future__ import annotations
@@ -68,14 +69,41 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def wins(parent: list[float], change: list[float], better: str) -> int:
+    """The pairs in which the change read better; ties count for neither side."""
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+
+
 def summarize(parent: list[float], change: list[float], better: str) -> str:
     """Each side's median and quartiles, the ratio of medians and the change's wins."""
     (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
-    sign = 1 if better == "higher" else -1
-    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     ratio = cm / pm if pm else float("nan")
     return (f"{pm:10.5g} [{p1:.5g}, {p3:.5g}] -> {cm:10.5g} [{c1:.5g}, {c3:.5g}]  "
-            f"x{ratio:.3f}  wins {wins}/{len(parent)}")
+            f"x{ratio:.3f}  wins {wins(parent, change, better)}/{len(parent)}")
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """How the change's runs of one metric read against the parent's.
+
+    ``bound`` is relative to the parent's median.  In order:
+    ``unresolved`` when the parent's quartile spread is wider than the
+    bound, unless every change run beats every parent run; ``worse`` when
+    the change's median is worse than the parent's by more than the bound;
+    ``gain`` when the change wins at least 9 in 10 pairs and its median
+    moved the better way by more than the parent's quartile spread; and
+    ``within bound`` otherwise.
+    """
+    (p1, pm, p3), (_, cm, _) = quartiles(parent), quartiles(change)
+    sign = 1 if better == "higher" else -1
+    spread, moved, scale = p3 - p1, sign * (cm - pm), bound * abs(pm)
+    if spread > scale and min(sign * c for c in change) <= max(sign * p for p in parent):
+        return "unresolved"
+    if moved < -scale:
+        return "worse"
+    if 10 * wins(parent, change, better) >= 9 * len(parent) and moved > spread:
+        return "gain"
+    return "within bound"
 
 
 def main(argv=None) -> int:
@@ -92,7 +120,7 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     args = parser.parse_args(argv)
 
-    better = {m["name"]: m["better"] for m in spec["per_layer" if args.trace else "end_to_end"]}
+    metrics = {m["name"]: m for m in spec["per_layer" if args.trace else "end_to_end"]}
     workloads = args.workload or names
     trees = {"parent": export_parent(args.parent, args.dir), "change": ROOT}
     runs: dict[str, dict[str, list[dict]]] = {w: {"parent": [], "change": []} for w in workloads}
@@ -111,9 +139,12 @@ def main(argv=None) -> int:
         for key in ("grammar_sha256", "plain_grammar_sha256"):
             digests = {r[key] for r in sides["parent"] + sides["change"]}
             print(f"  {key}: {'equal' if len(digests) == 1 else 'DIFFERENT'}")
-        for name in better:
-            values = {s: [r["metrics"][name]["value"] for r in sides[s]] for s in sides}
-            print(f"  {name:32s} {summarize(values['parent'], values['change'], better[name])}")
+        for name, metric in metrics.items():
+            parent, change = ([r["metrics"][name]["value"] for r in sides[s]] for s in ("parent", "change"))
+            line = f"  {name:32s} {summarize(parent, change, metric['better'])}"
+            if "bound" in metric:  # only end-to-end metrics have one
+                line += f"  {verdict(parent, change, metric['better'], metric['bound'])}"
+            print(line)
         failed = {s: sum(r["failed"] for r in sides[s]) for s in sides}
         print(f"  failed operations: parent {failed['parent']}, change {failed['change']}")
     return 0
