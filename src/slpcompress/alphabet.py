@@ -36,6 +36,7 @@ def radix_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
 
     ``bound`` may be at most 2**63, so every key fits an ``int64``; callers
     sort by several components by combining them into one mixed-radix key.
+    Integer keys are read in their own dtype, so narrow keys cost no copy.
     Each pass is a stable counting sort on one 16-bit digit of the keys,
     least significant first, and ``bound - 1`` fixes how many digits there
     are, so the time is linear in the number of keys times that count.
@@ -44,11 +45,13 @@ def radix_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     """
     if not 1 <= bound <= 1 << 63:
         raise ValueError(f"bound must lie in [1, 2**63], got {bound}")
-    keys = np.asarray(keys, dtype=np.int64)
+    keys = np.asarray(keys)
+    if keys.dtype.kind not in "iu":
+        keys = keys.astype(np.int64)
     if len(keys) and (int(keys.min()) < 0 or int(keys.max()) >= bound):
         raise ValueError("key out of bound")
     digits = max(1, (int(bound - 1).bit_length() + _DIGIT_BITS - 1) // _DIGIT_BITS)
-    order = np.argsort(keys.astype(np.uint16), kind="stable")  # wraps mod 2**16
+    order = np.argsort(keys.astype(np.uint16, copy=False), kind="stable")  # wraps mod 2**16
     for d in range(1, digits):
         digit = (keys >> (d * _DIGIT_BITS)).astype(np.uint16)[order]
         order = order[np.argsort(digit, kind="stable")]

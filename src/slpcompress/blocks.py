@@ -61,12 +61,17 @@ def scan_blocks(text: WorkingText) -> BlockScan:
     boundary = np.empty(n, dtype=bool)
     boundary[0] = True
     np.not_equal(live[1:], live[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    run_lengths = np.diff(np.append(starts, n))
-    keep = run_lengths >= 2
-    pos = np.compress(keep, starts)
+    # A block's first cell starts a run and the next cell does not: there
+    # the run-start mask steps down, and it steps up again after the block's
+    # last cell (or the text ends, read as one more run start).  Only the
+    # blocks get positions, not every run.
+    step = np.diff(boundary.view(np.int8), append=np.int8(1))
+    pos = np.flatnonzero(step == -1)
+    lengths = np.flatnonzero(step == 1)
+    del step
+    lengths -= pos
+    lengths += 1
     letters = live[pos]
-    lengths = np.compress(keep, run_lengths)
     span = int(lengths.max()) + 1 if len(lengths) else 1
     order = radix_argsort(letters * span + lengths, text.width * span)
     return BlockScan(letters[order], lengths[order], pos[order], boundary, text.epoch)

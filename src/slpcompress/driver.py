@@ -33,7 +33,7 @@ from .alphabet import ingest, rename_dense
 from .blocks import compress_blocks, scan_blocks
 from .grammar import Slp, prune_unreachable
 from .pairs import build_adjacency, compress_pairs, distinct_pairs, greedy_partition
-from .text import WorkingText
+from .text import WorkingText, narrow_dtype
 
 
 @dataclass
@@ -66,7 +66,7 @@ class PhaseTrace:
 class BestSnapshot:
     size: int
     phase: int
-    text_canonical: np.ndarray  # live text at the snapshot, as canonical ids
+    text_canonical: np.ndarray  # live text at the snapshot, as canonical ids, in a narrow dtype
     rule_watermark: int
 
 
@@ -105,8 +105,10 @@ def run_phase(text: WorkingText, grammar: Slp, phase_index: int) -> PhaseTrace:
     rules_before = len(grammar.counts)
     size_before = grammar.size
     clock = [time.perf_counter()]
-    # No name holds the scan: its run-start mask is freed at the compaction.
-    blocks = compress_blocks(text, scan_blocks(text), grammar)
+    # Each stage's arrays are dropped once read: no name holds the scan,
+    # whose run-start mask is freed at the compaction, and the adjacency
+    # and the split go before the second compaction.
+    blocks_compressed = compress_blocks(text, scan_blocks(text), grammar).blocks_replaced
     clock.append(time.perf_counter())
     text.compact()
     clock.append(time.perf_counter())
@@ -115,7 +117,9 @@ def run_phase(text: WorkingText, grammar: Slp, phase_index: int) -> PhaseTrace:
     clock.append(time.perf_counter())
     part = greedy_partition(adj)
     clock.append(time.perf_counter())
-    pairs = compress_pairs(text, part, adj, grammar)
+    cover_pre_swap, cover_chosen = part.cover_pre_swap, part.cover_chosen
+    pairs_compressed = compress_pairs(text, part, adj, grammar).occurrences_replaced
+    del adj, part
     clock.append(time.perf_counter())
     text.compact()
     clock.append(time.perf_counter())
@@ -128,10 +132,10 @@ def run_phase(text: WorkingText, grammar: Slp, phase_index: int) -> PhaseTrace:
         phase=phase_index,
         live_before=live_before,
         live_after_blocks=live_after_blocks,
-        blocks_compressed=blocks.blocks_replaced,
-        pairs_compressed=pairs.occurrences_replaced,
-        cover_pre_swap=part.cover_pre_swap,
-        cover_chosen=part.cover_chosen,
+        blocks_compressed=blocks_compressed,
+        pairs_compressed=pairs_compressed,
+        cover_pre_swap=cover_pre_swap,
+        cover_chosen=cover_chosen,
         live_after=len(text),
         rules_before=rules_before,
         size_before=size_before,
@@ -168,7 +172,9 @@ def compress(data, mode: str = "improved", kind: str | None = None) -> Compressi
         if mode == "improved":
             candidate = len(text) + grammar.size
             if best is None or candidate < best.size:
-                snapshot = text.alias[text.live()]
+                # Every canonical id lies below the symbol count.
+                narrow = text.alias.astype(narrow_dtype(grammar.symbol_count))
+                snapshot = narrow[text.live()]
                 best = BestSnapshot(candidate, len(traces), snapshot, len(grammar.counts))
                 copy_work += len(snapshot)
             elif grammar.size + distinct_pairs(text) + 1 >= best.size:

@@ -203,10 +203,14 @@ def _read_only(view: np.ndarray) -> np.ndarray:
 
 
 def _reserve(buf: np.ndarray, used: int, extra: int) -> np.ndarray:
-    """``buf`` with room for ``extra`` more entries after ``used``."""
+    """``buf`` with room for ``extra`` more entries after ``used``.
+
+    A full buffer grows by half its length at least: appends stay amortized
+    linear, and the buffer holds at most half again what it needs.
+    """
     if used + extra <= len(buf):
         return buf
-    grown = np.empty(max(used + extra, 2 * len(buf)), dtype=np.int64)
+    grown = np.empty(max(used + extra, len(buf) + len(buf) // 2), dtype=np.int64)
     grown[:used] = buf[:used]
     return grown
 

@@ -1,4 +1,4 @@
-"""Pair compression: adjacency lists, the greedy left/right split, replacement.
+"""Pair compression: the pair adjacency, the greedy left/right split, replacement.
 
 The alphabet is split into a left class and a right class; pairs whose
 first symbol is in the left class and second in the right class cannot
@@ -16,7 +16,7 @@ import numpy as np
 
 from .alphabet import radix_argsort
 from .grammar import Slp
-from .text import StaleTextError, WorkingText, concat_ranges
+from .text import StaleTextError, WorkingText, narrow_dtype
 
 # Edges per block of the greedy split.  A block step is a few numpy calls,
 # about what walking a few hundred edges in Python costs; at one block per
@@ -28,18 +28,21 @@ _EDGES_PER_BLOCK = 1024
 
 
 class PairAdjacency:
-    """Distinct adjacent pairs with their occurrence lists.
+    """Distinct adjacent pairs, and which of them stands at each adjacency.
 
-    Built from one radix sort of the (first, second) keys, stable in position:
-    ``pair_a``/``pair_b`` hold the distinct pairs in (first, second) order,
-    and the occurrences of pair ``i`` are
-    ``occurrences[occ_start[i]:occ_start[i + 1]]``, in text order.
-    Positions are indices into the compact text of the adjacency's epoch.
+    ``pair_a``/``pair_b`` hold the distinct pairs in (first, second) order
+    and ``pair_count`` how often each occurs; ``pair_of[p]`` is the index
+    of the pair at positions ``(p, p + 1)``, in the narrowest unsigned
+    dtype that holds every pair index.  The pairs' keys are bucket
+    sorted: counted with one ``bincount`` when the key universe
+    ``width**2`` is at most the number of adjacencies, and radix sorted
+    otherwise.  Positions are indices into the compact text of the
+    adjacency's epoch.
     """
 
     def __init__(self, text: WorkingText):
         self.epoch = text.epoch
-        self.width = text.width
+        self.width = width = text.width
         lv = text.live()
         n = len(lv)
         if n >= 2 and (lv[1:] == lv[:-1]).any():
@@ -48,24 +51,34 @@ class PairAdjacency:
             )
         if n < 2:
             self.pair_a = self.pair_b = np.empty(0, dtype=np.int64)
-            self.pair_count = np.empty(0, dtype=np.int64)
-            self.occ_start = np.zeros(1, dtype=np.int64)
-            self.occurrences = np.empty(0, dtype=np.int64)
+            self.pair_count = self.pair_of = np.empty(0, dtype=np.int64)
             return
-        a = lv[:-1]
-        b = lv[1:]
         key, bound = _pair_keys(text)
-        order = radix_argsort(key, bound)
-        self.occurrences = order  # position of the first symbol, grouped by pair
-        key = key[order]
-        new_pair = np.empty(n - 1, dtype=bool)
-        new_pair[0] = True
-        np.not_equal(key[1:], key[:-1], out=new_pair[1:])
-        starts = np.flatnonzero(new_pair)
-        self.pair_a = a[order[starts]]
-        self.pair_b = b[order[starts]]
-        self.occ_start = np.append(starts, n - 1)
-        self.pair_count = np.diff(self.occ_start)
+        if bound <= n - 1:
+            table = np.bincount(key, minlength=bound)
+            present = np.flatnonzero(table)
+            self.pair_count = table[present]
+            table[present] = np.arange(len(present))  # key -> pair index
+            self.pair_of = table.astype(narrow_dtype(len(present)))[key]
+        else:
+            order = radix_argsort(key, bound)
+            key = key[order]
+            # A distinct pair starts where the sorted key changes, and the
+            # last cell closes the last one.
+            edge = np.empty(n, dtype=bool)
+            edge[0] = edge[-1] = True
+            np.not_equal(key[1:], key[:-1], out=edge[1:-1])
+            ends = np.flatnonzero(edge)
+            present = key[ends[:-1]]
+            del key
+            self.pair_count = np.diff(ends)
+            edge[0] = False  # so the running count is the pair index
+            pair_index = np.cumsum(edge[:-1], dtype=narrow_dtype(len(present)))
+            self.pair_of = np.empty_like(pair_index)
+            self.pair_of[order] = pair_index
+            del order, pair_index
+        self.pair_a = present // width
+        self.pair_b = present - self.pair_a * width  # faster than %
 
 
 def _pair_keys(text: WorkingText) -> tuple[np.ndarray, int]:
@@ -85,7 +98,7 @@ def distinct_pairs(text: WorkingText) -> int:
 
 
 def build_adjacency(text: WorkingText) -> PairAdjacency:
-    """Radix-sorted neighbour lists for every adjacent pair in the text."""
+    """The distinct adjacent pairs of the text and the pair at each position."""
     return PairAdjacency(text)
 
 
@@ -168,33 +181,33 @@ def _balances(a: np.ndarray, b: np.ndarray, w: np.ndarray, width: int) -> np.nda
     shift = _block_shift(len(a), width)
     size = 1 << shift
     n_blocks = -(-width // size)
-    lo = np.minimum(a, b)
-    # In both edge groups below lo ascends block by block, so a binary
-    # search for each block's end finds where the block's edges end.
     cuts = np.arange(1, n_blocks + 1) << shift
-    hi = a ^ b  # = lo ^ hi, below 2**s exactly when lo and hi share a block
-    inner = hi < size
-    hi ^= lo
-    # Outer edges, sorted by lo's block, stay numpy columns.
-    outer = np.flatnonzero(~inner)
-    outer = outer[radix_argsort(lo[outer] >> shift, n_blocks)]
-    out_lo, out_hi, out_w = lo[outer], hi[outer], w[outer]
-    out_ends = np.searchsorted(out_lo, cuts).tolist()
-    del outer
+    # The columns take the narrowest dtypes that hold their values, the ids
+    # below width and the weights up to the largest, and each is freed once
+    # read.
+    lo = np.minimum(a, b, out=np.empty(len(a), dtype=narrow_dtype(width)), casting="unsafe")
+    hi = np.maximum(a, b, out=np.empty(len(a), dtype=narrow_dtype(width)), casting="unsafe")
+    w = w.astype(narrow_dtype(int(w.max()) + 1))
+    inner = (lo ^ hi) < size  # lo and hi share a block
     # Inner edges are grouped by block already, as a first symbol shares
-    # lo's block; they become Python lists of block-local ids.  Each column
-    # is freed once listed, so the lists do not sit beside the arrays.
-    lo = np.compress(inner, lo)
-    inner_ends = np.searchsorted(lo, cuts).tolist()
-    lo &= size - 1
-    inner_lo = lo.tolist()
-    del lo
-    hi = np.compress(inner, hi)
-    hi &= size - 1
-    inner_hi = hi.tolist()
-    del hi
+    # lo's block, so a binary search for each block's end finds where the
+    # block's edges end.  They become Python lists of block-local ids.
+    inner_lo = np.compress(inner, lo)
+    inner_ends = np.searchsorted(inner_lo, cuts).tolist()
+    inner_lo &= size - 1
+    inner_lo = inner_lo.tolist()
+    inner_hi = np.compress(inner, hi)
+    inner_hi &= size - 1
+    inner_hi = inner_hi.tolist()
     inner_w = np.compress(inner, w).tolist()
-    del inner
+    # Outer edges, sorted by lo's block, stay numpy columns.
+    np.logical_not(inner, out=inner)
+    out_lo, out_hi, out_w = np.compress(inner, lo), np.compress(inner, hi), np.compress(inner, w)
+    del lo, hi, w, inner
+    order = radix_argsort(out_lo >> shift, n_blocks)
+    out_lo, out_hi, out_w = out_lo[order], out_hi[order], out_w[order]
+    del order
+    out_ends = np.searchsorted(out_lo, cuts).tolist()
     edges = zip(inner_lo, inner_hi, inner_w)
     i = o = 0
     for k, (i_end, o_end) in enumerate(zip(inner_ends, out_ends)):
@@ -209,8 +222,8 @@ def _balances(a: np.ndarray, b: np.ndarray, w: np.ndarray, width: int) -> np.nda
             balance[ids] = bal
             i = i_end
         if o_end > o:
-            c = out_w[o:o_end]
-            np.add.at(balance, out_hi[o:o_end], np.where(balance[out_lo[o:o_end]] < 0, c, -c))
+            c = out_w[o:o_end].astype(np.int64)  # signed, and add.at's fast path
+            np.add.at(balance, out_hi[o:o_end], np.where(np.take(balance, out_lo[o:o_end]) < 0, c, -c))
             o = o_end
     return balance
 
@@ -231,18 +244,22 @@ def compress_pairs(
     """Replace every occurrence of every left.right pair with a fresh symbol."""
     if adj.epoch != text.epoch:
         raise StaleTextError("adjacency positions predate the last compaction")
-    selected = np.flatnonzero(part.in_left[adj.pair_a] & part.in_right[adj.pair_b])
+    chosen = part.in_left[adj.pair_a] & part.in_right[adj.pair_b]
+    selected = np.flatnonzero(chosen)
     canon_a = text.alias[adj.pair_a[selected]]
     canon_b = text.alias[adj.pair_b[selected]]
     rule_ids = grammar.emit_pair_rules(canon_a, canon_b)
-    fresh = text.mint(rule_ids)
-    # Gather the occurrence slices of the selected pairs in one shot.
-    counts = adj.pair_count[selected]
-    occs = adj.occurrences[concat_ranges(adj.occ_start[selected], counts)]
+    fresh = np.empty(len(chosen), dtype=narrow_dtype(text.width + len(selected)))
+    fresh[selected] = text.mint(rule_ids)  # by pair; read only where chosen
+    del selected
     # Each occurrence keeps its first cell and drops its second.  Distinct
     # left.right pairs never overlap (the classes are disjoint), so no
     # occurrence starts on a dropped cell; replace_spans checks it.
-    kept = np.ones(len(text), dtype=bool)
-    kept[1:][occs] = False
-    text.replace_spans(occs, np.repeat(fresh, counts), kept)
+    kept = np.empty(len(text), dtype=bool)
+    kept[0] = True
+    # np.take, as indexing by a narrow index array is three times slower.
+    kept[1:] = np.take(chosen, adj.pair_of)
+    occs = np.flatnonzero(kept[1:])
+    np.logical_not(kept[1:], out=kept[1:])
+    text.replace_spans(occs, np.take(fresh, adj.pair_of[occs]), kept)
     return PairCompression(len(occs), canon_a, canon_b, rule_ids)

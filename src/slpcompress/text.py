@@ -63,6 +63,11 @@ def as_int64(values, what: str, error: type[ValueError]) -> np.ndarray:
         raise error(f"{what} must fit in int64, not {wide}") from None
 
 
+def narrow_dtype(bound: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every integer in ``[0, bound)``."""
+    return np.min_scalar_type(max(bound - 1, 0))
+
+
 def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Indices of the ranges ``[starts[i], starts[i] + counts[i])``, back to back."""
     shift = np.cumsum(counts, dtype=np.int64)

@@ -179,7 +179,7 @@ class PairOccurrence:
 
 
 def _occurrences_of(adj, i: int) -> list[int]:
-    return sorted(int(p) for p in adj.occurrences[adj.occ_start[i] : adj.occ_start[i + 1]])
+    return np.flatnonzero(adj.pair_of == i).tolist()
 
 
 def right_of(adj, sym: int) -> list[tuple[int, list[int]]]:
@@ -200,9 +200,9 @@ def left_of(adj, sym: int) -> list[tuple[int, list[int]]]:
 
 def pair_occurrences(adj):
     """All occurrences, grouped by distinct pair in (first, second) order."""
-    for i in range(len(adj.pair_a)):
-        for p in adj.occurrences[adj.occ_start[i] : adj.occ_start[i + 1]]:
-            yield PairOccurrence(int(adj.pair_a[i]), int(adj.pair_b[i]), int(p))
+    for p in np.argsort(adj.pair_of, kind="stable").tolist():
+        i = int(adj.pair_of[p])
+        yield PairOccurrence(int(adj.pair_a[i]), int(adj.pair_b[i]), p)
 
 
 def reference_greedy_partition(adj) -> Partition:

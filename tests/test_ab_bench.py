@@ -1,6 +1,7 @@
-"""The verdict rule of ``tools/ab_bench.py``, on synthetic runs."""
+"""The verdict rule and summary of ``tools/ab_bench.py``, on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ _SPEC.loader.exec_module(ab_bench)
 verdict = ab_bench.verdict
 
 STEADY = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 100.2, 99.8, 100.1, 99.9]
+_SPEC_JSON = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+METRICS = [m["name"] for m in _SPEC_JSON["end_to_end"]]
 
 
 def scaled(runs, factor):
@@ -76,3 +79,55 @@ def test_a_fixed_metric_with_a_tight_bound():
     assert verdict(ones, list(ones), "higher", 0.0001) == "within bound"
     assert verdict(ones, [1.0] * 9 + [0.5], "higher", 0.0001) == "within bound"
     assert verdict(ones, [0.5] * 10, "higher", 0.0001) == "worse"
+
+
+def test_summary_names_the_pairs_of_each_verdict():
+    lines = ab_bench.summary({
+        ("random64", "compress_peak_MB"): "gain",
+        ("versions", "compress_peak_MB"): "gain",
+        ("random64", "cli_stats_s"): "unresolved",
+    })
+    assert lines == [
+        "gain: random64 compress_peak_MB, versions compress_peak_MB",
+        "within bound: none",
+        "unresolved: random64 cli_stats_s",
+        "worse: none",
+    ]
+
+
+def _fake_runs(monkeypatch, change_factor):
+    """Replace the benchmark runs with fixed results; the change's
+    ``compress_Msym_s`` is the parent's times ``change_factor``."""
+    monkeypatch.setattr(ab_bench, "export_parent", lambda rev, into: into)
+
+    def run_once(tree, workload, seed, seconds, trace):
+        factor = 1.0 if tree != ab_bench.ROOT else change_factor
+        values = {m: 1.0 for m in METRICS}
+        values["compress_Msym_s"] = STEADY[run_once.calls % len(STEADY)] * factor
+        run_once.calls += 1
+        return {
+            "metrics": {m: {"value": v} for m, v in values.items()},
+            "failed": 0,
+            "grammar_sha256": "g",
+            "plain_grammar_sha256": "p",
+        }
+
+    run_once.calls = 0
+    monkeypatch.setattr(ab_bench, "run_once", run_once)
+
+
+@pytest.mark.parametrize("factor, status, verdict_line", [
+    (1.0, 0, "within bound: random64 compress_Msym_s,"),
+    (2.0, 0, "gain: random64 compress_Msym_s"),
+    (0.5, 1, "worse: random64 compress_Msym_s"),
+])
+def test_exit_status_is_one_only_when_a_pair_reads_worse(
+    monkeypatch, capsys, tmp_path, factor, status, verdict_line
+):
+    _fake_runs(monkeypatch, factor)
+    argv = ["--dir", str(tmp_path), "--pairs", "10", "--workload", "random64"]
+    assert ab_bench.main(argv) == status
+    out = capsys.readouterr().out
+    summary = out[out.index("\nverdicts\n"):].splitlines()
+    assert [line.split(":")[0].strip() for line in summary[2:]] == list(ab_bench.VERDICTS)
+    assert any(line.strip().startswith(verdict_line) for line in summary)

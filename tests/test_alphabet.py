@@ -401,6 +401,16 @@ def test_radix_argsort_multi_digit_component():
     assert np.array_equal(a[order], np.sort(a))
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.uint32, np.uint64])
+def test_radix_argsort_reads_narrow_keys_as_their_int64_copy(dtype):
+    rng = np.random.default_rng(15)
+    top = min(int(np.iinfo(dtype).max), 2**63 - 1)  # bound is at most 2**63
+    keys = rng.integers(0, top, 4000, endpoint=True, dtype=dtype)
+    order = radix_argsort(keys, top + 1)
+    assert np.array_equal(order, radix_argsort(keys.astype(np.int64), top + 1))
+    assert np.array_equal(order, np.argsort(keys, kind="stable"))
+
+
 def test_radix_argsort_pair_key_wider_than_16_bits():
     # Pair keys at the alphabet width of a late phase on 2M symbols: 33 bits,
     # so three digit passes where the two 17-bit columns took four.

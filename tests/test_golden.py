@@ -22,32 +22,32 @@ from slpcompress import compress, expand, serialize
 SIZE = 2**14
 
 
-def random_bytes(seed):
+def random_bytes(seed, size=SIZE):
     rng = random.Random(seed)
-    return bytes(rng.randrange(64) for _ in range(SIZE))
+    return bytes(rng.randrange(64) for _ in range(size))
 
 
-def revised_text(seed):
+def revised_text(seed, size=SIZE):
     """Revisions of one lowercase text, a few point edits per revision."""
     rng = random.Random(seed)
     doc = [rng.choice("abcdefghijklmnopqrstuvwxyz ") for _ in range(1024)]
     out = []
-    while len(out) < SIZE:
+    while len(out) < size:
         for _ in range(3):
             doc[rng.randrange(len(doc))] = rng.choice("abcdefghijklmnopqrstuvwxyz ")
         out.extend(doc)
-    return "".join(out[:SIZE]).encode()
+    return "".join(out[:size]).encode()
 
 
-def token_runs(seed):
+def token_runs(seed, size=SIZE):
     """Skewed 32-bit tokens in runs, so blocks are frequent and long."""
     rng = random.Random(seed)
     pool = [rng.randrange(2**32) for _ in range(300)]
     out = []
-    while len(out) < SIZE:
+    while len(out) < size:
         tok = pool[min(int(rng.expovariate(0.05)), len(pool) - 1)]
         out.extend([tok] * (1 + int(rng.expovariate(0.4))))
-    return out[:SIZE]
+    return out[:size]
 
 
 def zipf_runs(seed):

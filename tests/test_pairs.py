@@ -85,6 +85,27 @@ class TestBuildAdjacency:
         assert sorted(r[2] for r in recs) == [0, 1, 2, 3]
 
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_counting_and_radix_paths_agree(self, seed):
+        # One text, read at two widths: its own, where width**2 is at most
+        # the adjacencies and the keys are counted, and one widened by ids
+        # that do not occur, where they are radix sorted.
+        rng = np.random.default_rng(seed)
+        symbols = rng.integers(0, rng.integers(2, 13), rng.integers(200, 3000))
+        symbols = symbols[np.r_[True, symbols[1:] != symbols[:-1]]]
+        counted_text, sorted_text = WorkingText(symbols), WorkingText(symbols)
+        sorted_text.mint(np.zeros(len(symbols), dtype=np.int64))
+        assert counted_text.width ** 2 <= len(symbols) - 1 < sorted_text.width ** 2
+        counted, radix = build_adjacency(counted_text), build_adjacency(sorted_text)
+        for name in ("pair_a", "pair_b", "pair_count", "pair_of"):
+            assert np.array_equal(getattr(counted, name), getattr(radix, name)), name
+        pairs_at = list(zip(symbols[:-1].tolist(), symbols[1:].tolist()))
+        distinct = sorted(set(pairs_at))
+        assert list(zip(counted.pair_a.tolist(), counted.pair_b.tolist())) == distinct
+        assert counted.pair_of.tolist() == [distinct.index(p) for p in pairs_at]
+        assert counted.pair_count.tolist() == [pairs_at.count(p) for p in distinct]
+
+
 class TestDistinctPairs:
     @staticmethod
     def oracle(text):

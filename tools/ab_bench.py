@@ -14,8 +14,10 @@ script prints each side's median and quartiles, the ratio of the change's
 median to the parent's, and in how many pairs the change read better
 (ties count for neither), with the direction of "better" taken from
 ``BENCHMARK.json``.  Without ``--trace 1`` each end-to-end metric also gets
-a verdict against its bound in ``BENCHMARK.json`` (see ``verdict``).  It
-also says whether the grammar digests of the two sides agree.
+a verdict against its bound in ``BENCHMARK.json`` (see ``verdict``), and
+after the tables one line per verdict names the (workload, metric) pairs
+that read it; the exit status is 1 when any pair reads ``worse``.  It also
+says whether the grammar digests of the two sides agree.
 """
 
 from __future__ import annotations
@@ -106,6 +108,18 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return "within bound"
 
 
+VERDICTS = ("gain", "within bound", "unresolved", "worse")
+
+
+def summary(verdicts: dict[tuple[str, str], str]) -> list[str]:
+    """One line per verdict, naming the (workload, metric) pairs that read it."""
+    lines = []
+    for name in VERDICTS:
+        pairs = [f"{w} {m}" for (w, m), got in verdicts.items() if got == name]
+        lines.append(f"{name}: {', '.join(pairs) or 'none'}")
+    return lines
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = [w["name"] for w in spec["workloads"]]
@@ -133,6 +147,7 @@ def main(argv=None) -> int:
                 )
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
 
+    verdicts: dict[tuple[str, str], str] = {}
     for workload in workloads:
         sides = runs[workload]
         print(f"\n{workload} (seed {args.seed}, {args.pairs} pairs, trace {args.trace})")
@@ -143,11 +158,17 @@ def main(argv=None) -> int:
             parent, change = ([r["metrics"][name]["value"] for r in sides[s]] for s in ("parent", "change"))
             line = f"  {name:32s} {summarize(parent, change, metric['better'])}"
             if "bound" in metric:  # only end-to-end metrics have one
-                line += f"  {verdict(parent, change, metric['better'], metric['bound'])}"
+                got = verdict(parent, change, metric["better"], metric["bound"])
+                verdicts[workload, name] = got
+                line += f"  {got}"
             print(line)
         failed = {s: sum(r["failed"] for r in sides[s]) for s in sides}
         print(f"  failed operations: parent {failed['parent']}, change {failed['change']}")
-    return 0
+    if verdicts:
+        print("\nverdicts")
+        for line in summary(verdicts):
+            print(f"  {line}")
+    return 1 if "worse" in verdicts.values() else 0
 
 
 if __name__ == "__main__":
