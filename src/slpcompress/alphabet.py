@@ -14,13 +14,17 @@ spaces coexist:
   records over them can be bucket sorted, and the symbols minted during
   the phase continue from ``k``.  The text keeps the alias table from its
   working ids back to canonical ids (``WorkingText.alias``).
+
+``ingest`` numbers only the input's run heads and returns the first text
+in run form (see ``text``), so no working text is built at the input's
+full length.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .text import WorkingText, as_int64
+from .text import WorkingText, as_int64, find_runs
 
 TOKEN_VALUE_CEILING = 2**32 - 1
 
@@ -59,20 +63,24 @@ def radix_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
 
 
 def ingest(raw, kind: str | None = None) -> tuple[WorkingText, str, list[int]]:
-    """Turn raw input into a working text over dense terminal ids.
+    """Turn raw input into a working text over dense terminal ids, in run form.
 
     Returns the text, the input kind and the terminal values, working id
-    ``i`` standing for ``terminals[i]``.  Terminals are numbered in
-    first-occurrence order, so the text starts its first phase in the
-    numbering ``rename_dense`` gives.  ``raw`` is either a byte string
+    ``i`` standing for ``terminals[i]``.  ``raw`` is either a byte string
     (``bytes``, ``bytearray`` or ``memoryview``) or a sequence of unsigned
     token values; other byte input, token values above
     ``TOKEN_VALUE_CEILING`` and tokens that are not integers (floats,
     booleans, strings, a non-sequence) are rejected with
-    ``InputFormatError``.  Bytes are numbered through a 256-entry table;
-    tokens by ranking only the first token of each run, since the first
-    occurrence of a value always starts a run, and then spreading each run
-    head's id over its run.
+    ``InputFormatError``.
+
+    ``find_runs`` finds the input's maximal runs once, and only the run
+    heads are numbered: bytes through a 256-entry table, tokens by ranking
+    their values.  Terminals are numbered in first-occurrence order, which
+    the first occurrence of a value, always a run head, fixes; so the text
+    starts its first phase in the numbering ``rename_dense`` gives.  The
+    text holds one cell per run, with the runs of length >= 2 pending
+    (``WorkingText.runs``): the first block stage reads them, and no text is
+    built at the input's full length.
     """
     is_bytes = isinstance(raw, (bytes, bytearray, memoryview))
     if kind is None:
@@ -82,25 +90,25 @@ def ingest(raw, kind: str | None = None) -> tuple[WorkingText, str, list[int]]:
             raise InputFormatError(
                 f"bytes input must be bytes, bytearray or memoryview, not {type(raw).__name__}"
             )
-        arr = np.frombuffer(bytes(raw), dtype=np.uint8).astype(np.int64)
-        lut, values = _first_occurrence_ids(arr, domain=256)
-        ids = lut[arr]
+        heads, at, lengths = find_runs(np.frombuffer(bytes(raw), dtype=np.uint8))
+        heads = heads.astype(np.intp)  # an index below, and a narrow index is slower
+        domain = 256
     elif kind == "tokens":
         arr = as_int64(raw, "tokens", InputFormatError)
         if arr.size and (arr.min() < 0 or arr.max() > TOKEN_VALUE_CEILING):
             raise InputFormatError(f"token values must lie in [0, {TOKEN_VALUE_CEILING}]")
-        heads = np.empty(len(arr), dtype=bool)
-        heads[:1] = True
-        np.not_equal(arr[1:], arr[:-1], out=heads[1:])
-        run_lengths = np.diff(np.flatnonzero(heads), append=len(arr))
-        arr, distinct = _value_ranks(np.compress(heads, arr))
-        del heads
-        lut, first = _first_occurrence_ids(arr, domain=len(distinct))
-        values = distinct[first]
-        ids = np.repeat(lut[arr], run_lengths)
+        heads, at, lengths = find_runs(arr)
+        del arr
+        heads, distinct = _value_ranks(heads)
+        domain = len(distinct)
     else:
         raise ValueError(f"unknown input kind {kind!r}")
-    return WorkingText(ids), kind, values.tolist()
+    lut, values = _first_occurrence_ids(heads, domain)
+    if kind == "tokens":
+        values = distinct[values]
+    ids = lut[heads]
+    del heads  # before the text copies the ids
+    return WorkingText(ids, (at, lengths)), kind, values.tolist()
 
 
 def _value_ranks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

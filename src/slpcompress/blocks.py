@@ -1,10 +1,13 @@
 """Maximal-block compression: one phase stage.
 
 Every maximal run ``a^len`` (len >= 2) in the text is replaced by one fresh
-symbol per distinct (letter, length), and the fresh symbols are defined by
-a power-of-two subgrammar: squares of the letter up to the largest gap,
-gap values as binary expansions over the squares, and a chain linking the
-block lengths in increasing order.  The emitted body length for lengths
+symbol per distinct (letter, length).  The stage reads the text in run form
+(see ``text``): the first phase's text comes from ``ingest`` so, and
+``scan_blocks`` brings a later phase's compact text to it.  Each run's head
+cell then takes the run's symbol, in one write.  The fresh symbols are
+defined by a power-of-two subgrammar: squares of the letter up to the
+largest gap, gap values as binary expansions over the squares, and a chain
+linking the block lengths in increasing order.  The emitted body length for lengths
 l1 < ... < lk is at most 4 * sum(1 + log2(li - l(i-1))), where l0 = 0.
 
 Rules are emitted, with consecutive ids, level by level, so that no rule
@@ -28,23 +31,21 @@ import numpy as np
 
 from .alphabet import radix_argsort
 from .grammar import Slp
-from .text import StaleTextError, WorkingText, concat_ranges
+from .text import StaleTextError, WorkingText, concat_ranges, narrow_dtype
 
 
 @dataclass
 class BlockScan:
     """Maximal blocks of length >= 2, sorted by (letter, length).
 
-    Column-array layout.  Positions are indices into the compact text and
-    are only valid for the epoch they were scanned in, as is ``run_starts``,
-    the mask of the cells that start a maximal run of any length: the cells
-    that survive the block stage.
+    Column-array layout, each column in the narrowest unsigned dtype that
+    holds it.  Positions are the blocks' head cells in the text's run form,
+    and are only valid for the epoch they were scanned in.
     """
 
     letters: np.ndarray
     lengths: np.ndarray
     positions: np.ndarray
-    run_starts: np.ndarray
     epoch: int = 0
 
     def __len__(self) -> int:
@@ -52,29 +53,21 @@ class BlockScan:
 
 
 def scan_blocks(text: WorkingText) -> BlockScan:
-    """Find all maximal blocks of length >= 2, radix-sorted by (letter, length)."""
-    live = text.live()
-    n = len(live)
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return BlockScan(empty, empty, empty, np.empty(0, dtype=bool), text.epoch)
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    np.not_equal(live[1:], live[:-1], out=boundary[1:])
-    # A block's first cell starts a run and the next cell does not: there
-    # the run-start mask steps down, and it steps up again after the block's
-    # last cell (or the text ends, read as one more run start).  Only the
-    # blocks get positions, not every run.
-    step = np.diff(boundary.view(np.int8), append=np.int8(1))
-    pos = np.flatnonzero(step == -1)
-    lengths = np.flatnonzero(step == 1)
-    del step
-    lengths -= pos
-    lengths += 1
-    letters = live[pos]
-    span = int(lengths.max()) + 1 if len(lengths) else 1
-    order = radix_argsort(letters * span + lengths, text.width * span)
-    return BlockScan(letters[order], lengths[order], pos[order], boundary, text.epoch)
+    """The text's maximal blocks of length >= 2, radix-sorted by (letter, length).
+
+    A compact text is first brought to run form (``collapse_runs``); a text
+    from ``ingest`` already is in it, so the first phase only sorts.
+    """
+    text.collapse_runs()
+    if text.runs is None:
+        empty = np.empty(0, dtype=np.uint8)
+        return BlockScan(empty, empty, empty, text.epoch)
+    at, lengths = text.runs
+    # np.take, as indexing by a narrow index array is slower.
+    letters = np.take(text.cells, at).astype(narrow_dtype(text.width))
+    span = int(lengths.max()) + 1
+    order = radix_argsort(letters * np.int64(span) + lengths, text.width * span)
+    return BlockScan(letters[order], lengths[order], at[order], text.epoch)
 
 
 @dataclass
@@ -90,9 +83,8 @@ class BlockCompression:
 def compress_blocks(text: WorkingText, scan: BlockScan, grammar: Slp) -> BlockCompression:
     """Replace every scanned block; equal (letter, length) share one symbol.
 
-    Afterwards no two adjacent live symbols are equal.  The write keeps
-    only the run starts and stays pending, so the text needs a
-    ``compact()`` before the next stage reads it.
+    The write (``replace_runs``) leaves a compact text in which no two
+    adjacent symbols are equal.
     """
     if len(scan) == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -106,12 +98,14 @@ def compress_blocks(text: WorkingText, scan: BlockScan, grammar: Slp) -> BlockCo
     group_starts = np.flatnonzero(new_group)
     # Records are sorted by letter, so each letter's distinct lengths form a
     # contiguous increasing slice.
-    group_letters = text.alias[letters[group_starts]]
-    group_lengths = lengths[group_starts]
+    group_letters = np.take(text.alias, letters[group_starts])
+    group_lengths = lengths[group_starts].astype(np.int64)
+    del group_starts
     targets = build_block_rules(grammar, group_letters, group_lengths)
     fresh = text.mint(targets)
     group_of_record = np.cumsum(new_group) - 1
-    text.replace_spans(scan.positions, fresh[group_of_record], scan.run_starts)
+    del new_group
+    text.replace_runs(scan.positions, np.take(fresh, group_of_record))
     return BlockCompression(len(scan), group_letters, group_lengths, targets)
 
 

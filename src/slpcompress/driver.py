@@ -5,9 +5,13 @@ greedy split, and ends by renaming the alphabet to ``0..k-1``, so every
 phase starts on a text numbered in first-occurrence order (the first one
 as ``ingest`` numbers it); the text
 shrinks to at most ``3/4 |T| + 1/4`` per phase, so the total work is linear
-in the input.  Improved mode additionally prices stopping at each phase
-(remaining text emitted verbatim plus the rules so far) and returns the
-cheapest snapshot, the first one of least cost.
+in the input.  The first phase starts from the input's runs, as ``ingest``
+leaves them, and its block stage writes the text at its post-block length,
+so no working text is built at the input's full length.  Improved mode
+additionally prices stopping at each phase (remaining text emitted verbatim
+plus the rules so far) and returns the cheapest snapshot, the first one of
+least cost; the snapshot at phase 0 is spread from the runs, in the
+narrowest dtype that holds the terminal ids.
 
 Improved mode stops once no later phase can beat that snapshot.  If row
 ``k`` has text ``T_k`` of length ``L_k``, grammar size ``S_k`` and ``P_k``
@@ -18,8 +22,10 @@ two neighbours of ``T_j`` (``L_j - 1`` places) or inside one new body
 (``c - 1`` places per body of length ``c``), each place standing for one
 pair type.  The snapshot changes only on a strictly smaller cost, so the
 loop ends at the first row that is not a new best where this bound reaches
-the best cost.  The grammar is that of a run through every phase; the
-traces and the phase table end at the stop row.
+the best cost.  ``P_k`` lies in ``[width - 1, L_k - 1]``, so it is counted
+only when the best cost lies between the bounds that these give.  The
+grammar is that of a run through every phase; the traces and the phase
+table end at the stop row.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ class PhaseTrace:
     adjacency_s: float
     partition_s: float
     pairs_s: float
-    compact_s: float  # both compactions: after the blocks and after the pairs
+    compact_s: float  # the compaction after the pairs
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -106,11 +112,8 @@ def run_phase(text: WorkingText, grammar: Slp, phase_index: int) -> PhaseTrace:
     size_before = grammar.size
     clock = [time.perf_counter()]
     # Each stage's arrays are dropped once read: no name holds the scan,
-    # whose run-start mask is freed at the compaction, and the adjacency
-    # and the split go before the second compaction.
+    # and the adjacency and the split go before the compaction.
     blocks_compressed = compress_blocks(text, scan_blocks(text), grammar).blocks_replaced
-    clock.append(time.perf_counter())
-    text.compact()
     clock.append(time.perf_counter())
     live_after_blocks = len(text)
     adj = build_adjacency(text)
@@ -125,7 +128,7 @@ def run_phase(text: WorkingText, grammar: Slp, phase_index: int) -> PhaseTrace:
     clock.append(time.perf_counter())
     rename_dense(text)
     clock.append(time.perf_counter())
-    blocks_s, blocks_compact_s, adjacency_s, partition_s, pairs_s, compact_s, rename_s = (
+    blocks_s, adjacency_s, partition_s, pairs_s, compact_s, rename_s = (
         end - start for start, end in zip(clock, clock[1:])
     )
     return PhaseTrace(
@@ -146,7 +149,7 @@ def run_phase(text: WorkingText, grammar: Slp, phase_index: int) -> PhaseTrace:
         adjacency_s=adjacency_s,
         partition_s=partition_s,
         pairs_s=pairs_s,
-        compact_s=blocks_compact_s + compact_s,
+        compact_s=compact_s,
     )
 
 
@@ -173,11 +176,17 @@ def compress(data, mode: str = "improved", kind: str | None = None) -> Compressi
             candidate = len(text) + grammar.size
             if best is None or candidate < best.size:
                 # Every canonical id lies below the symbol count.
-                narrow = text.alias.astype(narrow_dtype(grammar.symbol_count))
-                snapshot = narrow[text.live()]
+                snapshot = text.canonical(narrow_dtype(grammar.symbol_count))
                 best = BestSnapshot(candidate, len(traces), snapshot, len(grammar.counts))
                 copy_work += len(snapshot)
-            elif grammar.size + distinct_pairs(text) + 1 >= best.size:
+            # Past phase 0 the text's width is its count of distinct symbols,
+            # and each but perhaps the last starts a pair of its own, so
+            # width - 1 <= P_k <= L_k - 1: the exact count is needed only
+            # when the best cost lies between the two bounds.
+            elif grammar.size + text.width >= best.size or (
+                grammar.size + len(text) >= best.size
+                and grammar.size + distinct_pairs(text) + 1 >= best.size
+            ):
                 break  # no later stop costs less than the best one
         if len(text) <= 1:
             break
@@ -186,7 +195,7 @@ def compress(data, mode: str = "improved", kind: str | None = None) -> Compressi
         slp = _snapshot_grammar(grammar, best)
         best_phase = best.phase
     else:
-        final_canonical = text.alias[text.live()]
+        final_canonical = text.canonical(narrow_dtype(grammar.symbol_count))
         if len(final_canonical):
             grammar.start = grammar.emit_rule(final_canonical)
         slp = grammar

@@ -26,6 +26,11 @@ from .text import StaleTextError, WorkingText, narrow_dtype
 # performed alike and 4096 or more was slower.
 _EDGES_PER_BLOCK = 1024
 
+# Cells per chunk of a gather through a narrow index.  np.take copies such
+# an index to intp before it reads the table, so a chunked gather holds
+# 256 kB of index copy at a time in place of one as long as the text.
+_GATHER_CHUNK = 1 << 15
+
 
 class PairAdjacency:
     """Distinct adjacent pairs, and which of them stands at each adjacency.
@@ -257,9 +262,22 @@ def compress_pairs(
     # occurrence starts on a dropped cell; replace_spans checks it.
     kept = np.empty(len(text), dtype=bool)
     kept[0] = True
-    # np.take, as indexing by a narrow index array is three times slower.
-    kept[1:] = np.take(chosen, adj.pair_of)
+    _gather(chosen, adj.pair_of, kept[1:])
     occs = np.flatnonzero(kept[1:])
     np.logical_not(kept[1:], out=kept[1:])
-    text.replace_spans(occs, np.take(fresh, adj.pair_of[occs]), kept)
+    symbols = _gather(fresh, adj.pair_of[occs], np.empty(len(occs), dtype=fresh.dtype))
+    text.replace_spans(occs, symbols, kept)
     return PairCompression(len(occs), canon_a, canon_b, rule_ids)
+
+
+def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[i] = table[index[i]]``, in chunks of ``_GATHER_CHUNK`` cells.
+
+    np.take, as indexing by a narrow index array is three times slower.
+    Every index lies in the table, so mode "clip" changes no value; it
+    skips the bounds check, with which np.take buffers ``out``.
+    """
+    for start in range(0, len(index), _GATHER_CHUNK):
+        chunk = slice(start, start + _GATHER_CHUNK)
+        np.take(table, index[chunk], out=out[chunk], mode="clip")
+    return out

@@ -1,12 +1,21 @@
 """The mutable working string: a compact array between replacements.
 
 Each stage of a phase is one pass over the current text, and every
-position it hands out is a plain index into ``cells``.  Both stages write
-through ``replace_spans``, which puts the replacing symbol into the first
-cell of each span and records, as a mask over the cells, which cells
+position it hands out is a plain index into ``cells``.  The pair stage
+writes through ``replace_spans``, which puts the replacing symbol into the
+first cell of each span and records, as a mask over the cells, which cells
 survive.  The write stays pending until the next ``compact()``, which
 gathers the surviving cells in one pass; until then ``live()`` refuses to
-read the text.  Every compaction bumps ``epoch``, so positions taken before
+read the text.
+
+The block stage reads the text in run form: ``cells`` holds one symbol per
+maximal run, and ``runs`` the runs of length >= 2 as (head cell, length)
+columns.  ``ingest`` builds the first text so, from the input's runs, and
+``collapse_runs`` brings a compact text to it with the same run finder,
+``find_runs``.  ``replace_runs`` then puts one symbol into each run's head
+cell, which leaves a compact text.  While runs are pending ``live()``
+refuses to read the text, and ``len()`` counts every run at its length.
+Every compaction and collapse bumps ``epoch``, so positions taken before
 it are detected as stale.
 
 The text also carries its working alphabet: its symbols are working ids in
@@ -17,10 +26,11 @@ the stages ``mint`` the ids of the symbols they write, and
 
 Every cell lies in ``[0, width)`` by construction.  That is checked only
 where symbols are written, before any write: the constructor takes only
-integers of at least 0, and ``replace_spans`` only fresh symbols below
-``width``.  ``mint`` only widens the alphabet, ``compact`` only drops cells
-and a rename maps onto ``[0, k)``, so readers index ``alias`` with cells
-directly.  No other module writes ``cells``, ``alias`` or ``kept``.
+integers of at least 0, and ``replace_spans`` and ``replace_runs`` only
+fresh symbols below ``width``.  ``mint`` only widens the alphabet,
+``compact`` and ``collapse_runs`` only drop cells and a rename maps onto
+``[0, k)``, so readers index ``alias`` with cells directly.  No other
+module writes ``cells``, ``alias``, ``kept`` or ``runs``.
 """
 
 from __future__ import annotations
@@ -79,14 +89,74 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return idx
 
 
+def find_runs(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The maximal runs of ``symbols``, as ``(heads, at, lengths)``.
+
+    ``heads`` holds each run's symbol, in order and in the dtype of
+    ``symbols`` (``symbols`` itself when no run is longer than 1), and for
+    each run of length >= 2, in order, ``heads[at[i]]`` heads a run of
+    ``lengths[i]`` symbols.  ``at`` and ``lengths`` take the narrowest
+    unsigned dtypes that hold them.  Only the runs of length >= 2 get a
+    position, so besides ``heads`` the output is sized by those runs.
+    """
+    n = len(symbols)
+    starts = np.empty(n, dtype=bool)
+    starts[:1] = True
+    np.not_equal(symbols[1:], symbols[:-1], out=starts[1:])
+    # A block's first cell starts a run and the next cell does not: there
+    # the run-start mask steps down, and it steps up again after the block's
+    # last cell (or the text ends, read as one more run start).
+    step = np.diff(starts.view(np.int8), append=np.int8(1))
+    at = np.flatnonzero(step == -1)
+    lengths = np.flatnonzero(step == 1)
+    del step
+    lengths -= at
+    lengths += 1
+    heads = np.compress(starts, symbols) if len(at) else symbols
+    del starts
+    # A block's head index is its start less the cells that the blocks
+    # before it fold into their heads.
+    folded = np.cumsum(lengths)
+    folded -= lengths
+    at -= folded
+    del folded
+    at += np.arange(len(at))
+    at = at.astype(narrow_dtype(len(heads)))
+    lengths = lengths.astype(narrow_dtype(int(lengths.max(initial=0)) + 1))
+    return heads, at, lengths
+
+
 class WorkingText:
-    def __init__(self, symbols):
+    def __init__(self, symbols, runs=None):
+        """A compact text of ``symbols``, or with ``runs``, a text in run form.
+
+        ``runs`` is a pair ``(at, lengths)`` of integer columns: cell
+        ``at[i]`` stands for a run of ``lengths[i]`` copies of its symbol,
+        and every other cell for itself.  Symbols that are not integers of
+        at least 0, and runs that are not cells of the text in increasing
+        order, each of length >= 2, raise ``ValueError``.
+        """
         self.cells = as_int64(symbols, "symbols", ValueError).copy()
         if self.cells.min(initial=0) < 0:
             raise ValueError("symbols must be non-negative")
         self.alias = np.arange(self.cells.max(initial=-1) + 1)  # working id -> canonical id
         self.kept = None  # while a write is pending, the cells compact() keeps
+        self.runs = None  # in run form, the (head cell, length) columns of the runs
         self.epoch = 0
+        if runs is not None:
+            at, lengths = (np.asarray(column) for column in runs)
+            if at.dtype.kind not in "iu" or lengths.dtype.kind not in "iu":
+                raise ValueError("runs must be integer columns")
+            if at.ndim != 1 or at.shape != lengths.shape:
+                raise ValueError("runs need one head cell and one length per run")
+            if at.size and (at.min() < 0 or at.max() >= len(self.cells)):
+                raise ValueError("a run head lies outside the text")
+            if lengths.min(initial=2) < 2:
+                raise ValueError("runs have length 2 or more")
+            if np.any(at[1:] <= at[:-1]):
+                raise ValueError("run heads must increase")
+            if len(at):
+                self.runs = (at, lengths)
 
     @property
     def width(self) -> int:
@@ -107,14 +177,50 @@ class WorkingText:
         return np.arange(start, len(self.alias), dtype=np.int64)
 
     def __len__(self) -> int:
-        """The number of symbols, counting a pending write as applied."""
-        return len(self.cells) if self.kept is None else int(np.count_nonzero(self.kept))
+        """The number of symbols, counting a pending write as applied and runs at their length."""
+        if self.kept is not None:
+            return int(np.count_nonzero(self.kept))
+        if self.runs is not None:
+            at, lengths = self.runs
+            return len(self.cells) + int(lengths.sum(dtype=np.int64)) - len(at)
+        return len(self.cells)
 
     def live(self) -> np.ndarray:
-        """The symbol sequence; raises ``StaleTextError`` while a write is pending."""
+        """The symbol sequence; raises ``StaleTextError`` while a write or runs are pending."""
         if self.kept is not None:
             raise StaleTextError("a write is pending: compact() the text first")
+        if self.runs is not None:
+            raise StaleTextError("runs are pending: the block stage replaces them first")
         return self.cells
+
+    def canonical(self, dtype) -> np.ndarray:
+        """The symbol sequence as canonical ids in ``dtype``, each pending run spread out.
+
+        Raises ``StaleTextError`` while a write is pending.
+        """
+        if self.kept is not None:
+            raise StaleTextError("a write is pending: compact() the text first")
+        ids = np.take(self.alias.astype(dtype), self.cells)
+        if self.runs is None:
+            return ids
+        at, lengths = self.runs
+        repeats = np.ones(len(ids), dtype=np.intp)
+        repeats[at.astype(np.intp)] = lengths  # a narrow index array is slower
+        return np.repeat(ids, repeats)
+
+    def collapse_runs(self) -> None:
+        """Bring a compact text to run form, through ``find_runs``.
+
+        The cells become one per maximal run, and the runs of length >= 2
+        go to ``runs``; this invalidates all outstanding positions.  A text
+        in run form is left as it is, and so is one with no two equal
+        neighbours, which is its own run form.
+        """
+        if self.runs is None:
+            heads, at, lengths = find_runs(self.live())
+            if len(at):
+                self.cells, self.runs = heads, (at, lengths)
+                self.epoch += 1
 
     def compact(self) -> None:
         """Apply the pending write, if any; invalidates all outstanding positions.
@@ -168,6 +274,38 @@ class WorkingText:
             raise ValueError("fresh symbol outside the working alphabet")
         cells[starts] = fresh
         self.kept = kept
+
+    def replace_runs(self, heads, fresh) -> None:
+        """Replace each pending run by one symbol, which leaves a compact text.
+
+        The run whose head cell is ``heads[i]`` becomes ``fresh[i]``, and
+        ``heads`` must name each pending run's head cell once.  Without
+        pending runs this raises ``StaleTextError``; arrays of other shapes,
+        other head cells, heads or symbols that are not integers and fresh
+        symbols outside ``[0, width)`` raise ``ValueError`` before any write.
+        """
+        if self.runs is None:
+            raise StaleTextError("no runs are pending")
+        heads = as_int64(heads, "run heads", ValueError)
+        fresh = as_int64(fresh, "fresh symbols", ValueError)
+        at = self.runs[0]
+        if heads.shape != at.shape or fresh.shape != at.shape:
+            raise ValueError("heads and fresh need one entry per pending run")
+        if heads.min() < 0 or heads.max() >= len(self.cells):
+            raise ValueError("a run head lies outside the text")
+        # The heads are as many as the runs, so they are the runs' heads,
+        # each once, exactly when each lies on one and every one is hit.
+        head = np.zeros(len(self.cells), dtype=bool)
+        head[at.astype(np.intp)] = True  # a narrow index array is slower
+        if not head[heads].all():
+            raise ValueError("a head cell heads no pending run")
+        head[heads] = False
+        if head.any():
+            raise ValueError("a run head is given twice")
+        if fresh.min() < 0 or fresh.max() >= len(self.alias):
+            raise ValueError("fresh symbol outside the working alphabet")
+        self.cells[heads] = fresh
+        self.runs = None
 
     def _rename(self, lut: np.ndarray, old_ids: np.ndarray) -> None:
         """Symbol ``s`` becomes ``lut[s]``; new id ``i`` takes old id ``old_ids[i]``'s alias."""

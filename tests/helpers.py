@@ -8,8 +8,14 @@ import numpy as np
 
 from rewriting_lab import Ref, Run, RunSlp
 from slpcompress import blocks, compress, expand
-from slpcompress.alphabet import InputFormatError, ingest, radix_argsort
-from slpcompress.driver import BestSnapshot, CompressionResult, _snapshot_grammar, run_phase
+from slpcompress.alphabet import InputFormatError, ingest, radix_argsort, rename_dense
+from slpcompress.driver import (
+    BestSnapshot,
+    CompressionResult,
+    PhaseTrace,
+    _snapshot_grammar,
+    run_phase,
+)
 from slpcompress.grammar import (
     MAX_EXPANSION,
     ExpansionOverflow,
@@ -17,8 +23,14 @@ from slpcompress.grammar import (
     Slp,
     symbol_lengths,
 )
-from slpcompress.pairs import Partition, greedy_partition
-from slpcompress.text import WorkingText, concat_ranges
+from slpcompress.pairs import (
+    Partition,
+    build_adjacency,
+    compress_pairs,
+    distinct_pairs,
+    greedy_partition,
+)
+from slpcompress.text import WorkingText, concat_ranges, narrow_dtype
 
 
 def random_runslp(rng: random.Random, max_rules=30, alphabet=4, expansion_cap=10**6,
@@ -512,8 +524,20 @@ def _next_live(text, at: int) -> int:
 
 
 def live_list(text) -> list[int]:
-    """The live symbols in order, also between a replacement and ``compact()``."""
-    return (text.cells if text.kept is None else text.cells[text.kept]).tolist()
+    """The live symbols in order, also between a replacement and ``compact()``
+    and with each pending run spread out."""
+    if text.kept is not None:
+        return text.cells[text.kept].tolist()
+    return spread_runs(text.cells, text.runs).tolist()
+
+
+def spread_runs(cells: np.ndarray, runs) -> np.ndarray:
+    """``cells`` with each run of ``runs`` (``None`` or ``(at, lengths)``) spread out."""
+    if runs is None:
+        return cells
+    repeats = np.ones(len(cells), dtype=np.int64)
+    repeats[np.asarray(runs[0], dtype=np.int64)] = runs[1]
+    return np.repeat(cells, repeats)
 
 
 def live_positions(text) -> np.ndarray:
@@ -964,7 +988,7 @@ def reference_compress_improved(data, kind: str | None = None) -> CompressionRes
         phase_table.append((len(text), grammar.size))
         candidate = len(text) + grammar.size
         if best is None or candidate < best.size:
-            snapshot = text.alias[text.live()]
+            snapshot = text.canonical(np.int64)
             best = BestSnapshot(candidate, len(traces), snapshot, len(grammar.counts))
             copy_work += len(snapshot)
         if len(text) <= 1:
@@ -1028,3 +1052,116 @@ def reference_rename_dense(text: WorkingText) -> None:
     lut[old_ids] = np.arange(len(old_ids), dtype=np.int64)
     text.cells = lut[live]
     text.alias = new_table
+
+
+def reference_runs(symbols) -> tuple[list[int], list[tuple[int, int]]]:
+    """The maximal runs of ``symbols``, read one symbol at a time.
+
+    Returns each run's symbol, and ``(index among the runs, length)`` of
+    every run of length >= 2.
+    """
+    heads: list[int] = []
+    lengths: list[int] = []
+    for s in symbols:
+        if heads and heads[-1] == s:
+            lengths[-1] += 1
+        else:
+            heads.append(s)
+            lengths.append(1)
+    return heads, [(i, n) for i, n in enumerate(lengths) if n >= 2]
+
+
+def reference_full_text_blocks(text: WorkingText, grammar: Slp) -> int:
+    """The block stage as it was before it read the text in run form.
+
+    It scans the full compact text for maximal blocks, sorts them by
+    (letter, length), replaces each through ``replace_spans`` over the mask
+    of run starts and compacts.  Returns the blocks replaced.
+    """
+    live = text.live()
+    if len(live) == 0:
+        return 0
+    run_starts = np.empty(len(live), dtype=bool)
+    run_starts[0] = True
+    np.not_equal(live[1:], live[:-1], out=run_starts[1:])
+    step = np.diff(run_starts.view(np.int8), append=np.int8(1))
+    pos = np.flatnonzero(step == -1)
+    lengths = np.flatnonzero(step == 1) - pos + 1
+    letters = live[pos]
+    order = np.lexsort((lengths, letters))  # stable: by letter, then length
+    pos, lengths, letters = pos[order], lengths[order], letters[order]
+    if len(pos):
+        new_group = np.r_[True, (letters[1:] != letters[:-1]) | (lengths[1:] != lengths[:-1])]
+        starts = np.flatnonzero(new_group)
+        targets = blocks.build_block_rules(grammar, text.alias[letters[starts]], lengths[starts])
+        fresh = text.mint(targets)
+        text.replace_spans(pos, fresh[np.cumsum(new_group) - 1], run_starts)
+    text.compact()
+    return len(pos)
+
+
+def reference_full_text_compress(data, mode: str) -> tuple[CompressionResult, list[np.ndarray]]:
+    """``compress`` with the full-length input and the full-text block stage.
+
+    The input is numbered at full length by ``reference_first_occurrence_ids``,
+    every phase runs ``reference_full_text_blocks``, and improved mode counts
+    the distinct pairs exactly at every row it prices.  Returns the result,
+    whose traces carry no timings, and every snapshot taken, in order.
+    """
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        kind, arr = "bytes", np.frombuffer(bytes(data), dtype=np.uint8)
+    else:
+        kind, arr = "tokens", np.asarray(data, dtype=np.int64)
+    ids, terminals = reference_first_occurrence_ids(arr)
+    text = WorkingText(ids)
+    grammar = Slp(kind, terminals)
+    traces: list[PhaseTrace] = []
+    phase_table: list[tuple[int, int]] = []
+    snapshots: list[np.ndarray] = []
+    best: BestSnapshot | None = None
+    while True:
+        phase_table.append((len(text), grammar.size))
+        if mode == "improved":
+            candidate = len(text) + grammar.size
+            if best is None or candidate < best.size:
+                snapshot = text.alias.astype(narrow_dtype(grammar.symbol_count))[text.live()]
+                best = BestSnapshot(candidate, len(traces), snapshot, len(grammar.counts))
+                snapshots.append(snapshot)
+            elif grammar.size + distinct_pairs(text) + 1 >= best.size:
+                break
+        if len(text) <= 1:
+            break
+        live_before, rules_before, size_before = len(text), len(grammar.counts), grammar.size
+        blocks_compressed = reference_full_text_blocks(text, grammar)
+        live_after_blocks = len(text)
+        adj = build_adjacency(text)
+        part = greedy_partition(adj)
+        pairs_compressed = compress_pairs(text, part, adj, grammar).occurrences_replaced
+        text.compact()
+        rename_dense(text)
+        traces.append(PhaseTrace(
+            phase=len(traces) + 1,
+            live_before=live_before,
+            live_after_blocks=live_after_blocks,
+            blocks_compressed=blocks_compressed,
+            pairs_compressed=pairs_compressed,
+            cover_pre_swap=part.cover_pre_swap,
+            cover_chosen=part.cover_chosen,
+            live_after=len(text),
+            rules_before=rules_before,
+            size_before=size_before,
+            rules_after=len(grammar.counts),
+            size_after=grammar.size,
+            rename_s=0.0, blocks_s=0.0, adjacency_s=0.0, partition_s=0.0, pairs_s=0.0,
+            compact_s=0.0,
+        ))
+    if mode == "improved":
+        slp, best_phase = _snapshot_grammar(grammar, best), best.phase
+        copy_work = sum(len(s) for s in snapshots)
+    else:
+        final = text.alias[text.live()]
+        if len(final):
+            grammar.start = grammar.emit_rule(final)
+        slp, best_phase, copy_work = grammar, None, 0
+    result = CompressionResult(slp, traces, mode, len(arr), phase_table, best_phase, copy_work)
+    return result, snapshots

@@ -131,3 +131,32 @@ def test_exit_status_is_one_only_when_a_pair_reads_worse(
     summary = out[out.index("\nverdicts\n"):].splitlines()
     assert [line.split(":")[0].strip() for line in summary[2:]] == list(ab_bench.VERDICTS)
     assert any(line.strip().startswith(verdict_line) for line in summary)
+
+
+def test_a_slowdown_common_to_both_sides_of_a_pair_leaves_the_ratio_at_one():
+    # A slow spell that spans a pair scales both of its runs alike.
+    spells = [1.0, 1.0, 1.75, 1.75, 1.0, 1.3, 1.0, 1.0, 1.6, 1.0]
+    parent = [v * s for v, s in zip(STEADY, spells)]
+    change = [v * 1.1 * s for v, s in zip(STEADY, spells)]
+    assert ab_bench.quartiles(ab_bench.paired_ratios(parent, change)) == pytest.approx((1.1,) * 3)
+    assert ab_bench.paired_ratios(parent, parent) == [1.0] * 10
+    # The unpaired quartiles hold the spells; the paired ones do not.
+    q1, _, q3 = ab_bench.quartiles(parent)
+    assert (q3 - q1) / 100 > 0.25
+
+
+def test_sign_test_p_values():
+    up9 = [v + (1 if i else -1) for i, v in enumerate(STEADY)]  # 9 of 10 pairs up
+    assert ab_bench.sign_test(STEADY, up9) == pytest.approx(22 / 1024)
+    assert round(ab_bench.sign_test(STEADY, up9), 3) == 0.021
+    assert ab_bench.sign_test(up9, STEADY) == ab_bench.sign_test(STEADY, up9)  # two-sided
+    assert ab_bench.sign_test(STEADY, scaled(STEADY, 2.0)) == pytest.approx(2 / 1024)
+    assert ab_bench.sign_test(STEADY, list(STEADY)) == 1.0  # every pair a tie
+    half = [v + (1 if i % 2 else -1) for i, v in enumerate(STEADY)]
+    assert ab_bench.sign_test(STEADY, half) == 1.0
+
+
+def test_the_summary_line_carries_the_paired_figures():
+    line = ab_bench.summarize(STEADY, scaled(STEADY, 1.5), "higher")
+    assert "wins 10/10" in line
+    assert line.endswith("paired x1.500 [1.500, 1.500] p=0.002")

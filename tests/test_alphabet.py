@@ -10,10 +10,11 @@ from helpers import (
     radix_sort,
     reference_first_occurrence_ids,
     reference_rename_dense,
+    reference_runs,
 )
 
 from slpcompress.alphabet import InputFormatError, ingest, radix_argsort, rename_dense
-from slpcompress.text import WorkingText
+from slpcompress.text import StaleTextError, WorkingText
 
 
 class TestIngest:
@@ -175,6 +176,75 @@ class TestIngest:
         text, _, terminals = ingest(bytes(range(256)) * 3)
         assert len(terminals) == 256
         assert len(text) == 768
+
+
+def run_form(text) -> tuple[list[int], list[tuple[int, int]]]:
+    """The text's cells and its pending runs as (head cell, length) pairs."""
+    at, lengths = text.runs if text.runs is not None else ([], [])
+    return text.cells.tolist(), list(zip(np.asarray(at).tolist(), np.asarray(lengths).tolist()))
+
+
+class TestIngestRuns:
+    """``ingest`` keeps one cell per maximal run and hands on the runs of length >= 2."""
+
+    CASES = {
+        "empty": b"",
+        "one-symbol": b"q",
+        "unary-2": b"a" * 2,
+        "unary-3": b"a" * 3,
+        "unary-1023": b"a" * 1023,
+        "unary-4096": b"a" * 4096,
+        "no-runs": b"abcabacbca",
+        "all-runs": b"aabbbaaaacccccbbzz",
+        "runs-at-both-ends": b"xxxxabcyyy",
+        "mixed": b"abbcccdaab",
+    }
+
+    @pytest.mark.parametrize("data", CASES.values(), ids=CASES.keys())
+    def test_matches_scalar_reference(self, data):
+        text, kind, terminals = ingest(data)
+        heads, blocks = reference_runs(list(data))
+        cells, runs = run_form(text)
+        assert [terminals[i] for i in cells] == heads
+        assert runs == blocks
+        assert len(text) == len(data)
+        assert live_list(text) == reference_first_occurrence_ids(np.frombuffer(data, np.uint8))[0].tolist()
+        # Tokens of the same values give the same text and runs.
+        tokens = [v * 2654435761 % 2**32 for v in data]
+        token_text, token_kind, token_terminals = ingest(tokens)
+        assert (kind, token_kind) == ("bytes", "tokens")
+        assert run_form(token_text) == (cells, runs)
+        assert token_terminals == [v * 2654435761 % 2**32 for v in terminals]
+
+    def test_unary_words_are_one_run(self):
+        for n in (2, 3, 5, 2**10 - 1, 2**10, 2**10 + 1, 2**17):
+            text = ingest(b"a" * n)[0]
+            assert run_form(text) == ([0], [(0, n)])
+            assert len(text) == n
+
+    def test_without_runs_the_text_is_compact(self):
+        text = ingest([3, 1, 4, 1, 5, 9, 2, 6])[0]
+        assert text.runs is None
+        assert text.live().tolist() == [0, 1, 2, 1, 3, 4, 5, 6]
+
+    def test_pending_runs_hold_the_text(self):
+        text = ingest(b"aab")[0]
+        with pytest.raises(StaleTextError, match="runs are pending"):
+            text.live()
+        spread = text.canonical(np.uint8)
+        assert spread.dtype == np.uint8 and spread.tolist() == [0, 0, 1]
+        assert len(text) == 3 and text.cells.tolist() == [0, 1]
+
+    @given(st.lists(st.integers(0, 3), max_size=200), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_random_runs_match_scalar_reference(self, values, as_bytes):
+        raw = bytes(values) if as_bytes else [v * 2654435761 % 2**32 for v in values]
+        text, _, terminals = ingest(raw)
+        heads, blocks = reference_runs(list(raw))
+        cells, runs = run_form(text)
+        assert [terminals[i] for i in cells] == heads
+        assert runs == blocks
+        assert len(text) == len(values)
 
 
 class TestRadixSort:

@@ -16,6 +16,7 @@ from helpers import (
 from slpcompress.alphabet import ingest
 from slpcompress.blocks import build_block_rules, compress_blocks, scan_blocks
 from slpcompress.grammar import Slp, _ranges, expand
+from slpcompress.text import WorkingText
 
 
 def naive_expand_ids(slp, symbol):
@@ -40,8 +41,12 @@ def scanned(scan):
 
 class TestScanBlocks:
     def test_hand_scan(self):
+        # Positions are head cells of the run form "abab": aa at 0, bbb at 1.
         text = ingest(b"aabbbab")[0]
-        assert scanned(scan_blocks(text)) == [(0, 2, 0), (1, 3, 2)]
+        assert scanned(scan_blocks(text)) == [(0, 2, 0), (1, 3, 1)]
+        text = WorkingText([0, 0, 1, 1, 1, 0, 1])  # a compact text is collapsed first
+        assert scanned(scan_blocks(text)) == [(0, 2, 0), (1, 3, 1)]
+        assert text.cells.tolist() == [0, 1, 0, 1] and len(text) == 7
 
     def test_no_blocks(self):
         text = ingest(b"abab")[0]

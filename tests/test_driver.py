@@ -130,47 +130,66 @@ class TestPhase:
             assert len(result.phase_table) == len(result.traces) + 1
 
     def test_every_reader_sees_a_compact_text(self, monkeypatch):
-        # Readers find no pending write; both replacing stages leave one, and
-        # live() refuses the text until run_phase compacts it.  The
-        # improved-mode snapshot reads the text through live() as well.
+        # Readers find no pending write and no pending runs.  The pair stage
+        # leaves a write pending, and live() refuses the text until
+        # run_phase compacts it.  The block scan reads a text in run form in
+        # the first phase, as ingest leaves it, and a compact one later; the
+        # block write leaves it compact.
         calls = []
 
         def reader(name):
             original = getattr(driver, name)
 
             def guarded(text, *args):
-                assert text.kept is None, f"{name} got a pending write"
+                assert text.kept is None and text.runs is None, f"{name} got a pending change"
                 assert len(text.cells) == len(text)
                 calls.append(name)
                 return original(text, *args)
 
             monkeypatch.setattr(driver, name, guarded)
 
-        def writer(name):
-            original = getattr(driver, name)
+        scan = driver.scan_blocks
 
-            def guarded(text, *args):
-                epoch = text.epoch
-                out = original(text, *args)
-                assert text.epoch == epoch, f"{name} compacted the text itself"
-                if text.kept is not None:
-                    with pytest.raises(StaleTextError):
-                        text.live()
-                    calls.append(name)
-                return out
+        def guarded_scan(text):
+            assert text.kept is None
+            calls.append(("scan_blocks", "runs" if text.runs is not None else "compact"))
+            return scan(text)
 
-            monkeypatch.setattr(driver, name, guarded)
+        blocks = driver.compress_blocks
 
-        for name in ("rename_dense", "scan_blocks", "build_adjacency"):
+        def guarded_blocks(text, *args):
+            epoch = text.epoch
+            out = blocks(text, *args)
+            assert text.epoch == epoch, "compress_blocks compacted the text itself"
+            assert text.kept is None and text.runs is None
+            assert len(text.cells) == len(text)
+            calls.append("compress_blocks")
+            return out
+
+        pairs = driver.compress_pairs
+
+        def guarded_pairs(text, *args):
+            epoch = text.epoch
+            out = pairs(text, *args)
+            assert text.epoch == epoch, "compress_pairs compacted the text itself"
+            if text.kept is not None:
+                with pytest.raises(StaleTextError):
+                    text.live()
+                calls.append("compress_pairs")
+            return out
+
+        for name in ("rename_dense", "build_adjacency"):
             reader(name)
-        for name in ("compress_blocks", "compress_pairs"):
-            writer(name)
+        monkeypatch.setattr(driver, "scan_blocks", guarded_scan)
+        monkeypatch.setattr(driver, "compress_blocks", guarded_blocks)
+        monkeypatch.setattr(driver, "compress_pairs", guarded_pairs)
         data = b"aaab" * 50 + b"abcabcbbbcca" * 40
         for mode in ("plain", "improved"):
             result = compress(data, mode=mode)
             assert expand(result.slp) == data
         assert set(calls) == {
-            "rename_dense", "scan_blocks", "build_adjacency", "compress_blocks", "compress_pairs"
+            "rename_dense", "build_adjacency", "compress_blocks", "compress_pairs",
+            ("scan_blocks", "runs"), ("scan_blocks", "compact"),
         }
 
 

@@ -20,17 +20,19 @@ from test_golden import random_bytes, revised_text, token_runs
 SIZE = 2**16
 
 
-# (input, mode): bytes per input symbol.  Measured 37.2, 41.4, 25.6, 24.6,
-# 22.4 and 22.4 with numpy 2.4.  Before the stages released their arrays
-# and the adjacency kept one pair index per position, they read 55.5, 54.1,
-# 40.3, 32.3, 34.9 and 26.9.
+# (input, mode): bytes per input symbol.  Measured 35.7, 41.4, 23.1, 22.3,
+# 19.5 and 19.6 with numpy 2.4.  Before the first phase started from the
+# input's runs and the pair stage gathered in chunks, they read 37.2, 41.4,
+# 25.6, 24.6, 22.4 and 22.4; before the stages released their arrays and
+# the adjacency kept one pair index per position, 55.5, 54.1, 40.3, 32.3,
+# 34.9 and 26.9.
 BOUNDS = {
-    (random_bytes, "improved"): 43.0,
+    (random_bytes, "improved"): 41.0,
     (random_bytes, "plain"): 48.0,
-    (revised_text, "improved"): 29.5,
-    (revised_text, "plain"): 28.5,
-    (token_runs, "improved"): 26.0,
-    (token_runs, "plain"): 26.0,
+    (revised_text, "improved"): 26.5,
+    (revised_text, "plain"): 25.5,
+    (token_runs, "improved"): 22.5,
+    (token_runs, "plain"): 22.5,
 }
 
 

@@ -4,18 +4,23 @@ For a row ``k`` with text length ``L_k``, grammar size ``S_k`` and ``P_k``
 distinct adjacent pairs (equal neighbours included), every later row ``j``
 has ``L_j + S_j >= S_k + P_k + 1``.  The driver stops at the first row
 that is not a new best once that bound reaches the best stop cost, so its
-output must equal a run through every phase.
+output must equal a run through every phase.  It counts ``P_k`` only when
+``width - 1 <= P_k <= L_k - 1`` leaves the decision open, and decides as
+the exact count would.
 """
 
 import random
 
 import numpy as np
 
-from helpers import reference_compress_improved
+import test_golden
+from helpers import live_list, reference_compress_improved, reference_full_text_compress
+from slpcompress import driver
 from slpcompress.alphabet import ingest
 from slpcompress.driver import compress, run_phase
 from slpcompress.grammar import Slp, serialize
 from slpcompress.pairs import distinct_pairs
+from slpcompress.text import WorkingText
 
 
 def counts(trace):
@@ -91,8 +96,13 @@ def test_plain_mode_runs_every_phase():
 
 
 def phase_rows(data):
-    """(L, S, P) at the top of every phase, running to a single symbol."""
+    """(L, S, P) at the top of every phase, running to a single symbol.
+
+    The text starts compact, at full length, so that ``distinct_pairs`` can
+    read it at phase 0 too.
+    """
     text, kind, terminals = ingest(data)
+    text = WorkingText(live_list(text))
     grammar = Slp(kind, terminals)
     rows = []
     while True:
@@ -128,3 +138,51 @@ def test_lower_bound_on_later_stop_costs():
                 break
         stop = len(rows) - 1 if stop is None else stop
         assert len(compress(data, mode="improved").phase_table) == stop + 1
+
+
+def count_exact_counts(monkeypatch) -> list:
+    """Record each call of the driver's exact pair count."""
+    calls = []
+    real = driver.distinct_pairs
+
+    def spy(text):
+        calls.append(len(text))
+        return real(text)
+
+    monkeypatch.setattr(driver, "distinct_pairs", spy)
+    return calls
+
+
+def priced_rows_match_the_exact_count(data) -> int:
+    """Compare with a run that counts ``P_k`` at every row; returns the rows priced after phase 0."""
+    got = compress(data, mode="improved")
+    want, _ = reference_full_text_compress(data, "improved")
+    assert serialize(got.slp) == serialize(want.slp)
+    assert got.phase_table == want.phase_table
+    assert got.best_phase == want.best_phase
+    assert [counts(t) for t in got.traces] == [counts(t) for t in want.traces]
+    return len(got.phase_table) - 1
+
+
+def test_the_bounds_skip_the_exact_count_on_tokens_in_runs(monkeypatch):
+    # Zipf-drawn tokens in runs, as the benchmark's runs_tokens: each row
+    # past phase 0 is decided by the width or the length bound.
+    calls = count_exact_counts(monkeypatch)
+    priced = 0
+    for seed in range(3):
+        for generate in (test_golden.token_runs, test_golden.zipf_runs):
+            priced += priced_rows_match_the_exact_count(generate(seed))
+    assert priced >= 6
+    assert calls == []
+
+
+def test_the_exact_count_decides_only_between_the_bounds(monkeypatch):
+    calls = count_exact_counts(monkeypatch)
+    rng = random.Random(7)
+    priced = 0
+    for _ in range(150):
+        priced += priced_rows_match_the_exact_count(seeded_input(rng))
+    for gen, seed in sorted({(gen, seed) for gen, seed, _ in test_golden.GOLDEN}):
+        priced += priced_rows_match_the_exact_count(getattr(test_golden, gen)(seed))
+    # The count still decides some rows, and the bounds decide most.
+    assert 0 < len(calls) < priced / 2

@@ -8,11 +8,12 @@ from helpers import (
     live_list,
     live_positions,
     reference_replace_spans,
+    reference_runs,
     replace_pair,
     replace_run,
 )
 from slpcompress.alphabet import rename_dense
-from slpcompress.text import StaleTextError, WorkingText, concat_ranges
+from slpcompress.text import StaleTextError, WorkingText, concat_ranges, find_runs
 
 
 def text_of(symbols, width: int) -> WorkingText:
@@ -387,3 +388,106 @@ class TestSpanChecks:
         assert len(t) == 2
         t.compact()
         assert t.live().tolist() == [3, 3]
+
+
+class TestFindRuns:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_matches_scalar_reference(self, dtype):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n = int(rng.integers(0, 60))
+            symbols = rng.integers(0, int(rng.integers(1, 5)), n).astype(dtype)
+            heads, at, lengths = find_runs(symbols)
+            want_heads, want_blocks = reference_runs(symbols.tolist())
+            assert heads.dtype == dtype and heads.tolist() == want_heads
+            assert list(zip(at.tolist(), lengths.tolist())) == want_blocks
+            assert at.dtype.kind == lengths.dtype.kind == "u"
+
+    def test_without_runs_the_heads_are_the_input(self):
+        symbols = np.array([1, 2, 1, 3])
+        heads, at, lengths = find_runs(symbols)
+        assert heads is symbols and len(at) == len(lengths) == 0
+
+    def test_narrow_columns(self):
+        heads, at, lengths = find_runs(np.repeat(np.arange(300), 2))
+        assert at.dtype == np.uint16 and lengths.dtype == np.uint8
+        assert at.tolist() == list(range(300)) and set(lengths.tolist()) == {2}
+
+
+class TestRunForm:
+    def test_length_counts_each_run_at_its_length(self):
+        t = WorkingText([0, 1, 0], runs=(np.array([0, 2]), np.array([3, 2])))
+        assert len(t) == 6 and len(t.cells) == 3
+        with pytest.raises(StaleTextError, match="runs are pending"):
+            t.live()
+        assert live_list(t) == [0, 0, 0, 1, 0, 0]
+        assert t.canonical(np.int64).tolist() == [0, 0, 0, 1, 0, 0]
+
+    def test_no_runs_is_a_compact_text(self):
+        t = WorkingText([0, 1], runs=(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)))
+        assert t.runs is None and t.live().tolist() == [0, 1]
+
+    @pytest.mark.parametrize("runs, message", [
+        (([0.0], [2]), "integer columns"),
+        (([0, 1], [2]), "one head cell and one length"),
+        (([3], [2]), "outside the text"),
+        (([-1], [2]), "outside the text"),
+        (([0], [1]), "length 2 or more"),
+        (([1, 1], [2, 3]), "must increase"),
+        (([2, 0], [2, 3]), "must increase"),
+    ])
+    def test_bad_runs_rejected(self, runs, message):
+        with pytest.raises(ValueError, match=message):
+            WorkingText([0, 1, 2], runs=tuple(np.asarray(c) for c in runs))
+
+    def test_collapse_runs_keeps_the_text(self):
+        t = WorkingText([2, 2, 0, 1, 1, 1, 0])
+        epoch = t.epoch
+        t.collapse_runs()
+        assert t.cells.tolist() == [2, 0, 1, 0] and len(t) == 7
+        assert [c.tolist() for c in t.runs] == [[0, 2], [2, 3]]
+        assert t.epoch == epoch + 1
+        t.collapse_runs()  # already in run form
+        assert t.epoch == epoch + 1 and t.cells.tolist() == [2, 0, 1, 0]
+
+    def test_collapse_runs_leaves_a_text_without_runs_alone(self):
+        t = WorkingText([2, 0, 1, 0])
+        cells, epoch = t.cells, t.epoch
+        t.collapse_runs()
+        assert t.runs is None and t.cells is cells and t.epoch == epoch
+
+    def test_collapse_runs_refuses_a_pending_write(self):
+        t = text_of([0, 1, 2], 4)
+        t.replace_spans(np.array([0]), np.array([3]), kept_outside(3, [0], [2]))
+        with pytest.raises(StaleTextError):
+            t.collapse_runs()
+
+    def test_replace_runs_in_any_order(self):
+        t = text_of([2, 2, 0, 1, 1, 1, 0], 6)
+        t.collapse_runs()
+        t.replace_runs(np.array([2, 0], dtype=np.uint8), np.array([5, 4]))
+        assert t.runs is None and t.live().tolist() == [4, 0, 5, 0]
+        with pytest.raises(StaleTextError, match="no runs"):
+            t.replace_runs(np.array([0]), np.array([4]))
+
+    @pytest.mark.parametrize("heads, fresh, message", [
+        ([0], [4], "one entry per pending run"),
+        ([0, 2], [4], "one entry per pending run"),
+        ([0, 4], [4, 5], "outside the text"),
+        ([0, 1], [4, 5], "heads no pending run"),
+        ([0, 0], [4, 5], "given twice"),
+        ([0, 2], [4, 6], "outside the working alphabet"),
+        ([0, 2], [4.0, 5.0], "integers"),
+    ])
+    def test_bad_writes_rejected_before_any_write(self, heads, fresh, message):
+        t = text_of([2, 2, 0, 1, 1, 1, 0], 6)
+        t.collapse_runs()
+        with pytest.raises(ValueError, match=message):
+            t.replace_runs(np.asarray(heads), np.asarray(fresh))
+        assert t.cells.tolist() == [2, 0, 1, 0] and t.runs is not None
+
+    def test_canonical_refuses_a_pending_write(self):
+        t = text_of([0, 1, 2], 4)
+        t.replace_spans(np.array([0]), np.array([3]), kept_outside(3, [0], [2]))
+        with pytest.raises(StaleTextError):
+            t.canonical(np.int64)

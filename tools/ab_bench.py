@@ -13,10 +13,14 @@ length the benchmark itself uses.  For every workload and metric the
 script prints each side's median and quartiles, the ratio of the change's
 median to the parent's, and in how many pairs the change read better
 (ties count for neither), with the direction of "better" taken from
-``BENCHMARK.json``.  Without ``--trace 1`` each end-to-end metric also gets
-a verdict against its bound in ``BENCHMARK.json`` (see ``verdict``), and
-after the tables one line per verdict names the (workload, metric) pairs
-that read it; the exit status is 1 when any pair reads ``worse``.  It also
+``BENCHMARK.json``.  Then come the paired figures: the median and
+quartiles of the per-pair ratio (change over parent), and the two-sided
+p-value of a sign test over the pairs.  The two runs of a pair sit next to
+each other in time, so a slow spell of the host that spans both cancels
+in their ratio; the verdict below does not read these figures.  Without
+``--trace 1`` each end-to-end metric also gets a verdict against its bound
+in ``BENCHMARK.json`` (see ``verdict``), and after the tables one line per
+verdict names the (workload, metric) pairs that read it; the exit status is 1 when any pair reads ``worse``.  It also
 says whether the grammar digests of the two sides agree.
 """
 
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -77,12 +82,34 @@ def wins(parent: list[float], change: list[float], better: str) -> int:
     return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
 
 
+def paired_ratios(parent: list[float], change: list[float]) -> list[float]:
+    """Each pair's change over parent; a pair whose parent reads 0 gives nan."""
+    return [c / p if p else float("nan") for p, c in zip(parent, change)]
+
+
+def sign_test(parent: list[float], change: list[float]) -> float:
+    """Two-sided p-value of the sign test: do the pairs move one way more than chance?
+
+    Ties are dropped.  Under the null hypothesis each remaining pair moves
+    up or down with probability 1/2, so the p-value is twice the binomial
+    tail beyond the larger count, at most 1.
+    """
+    up = sum(c > p for p, c in zip(parent, change))
+    down = sum(c < p for p, c in zip(parent, change))
+    n = up + down
+    tail = sum(math.comb(n, k) for k in range(max(up, down), n + 1)) / 2**n
+    return min(1.0, 2 * tail)
+
+
 def summarize(parent: list[float], change: list[float], better: str) -> str:
-    """Each side's median and quartiles, the ratio of medians and the change's wins."""
+    """Each side's median and quartiles, the ratio of medians, the change's
+    wins, and the paired ratio's median and quartiles with the sign test."""
     (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
     ratio = cm / pm if pm else float("nan")
+    r1, rm, r3 = quartiles(paired_ratios(parent, change))
     return (f"{pm:10.5g} [{p1:.5g}, {p3:.5g}] -> {cm:10.5g} [{c1:.5g}, {c3:.5g}]  "
-            f"x{ratio:.3f}  wins {wins(parent, change, better)}/{len(parent)}")
+            f"x{ratio:.3f}  wins {wins(parent, change, better)}/{len(parent)}  "
+            f"paired x{rm:.3f} [{r1:.3f}, {r3:.3f}] p={sign_test(parent, change):.3f}")
 
 
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
