@@ -39,13 +39,13 @@ class BlockScan:
     """Maximal blocks of length >= 2, sorted by (letter, length).
 
     Column-array layout, each column in the narrowest unsigned dtype that
-    holds it.  Positions are the blocks' head cells in the text's run form,
-    and are only valid for the epoch they were scanned in.
+    holds it.  ``runs`` holds each block's index among the text's pending
+    runs, and is only valid for the epoch it was scanned in.
     """
 
     letters: np.ndarray
     lengths: np.ndarray
-    positions: np.ndarray
+    runs: np.ndarray
     epoch: int = 0
 
     def __len__(self) -> int:
@@ -67,7 +67,7 @@ def scan_blocks(text: WorkingText) -> BlockScan:
     letters = np.take(text.cells, at).astype(narrow_dtype(text.width))
     span = int(lengths.max()) + 1
     order = radix_argsort(letters * np.int64(span) + lengths, text.width * span)
-    return BlockScan(letters[order], lengths[order], at[order], text.epoch)
+    return BlockScan(letters[order], lengths[order], order.astype(at.dtype), text.epoch)
 
 
 @dataclass
@@ -90,7 +90,7 @@ def compress_blocks(text: WorkingText, scan: BlockScan, grammar: Slp) -> BlockCo
         empty = np.empty(0, dtype=np.int64)
         return BlockCompression(0, empty, empty, empty)
     if scan.epoch != text.epoch:
-        raise StaleTextError("block positions predate the last compaction")
+        raise StaleTextError("block runs predate the last compaction")
     letters, lengths = scan.letters, scan.lengths
     new_group = np.empty(len(letters), dtype=bool)
     new_group[0] = True
@@ -105,7 +105,10 @@ def compress_blocks(text: WorkingText, scan: BlockScan, grammar: Slp) -> BlockCo
     fresh = text.mint(targets)
     group_of_record = np.cumsum(new_group) - 1
     del new_group
-    text.replace_runs(scan.positions, np.take(fresh, group_of_record))
+    # One symbol per run, in run order; a narrow index array is slower.
+    symbols = np.empty(len(scan), dtype=np.int64)
+    symbols[scan.runs.astype(np.intp)] = np.take(fresh, group_of_record)
+    text.replace_runs(symbols)
     return BlockCompression(len(scan), group_letters, group_lengths, targets)
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import copy
 import numbers
 import operator
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -248,10 +249,8 @@ class RuleView:
 def _terminals(kind: str, values) -> tuple[int, ...]:
     """``values`` as ints; raises ``GrammarError`` unless each is one ``ingest`` accepts."""
     what, ceiling = f"{kind[:-1]} terminal", 255 if kind == "bytes" else TOKEN_VALUE_CEILING
-    try:
-        values = values if isinstance(values, np.ndarray) else list(values)
-    except TypeError:
-        raise GrammarError(f"{what}s must be a sequence, not {type(values).__name__}") from None
+    if not isinstance(values, (np.ndarray, Sequence)):  # read twice below, so no iterator
+        raise GrammarError(f"{what}s must be a sequence, not {type(values).__name__}")
     try:
         ints = as_int64(values, f"{what}s", GrammarError)
         if not len(ints) or 0 <= ints.min() and ints.max() <= ceiling:

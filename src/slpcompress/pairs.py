@@ -257,16 +257,12 @@ def compress_pairs(
     fresh = np.empty(len(chosen), dtype=narrow_dtype(text.width + len(selected)))
     fresh[selected] = text.mint(rule_ids)  # by pair; read only where chosen
     del selected
-    # Each occurrence keeps its first cell and drops its second.  Distinct
+    # The occurrences are the positions whose pair is chosen.  Distinct
     # left.right pairs never overlap (the classes are disjoint), so no
-    # occurrence starts on a dropped cell; replace_spans checks it.
-    kept = np.empty(len(text), dtype=bool)
-    kept[0] = True
-    _gather(chosen, adj.pair_of, kept[1:])
-    occs = np.flatnonzero(kept[1:])
-    np.logical_not(kept[1:], out=kept[1:])
+    # occurrence starts on another's second cell; replace_pairs checks it.
+    occs = np.flatnonzero(_gather(chosen, adj.pair_of, np.empty(len(adj.pair_of), dtype=bool)))
     symbols = _gather(fresh, adj.pair_of[occs], np.empty(len(occs), dtype=fresh.dtype))
-    text.replace_spans(occs, symbols, kept)
+    text.replace_pairs(occs, symbols)
     return PairCompression(len(occs), canon_a, canon_b, rule_ids)
 
 

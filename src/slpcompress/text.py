@@ -2,21 +2,21 @@
 
 Each stage of a phase is one pass over the current text, and every
 position it hands out is a plain index into ``cells``.  The pair stage
-writes through ``replace_spans``, which puts the replacing symbol into the
-first cell of each span and records, as a mask over the cells, which cells
-survive.  The write stays pending until the next ``compact()``, which
-gathers the surviving cells in one pass; until then ``live()`` refuses to
-read the text.
+writes through ``replace_pairs``, which puts the replacing symbol into the
+first cell of each pair and records, as a mask over the cells, that the
+second is dropped.  The write stays pending until the next ``compact()``,
+which gathers the surviving cells in one pass; until then ``live()``
+refuses to read the text.
 
 The block stage reads the text in run form: ``cells`` holds one symbol per
 maximal run, and ``runs`` the runs of length >= 2 as (head cell, length)
 columns.  ``ingest`` builds the first text so, from the input's runs, and
 ``collapse_runs`` brings a compact text to it with the same run finder,
-``find_runs``.  ``replace_runs`` then puts one symbol into each run's head
-cell, which leaves a compact text.  While runs are pending ``live()``
-refuses to read the text, and ``len()`` counts every run at its length.
-Every compaction and collapse bumps ``epoch``, so positions taken before
-it are detected as stale.
+``find_runs``.  ``replace_runs`` then takes one symbol per run, in run
+order, and writes it into the run's head cell, which leaves a compact
+text.  While runs are pending ``live()`` refuses to read the text, and
+``len()`` counts every run at its length.  Every compaction and collapse
+bumps ``epoch``, so positions taken before it are detected as stale.
 
 The text also carries its working alphabet: its symbols are working ids in
 ``[0, width)``, and working id ``w`` stands for the canonical id (grammar
@@ -26,7 +26,7 @@ the stages ``mint`` the ids of the symbols they write, and
 
 Every cell lies in ``[0, width)`` by construction.  That is checked only
 where symbols are written, before any write: the constructor takes only
-integers of at least 0, and ``replace_spans`` and ``replace_runs`` only
+integers of at least 0, and ``replace_pairs`` and ``replace_runs`` only
 fresh symbols below ``width``.  ``mint`` only widens the alphabet,
 ``compact`` and ``collapse_runs`` only drop cells and a rename maps onto
 ``[0, k)``, so readers index ``alias`` with cells directly.  No other
@@ -34,6 +34,8 @@ module writes ``cells``, ``alias``, ``kept`` or ``runs``.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -59,10 +61,9 @@ def as_int64(values, what: str, error: type[ValueError]) -> np.ndarray:
         if values.dtype.kind not in "iu" and values.size:
             raise error(f"{what} must be integers, not {values.dtype}")
         return values.astype(np.int64, copy=False)
-    try:
-        values = list(values)
-    except TypeError:
-        raise error(f"{what} must be a sequence, not {type(values).__name__}") from None
+    if not isinstance(values, Sequence):  # memoryview is one; a dict, set or iterator is not
+        raise error(f"{what} must be a sequence, not {type(values).__name__}")
+    values = list(values)
     for kind in set(map(type, values)):
         if issubclass(kind, (bool, np.bool_)) or not issubclass(kind, (int, np.integer)):
             raise error(f"{what} must be integers, not {kind.__name__}")
@@ -232,79 +233,56 @@ class WorkingText:
             self.kept = None
         self.epoch += 1
 
-    def replace_spans(self, starts, fresh, kept) -> None:
-        """Replace disjoint spans of the compact text, each by one symbol.
+    def replace_pairs(self, starts, fresh) -> None:
+        """Replace disjoint pairs of the compact text, each by one symbol.
 
-        Span ``i`` is the cell ``starts[i]``, which takes ``fresh[i]``, and
-        the cells after it that the bool mask ``kept`` drops, up to the next
-        cell it keeps; ``compact()`` then keeps the cells that ``kept`` does.
-        The starts must be distinct kept cells, each followed by a dropped
-        one, and the runs of dropped cells must number one per span, so
-        that every dropped cell lies in a span.  Arrays of other shapes,
-        positions outside the text, a span start that another span drops,
-        spans of one cell, a start given twice, a dropped cell in no span,
-        starts or symbols that are not integers and fresh symbols outside
-        ``[0, width)`` raise ``ValueError`` before any write.
+        Pair ``i`` is the cells ``starts[i]`` and ``starts[i] + 1``: the
+        first takes ``fresh[i]``, and ``compact()`` then drops the second.
+        Arrays of other shapes, starts or symbols that are not integers,
+        pairs outside the text, fresh symbols outside ``[0, width)``, a
+        pair given twice and a pair that starts on another pair's second
+        cell raise ``ValueError`` before any write.
         """
         cells = self.live()
-        starts = as_int64(starts, "span starts", ValueError)
+        starts = as_int64(starts, "pair starts", ValueError)
         fresh = as_int64(fresh, "fresh symbols", ValueError)
-        kept = np.asarray(kept)
         if fresh.shape != starts.shape:
-            raise ValueError("starts and fresh need one entry per span")
-        if kept.dtype != bool or kept.shape != cells.shape:
-            raise ValueError("kept needs one bool per cell of the text")
+            raise ValueError("starts and fresh need one entry per pair")
         if starts.min(initial=0) < 0:
-            raise ValueError("span starts before the text")
+            raise ValueError("pair starts before the text")
         if starts.size and starts.max() >= len(cells) - 1:
-            raise ValueError("span extends past the end of the text")
-        if not kept[starts].all():
-            raise ValueError("a span starts on a cell another span drops")
-        if kept[1:][starts].any():
-            raise ValueError("spans shorter than 2 are never replaced")
-        seen = np.zeros(len(kept), dtype=bool)
-        seen[starts] = True
-        if np.count_nonzero(seen) != len(starts):
-            raise ValueError("a span is given twice")
-        # Distinct starts open distinct runs of dropped cells; any further run is in no span.
-        drop_runs = np.count_nonzero(kept[:-1] > kept[1:]) + int(len(kept) > 0 and not kept[0])
-        if drop_runs != len(starts):
-            raise ValueError("a dropped cell lies in no span")
+            raise ValueError("pair extends past the end of the text")
         if fresh.size and (fresh.min() < 0 or fresh.max() >= len(self.alias)):
             raise ValueError("fresh symbol outside the working alphabet")
+        kept = np.ones(len(cells), dtype=bool)
+        kept[1:][starts] = False
+        # Two pairs overlap only when they share a start, and then drop one
+        # cell between them, or when one starts on the other's dropped cell.
+        if len(kept) - np.count_nonzero(kept) != len(starts):
+            raise ValueError("a pair is given twice")
+        if not kept[starts].all():
+            raise ValueError("a pair starts on another pair's second cell")
         cells[starts] = fresh
         self.kept = kept
 
-    def replace_runs(self, heads, fresh) -> None:
+    def replace_runs(self, fresh) -> None:
         """Replace each pending run by one symbol, which leaves a compact text.
 
-        The run whose head cell is ``heads[i]`` becomes ``fresh[i]``, and
-        ``heads`` must name each pending run's head cell once.  Without
-        pending runs this raises ``StaleTextError``; arrays of other shapes,
-        other head cells, heads or symbols that are not integers and fresh
-        symbols outside ``[0, width)`` raise ``ValueError`` before any write.
+        The ``i``-th pending run, in text order, becomes ``fresh[i]``, which
+        its head cell takes.  Without pending runs this raises
+        ``StaleTextError``; symbols that are not integers, not one per
+        pending run or outside ``[0, width)`` raise ``ValueError`` before
+        any write.
         """
         if self.runs is None:
             raise StaleTextError("no runs are pending")
-        heads = as_int64(heads, "run heads", ValueError)
         fresh = as_int64(fresh, "fresh symbols", ValueError)
         at = self.runs[0]
-        if heads.shape != at.shape or fresh.shape != at.shape:
-            raise ValueError("heads and fresh need one entry per pending run")
-        if heads.min() < 0 or heads.max() >= len(self.cells):
-            raise ValueError("a run head lies outside the text")
-        # The heads are as many as the runs, so they are the runs' heads,
-        # each once, exactly when each lies on one and every one is hit.
-        head = np.zeros(len(self.cells), dtype=bool)
-        head[at.astype(np.intp)] = True  # a narrow index array is slower
-        if not head[heads].all():
-            raise ValueError("a head cell heads no pending run")
-        head[heads] = False
-        if head.any():
-            raise ValueError("a run head is given twice")
+        if fresh.shape != at.shape:
+            raise ValueError("fresh needs one entry per pending run")
         if fresh.min() < 0 or fresh.max() >= len(self.alias):
             raise ValueError("fresh symbol outside the working alphabet")
-        self.cells[heads] = fresh
+        self.cells[at.astype(np.intp)] = fresh  # a narrow index array is slower
         self.runs = None
 
     def _rename(self, lut: np.ndarray, old_ids: np.ndarray) -> None:

@@ -545,25 +545,6 @@ def live_positions(text) -> np.ndarray:
     return np.flatnonzero(np.ones(len(text.cells), dtype=bool) if text.kept is None else text.kept)
 
 
-def kept_outside(n: int, starts, lengths) -> np.ndarray:
-    """The mask of a write of spans ``[start, start + length)`` over ``n`` cells.
-
-    Each span keeps its first cell and drops the others.
-    """
-    kept = np.ones(n, dtype=bool)
-    for start, length in zip(starts, lengths):
-        kept[start + 1 : start + length] = False
-    return kept
-
-
-def reference_replace_spans(symbols, starts, lengths, fresh) -> list[int]:
-    """The text after replacing disjoint spans, by list surgery from the right."""
-    out = list(symbols)
-    for start, length, f in sorted(zip(starts, lengths, fresh), reverse=True):
-        out[start : start + length] = [f]
-    return out
-
-
 def replace_pair(text, at: int, fresh: int) -> None:
     """Replace the live cell at ``at`` and the next live cell by ``fresh``."""
     _check_live(text, at)
@@ -1075,8 +1056,8 @@ def reference_full_text_blocks(text: WorkingText, grammar: Slp) -> int:
     """The block stage as it was before it read the text in run form.
 
     It scans the full compact text for maximal blocks, sorts them by
-    (letter, length), replaces each through ``replace_spans`` over the mask
-    of run starts and compacts.  Returns the blocks replaced.
+    (letter, length), writes each block's symbol into its first cell, keeps
+    the run starts and compacts.  Returns the blocks replaced.
     """
     live = text.live()
     if len(live) == 0:
@@ -1095,7 +1076,8 @@ def reference_full_text_blocks(text: WorkingText, grammar: Slp) -> int:
         starts = np.flatnonzero(new_group)
         targets = blocks.build_block_rules(grammar, text.alias[letters[starts]], lengths[starts])
         fresh = text.mint(targets)
-        text.replace_spans(pos, fresh[np.cumsum(new_group) - 1], run_starts)
+        text.cells[pos] = fresh[np.cumsum(new_group) - 1]
+        text.kept = run_starts
     text.compact()
     return len(pos)
 

@@ -166,7 +166,11 @@ class TestIngest:
             assert terminals == want_terminals
             assert text.width == len(want_terminals)
 
-    @pytest.mark.parametrize("raw", [5, 2.5, None, object()], ids=["int", "float", "None", "object"])
+    @pytest.mark.parametrize(
+        "raw",
+        [5, 2.5, None, object(), {5: 1}, {5}, iter([5])],
+        ids=["int", "float", "None", "object", "dict", "set", "iterator"],
+    )
     @pytest.mark.parametrize("kind", ["tokens", None])
     def test_non_sequence_rejected(self, raw, kind):
         with pytest.raises(InputFormatError, match="tokens must be a sequence, not"):

@@ -34,18 +34,20 @@ def one_letter_rules(grammar, letter, lengths):
     return dict(zip(lengths, targets.tolist()))
 
 
-def scanned(scan):
-    """(letter, length, position) of every scanned block, in scan order."""
-    return list(zip(scan.letters.tolist(), scan.lengths.tolist(), scan.positions.tolist()))
+def scanned(text):
+    """(letter, length, head cell) of every block ``scan_blocks`` finds, in scan order."""
+    scan = scan_blocks(text)
+    heads = text.runs[0][scan.runs]
+    return list(zip(scan.letters.tolist(), scan.lengths.tolist(), heads.tolist()))
 
 
 class TestScanBlocks:
     def test_hand_scan(self):
         # Positions are head cells of the run form "abab": aa at 0, bbb at 1.
         text = ingest(b"aabbbab")[0]
-        assert scanned(scan_blocks(text)) == [(0, 2, 0), (1, 3, 1)]
+        assert scanned(text) == [(0, 2, 0), (1, 3, 1)]
         text = WorkingText([0, 0, 1, 1, 1, 0, 1])  # a compact text is collapsed first
-        assert scanned(scan_blocks(text)) == [(0, 2, 0), (1, 3, 1)]
+        assert scanned(text) == [(0, 2, 0), (1, 3, 1)]
         assert text.cells.tolist() == [0, 1, 0, 1] and len(text) == 7
 
     def test_no_blocks(self):
@@ -54,7 +56,7 @@ class TestScanBlocks:
 
     def test_whole_text_is_one_block(self):
         text = ingest(b"aaaa")[0]
-        assert scanned(scan_blocks(text)) == [(0, 4, 0)]
+        assert scanned(text) == [(0, 4, 0)]
 
     def test_sorted_by_letter_then_length(self):
         text = ingest(b"bbb" + b"aa" + b"c" + b"aaa" + b"bb")[0]

@@ -1008,7 +1008,11 @@ class TestTerminalCeiling:
             Slp.from_arrays(kind, [97, true], [2], [0, 1], 2)
 
     @pytest.mark.parametrize("kind", ["bytes", "tokens"])
-    @pytest.mark.parametrize("terminals", [5, 2.5, None], ids=["int", "float", "None"])
+    @pytest.mark.parametrize(
+        "terminals",
+        [5, 2.5, None, {5: 1}, {5}, iter([5])],
+        ids=["int", "float", "None", "dict", "set", "iterator"],
+    )
     def test_non_sequence_terminals_rejected(self, kind, terminals):
         with pytest.raises(GrammarError, match=f"{kind[:-1]} terminals must be a sequence, not"):
             Slp(kind, terminals)

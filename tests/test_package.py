@@ -72,13 +72,13 @@ def test_package_reads_no_rules_attribute():
 
 
 def text_state_writes(nodes):
-    """Where ``nodes`` assign to, or into, an attribute named ``cells``, ``alias`` or ``kept``."""
+    """Where ``nodes`` assign to, or into, an attribute named ``cells``, ``alias``, ``kept`` or ``runs``."""
     for name, node in nodes:
         target = node.value if isinstance(node, ast.Subscript) else node
         if (
             isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
             and isinstance(target, ast.Attribute)
-            and target.attr in ("cells", "alias", "kept")
+            and target.attr in ("cells", "alias", "kept", "runs")
         ):
             yield f"{name}:{node.lineno}"
 

@@ -368,7 +368,7 @@ class TestCompressPairs:
         grammar = Slp("bytes", terminals)
         adj = build_adjacency(text)
         both = np.ones(text.width, dtype=bool)
-        with pytest.raises(ValueError, match="another span drops"):
+        with pytest.raises(ValueError, match="another pair's second cell"):
             compress_pairs(text, Partition(both, both), adj, grammar)
         assert text.live().tolist() == [0, 1, 0]
 

@@ -4,7 +4,7 @@
 text is built at the input's full length.
 ``helpers.reference_full_text_compress`` keeps the route this replaced: a
 full-length input, and every block stage a scan of the full text, a
-``replace_spans`` over the run-start mask and a compaction.  Both must give the same grammars, traces, phase tables and
+write of each block's head cell and run-start mask and a compaction.  Both must give the same grammars, traces, phase tables and
 snapshots.  The oracle also counts the distinct pairs at every row that
 improved mode prices, so the driver's stop decisions are checked against
 the exact count too.

@@ -4,23 +4,21 @@ import numpy as np
 import pytest
 
 from helpers import (
-    kept_outside,
     live_list,
     live_positions,
-    reference_replace_spans,
     reference_runs,
     replace_pair,
     replace_run,
 )
 from slpcompress.alphabet import rename_dense
-from slpcompress.text import StaleTextError, WorkingText, concat_ranges, find_runs
+from slpcompress.text import StaleTextError, WorkingText, concat_ranges, find_runs, narrow_dtype
 
 
 def text_of(symbols, width: int) -> WorkingText:
     """A text of ``symbols`` whose alphabet is widened to ``width`` by ``mint``.
 
-    ``replace_spans`` writes only symbols below the width, so the fresh
-    symbols of a test must lie below it.
+    ``replace_pairs`` and ``replace_runs`` write only symbols below the
+    width, so the fresh symbols of a test must lie below it.
     """
     text = WorkingText(symbols)
     text.mint(np.arange(text.width, width))
@@ -159,6 +157,7 @@ def test_bulk_runs_equal_scalar_sequence():
         n = int(rng.integers(2, 60))
         syms = rng.integers(0, 3, n)
         a = text_of(syms, 1100)
+        a.collapse_runs()
         b = WorkingText(syms)
         # maximal runs of length >= 2
         starts, lengths = [], []
@@ -173,7 +172,8 @@ def test_bulk_runs_equal_scalar_sequence():
                 lengths.append(j - i)
             i = j
         fresh = [1000 + k for k in range(len(starts))]
-        a.replace_spans(np.array(starts, dtype=np.int64), np.array(fresh, dtype=np.int64), kept_outside(n, starts, lengths))
+        if starts:
+            a.replace_runs(np.array(fresh, dtype=np.int64))
         for s, l, f in zip(starts, lengths, fresh):
             replace_run(b, s, l, f)
         assert live_list(a) == live_list(b)
@@ -185,54 +185,34 @@ def test_bulk_pairs_equal_scalar_sequence():
     b = WorkingText(syms)
     firsts = np.array([0, 2, 4], dtype=np.int64)
     fresh = np.array([10, 11, 12], dtype=np.int64)
-    a.replace_spans(firsts, fresh, kept_outside(6, firsts, [2] * 3))
+    a.replace_pairs(firsts, fresh)
     for f, s in zip(firsts, fresh):
         replace_pair(b, int(f), int(s))
     assert live_list(a) == live_list(b) == [10, 11, 12]
 
 
-def test_bulk_random_pairs_equal_scalar_sequence():
-    rng = random.Random(6)
-    for _ in range(30):
-        n = rng.randrange(2, 60)
-        syms = [rng.randrange(5) for _ in range(n)]
-        a = text_of(syms, 200)
-        b = WorkingText(syms)
-        firsts = []
-        i = rng.randrange(2)
-        while i + 1 < n:
-            firsts.append(i)
-            i += rng.randrange(2, 5)
-        fresh = [100 + k for k in range(len(firsts))]
-        a.replace_spans(np.array(firsts, dtype=np.int64), np.array(fresh, dtype=np.int64), kept_outside(n, firsts, [2] * len(firsts)))
-        for f, s in zip(firsts, fresh):
-            replace_pair(b, f, s)
-        assert live_list(a) == live_list(b)
-        assert len(a) == len(b)
-
-
-def test_random_disjoint_spans_match_list_reference():
+def test_random_disjoint_pairs_match_scalar_oracle():
     rng = np.random.default_rng(17)
     for _ in range(200):
         n = int(rng.integers(0, 80))
         symbols = rng.integers(0, 4, n)
-        starts, lengths = [], []
+        starts = []
         i = int(rng.integers(0, 3))
         while i + 1 < n:
-            length = int(rng.integers(2, min(6, n - i) + 1))
             starts.append(i)
-            lengths.append(length)
-            i += length + int(rng.integers(0, 3))
-        order = rng.permutation(len(starts))  # the stages hand spans out of text order
-        starts = np.array(starts, dtype=np.int64)[order]
-        lengths = np.array(lengths, dtype=np.int64)[order]
-        fresh = 100 + np.arange(len(starts))
-        t = text_of(symbols, 100 + len(starts))
-        t.replace_spans(starts, fresh, kept_outside(n, starts, lengths))
-        want = reference_replace_spans(symbols.tolist(), starts.tolist(), lengths.tolist(), fresh.tolist())
+            i += 2 + int(rng.integers(0, 3))
+        starts = rng.permutation(np.array(starts, dtype=np.int64))  # in any order
+        width = 100 + len(starts)
+        fresh = (100 + np.arange(len(starts))).astype(narrow_dtype(width))
+        t = text_of(symbols, width)
+        t.replace_pairs(starts, fresh)
+        want = WorkingText(symbols)
+        for start, f in zip(starts.tolist(), fresh.tolist()):
+            replace_pair(want, start, f)
         assert len(t) == len(want)
+        assert live_list(t) == live_list(want)
         t.compact()
-        assert t.live().tolist() == want
+        assert t.live().tolist() == live_list(want)
 
 
 def reference_concat_ranges(starts, counts) -> list[int]:
@@ -269,48 +249,31 @@ def test_random_concat_ranges_match_scalar_reference():
 
 class TestDeadCells:
     def test_live_raises_while_a_write_is_pending(self):
-        t = text_of([3, 3, 3, 5, 6], 10)
+        t = text_of([3, 4, 3, 5, 6], 10)
         assert t.live() is t.cells
-        t.replace_spans(np.array([0]), np.array([8]), kept_outside(5, [0], [3]))
+        t.replace_pairs(np.array([0]), np.array([8]))
         with pytest.raises(StaleTextError):
             t.live()
-        assert live_list(t) == [8, 5, 6]
+        assert live_list(t) == [8, 3, 5, 6]
         t.compact()
-        assert t.live().tolist() == [8, 5, 6]
-        t.replace_spans(np.array([1]), np.array([9]), kept_outside(3, [1], [2]))
+        assert t.live().tolist() == [8, 3, 5, 6]
+        t.replace_pairs(np.array([1]), np.array([9]))
         with pytest.raises(StaleTextError):
             t.live()
         t.compact()
-        assert t.live().tolist() == [8, 9]
-
-    def test_bulk_runs_reject_dead_cells(self):
-        t = text_of([4, 4, 4, 4, 5], 10)
-        t.replace_spans(np.array([0]), np.array([8]), kept_outside(5, [0], [2]))
-        with pytest.raises(StaleTextError, match="pending"):
-            t.replace_spans(np.array([0]), np.array([9]), kept_outside(5, [0], [3]))
-        with pytest.raises(StaleTextError, match="pending"):
-            t.replace_spans(np.array([1]), np.array([9]), kept_outside(5, [1], [2]))
-        assert live_list(t) == [8, 4, 4, 5]
-
-    def test_bulk_runs_reject_bad_lengths(self):
-        t = text_of([4, 4, 5], 10)
-        with pytest.raises(ValueError, match="shorter than 2"):
-            t.replace_spans(np.array([0]), np.array([8]), np.ones(3, dtype=bool))
-        with pytest.raises(ValueError, match="past the end"):
-            t.replace_spans(np.array([2]), np.array([8]), kept_outside(3, [1], [2]))
-        assert t.live().tolist() == [4, 4, 5]
+        assert t.live().tolist() == [8, 9, 6]
 
     def test_bulk_pairs_reject_dead_cells(self):
         t = text_of([0, 1, 2, 3], 10)
-        t.replace_spans(np.array([0]), np.array([9]), kept_outside(4, [0], [2]))
+        t.replace_pairs(np.array([0]), np.array([9]))
         for first in (0, 1):
             with pytest.raises(StaleTextError, match="pending"):
-                t.replace_spans(np.array([first]), np.array([7]), kept_outside(4, [first], [2]))
+                t.replace_pairs(np.array([first]), np.array([7]))
         assert live_list(t) == [9, 2, 3]
 
     def test_rename_reads_a_compact_text(self):
         t = text_of([0, 1, 2], 4)
-        t.replace_spans(np.array([0]), np.array([3]), kept_outside(3, [0], [2]))
+        t.replace_pairs(np.array([0]), np.array([3]))
         with pytest.raises(StaleTextError):
             rename_dense(t)
         t.compact()
@@ -319,7 +282,15 @@ class TestDeadCells:
         assert t.alias.tolist() == [3, 2]
 
 
-class TestSpanChecks:
+def assert_unchanged(t, symbols, width):
+    """``t`` is the compact text of ``symbols`` over ``width`` ids, with no write pending."""
+    assert t.kept is None and t.runs is None
+    assert t.live().tolist() == symbols
+    assert len(t) == len(symbols)
+    assert t.width == width
+
+
+class TestPairChecks:
     @pytest.mark.parametrize(
         "start,message",
         [
@@ -331,60 +302,50 @@ class TestSpanChecks:
     def test_bad_positions_rejected_before_any_write(self, start, message):
         t = text_of([1, 2, 3, 4, 4], 10)
         with pytest.raises(ValueError, match=message):
-            t.replace_spans([start], [9], kept_outside(5, [3], [2]))
-        assert t.live().tolist() == [1, 2, 3, 4, 4]
-        assert len(t) == 5
+            t.replace_pairs([start], [9])
+        assert_unchanged(t, [1, 2, 3, 4, 4], 10)
 
     @pytest.mark.parametrize(
-        "symbols,starts,lengths,fresh,also_dropped,message",
+        "symbols,starts,fresh,message",
         [
-            ([0, 1, 2, 3], [1, 2], [2, 2], [8, 9], [], "another span drops"),  # pairs at p and p + 1
-            ([4, 4, 4, 4, 5], [0, 1], [3, 2], [8, 9], [], "another span drops"),  # a run inside another
-            ([4, 4, 4, 5], [0, 0], [2, 3], [8, 9], [], "given twice"),  # two spans, one start
-            # Two drop runs for two starts, but both starts are cell 0 and cell 3 is in no span.
-            ([0, 1, 2, 3], [0, 0], [2, 2], [8, 9], [3], "given twice"),
-            ([0, 1, 2, 3], [0], [2], [8], [3], "lies in no span"),
-            ([0, 1, 2, 3], [2], [2], [8], [0], "lies in no span"),  # a leading drop run
-            ([0, 1, 2], [0], [2], [-5], [], "outside the working alphabet"),  # negative
-            ([0, 1, 2], [0], [2], [10], [], "outside the working alphabet"),  # fresh == width
-            ([0, 1, 2], [0], [2], [1.5], [], "must be integers"),  # truncated to 1 before
-            ([0, 1, 2], [0], [2], [True], [], "must be integers"),  # read as 1 before
+            ([0, 1, 2, 3], [1, 2], [8, 9], "another pair's second cell"),  # pairs at p and p + 1
+            ([0, 1, 2, 3], [2, 1], [8, 9], "another pair's second cell"),  # the same, later pair first
+            ([4, 4, 4, 5], [0, 0], [8, 9], "given twice"),
+            ([0, 1, 2, 3], [0, 2, 0], [7, 8, 9], "given twice"),
+            ([0, 1, 2], [0], [-5], "outside the working alphabet"),  # negative
+            ([0, 1, 2], [0], [10], "outside the working alphabet"),  # fresh == width
+            ([0, 1, 2], [0], [1.5], "must be integers"),  # truncated to 1 before
+            ([0, 1, 2], [0], [True], "must be integers"),  # read as 1 before
+            ([0, 1, 2], [0.0], [8], "must be integers"),
         ],
     )
-    def test_bad_replacement_rejected_before_any_write(
-        self, symbols, starts, lengths, fresh, also_dropped, message
-    ):
+    def test_bad_replacement_rejected_before_any_write(self, symbols, starts, fresh, message):
         t = text_of(symbols, 10)
-        kept = kept_outside(len(symbols), starts, lengths)
-        kept[also_dropped] = False
         epoch = t.epoch
         with pytest.raises(ValueError, match=message):
-            t.replace_spans(starts, fresh, kept)
-        assert t.live().tolist() == symbols
-        assert len(t) == len(symbols)
+            t.replace_pairs(starts, fresh)
+        assert_unchanged(t, symbols, 10)
         assert t.epoch == epoch
-        assert t.width == 10
 
     @pytest.mark.parametrize(
-        "starts,fresh,kept,message",
+        "starts,fresh,message",
         [
-            ([0, 2], [8], [True, False, True, False, True], "one entry per span"),
-            ([0], [8, 9], [True, False, True, False, True], "one entry per span"),
-            ([0, 2], 8, [True, False, True, False, True], "must be a sequence"),
-            ([0], [8], [True, False, True, True], "one bool per cell"),
-            ([0], [8], [1, 0, 1, 1, 1], "one bool per cell"),
+            ([0, 2], [8], "one entry per pair"),
+            ([0], [8, 9], "one entry per pair"),
+            ([0, 2], 8, "must be a sequence"),
+            ({0: 1}, [8], "must be a sequence"),
+            (np.array([[0]]), [8], "flat sequence"),
         ],
     )
-    def test_one_entry_per_span_and_one_mask_cell_per_cell(self, starts, fresh, kept, message):
+    def test_one_entry_per_pair(self, starts, fresh, message):
         t = text_of([0, 1, 2, 3, 4], 10)
         with pytest.raises(ValueError, match=message):
-            t.replace_spans(starts, fresh, kept)
-        assert t.live().tolist() == [0, 1, 2, 3, 4]
-        assert len(t) == 5
+            t.replace_pairs(starts, fresh)
+        assert_unchanged(t, [0, 1, 2, 3, 4], 10)
 
     def test_empty_batch_writes_nothing(self):
         t = WorkingText([3, 3])
-        t.replace_spans([], [], np.ones(2, dtype=bool))
+        t.replace_pairs([], [])
         assert len(t) == 2
         t.compact()
         assert t.live().tolist() == [3, 3]
@@ -458,36 +419,44 @@ class TestRunForm:
 
     def test_collapse_runs_refuses_a_pending_write(self):
         t = text_of([0, 1, 2], 4)
-        t.replace_spans(np.array([0]), np.array([3]), kept_outside(3, [0], [2]))
+        t.replace_pairs(np.array([0]), np.array([3]))
         with pytest.raises(StaleTextError):
             t.collapse_runs()
 
-    def test_replace_runs_in_any_order(self):
+    def test_replace_runs_in_run_order(self):
         t = text_of([2, 2, 0, 1, 1, 1, 0], 6)
         t.collapse_runs()
-        t.replace_runs(np.array([2, 0], dtype=np.uint8), np.array([5, 4]))
+        t.replace_runs(np.array([4, 5], dtype=np.uint8))
         assert t.runs is None and t.live().tolist() == [4, 0, 5, 0]
         with pytest.raises(StaleTextError, match="no runs"):
-            t.replace_runs(np.array([0]), np.array([4]))
+            t.replace_runs(np.array([4]))
+        assert t.runs is None and t.live().tolist() == [4, 0, 5, 0]
 
-    @pytest.mark.parametrize("heads, fresh, message", [
-        ([0], [4], "one entry per pending run"),
-        ([0, 2], [4], "one entry per pending run"),
-        ([0, 4], [4, 5], "outside the text"),
-        ([0, 1], [4, 5], "heads no pending run"),
-        ([0, 0], [4, 5], "given twice"),
-        ([0, 2], [4, 6], "outside the working alphabet"),
-        ([0, 2], [4.0, 5.0], "integers"),
+    @pytest.mark.parametrize("fresh, message", [
+        ([4], "one entry per pending run"),
+        ([4, 5, 4], "one entry per pending run"),
+        (4, "must be a sequence"),
+        ([4, 6], "outside the working alphabet"),
+        ([-1, 5], "outside the working alphabet"),
+        ([4.0, 5.0], "integers"),
     ])
-    def test_bad_writes_rejected_before_any_write(self, heads, fresh, message):
+    def test_bad_writes_rejected_before_any_write(self, fresh, message):
         t = text_of([2, 2, 0, 1, 1, 1, 0], 6)
         t.collapse_runs()
         with pytest.raises(ValueError, match=message):
-            t.replace_runs(np.asarray(heads), np.asarray(fresh))
-        assert t.cells.tolist() == [2, 0, 1, 0] and t.runs is not None
+            t.replace_runs(fresh)
+        assert t.cells.tolist() == [2, 0, 1, 0]
+        assert [c.tolist() for c in t.runs] == [[0, 2], [2, 3]]
+
+    def test_pair_write_refused_while_runs_are_pending(self):
+        t = text_of([2, 2, 0, 1], 6)
+        t.collapse_runs()
+        with pytest.raises(StaleTextError, match="runs are pending"):
+            t.replace_pairs([1], [5])
+        assert t.kept is None and t.cells.tolist() == [2, 0, 1] and len(t) == 4
 
     def test_canonical_refuses_a_pending_write(self):
         t = text_of([0, 1, 2], 4)
-        t.replace_spans(np.array([0]), np.array([3]), kept_outside(3, [0], [2]))
+        t.replace_pairs(np.array([0]), np.array([3]))
         with pytest.raises(StaleTextError):
             t.canonical(np.int64)
