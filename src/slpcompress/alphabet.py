@@ -1,4 +1,4 @@
-"""Dense integer alphabets and the bounded-key radix argsort.
+"""Dense integer alphabets, and ranking keys below a bound.
 
 Every stage of the compressor works on integer symbol ids, and two id
 spaces coexist:
@@ -18,13 +18,18 @@ spaces coexist:
 ``ingest`` numbers only the input's run heads and returns the first text
 in run form (see ``text``), so no working text is built at the input's
 full length.
+
+Every key a stage orders lies below a bound that its phase fixes.
+``rank_keys`` is the one place that ranks such keys, counting them or
+radix sorting them (``radix_argsort``), and no comparison sort runs on the
+compress or expand path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .text import WorkingText, as_int64, find_runs
+from .text import WorkingText, as_int64, find_runs, narrow_dtype
 
 TOKEN_VALUE_CEILING = 2**32 - 1
 
@@ -62,6 +67,41 @@ def radix_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     return order
 
 
+def rank_keys(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank non-negative integer keys below ``bound`` among the distinct keys.
+
+    Returns each key's rank, in the narrowest unsigned dtype that holds
+    every rank; the distinct keys, ascending; and how often each occurs.
+    When the key universe ``bound`` is at most the number of keys, the keys
+    are counted with one ``bincount``; otherwise they are radix sorted
+    (``radix_argsort``).  Either way the time is linear in the number of
+    keys, and every temporary is freed as soon as it has been read.
+    """
+    n = len(keys)
+    if bound <= n:
+        table = np.bincount(keys, minlength=bound)
+        distinct = np.flatnonzero(table)
+        counts = table[distinct]
+        table[distinct] = np.arange(len(distinct))  # key -> rank
+        return table.astype(narrow_dtype(len(distinct)))[keys], distinct, counts
+    order = radix_argsort(keys, bound)
+    ascending = keys[order]
+    # A distinct key starts where the sorted keys change, and the end
+    # closes the last one.
+    edge = np.empty(n + 1, dtype=bool)
+    edge[0] = edge[n] = True
+    np.not_equal(ascending[1:], ascending[:-1], out=edge[1:n])
+    ends = np.flatnonzero(edge)
+    distinct = ascending[ends[:-1]]
+    del ascending  # the caller holds the keys, so free their sorted copy early
+    counts = np.diff(ends)
+    del ends
+    edge[0] = False  # so the running count is the rank
+    ranks = np.empty(n, dtype=narrow_dtype(len(distinct)))
+    ranks[order] = np.cumsum(edge[:n], dtype=ranks.dtype)
+    return ranks, distinct, counts
+
+
 def ingest(raw, kind: str | None = None) -> tuple[WorkingText, str, list[int]]:
     """Turn raw input into a working text over dense terminal ids, in run form.
 
@@ -91,7 +131,6 @@ def ingest(raw, kind: str | None = None) -> tuple[WorkingText, str, list[int]]:
                 f"bytes input must be bytes, bytearray or memoryview, not {type(raw).__name__}"
             )
         heads, at, lengths = find_runs(np.frombuffer(bytes(raw), dtype=np.uint8))
-        heads = heads.astype(np.intp)  # an index below, and a narrow index is slower
         domain = 256
     elif kind == "tokens":
         arr = as_int64(raw, "tokens", InputFormatError)
@@ -99,36 +138,17 @@ def ingest(raw, kind: str | None = None) -> tuple[WorkingText, str, list[int]]:
             raise InputFormatError(f"token values must lie in [0, {TOKEN_VALUE_CEILING}]")
         heads, at, lengths = find_runs(arr)
         del arr
-        heads, distinct = _value_ranks(heads)
+        heads, distinct, _ = rank_keys(heads, TOKEN_VALUE_CEILING + 1)
         domain = len(distinct)
     else:
         raise ValueError(f"unknown input kind {kind!r}")
+    heads = heads.astype(np.intp)  # an index below, and a narrow index is slower
     lut, values = _first_occurrence_ids(heads, domain)
     if kind == "tokens":
         values = distinct[values]
     ids = lut[heads]
     del heads  # before the text copies the ids
     return WorkingText(ids, (at, lengths)), kind, values.tolist()
-
-
-def _value_ranks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each token value's rank among the distinct values, and those values.
-
-    One radix argsort over the token domain, so the cost is linear in the
-    number of values; every temporary is freed as soon as it has been read.
-    """
-    order = radix_argsort(arr, TOKEN_VALUE_CEILING + 1)
-    ascending = arr[order]
-    new = np.empty(len(ascending), dtype=bool)
-    new[:1] = True
-    np.not_equal(ascending[1:], ascending[:-1], out=new[1:])
-    distinct = np.compress(new, ascending)
-    sorted_ranks = np.cumsum(new, out=ascending)
-    del new
-    sorted_ranks -= 1
-    ranks = np.empty_like(sorted_ranks)
-    ranks[order] = sorted_ranks
-    return ranks, distinct
 
 
 def _first_occurrence_ids(arr: np.ndarray, domain: int) -> tuple[np.ndarray, np.ndarray]:

@@ -3,8 +3,10 @@
 Every maximal run ``a^len`` (len >= 2) in the text is replaced by one fresh
 symbol per distinct (letter, length).  The stage reads the text in run form
 (see ``text``): the first phase's text comes from ``ingest`` so, and
-``scan_blocks`` brings a later phase's compact text to it.  Each run's head
-cell then takes the run's symbol, in one write.  The fresh symbols are
+``scan_blocks`` brings a later phase's compact text to it.  The runs'
+(letter, length) keys are ranked (``rank_keys``): the distinct keys,
+ascending, are the groups, and each run's head cell takes its group's
+symbol, in one write.  The fresh symbols are
 defined by a power-of-two subgrammar: squares of the letter up to the
 largest gap, gap values as binary expansions over the squares, and a chain
 linking the block lengths in increasing order.  The emitted body length for lengths
@@ -29,45 +31,51 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import radix_argsort
+from .alphabet import radix_argsort, rank_keys
 from .grammar import Slp
 from .text import StaleTextError, WorkingText, concat_ranges, narrow_dtype
 
 
 @dataclass
 class BlockScan:
-    """Maximal blocks of length >= 2, sorted by (letter, length).
+    """Maximal blocks of length >= 2, grouped by (letter, length).
 
-    Column-array layout, each column in the narrowest unsigned dtype that
-    holds it.  ``runs`` holds each block's index among the text's pending
-    runs, and is only valid for the epoch it was scanned in.
+    ``groups`` holds each pending run's group index, in run order; the
+    groups are the distinct (letter, length) keys, ascending, and
+    ``letters`` and ``lengths`` hold each group's working letter and
+    length.  Each column takes the narrowest unsigned dtype that holds it.
+    The groups are only valid for the epoch they were scanned in.
     """
 
+    groups: np.ndarray
     letters: np.ndarray
     lengths: np.ndarray
-    runs: np.ndarray
     epoch: int = 0
 
     def __len__(self) -> int:
-        return len(self.letters)
+        """The number of blocks."""
+        return len(self.groups)
 
 
 def scan_blocks(text: WorkingText) -> BlockScan:
-    """The text's maximal blocks of length >= 2, radix-sorted by (letter, length).
+    """The text's maximal blocks of length >= 2, ranked by (letter, length).
 
     A compact text is first brought to run form (``collapse_runs``); a text
-    from ``ingest`` already is in it, so the first phase only sorts.
+    from ``ingest`` already is in it, so the first phase only ranks.
     """
     text.collapse_runs()
     if text.runs is None:
         empty = np.empty(0, dtype=np.uint8)
         return BlockScan(empty, empty, empty, text.epoch)
     at, lengths = text.runs
-    # np.take, as indexing by a narrow index array is slower.
-    letters = np.take(text.cells, at).astype(narrow_dtype(text.width))
     span = int(lengths.max()) + 1
-    order = radix_argsort(letters * np.int64(span) + lengths, text.width * span)
-    return BlockScan(letters[order], lengths[order], order.astype(at.dtype), text.epoch)
+    key = np.take(text.cells, at)  # np.take, as indexing by a narrow index array is slower
+    key *= span
+    key += lengths
+    groups, key, _ = rank_keys(key, text.width * span)
+    letters, lengths = np.divmod(key, span)
+    letters = letters.astype(narrow_dtype(text.width))
+    return BlockScan(groups, letters, lengths.astype(narrow_dtype(span)), text.epoch)
 
 
 @dataclass
@@ -91,25 +99,13 @@ def compress_blocks(text: WorkingText, scan: BlockScan, grammar: Slp) -> BlockCo
         return BlockCompression(0, empty, empty, empty)
     if scan.epoch != text.epoch:
         raise StaleTextError("block runs predate the last compaction")
-    letters, lengths = scan.letters, scan.lengths
-    new_group = np.empty(len(letters), dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (letters[1:] != letters[:-1]) | (lengths[1:] != lengths[:-1])
-    group_starts = np.flatnonzero(new_group)
-    # Records are sorted by letter, so each letter's distinct lengths form a
+    # The groups are ascending, so each letter's distinct lengths form a
     # contiguous increasing slice.
-    group_letters = np.take(text.alias, letters[group_starts])
-    group_lengths = lengths[group_starts].astype(np.int64)
-    del group_starts
-    targets = build_block_rules(grammar, group_letters, group_lengths)
-    fresh = text.mint(targets)
-    group_of_record = np.cumsum(new_group) - 1
-    del new_group
-    # One symbol per run, in run order; a narrow index array is slower.
-    symbols = np.empty(len(scan), dtype=np.int64)
-    symbols[scan.runs.astype(np.intp)] = np.take(fresh, group_of_record)
-    text.replace_runs(symbols)
-    return BlockCompression(len(scan), group_letters, group_lengths, targets)
+    letters = np.take(text.alias, scan.letters)
+    lengths = scan.lengths.astype(np.int64)
+    targets = build_block_rules(grammar, letters, lengths)
+    text.replace_runs(np.take(text.mint(targets), scan.groups))
+    return BlockCompression(len(scan), letters, lengths, targets)
 
 
 def build_block_rules(grammar: Slp, letters, lengths) -> np.ndarray:
@@ -147,26 +143,30 @@ def build_block_rules(grammar: Slp, letters, lengths) -> np.ndarray:
     letter_first = np.flatnonzero(first)
     letter_of = np.cumsum(first) - 1
     squares = np.maximum.reduceat(bit_length, letter_first) - 1
-    # The first group of each (letter, gap) owns the gap's symbol.
-    order = np.lexsort((np.arange(n), gaps, letter_of))
-    new_key = np.empty(n, dtype=bool)
-    new_key[0] = True
-    new_key[1:] = (letter_of[order[1:]] != letter_of[order[:-1]]) | (
-        gaps[order[1:]] != gaps[order[:-1]]
+    # The first group of each (letter, gap) owns the gap's symbol; writing
+    # the groups in reverse leaves each key's first.  The key holds the
+    # gap's rank, so it lies below letters * distinct gaps <= n**2, which
+    # is under 2**63 for any table of fewer than 2**31 groups.
+    gap_rank, distinct_gaps, _ = rank_keys(gaps, int(gaps.max()) + 1)
+    key_rank, distinct_keys, _ = rank_keys(
+        letter_of * len(distinct_gaps) + gap_rank, len(squares) * len(distinct_gaps)
     )
-    first_use = np.empty(n, dtype=np.int64)
-    first_use[order] = order[new_key][np.cumsum(new_key) - 1]
+    del gap_rank
+    first_of = np.empty(len(distinct_keys), dtype=np.int64)
+    first_of[key_rank[::-1]] = np.arange(n - 1, -1, -1)
+    first_use = first_of[key_rank]
     gap_rule = (popcount > 1) & (first_use == np.arange(n))
 
     # Rule slots (ids less the grammar's symbol count) go level by level as
     # in the module docstring; stable sorts keep table order within a level.
+    # A square's exponent is below 64, and a chain's step below n.
     base = grammar.symbol_count
     square_letter = np.repeat(np.arange(len(squares)), squares)
     half = concat_ranges(np.zeros(len(squares), dtype=np.int64), squares)  # exponent - 1
-    by_square = np.argsort(half, kind="stable")  # the squares in slot order
+    by_square = radix_argsort(half, 64)  # the squares in slot order
     rows = np.flatnonzero(gap_rule)
     chain = np.flatnonzero(~first)
-    by_chain = np.argsort(chain - letter_first[letter_of[chain]], kind="stable")  # by step
+    by_chain = radix_argsort(chain - letter_first[letter_of[chain]], n)  # by step
 
     # power[at[letter] + e] derives the letter's a^(2^e).
     at = np.cumsum(squares + 1) - squares - 1

@@ -36,7 +36,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .alphabet import TOKEN_VALUE_CEILING
+from .alphabet import TOKEN_VALUE_CEILING, radix_argsort
 from .text import as_int64, concat_ranges
 
 MAX_EXPANSION = 2**63 - 1  # also the largest int64
@@ -451,7 +451,7 @@ def expand_ids(slp: Slp, symbol: int | None = None) -> np.ndarray:
         src = -2 - state[rule]
         del state
         level = np.searchsorted(range_starts, rule, side="right")  # 1 + the rule's range index
-        order = np.argsort(level, kind="stable")
+        order = radix_argsort(level, len(range_starts) + 1)
         pos, rule, src = pos[order], rule[order], src[order]
         cuts = np.flatnonzero(np.diff(level[order])) + 1
         del level, order

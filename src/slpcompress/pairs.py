@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .alphabet import radix_argsort
+from .alphabet import radix_argsort, rank_keys
 from .grammar import Slp
 from .text import StaleTextError, WorkingText, narrow_dtype
 
@@ -32,58 +32,23 @@ _EDGES_PER_BLOCK = 1024
 _GATHER_CHUNK = 1 << 15
 
 
+@dataclass
 class PairAdjacency:
     """Distinct adjacent pairs, and which of them stands at each adjacency.
 
     ``pair_a``/``pair_b`` hold the distinct pairs in (first, second) order
     and ``pair_count`` how often each occurs; ``pair_of[p]`` is the index
     of the pair at positions ``(p, p + 1)``, in the narrowest unsigned
-    dtype that holds every pair index.  The pairs' keys are bucket
-    sorted: counted with one ``bincount`` when the key universe
-    ``width**2`` is at most the number of adjacencies, and radix sorted
-    otherwise.  Positions are indices into the compact text of the
-    adjacency's epoch.
+    dtype that holds every pair index.  Positions are indices into the
+    compact text of the adjacency's ``epoch``.
     """
 
-    def __init__(self, text: WorkingText):
-        self.epoch = text.epoch
-        self.width = width = text.width
-        lv = text.live()
-        n = len(lv)
-        if n >= 2 and (lv[1:] == lv[:-1]).any():
-            raise ValueError(
-                "equal adjacent symbols in text: block compression must run first"
-            )
-        if n < 2:
-            self.pair_a = self.pair_b = np.empty(0, dtype=np.int64)
-            self.pair_count = self.pair_of = np.empty(0, dtype=np.int64)
-            return
-        key, bound = _pair_keys(text)
-        if bound <= n - 1:
-            table = np.bincount(key, minlength=bound)
-            present = np.flatnonzero(table)
-            self.pair_count = table[present]
-            table[present] = np.arange(len(present))  # key -> pair index
-            self.pair_of = table.astype(narrow_dtype(len(present)))[key]
-        else:
-            order = radix_argsort(key, bound)
-            key = key[order]
-            # A distinct pair starts where the sorted key changes, and the
-            # last cell closes the last one.
-            edge = np.empty(n, dtype=bool)
-            edge[0] = edge[-1] = True
-            np.not_equal(key[1:], key[:-1], out=edge[1:-1])
-            ends = np.flatnonzero(edge)
-            present = key[ends[:-1]]
-            del key
-            self.pair_count = np.diff(ends)
-            edge[0] = False  # so the running count is the pair index
-            pair_index = np.cumsum(edge[:-1], dtype=narrow_dtype(len(present)))
-            self.pair_of = np.empty_like(pair_index)
-            self.pair_of[order] = pair_index
-            del order, pair_index
-        self.pair_a = present // width
-        self.pair_b = present - self.pair_a * width  # faster than %
+    pair_a: np.ndarray
+    pair_b: np.ndarray
+    pair_count: np.ndarray
+    pair_of: np.ndarray
+    width: int
+    epoch: int
 
 
 def _pair_keys(text: WorkingText) -> tuple[np.ndarray, int]:
@@ -94,17 +59,22 @@ def _pair_keys(text: WorkingText) -> tuple[np.ndarray, int]:
 
 def distinct_pairs(text: WorkingText) -> int:
     """Number of distinct adjacent pairs in the text, equal neighbours included."""
-    lv = text.live()
-    if len(lv) < 2:
-        return 0
-    key, bound = _pair_keys(text)
-    key = key[radix_argsort(key, bound)]
-    return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
+    return len(rank_keys(*_pair_keys(text))[1])
 
 
 def build_adjacency(text: WorkingText) -> PairAdjacency:
-    """The distinct adjacent pairs of the text and the pair at each position."""
-    return PairAdjacency(text)
+    """The distinct adjacent pairs of the text and the pair at each position.
+
+    The pairs are the ranked pair keys (``rank_keys``), so they come in
+    (first, second) order.
+    """
+    lv = text.live()
+    if (lv[1:] == lv[:-1]).any():
+        raise ValueError("equal adjacent symbols in text: block compression must run first")
+    pair_of, present, pair_count = rank_keys(*_pair_keys(text))
+    pair_a = present // text.width
+    pair_b = present - pair_a * text.width  # faster than %
+    return PairAdjacency(pair_a, pair_b, pair_count, pair_of, text.width, text.epoch)
 
 
 @dataclass

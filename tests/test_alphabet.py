@@ -13,8 +13,9 @@ from helpers import (
     reference_runs,
 )
 
-from slpcompress.alphabet import InputFormatError, ingest, radix_argsort, rename_dense
-from slpcompress.text import StaleTextError, WorkingText
+from slpcompress import alphabet
+from slpcompress.alphabet import InputFormatError, ingest, radix_argsort, rank_keys, rename_dense
+from slpcompress.text import StaleTextError, WorkingText, narrow_dtype
 
 
 class TestIngest:
@@ -507,3 +508,46 @@ def test_radix_argsort_matches_stable_argsort(bound):
     uniform = rng.integers(0, bound - 1, 3000, dtype=np.int64, endpoint=True)
     keys = np.concatenate([np.minimum((high << 16) | low, bound - 1), uniform, [0, bound - 1]])
     assert np.array_equal(radix_argsort(keys, bound), np.argsort(keys, kind="stable"))
+
+
+def check_rank_keys(keys, bound):
+    """``rank_keys`` against ``np.unique``; returns whether it radix sorted."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return radix_argsort(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(alphabet, "radix_argsort", spy)
+        ranks, distinct, counts = rank_keys(keys, bound)
+    oracle, inverse, oracle_counts = np.unique(keys, return_inverse=True, return_counts=True)
+    assert ranks.dtype == narrow_dtype(len(distinct))
+    assert ranks.tolist() == inverse.tolist()
+    assert distinct.tolist() == oracle.tolist()
+    assert counts.tolist() == oracle_counts.tolist()
+    return bool(calls)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_keys_counts_up_to_its_key_count_and_radix_sorts_past_it(dtype, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(100, 250))  # so every bound below fits uint8 keys
+    for bound, radix in [(n - 1, False), (n, False), (n + 1, True)]:
+        keys = rng.integers(0, bound, n, dtype=dtype)
+        keys[:2] = [0, bound - 1]
+        assert check_rank_keys(keys, bound) is radix, bound
+
+
+def test_rank_keys_wide_sparse_keys():
+    # Many digit passes, few repeats, and more than 255 distinct keys.
+    rng = np.random.default_rng(30)
+    keys = rng.integers(0, 1 << 40, 3000, dtype=np.int64)
+    keys[1000:1100] = keys[:100]
+    assert check_rank_keys(keys, 1 << 40)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 5])
+def test_rank_keys_empty(bound):
+    check_rank_keys(np.empty(0, dtype=np.int64), bound)

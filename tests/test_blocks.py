@@ -35,10 +35,10 @@ def one_letter_rules(grammar, letter, lengths):
 
 
 def scanned(text):
-    """(letter, length, head cell) of every block ``scan_blocks`` finds, in scan order."""
+    """(letter, length, head cell) of every block ``scan_blocks`` finds, sorted."""
     scan = scan_blocks(text)
-    heads = text.runs[0][scan.runs]
-    return list(zip(scan.letters.tolist(), scan.lengths.tolist(), heads.tolist()))
+    letters, lengths = scan.letters[scan.groups], scan.lengths[scan.groups]
+    return sorted(zip(letters.tolist(), lengths.tolist(), text.runs[0].tolist()))
 
 
 class TestScanBlocks:
@@ -62,7 +62,8 @@ class TestScanBlocks:
         text = ingest(b"bbb" + b"aa" + b"c" + b"aaa" + b"bb")[0]
         scan = scan_blocks(text)
         keys = list(zip(scan.letters.tolist(), scan.lengths.tolist()))
-        assert keys == sorted(keys)
+        assert keys == sorted(set(keys)) == [(0, 2), (0, 3), (1, 2), (1, 3)]
+        assert scan.groups.tolist() == [1, 2, 3, 0]  # bbb, aa, aaa, bb in run order
 
     def test_empty(self):
         text = ingest(b"")[0]

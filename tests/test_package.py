@@ -10,7 +10,10 @@ the benchmark's reads (``tests/test_trace_names.py``).  Only ``text.py``
 assigns to, or into, an attribute named ``cells``, ``alias`` or ``kept``,
 so the checks that keep every text symbol in its working alphabet sit in
 one module.  Every public top-level function or class is used by the
-package or the benchmark, not by the tests alone.
+package or the benchmark, not by the tests alone.  No comparison sort runs
+outside ``radix_argsort``: every key the compressor orders lies below a
+bound that its phase fixes, so ``radix_argsort`` and ``rank_keys`` order it
+in linear time.
 """
 
 import ast
@@ -124,3 +127,26 @@ def test_every_public_definition_has_a_user_outside_the_tests():
                 if node.name not in used and node.name not in names_used(rest):
                     unused.append(f"{name}:{node.name}")
     assert unused == []
+
+
+COMPARISON_SORTS = {"argsort", "lexsort", "sort", "unique"}
+
+
+def comparison_sort_calls(tree, name):
+    """Where ``tree`` calls a comparison sort, outside the body of ``radix_argsort``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "radix_argsort":
+            continue
+        func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+        if (isinstance(func, ast.Attribute) and func.attr in COMPARISON_SORTS) or (
+            isinstance(func, ast.Name) and func.id == "sorted"
+        ):
+            yield f"{name}:{node.lineno}"
+        yield from comparison_sort_calls(node, name)
+
+
+def test_package_sorts_only_through_radix_argsort():
+    found = []
+    for path in sorted((SRC / "slpcompress").glob("*.py")):
+        found.extend(comparison_sort_calls(ast.parse(path.read_text()), path.name))
+    assert found == []
