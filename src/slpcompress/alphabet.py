@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .text import WorkingText, as_int64, find_runs, narrow_dtype
+from .text import WorkingText, as_int64, find_runs, gather, narrow_dtype, scatter
 
 TOKEN_VALUE_CEILING = 2**32 - 1
 
@@ -142,11 +142,10 @@ def ingest(raw, kind: str | None = None) -> tuple[WorkingText, str, list[int]]:
         domain = len(distinct)
     else:
         raise ValueError(f"unknown input kind {kind!r}")
-    heads = heads.astype(np.intp)  # an index below, and a narrow index is slower
     lut, values = _first_occurrence_ids(heads, domain)
     if kind == "tokens":
         values = distinct[values]
-    ids = lut[heads]
+    ids = gather(lut, heads)
     del heads  # before the text copies the ids
     return WorkingText(ids, (at, lengths)), kind, values.tolist()
 
@@ -162,7 +161,7 @@ def _first_occurrence_ids(arr: np.ndarray, domain: int) -> tuple[np.ndarray, np.
     domain).
     """
     first_pos = np.full(domain, -1, dtype=np.int64)
-    first_pos[arr[::-1]] = np.arange(len(arr) - 1, -1, -1, dtype=np.int64)
+    scatter(first_pos, arr[::-1], np.arange(len(arr) - 1, -1, -1, dtype=np.int64))
     occurring = np.flatnonzero(first_pos >= 0)
     by_position = np.full(int(first_pos.max()) + 1 if len(occurring) else 0, -1, dtype=np.int64)
     by_position[first_pos[occurring]] = occurring

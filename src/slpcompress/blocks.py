@@ -33,7 +33,7 @@ import numpy as np
 
 from .alphabet import radix_argsort, rank_keys
 from .grammar import Slp
-from .text import StaleTextError, WorkingText, concat_ranges, narrow_dtype
+from .text import StaleTextError, WorkingText, concat_ranges, gather, narrow_dtype
 
 
 @dataclass
@@ -44,13 +44,13 @@ class BlockScan:
     groups are the distinct (letter, length) keys, ascending, and
     ``letters`` and ``lengths`` hold each group's working letter and
     length.  Each column takes the narrowest unsigned dtype that holds it.
-    The groups are only valid for the epoch they were scanned in.
+    ``runs`` is the text's pending runs that the groups follow.
     """
 
     groups: np.ndarray
     letters: np.ndarray
     lengths: np.ndarray
-    epoch: int = 0
+    runs: tuple[np.ndarray, np.ndarray] | None
 
     def __len__(self) -> int:
         """The number of blocks."""
@@ -66,16 +66,16 @@ def scan_blocks(text: WorkingText) -> BlockScan:
     text.collapse_runs()
     if text.runs is None:
         empty = np.empty(0, dtype=np.uint8)
-        return BlockScan(empty, empty, empty, text.epoch)
+        return BlockScan(empty, empty, empty, None)
     at, lengths = text.runs
     span = int(lengths.max()) + 1
-    key = np.take(text.cells, at)  # np.take, as indexing by a narrow index array is slower
+    key = gather(text.cells, at)
     key *= span
     key += lengths
     groups, key, _ = rank_keys(key, text.width * span)
     letters, lengths = np.divmod(key, span)
     letters = letters.astype(narrow_dtype(text.width))
-    return BlockScan(groups, letters, lengths.astype(narrow_dtype(span)), text.epoch)
+    return BlockScan(groups, letters, lengths.astype(narrow_dtype(span)), text.runs)
 
 
 @dataclass
@@ -94,17 +94,17 @@ def compress_blocks(text: WorkingText, scan: BlockScan, grammar: Slp) -> BlockCo
     The write (``replace_runs``) leaves a compact text in which no two
     adjacent symbols are equal.
     """
+    if scan.runs is not text.runs:
+        raise StaleTextError("the text no longer holds the runs the scan groups")
     if len(scan) == 0:
         empty = np.empty(0, dtype=np.int64)
         return BlockCompression(0, empty, empty, empty)
-    if scan.epoch != text.epoch:
-        raise StaleTextError("block runs predate the last compaction")
     # The groups are ascending, so each letter's distinct lengths form a
     # contiguous increasing slice.
-    letters = np.take(text.alias, scan.letters)
+    letters = gather(text.alias, scan.letters)
     lengths = scan.lengths.astype(np.int64)
     targets = build_block_rules(grammar, letters, lengths)
-    text.replace_runs(np.take(text.mint(targets), scan.groups))
+    text.replace_runs(gather(text.mint(targets), scan.groups))
     return BlockCompression(len(scan), letters, lengths, targets)
 
 

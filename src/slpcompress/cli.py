@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -91,7 +92,7 @@ def cmd_compress(args) -> int:
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as fh:
                 for trace in result.traces:
-                    fh.write(json.dumps(trace.as_dict()) + "\n")
+                    fh.write(json.dumps(dataclasses.asdict(trace)) + "\n")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WRITE_FAILURE

@@ -31,7 +31,7 @@ table end at the stop row.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,9 +63,6 @@ class PhaseTrace:
     partition_s: float
     pairs_s: float
     compact_s: float  # the compaction after the pairs
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

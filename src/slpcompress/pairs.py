@@ -16,7 +16,7 @@ import numpy as np
 
 from .alphabet import radix_argsort, rank_keys
 from .grammar import Slp
-from .text import StaleTextError, WorkingText, narrow_dtype
+from .text import StaleTextError, WorkingText, gather, narrow_dtype
 
 # Edges per block of the greedy split.  A block step is a few numpy calls,
 # about what walking a few hundred edges in Python costs; at one block per
@@ -26,11 +26,6 @@ from .text import StaleTextError, WorkingText, narrow_dtype
 # performed alike and 4096 or more was slower.
 _EDGES_PER_BLOCK = 1024
 
-# Cells per chunk of a gather through a narrow index.  np.take copies such
-# an index to intp before it reads the table, so a chunked gather holds
-# 256 kB of index copy at a time in place of one as long as the text.
-_GATHER_CHUNK = 1 << 15
-
 
 @dataclass
 class PairAdjacency:
@@ -39,8 +34,8 @@ class PairAdjacency:
     ``pair_a``/``pair_b`` hold the distinct pairs in (first, second) order
     and ``pair_count`` how often each occurs; ``pair_of[p]`` is the index
     of the pair at positions ``(p, p + 1)``, in the narrowest unsigned
-    dtype that holds every pair index.  Positions are indices into the
-    compact text of the adjacency's ``epoch``.
+    dtype that holds every pair index.  Positions are indices into
+    ``cells``, the compact text's cells when the adjacency was built.
     """
 
     pair_a: np.ndarray
@@ -48,7 +43,7 @@ class PairAdjacency:
     pair_count: np.ndarray
     pair_of: np.ndarray
     width: int
-    epoch: int
+    cells: np.ndarray
 
 
 def _pair_keys(text: WorkingText) -> tuple[np.ndarray, int]:
@@ -74,7 +69,7 @@ def build_adjacency(text: WorkingText) -> PairAdjacency:
     pair_of, present, pair_count = rank_keys(*_pair_keys(text))
     pair_a = present // text.width
     pair_b = present - pair_a * text.width  # faster than %
-    return PairAdjacency(pair_a, pair_b, pair_count, pair_of, text.width, text.epoch)
+    return PairAdjacency(pair_a, pair_b, pair_count, pair_of, text.width, lv)
 
 
 @dataclass
@@ -198,7 +193,7 @@ def _balances(a: np.ndarray, b: np.ndarray, w: np.ndarray, width: int) -> np.nda
             i = i_end
         if o_end > o:
             c = out_w[o:o_end].astype(np.int64)  # signed, and add.at's fast path
-            np.add.at(balance, out_hi[o:o_end], np.where(np.take(balance, out_lo[o:o_end]) < 0, c, -c))
+            np.add.at(balance, out_hi[o:o_end], np.where(gather(balance, out_lo[o:o_end]) < 0, c, -c))
             o = o_end
     return balance
 
@@ -217,8 +212,8 @@ def compress_pairs(
     text: WorkingText, part: Partition, adj: PairAdjacency, grammar: Slp
 ) -> PairCompression:
     """Replace every occurrence of every left.right pair with a fresh symbol."""
-    if adj.epoch != text.epoch:
-        raise StaleTextError("adjacency positions predate the last compaction")
+    if adj.cells is not text.live():
+        raise StaleTextError("the text no longer holds the cells the adjacency indexes")
     chosen = part.in_left[adj.pair_a] & part.in_right[adj.pair_b]
     selected = np.flatnonzero(chosen)
     canon_a = text.alias[adj.pair_a[selected]]
@@ -230,20 +225,8 @@ def compress_pairs(
     # The occurrences are the positions whose pair is chosen.  Distinct
     # left.right pairs never overlap (the classes are disjoint), so no
     # occurrence starts on another's second cell; replace_pairs checks it.
-    occs = np.flatnonzero(_gather(chosen, adj.pair_of, np.empty(len(adj.pair_of), dtype=bool)))
-    symbols = _gather(fresh, adj.pair_of[occs], np.empty(len(occs), dtype=fresh.dtype))
+    occs = np.flatnonzero(gather(chosen, adj.pair_of))
+    symbols = gather(fresh, adj.pair_of[occs])
     text.replace_pairs(occs, symbols)
     return PairCompression(len(occs), canon_a, canon_b, rule_ids)
 
-
-def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out[i] = table[index[i]]``, in chunks of ``_GATHER_CHUNK`` cells.
-
-    np.take, as indexing by a narrow index array is three times slower.
-    Every index lies in the table, so mode "clip" changes no value; it
-    skips the bounds check, with which np.take buffers ``out``.
-    """
-    for start in range(0, len(index), _GATHER_CHUNK):
-        chunk = slice(start, start + _GATHER_CHUNK)
-        np.take(table, index[chunk], out=out[chunk], mode="clip")
-    return out

@@ -1,7 +1,7 @@
 """Shared generators, oracles and reference implementations for the tests."""
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -661,7 +661,7 @@ def assert_same_up_to_rule_ids(got: CompressionResult, want: CompressionResult) 
     assert expand(got.slp) == expand(want.slp)
     assert (got.input_length, got.phase_table) == (want.input_length, want.phase_table)
     def untimed(result):
-        return [{k: v for k, v in t.as_dict().items() if not k.endswith("_s")} for t in result.traces]
+        return [{k: v for k, v in asdict(t).items() if not k.endswith("_s")} for t in result.traces]
 
     assert untimed(got) == untimed(want)
     assert (got.mode, got.best_phase, got.snapshot_copy_work) == (

@@ -16,7 +16,7 @@ from helpers import (
 from slpcompress.alphabet import ingest
 from slpcompress.blocks import build_block_rules, compress_blocks, scan_blocks
 from slpcompress.grammar import Slp, _ranges, expand
-from slpcompress.text import WorkingText
+from slpcompress.text import StaleTextError, WorkingText
 
 
 def naive_expand_ids(slp, symbol):
@@ -110,6 +110,16 @@ class TestCompressBlocks:
         assert result.blocks_replaced == 0
         assert bodies(grammar) == []
         assert live_list(text) == [0, 1, 0, 1]
+
+    def test_stale_scan_rejected_before_any_rule(self):
+        text, _, terminals = ingest(b"aabbbab")
+        grammar = Slp("bytes", terminals)
+        scan = scan_blocks(text)
+        compress_blocks(text, scan, grammar)
+        rules, cells = bodies(grammar), live_list(text)
+        with pytest.raises(StaleTextError):  # the runs it groups are written
+            compress_blocks(text, scan, grammar)
+        assert bodies(grammar) == rules and live_list(text) == cells
 
     def test_no_equal_adjacent_after_stage(self):
         rng = random.Random(8)

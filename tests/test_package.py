@@ -13,7 +13,11 @@ one module.  Every public top-level function or class is used by the
 package or the benchmark, not by the tests alone.  No comparison sort runs
 outside ``radix_argsort``: every key the compressor orders lies below a
 bound that its phase fixes, so ``radix_argsort`` and ``rank_keys`` order it
-in linear time.
+in linear time.  Only ``text.py`` calls ``take`` or casts an index to
+``intp``: reads and writes through a narrow index array go through
+``text.gather`` and ``text.scatter``.  No module keeps an ``epoch``: a
+stage detects stale positions by the identity of the cells or runs they
+index.
 """
 
 import ast
@@ -149,4 +153,26 @@ def test_package_sorts_only_through_radix_argsort():
     found = []
     for path in sorted((SRC / "slpcompress").glob("*.py")):
         found.extend(comparison_sort_calls(ast.parse(path.read_text()), path.name))
+    assert found == []
+
+
+def index_array_reads_and_epochs(tree, name):
+    """Where ``tree`` takes or casts to ``intp`` outside ``text.py``, or names an ``epoch``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "epoch") or (
+            isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "epoch"
+        ):
+            yield f"{name}:{node.lineno}"
+        func = node.func if isinstance(node, ast.Call) else None
+        if name != "text.py" and isinstance(func, ast.Attribute) and (
+            func.attr == "take"
+            or (func.attr == "astype" and node.args and ast.unparse(node.args[0]) == "np.intp")
+        ):
+            yield f"{name}:{node.lineno}"
+
+
+def test_index_arrays_are_read_and_written_only_in_the_text_module():
+    found = []
+    for path in sorted((SRC / "slpcompress").glob("*.py")):
+        found.extend(index_array_reads_and_epochs(ast.parse(path.read_text()), path.name))
     assert found == []

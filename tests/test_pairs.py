@@ -17,7 +17,7 @@ from helpers import (
     total_occurrences,
 )
 from slpcompress import driver, pairs
-from slpcompress.alphabet import ingest
+from slpcompress.alphabet import ingest, rename_dense
 from slpcompress.blocks import compress_blocks, scan_blocks
 from slpcompress.grammar import Slp, expand
 from slpcompress.pairs import (
@@ -384,13 +384,18 @@ class TestCompressPairs:
                 assert side_of(part, sym) is None
 
     def test_stale_positions_rejected(self):
-        text, _, terminals = ingest(b"abab")
+        text, _, terminals = ingest(b"abcabc")
         grammar = Slp("bytes", terminals)
         adj = build_adjacency(text)
         part = greedy_partition(adj)
-        text.compact()
-        with pytest.raises(StaleTextError):
+        compress_pairs(text, part, adj, grammar)
+        rules = bodies(grammar)
+        with pytest.raises(StaleTextError):  # the write is pending
             compress_pairs(text, part, adj, grammar)
+        text.compact()
+        with pytest.raises(StaleTextError):  # the write is applied
+            compress_pairs(text, part, adj, grammar)
+        assert bodies(grammar) == rules
 
     def test_coverage_accounting_matches_replacements(self):
         rng = random.Random(31)
@@ -409,6 +414,27 @@ class TestCompressPairs:
             assert result.occurrences_replaced == part.cover_chosen
             assert len(text) == before - result.occurrences_replaced
             assert result.occurrences_replaced >= math.ceil((before - 1) / 4)
+
+
+def test_rename_between_adjacency_and_pair_stage_refused():
+    # A rename renumbers the cells that the adjacency's positions and pairs
+    # describe, so a pair stage on the renamed text would write wrong rules.
+    rng = random.Random(5)
+    for _ in range(400):
+        data = bytes(rng.choice(b"abcd") for _ in range(rng.randrange(8, 61)))
+        text, _, terminals = ingest(data)
+        grammar = Slp("bytes", terminals)
+        driver.run_phase(text, grammar, 1)
+        compress_blocks(text, scan_blocks(text), grammar)
+        adj = build_adjacency(text)
+        part = greedy_partition(adj)
+        rename_dense(text)
+        cells, alias, rules = text.cells.copy(), text.alias.copy(), bodies(grammar)
+        with pytest.raises(StaleTextError):
+            compress_pairs(text, part, adj, grammar)
+        assert bodies(grammar) == rules, data
+        assert text.kept is None and text.runs is None
+        assert np.array_equal(text.cells, cells) and np.array_equal(text.alias, alias), data
 
 
 def test_full_phase_pair_stage_after_blocks():

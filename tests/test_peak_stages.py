@@ -1,6 +1,8 @@
 """Smoke test of ``tools/peak_stages.py`` on a small input."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,3 +29,18 @@ def test_every_stage_reports_a_peak_no_lower_than_its_entry(capsys):
         assert int(phase) >= 0 and 0 <= float(entry) <= float(peak) <= whole, row
     assert seen == {*peak_stages.STAGES, "compact"}
     assert peaks == sorted(peaks, reverse=True)
+
+
+def test_a_closed_pipe_ends_the_report_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, str(_PATH), "--workload", "runs_tokens"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()  # the reader is gone before the report prints
+    try:
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0, stderr
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert stderr == ""

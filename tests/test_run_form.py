@@ -11,6 +11,7 @@ the exact count too.
 """
 
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from slpcompress.grammar import serialize
 
 def counts(trace):
     """A phase trace without its stage timings."""
-    return {k: v for k, v in trace.as_dict().items() if not k.endswith("_s")}
+    return {k: v for k, v in asdict(trace).items() if not k.endswith("_s")}
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ the exact count would.
 """
 
 import random
+from dataclasses import asdict
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from slpcompress.text import WorkingText
 
 def counts(trace):
     """A phase trace without its stage timings."""
-    return {k: v for k, v in trace.as_dict().items() if not k.endswith("_s")}
+    return {k: v for k, v in asdict(trace).items() if not k.endswith("_s")}
 
 
 def seeded_input(rng: random.Random):

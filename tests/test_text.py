@@ -11,7 +11,15 @@ from helpers import (
     replace_run,
 )
 from slpcompress.alphabet import rename_dense
-from slpcompress.text import StaleTextError, WorkingText, concat_ranges, find_runs, narrow_dtype
+from slpcompress.text import (
+    StaleTextError,
+    WorkingText,
+    concat_ranges,
+    find_runs,
+    gather,
+    narrow_dtype,
+    scatter,
+)
 
 
 def text_of(symbols, width: int) -> WorkingText:
@@ -94,11 +102,14 @@ class TestCompact:
         assert live_list(t) == [9, 7, 3]
         assert len(t.cells) == 3
 
-    def test_bumps_epoch(self):
-        t = WorkingText([0, 1])
-        e = t.epoch
+    def test_new_cells_only_for_a_pending_write(self):
+        t = WorkingText([0, 1, 2])
+        cells = t.cells
         t.compact()
-        assert t.epoch == e + 1
+        assert t.cells is cells
+        replace_pair(t, 0, 2)
+        t.compact()
+        assert t.cells is not cells and live_list(t) == [2, 2]
 
 
 def _random_script(rng, oracle):
@@ -321,11 +332,11 @@ class TestPairChecks:
     )
     def test_bad_replacement_rejected_before_any_write(self, symbols, starts, fresh, message):
         t = text_of(symbols, 10)
-        epoch = t.epoch
+        cells = t.cells
         with pytest.raises(ValueError, match=message):
             t.replace_pairs(starts, fresh)
         assert_unchanged(t, symbols, 10)
-        assert t.epoch == epoch
+        assert t.cells is cells
 
     @pytest.mark.parametrize(
         "starts,fresh,message",
@@ -349,6 +360,24 @@ class TestPairChecks:
         assert len(t) == 2
         t.compact()
         assert t.live().tolist() == [3, 3]
+
+
+class TestGatherScatter:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+    def test_match_numpy_indexing_across_chunks(self, dtype):
+        rng = np.random.default_rng(12)
+        table = rng.integers(0, 2**40, 200)
+        index = rng.integers(0, 200, 3 * 2**15 + 7).astype(dtype)
+        got = gather(table, index)
+        assert got.dtype == table.dtype and np.array_equal(got, table[index.astype(np.intp)])
+        assert gather(table, index[:0]).shape == (0,)
+        values = np.arange(len(index))
+        target = np.full(200, -1)
+        scatter(target, index, values)
+        want = np.full(200, -1)
+        for i, v in zip(index.tolist(), values.tolist()):
+            want[i] = v  # the last write wins, across chunks too
+        assert np.array_equal(target, want)
 
 
 class TestFindRuns:
@@ -403,19 +432,20 @@ class TestRunForm:
 
     def test_collapse_runs_keeps_the_text(self):
         t = WorkingText([2, 2, 0, 1, 1, 1, 0])
-        epoch = t.epoch
+        compact = t.cells
         t.collapse_runs()
         assert t.cells.tolist() == [2, 0, 1, 0] and len(t) == 7
         assert [c.tolist() for c in t.runs] == [[0, 2], [2, 3]]
-        assert t.epoch == epoch + 1
+        cells, runs = t.cells, t.runs
+        assert cells is not compact
         t.collapse_runs()  # already in run form
-        assert t.epoch == epoch + 1 and t.cells.tolist() == [2, 0, 1, 0]
+        assert t.cells is cells and t.runs is runs and t.cells.tolist() == [2, 0, 1, 0]
 
     def test_collapse_runs_leaves_a_text_without_runs_alone(self):
         t = WorkingText([2, 0, 1, 0])
-        cells, epoch = t.cells, t.epoch
+        cells = t.cells
         t.collapse_runs()
-        assert t.runs is None and t.cells is cells and t.epoch == epoch
+        assert t.runs is None and t.cells is cells
 
     def test_collapse_runs_refuses_a_pending_write(self):
         t = text_of([0, 1, 2], 4)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 import tracemalloc
 from pathlib import Path
@@ -118,7 +119,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     data = workloads.GENERATORS[args.workload](args.seed)
-    report(f"{args.workload} (seed {args.seed})", data)
+    try:
+        report(f"{args.workload} (seed {args.seed})", data)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe, as ``| head`` does: nothing more is
+        # read, and stdout goes to devnull so the flush at exit fails no more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
