@@ -21,8 +21,9 @@ full length.
 
 Every key a stage orders lies below a bound that its phase fixes.
 ``rank_keys`` is the one place that ranks such keys, counting them or
-radix sorting them (``radix_argsort``), and no comparison sort runs on the
-compress or expand path.
+radix sorting them (``radix_argsort``), ``count_distinct`` counts the
+distinct ones the same way, and no comparison sort runs on the compress
+or expand path.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ def radix_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     least significant first, and ``bound - 1`` fixes how many digits there
     are, so the time is linear in the number of keys times that count.
     The first pass sorts the keys' low digits as they stand; each later
-    pass gathers its digit as a ``uint16`` array in the order so far.
+    pass gathers its digit as a ``uint16`` array in the order so far.  The
+    order is kept, and returned, in ``narrow_dtype(len(keys))``.
     """
     if not 1 <= bound <= 1 << 63:
         raise ValueError(f"bound must lie in [1, 2**63], got {bound}")
@@ -61,31 +63,51 @@ def radix_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
         raise ValueError("key out of bound")
     digits = max(1, (int(bound - 1).bit_length() + _DIGIT_BITS - 1) // _DIGIT_BITS)
     order = np.argsort(keys.astype(np.uint16, copy=False), kind="stable")  # wraps mod 2**16
+    order = order.astype(narrow_dtype(len(keys)))
     for d in range(1, digits):
-        digit = (keys >> (d * _DIGIT_BITS)).astype(np.uint16)[order]
-        order = order[np.argsort(digit, kind="stable")]
+        digit = np.empty(len(keys), dtype=np.uint16)
+        np.right_shift(keys, d * _DIGIT_BITS, out=digit, casting="unsafe")  # wraps mod 2**16
+        digit = gather(digit, order)
+        by_digit = np.argsort(digit, kind="stable")
+        del digit
+        order = gather(order, by_digit)
+        del by_digit
     return order
+
+
+def _tally(keys: np.ndarray, bound: int) -> np.ndarray:
+    """How often each value below ``bound`` occurs among ``keys``.
+
+    ``np.add.at`` reads narrow keys as they stand, where ``np.bincount``
+    would copy them to ``intp`` first, and it is no slower.
+    """
+    table = np.zeros(bound, dtype=np.intp)
+    np.add.at(table, keys, 1)
+    return table
 
 
 def rank_keys(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank non-negative integer keys below ``bound`` among the distinct keys.
 
     Returns each key's rank, in the narrowest unsigned dtype that holds
-    every rank; the distinct keys, ascending; and how often each occurs.
+    every rank; the distinct keys, ascending, in the keys' dtype; and how
+    often each occurs, in the narrowest unsigned dtype that holds the
+    largest count.
     When the key universe ``bound`` is at most the number of keys, the keys
-    are counted with one ``bincount``; otherwise they are radix sorted
+    are counted in one table; otherwise they are radix sorted
     (``radix_argsort``).  Either way the time is linear in the number of
     keys, and every temporary is freed as soon as it has been read.
     """
     n = len(keys)
     if bound <= n:
-        table = np.bincount(keys, minlength=bound)
+        table = _tally(keys, bound)
         distinct = np.flatnonzero(table)
         counts = table[distinct]
         table[distinct] = np.arange(len(distinct))  # key -> rank
-        return table.astype(narrow_dtype(len(distinct)))[keys], distinct, counts
+        ranks = gather(table.astype(narrow_dtype(len(distinct))), keys)
+        return ranks, distinct, counts.astype(narrow_dtype(int(counts.max(initial=0)) + 1))
     order = radix_argsort(keys, bound)
-    ascending = keys[order]
+    ascending = gather(keys, order)
     # A distinct key starts where the sorted keys change, and the end
     # closes the last one.
     edge = np.empty(n + 1, dtype=bool)
@@ -96,10 +118,25 @@ def rank_keys(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray, np.
     del ascending  # the caller holds the keys, so free their sorted copy early
     counts = np.diff(ends)
     del ends
+    counts = counts.astype(narrow_dtype(int(counts.max(initial=0)) + 1))
     edge[0] = False  # so the running count is the rank
     ranks = np.empty(n, dtype=narrow_dtype(len(distinct)))
-    ranks[order] = np.cumsum(edge[:n], dtype=ranks.dtype)
+    running = np.cumsum(edge[:n], dtype=ranks.dtype)
+    del edge
+    scatter(ranks, order, running)
     return ranks, distinct, counts
+
+
+def count_distinct(keys: np.ndarray, bound: int) -> int:
+    """The number of distinct keys, for non-negative integer keys below ``bound``.
+
+    It takes ``rank_keys``' path, without the ranks: the non-zero entries
+    of one count table, or the changes between radix-sorted neighbours.
+    """
+    if bound <= len(keys):
+        return int(np.count_nonzero(_tally(keys, bound)))
+    ascending = gather(keys, radix_argsort(keys, bound))
+    return int(np.count_nonzero(ascending[1:] != ascending[:-1])) + (len(keys) > 0)
 
 
 def ingest(raw, kind: str | None = None) -> tuple[WorkingText, str, list[int]]:

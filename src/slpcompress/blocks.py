@@ -69,8 +69,8 @@ def scan_blocks(text: WorkingText) -> BlockScan:
         return BlockScan(empty, empty, empty, None)
     at, lengths = text.runs
     span = int(lengths.max()) + 1
-    key = gather(text.cells, at)
-    key *= span
+    key = gather(text.cells, at).astype(narrow_dtype(text.width * span), copy=False)
+    key *= span  # below the bound, which the dtype holds
     key += lengths
     groups, key, _ = rank_keys(key, text.width * span)
     letters, lengths = np.divmod(key, span)

@@ -37,7 +37,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .alphabet import TOKEN_VALUE_CEILING, radix_argsort
-from .text import as_int64, concat_ranges
+from .text import as_int64, concat_ranges, gather
 
 MAX_EXPANSION = 2**63 - 1  # also the largest int64
 _BATCH = 1 << 15  # body symbols substituted per vector step of expand_ids
@@ -452,8 +452,8 @@ def expand_ids(slp: Slp, symbol: int | None = None) -> np.ndarray:
         del state
         level = np.searchsorted(range_starts, rule, side="right")  # 1 + the rule's range index
         order = radix_argsort(level, len(range_starts) + 1)
-        pos, rule, src = pos[order], rule[order], src[order]
-        cuts = np.flatnonzero(np.diff(level[order])) + 1
+        pos, rule, src = gather(pos, order), gather(rule, order), gather(src, order)
+        cuts = np.flatnonzero(np.diff(gather(level, order))) + 1
         del level, order
         for p, r, s in zip(np.split(pos, cuts), np.split(rule, cuts), np.split(src, cuts)):
             _copy_spans(out, s, p, sym_len[sigma + r])

@@ -5,6 +5,10 @@ first symbol is in the left class and second in the right class cannot
 overlap, so all their occurrences are replaced simultaneously.  The greedy
 split guarantees the replaced occurrences number at least
 ``ceil((|T| - 1) / 4)``.
+
+Each column takes the narrowest unsigned dtype for its bound: the pair
+keys below ``width**2``, the pairs' symbols below ``width``, the counts up
+to the largest, and the pair index below the number of distinct pairs.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from itertools import islice
 
 import numpy as np
 
-from .alphabet import radix_argsort, rank_keys
+from .alphabet import count_distinct, radix_argsort, rank_keys
 from .grammar import Slp
 from .text import StaleTextError, WorkingText, gather, narrow_dtype
 
@@ -31,10 +35,12 @@ _EDGES_PER_BLOCK = 1024
 class PairAdjacency:
     """Distinct adjacent pairs, and which of them stands at each adjacency.
 
-    ``pair_a``/``pair_b`` hold the distinct pairs in (first, second) order
-    and ``pair_count`` how often each occurs; ``pair_of[p]`` is the index
-    of the pair at positions ``(p, p + 1)``, in the narrowest unsigned
-    dtype that holds every pair index.  Positions are indices into
+    ``pair_a``/``pair_b`` hold the distinct pairs in (first, second) order,
+    in the narrowest unsigned dtype that holds an id below ``width``, and
+    ``pair_count`` how often each occurs, in the narrowest that holds the
+    largest count; ``pair_of[p]`` is the index of the pair at positions
+    ``(p, p + 1)``, in the narrowest unsigned dtype that holds every pair
+    index.  Positions are indices into
     ``cells``, the compact text's cells when the adjacency was built.
     """
 
@@ -47,14 +53,21 @@ class PairAdjacency:
 
 
 def _pair_keys(text: WorkingText) -> tuple[np.ndarray, int]:
-    """One key per adjacency, ``(first, second)`` over the working alphabet, and its bound."""
+    """One key per adjacency, ``(first, second)`` over the working alphabet, and its bound.
+
+    The keys take the narrowest dtype below the bound, which also holds
+    ``width``, so the product never wraps.
+    """
     lv, width = text.live(), text.width
-    return lv[:-1] * width + lv[1:], width * width
+    keys = lv[:-1].astype(narrow_dtype(width * width))
+    keys *= width
+    keys += lv[1:]
+    return keys, width * width
 
 
 def distinct_pairs(text: WorkingText) -> int:
     """Number of distinct adjacent pairs in the text, equal neighbours included."""
-    return len(rank_keys(*_pair_keys(text))[1])
+    return count_distinct(*_pair_keys(text))
 
 
 def build_adjacency(text: WorkingText) -> PairAdjacency:
@@ -67,9 +80,12 @@ def build_adjacency(text: WorkingText) -> PairAdjacency:
     if (lv[1:] == lv[:-1]).any():
         raise ValueError("equal adjacent symbols in text: block compression must run first")
     pair_of, present, pair_count = rank_keys(*_pair_keys(text))
+    ids = narrow_dtype(text.width)
     pair_a = present // text.width
-    pair_b = present - pair_a * text.width  # faster than %
-    return PairAdjacency(pair_a, pair_b, pair_count, pair_of, text.width, lv)
+    present -= pair_a * text.width  # in the keys' dtype; faster than %
+    pair_b = present.astype(ids)
+    del present
+    return PairAdjacency(pair_a.astype(ids), pair_b, pair_count, pair_of, text.width, lv)
 
 
 @dataclass
@@ -123,8 +139,8 @@ def greedy_partition(adj: PairAdjacency) -> Partition:
     b = adj.pair_b
     in_right = _balances(a, b, adj.pair_count, adj.width) < 0
     part = Partition(~in_right, in_right)
-    lr = part.in_left[a] & part.in_right[b]
-    rl = part.in_right[a] & part.in_left[b]
+    lr = gather(part.in_left, a) & gather(part.in_right, b)
+    rl = gather(part.in_right, a) & gather(part.in_left, b)
     cover_lr = int(adj.pair_count[lr].sum())
     cover_rl = int(adj.pair_count[rl].sum())
     part.cover_pre_swap = cover_lr + cover_rl
@@ -152,12 +168,10 @@ def _balances(a: np.ndarray, b: np.ndarray, w: np.ndarray, width: int) -> np.nda
     size = 1 << shift
     n_blocks = -(-width // size)
     cuts = np.arange(1, n_blocks + 1) << shift
-    # The columns take the narrowest dtypes that hold their values, the ids
-    # below width and the weights up to the largest, and each is freed once
-    # read.
-    lo = np.minimum(a, b, out=np.empty(len(a), dtype=narrow_dtype(width)), casting="unsafe")
-    hi = np.maximum(a, b, out=np.empty(len(a), dtype=narrow_dtype(width)), casting="unsafe")
-    w = w.astype(narrow_dtype(int(w.max()) + 1))
+    # The columns keep the adjacency's narrow dtypes, and each is freed
+    # once read.
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
     inner = (lo ^ hi) < size  # lo and hi share a block
     # Inner edges are grouped by block already, as a first symbol shares
     # lo's block, so a binary search for each block's end finds where the
@@ -175,7 +189,7 @@ def _balances(a: np.ndarray, b: np.ndarray, w: np.ndarray, width: int) -> np.nda
     out_lo, out_hi, out_w = np.compress(inner, lo), np.compress(inner, hi), np.compress(inner, w)
     del lo, hi, w, inner
     order = radix_argsort(out_lo >> shift, n_blocks)
-    out_lo, out_hi, out_w = out_lo[order], out_hi[order], out_w[order]
+    out_lo, out_hi, out_w = gather(out_lo, order), gather(out_hi, order), gather(out_w, order)
     del order
     out_ends = np.searchsorted(out_lo, cuts).tolist()
     edges = zip(inner_lo, inner_hi, inner_w)
@@ -214,10 +228,10 @@ def compress_pairs(
     """Replace every occurrence of every left.right pair with a fresh symbol."""
     if adj.cells is not text.live():
         raise StaleTextError("the text no longer holds the cells the adjacency indexes")
-    chosen = part.in_left[adj.pair_a] & part.in_right[adj.pair_b]
+    chosen = gather(part.in_left, adj.pair_a) & gather(part.in_right, adj.pair_b)
     selected = np.flatnonzero(chosen)
-    canon_a = text.alias[adj.pair_a[selected]]
-    canon_b = text.alias[adj.pair_b[selected]]
+    canon_a = gather(text.alias, adj.pair_a[selected])
+    canon_b = gather(text.alias, adj.pair_b[selected])
     rule_ids = grammar.emit_pair_rules(canon_a, canon_b)
     fresh = np.empty(len(chosen), dtype=narrow_dtype(text.width + len(selected)))
     fresh[selected] = text.mint(rule_ids)  # by pair; read only where chosen
@@ -226,7 +240,9 @@ def compress_pairs(
     # left.right pairs never overlap (the classes are disjoint), so no
     # occurrence starts on another's second cell; replace_pairs checks it.
     occs = np.flatnonzero(gather(chosen, adj.pair_of))
+    del chosen
     symbols = gather(fresh, adj.pair_of[occs])
+    del fresh
     text.replace_pairs(occs, symbols)
     return PairCompression(len(occs), canon_a, canon_b, rule_ids)
 

@@ -32,6 +32,11 @@ fresh symbols below ``width``.  ``mint`` only widens the alphabet,
 ``compact`` and ``collapse_runs`` only drop cells and a rename maps onto
 ``[0, k)``, so readers index ``alias`` with cells directly.  No other
 module writes ``cells``, ``alias``, ``kept`` or ``runs``.
+
+The cells take, where they are built (the constructor and the rename),
+the narrowest unsigned dtype that holds every id their phase can mint
+(``_cell_dtype``), and ``mint`` refuses ids past it; so the stages' writes
+never widen the cells, and ids below ``width`` always fit them.
 """
 
 from __future__ import annotations
@@ -48,21 +53,22 @@ class StaleTextError(RuntimeError):
     """A write is pending, or positions index cells or runs the text no longer holds."""
 
 
-def as_int64(values, what: str, error: type[ValueError]) -> np.ndarray:
-    """``values`` as a flat ``int64`` array; raises ``error`` unless each is an int64 integer.
+def as_integers(values, what: str, error: type[ValueError]) -> np.ndarray:
+    """``values`` as a flat integer array; raises ``error`` unless each is an integer.
 
-    Never coerces: numpy would truncate floats, read bools as 0 and 1, parse
-    numerals, and wrap or round integers of 2**63 or more.
+    An integer ``ndarray`` is returned as it stands, in its own dtype, and
+    the caller checks its range; any other sequence becomes ``int64`` and
+    must fit it.  Never coerces: numpy would truncate floats, read bools as
+    0 and 1, parse numerals, and wrap or round integers of 2**63 or more.
     """
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
             raise error(f"{what} must be a flat sequence, not of shape {values.shape}")
-        if values.dtype.kind == "u" and values.size and values.max() > _INT64_MAX:
-            wide = values[np.argmax(values > _INT64_MAX)]
-            raise error(f"{what} must fit in int64, not {wide}")
-        if values.dtype.kind not in "iu" and values.size:
+        if values.dtype.kind in "iu":
+            return values
+        if values.size:
             raise error(f"{what} must be integers, not {values.dtype}")
-        return values.astype(np.int64, copy=False)
+        return values.astype(np.int64)
     if not isinstance(values, Sequence):  # memoryview is one; a dict, set or iterator is not
         raise error(f"{what} must be a sequence, not {type(values).__name__}")
     values = list(values)
@@ -74,6 +80,15 @@ def as_int64(values, what: str, error: type[ValueError]) -> np.ndarray:
     except OverflowError:
         wide = next(v for v in values if not -_INT64_MAX - 1 <= v <= _INT64_MAX)
         raise error(f"{what} must fit in int64, not {wide}") from None
+
+
+def as_int64(values, what: str, error: type[ValueError]) -> np.ndarray:
+    """``values`` as a flat ``int64`` array, through ``as_integers``."""
+    values = as_integers(values, what, error)
+    if values.dtype.kind == "u" and values.size and values.max() > _INT64_MAX:
+        wide = values[np.argmax(values > _INT64_MAX)]
+        raise error(f"{what} must fit in int64, not {wide}")
+    return values.astype(np.int64, copy=False)
 
 
 def narrow_dtype(bound: int) -> np.dtype:
@@ -162,10 +177,10 @@ class WorkingText:
         at least 0, and runs that are not cells of the text in increasing
         order, each of length >= 2, raise ``ValueError``.
         """
-        self.cells = as_int64(symbols, "symbols", ValueError).copy()
-        if self.cells.min(initial=0) < 0:
+        cells = as_int64(symbols, "symbols", ValueError)
+        if cells.min(initial=0) < 0:
             raise ValueError("symbols must be non-negative")
-        self.alias = np.arange(self.cells.max(initial=-1) + 1)  # working id -> canonical id
+        self.alias = np.arange(cells.max(initial=-1) + 1)  # working id -> canonical id
         self.kept = None  # while a write is pending, the cells compact() keeps
         self.runs = None  # in run form, the (head cell, length) columns of the runs
         if runs is not None:
@@ -174,7 +189,7 @@ class WorkingText:
                 raise ValueError("runs must be integer columns")
             if at.ndim != 1 or at.shape != lengths.shape:
                 raise ValueError("runs need one head cell and one length per run")
-            if at.size and (at.min() < 0 or at.max() >= len(self.cells)):
+            if at.size and (at.min() < 0 or at.max() >= len(cells)):
                 raise ValueError("a run head lies outside the text")
             if lengths.min(initial=2) < 2:
                 raise ValueError("runs have length 2 or more")
@@ -182,6 +197,18 @@ class WorkingText:
                 raise ValueError("run heads must increase")
             if len(at):
                 self.runs = (at, lengths)
+        self.cells = cells.astype(self._cell_dtype(len(cells)))  # a copy, even in that dtype
+
+    def _cell_dtype(self, cells: int) -> np.dtype:
+        """The dtype of ``cells`` cells: the narrowest that holds every id their phase can mint.
+
+        The block stage mints at most one id per pending run, and a compact
+        text has at most one run per two cells; the pair stage mints at
+        most one per two cells.  So every id lies below ``width + runs +
+        cells // 2``, and the stages' writes never widen the cells.
+        """
+        runs = cells // 2 if self.runs is None else len(self.runs[0])
+        return narrow_dtype(self.width + runs + cells // 2)
 
     @property
     def width(self) -> int:
@@ -191,15 +218,18 @@ class WorkingText:
     def mint(self, canonical_ids) -> np.ndarray:
         """Fresh working ids, from ``width`` up, aliased to the given canonical ids.
 
-        Ids that are not integers of at least 0 raise ``ValueError`` before
-        the alias changes.
+        The ids come in the cells' dtype.  Canonical ids that are not
+        integers of at least 0, and more ids than the cells' dtype holds,
+        raise ``ValueError`` before the alias changes.
         """
         canonical_ids = as_int64(canonical_ids, "canonical ids", ValueError)
         if canonical_ids.min(initial=0) < 0:
             raise ValueError("canonical ids must be non-negative")
-        start = len(self.alias)
+        start, room = len(self.alias), int(np.iinfo(self.cells.dtype).max) + 1
+        if start + len(canonical_ids) > room:
+            raise ValueError(f"the cells hold ids below {room} only")
         self.alias = np.concatenate([self.alias, canonical_ids])
-        return np.arange(start, len(self.alias), dtype=np.int64)
+        return np.arange(start, len(self.alias), dtype=self.cells.dtype)
 
     def __len__(self) -> int:
         """The number of symbols, counting a pending write as applied and runs at their length."""
@@ -263,8 +293,8 @@ class WorkingText:
         cell raise ``ValueError`` before any write.
         """
         cells = self.live()
-        starts = as_int64(starts, "pair starts", ValueError)
-        fresh = as_int64(fresh, "fresh symbols", ValueError)
+        starts = as_integers(starts, "pair starts", ValueError)
+        fresh = as_integers(fresh, "fresh symbols", ValueError)
         if fresh.shape != starts.shape:
             raise ValueError("starts and fresh need one entry per pair")
         if starts.min(initial=0) < 0:
@@ -295,7 +325,7 @@ class WorkingText:
         """
         if self.runs is None:
             raise StaleTextError("no runs are pending")
-        fresh = as_int64(fresh, "fresh symbols", ValueError)
+        fresh = as_integers(fresh, "fresh symbols", ValueError)
         at = self.runs[0]
         if fresh.shape != at.shape:
             raise ValueError("fresh needs one entry per pending run")
@@ -306,5 +336,6 @@ class WorkingText:
 
     def _rename(self, lut: np.ndarray, old_ids: np.ndarray) -> None:
         """Symbol ``s`` becomes ``lut[s]``; new id ``i`` takes old id ``old_ids[i]``'s alias."""
-        self.cells = lut[self.live()]
+        cells = self.live()
         self.alias = self.alias[old_ids]
+        self.cells = gather(lut.astype(self._cell_dtype(len(cells))), cells)

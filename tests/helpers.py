@@ -238,7 +238,7 @@ def reference_greedy_partition(adj) -> Partition:
         ra = adj.pair_a.tolist()
         rb = adj.pair_b.tolist()
         rc = adj.pair_count.tolist()
-        lorder = radix_argsort(adj.pair_b * width + adj.pair_a, width * width)
+        lorder = radix_argsort(adj.pair_b.astype(np.int64) * width + adj.pair_a, width * width)
         lb = adj.pair_b[lorder].tolist()
         la = adj.pair_a[lorder].tolist()
         lc = adj.pair_count[lorder].tolist()

@@ -14,7 +14,14 @@ from helpers import (
 )
 
 from slpcompress import alphabet
-from slpcompress.alphabet import InputFormatError, ingest, radix_argsort, rank_keys, rename_dense
+from slpcompress.alphabet import (
+    InputFormatError,
+    count_distinct,
+    ingest,
+    radix_argsort,
+    rank_keys,
+    rename_dense,
+)
 from slpcompress.text import StaleTextError, WorkingText, narrow_dtype
 
 
@@ -453,7 +460,7 @@ class TestWorkingAlphabet:
     def test_constructor_reads_lists_and_every_integer_dtype_alike(self, dtype):
         symbols = [3, 0, 2, 0, 127]
         text = WorkingText(np.array(symbols, dtype=dtype))
-        assert text.cells.dtype == np.int64
+        assert text.cells.dtype == np.uint8  # holds width 128, plus 2 runs and 2 pairs
         assert text.cells.tolist() == WorkingText(symbols).cells.tolist() == symbols
         assert text.width == WorkingText(symbols).width == 128
         assert WorkingText([np.int8(1), 2]).cells.tolist() == [1, 2]
@@ -511,7 +518,10 @@ def test_radix_argsort_matches_stable_argsort(bound):
 
 
 def check_rank_keys(keys, bound):
-    """``rank_keys`` against ``np.unique``; returns whether it radix sorted."""
+    """``rank_keys`` and ``count_distinct`` against ``np.unique``.
+
+    Returns whether they radix sorted.
+    """
     calls = []
 
     def spy(*args):
@@ -521,8 +531,12 @@ def check_rank_keys(keys, bound):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(alphabet, "radix_argsort", spy)
         ranks, distinct, counts = rank_keys(keys, bound)
+        ranked = len(calls)
+        assert count_distinct(keys, bound) == len(distinct)
+    assert len(calls) == 2 * ranked  # both took the same path
     oracle, inverse, oracle_counts = np.unique(keys, return_inverse=True, return_counts=True)
     assert ranks.dtype == narrow_dtype(len(distinct))
+    assert counts.dtype == narrow_dtype(int(counts.max(initial=0)) + 1)
     assert ranks.tolist() == inverse.tolist()
     assert distinct.tolist() == oracle.tolist()
     assert counts.tolist() == oracle_counts.tolist()

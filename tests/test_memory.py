@@ -17,25 +17,27 @@ import numpy as np
 import pytest
 
 from slpcompress import compress
-from slpcompress.text import WorkingText, narrow_dtype
+from slpcompress.text import WorkingText
 from test_golden import random_bytes, revised_text, token_runs
 
 SIZE = 2**16
 
 
-# (input, mode): bytes per input symbol.  Measured 35.7, 41.4, 23.1, 22.3,
-# 19.5 and 19.6 with numpy 2.4.  Before the first phase started from the
-# input's runs and the pair stage gathered in chunks, they read 37.2, 41.4,
+# (input, mode): bytes per input symbol.  Measured 22.3, 36.4, 12.9, 12.9,
+# 17.6 and 17.6 with numpy 2.4.  Before the working text, the keys, the
+# adjacency's columns and the radix order took narrow dtypes, they read
+# 34.6, 41.4, 24.0, 23.3, 19.5 and 19.6; before the first phase started
+# from the input's runs and the pair stage gathered in chunks, 37.2, 41.4,
 # 25.6, 24.6, 22.4 and 22.4; before the stages released their arrays and
 # the adjacency kept one pair index per position, 55.5, 54.1, 40.3, 32.3,
 # 34.9 and 26.9.
 BOUNDS = {
-    (random_bytes, "improved"): 41.0,
-    (random_bytes, "plain"): 48.0,
-    (revised_text, "improved"): 26.5,
-    (revised_text, "plain"): 25.5,
-    (token_runs, "improved"): 22.5,
-    (token_runs, "plain"): 22.5,
+    (random_bytes, "improved"): 25.5,
+    (random_bytes, "plain"): 42.0,
+    (revised_text, "improved"): 15.0,
+    (revised_text, "plain"): 15.0,
+    (token_runs, "improved"): 20.0,
+    (token_runs, "plain"): 20.0,
 }
 
 
@@ -65,17 +67,19 @@ def test_compress_peak_per_symbol(generate, mode):
 
 
 def test_pair_write_peak():
-    """``replace_pairs`` holds 1 byte per cell and 9 per pair.
+    """``replace_pairs`` holds 1 byte per cell and 1 per pair.
 
-    They are the mask of kept cells, the ``int64`` copy of the narrow fresh
-    symbols and ``kept[starts]``.  The 8 kB slack covers array headers and
-    the call's Python objects: it measured 1.8 kB with numpy 2.4, where the
-    bound is 755 kB.
+    They are the mask of kept cells and ``kept[starts]``: the fresh
+    symbols, minted in the cells' narrow dtype, are written as they stand,
+    with no copy.  The 8 kB slack covers array headers and the call's
+    Python objects: it measured 2.0 kB with numpy 2.4, where the bound is
+    325 kB.
     """
     n = 2**18
     rng = np.random.default_rng(7)
     text = WorkingText(rng.integers(0, 64, n))
     starts = 2 * np.flatnonzero(rng.random(n // 2) < 0.42)  # about 55k disjoint pairs
-    fresh = text.mint(np.arange(len(starts))).astype(narrow_dtype(text.width))
+    fresh = text.mint(np.arange(len(starts)))
+    assert text.cells.dtype == fresh.dtype == np.uint32
     peak = call_peak(text.replace_pairs, starts, fresh)
-    assert peak <= n + 9 * len(starts) + 8192, f"{peak} bytes for {len(starts)} pairs"
+    assert peak <= n + len(starts) + 8192, f"{peak} bytes for {len(starts)} pairs"

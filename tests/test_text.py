@@ -167,7 +167,7 @@ def test_bulk_runs_equal_scalar_sequence():
     for _ in range(30):
         n = int(rng.integers(2, 60))
         syms = rng.integers(0, 3, n)
-        a = text_of(syms, 1100)
+        a = text_of(syms, 130)
         a.collapse_runs()
         b = WorkingText(syms)
         # maximal runs of length >= 2
@@ -182,7 +182,7 @@ def test_bulk_runs_equal_scalar_sequence():
                 starts.append(i)
                 lengths.append(j - i)
             i = j
-        fresh = [1000 + k for k in range(len(starts))]
+        fresh = [100 + k for k in range(len(starts))]
         if starts:
             a.replace_runs(np.array(fresh, dtype=np.int64))
         for s, l, f in zip(starts, lengths, fresh):
