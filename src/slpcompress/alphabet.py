@@ -101,7 +101,7 @@ def rank_keys(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray, np.
     n = len(keys)
     if bound <= n:
         table = _tally(keys, bound)
-        distinct = np.flatnonzero(table)
+        distinct = np.flatnonzero(table).astype(keys.dtype, copy=False)
         counts = table[distinct]
         table[distinct] = np.arange(len(distinct))  # key -> rank
         ranks = gather(table.astype(narrow_dtype(len(distinct))), keys)

@@ -536,6 +536,7 @@ def check_rank_keys(keys, bound):
     assert len(calls) == 2 * ranked  # both took the same path
     oracle, inverse, oracle_counts = np.unique(keys, return_inverse=True, return_counts=True)
     assert ranks.dtype == narrow_dtype(len(distinct))
+    assert distinct.dtype == np.asarray(keys).dtype
     assert counts.dtype == narrow_dtype(int(counts.max(initial=0)) + 1)
     assert ranks.tolist() == inverse.tolist()
     assert distinct.tolist() == oracle.tolist()

@@ -10,11 +10,9 @@ the peak past a bound should say why and set the bound anew from a
 measurement, never from the input that failed.
 """
 
-import gc
-import tracemalloc
-
 import numpy as np
 import pytest
+from peak_stages import traced_peak
 
 from slpcompress import compress
 from slpcompress.text import WorkingText
@@ -41,28 +39,12 @@ BOUNDS = {
 }
 
 
-def call_peak(call, *args):
-    """The traced peak of ``call(*args)`` over the bytes alive before it."""
-    gc.collect()
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        call(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
-
-
 @pytest.mark.parametrize(
     "generate, mode", list(BOUNDS), ids=[f"{g.__name__}-{m}" for g, m in BOUNDS]
 )
 def test_compress_peak_per_symbol(generate, mode):
     data = generate(1, SIZE)
-    per_symbol = call_peak(compress, data, mode) / len(data)
+    per_symbol = traced_peak(compress, data, mode) / len(data)
     assert per_symbol <= BOUNDS[generate, mode], f"{per_symbol:.1f} bytes per symbol"
 
 
@@ -81,5 +63,5 @@ def test_pair_write_peak():
     starts = 2 * np.flatnonzero(rng.random(n // 2) < 0.42)  # about 55k disjoint pairs
     fresh = text.mint(np.arange(len(starts)))
     assert text.cells.dtype == fresh.dtype == np.uint32
-    peak = call_peak(text.replace_pairs, starts, fresh)
+    peak = traced_peak(text.replace_pairs, starts, fresh)
     assert peak <= n + len(starts) + 8192, f"{peak} bytes for {len(starts)} pairs"

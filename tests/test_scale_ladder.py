@@ -1,16 +1,10 @@
 """Smoke test of ``tools/scale_ladder.py`` at 2^12 symbols."""
 
-import importlib.util
-from pathlib import Path
-
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "scale_ladder.py"
-_SPEC = importlib.util.spec_from_file_location("scale_ladder", _PATH)
-scale_ladder = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(scale_ladder)
+import scale_ladder
 
 
 def test_one_row_per_workload_with_every_column(capsys):
-    assert scale_ladder.main(["--min-exp", "12", "--max-exp", "12", "--repeat", "1"]) == 0
+    assert scale_ladder.main(["--min-exp", "12", "--max-exp", "12"]) == 0
     title, units, *rows = capsys.readouterr().out.splitlines()
     stages = [name[:-2] for name in scale_ladder.STAGES]
     assert title.split() == ["workload", "2^e", "improved", "plain", "peak", *stages]
@@ -26,7 +20,7 @@ def test_one_row_per_workload_with_every_column(capsys):
 
 
 def test_a_row_is_per_symbol_of_its_input():
-    row = scale_ladder.ladder_row(bytes(range(64)) * 64, repeat=2)
+    row = scale_ladder.ladder_row(bytes(range(64)) * 64)
     assert set(row) == {"improved_Msym_s", "plain_Msym_s", "peak_bytes", "stage_ns"}
     assert set(row["stage_ns"]) == {name[:-2] for name in scale_ladder.STAGES}
     # The peak holds the phase-1 text at least: one cell per input symbol.

@@ -16,6 +16,7 @@ The call is in improved mode, as the benchmark's ``compress_peak_MB``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import os
 import sys
@@ -36,6 +37,32 @@ STAGES = (
     "rename_dense",
     "prune_unreachable",
 )
+
+
+@contextlib.contextmanager
+def tracing():
+    """Trace allocations inside the block; yields the bytes alive on entry.
+
+    The traced peak is reset on entry.  Tracing that is already on
+    (``python -X tracemalloc``) stays on after the block.
+    """
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        yield tracemalloc.get_traced_memory()[0]
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def traced_peak(call, *args) -> int:
+    """The ``tracemalloc`` peak of ``call(*args)``, over the bytes alive before it."""
+    with tracing() as base:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] - base
 
 
 def stage_peaks(data) -> tuple[int, list[tuple[int, str, int, int]]]:
@@ -82,18 +109,11 @@ def stage_peaks(data) -> tuple[int, list[tuple[int, str, int, int]]]:
         setattr(owner, attr, wrap(fn, attr))
     originals.append((driver, "run_phase", real_run_phase))
     driver.run_phase = run_phase
-    gc.collect()
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
     try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        driver.compress(data)
-        whole[0] = max(whole[0], tracemalloc.get_traced_memory()[1])
+        with tracing() as base:
+            driver.compress(data)
+            whole[0] = max(whole[0], tracemalloc.get_traced_memory()[1])
     finally:
-        if started:
-            tracemalloc.stop()
         for owner, attr, fn in originals:
             setattr(owner, attr, fn)
     return whole[0] - base, [(p, name, entry - base, peak - base) for p, name, entry, peak in rows]

@@ -5,11 +5,11 @@ Run from the repository root:
     python3 tools/scale_ladder.py --min-exp 16 --max-exp 22
 
 The inputs are the benchmark workloads of ``perfbench/workloads.py`` at
-``2**e`` symbols, seed ``--seed``.  For each workload and size the script
-prints one row:
+``2**e`` symbols, seed 88.  For each workload and size the script prints
+one row:
 
 - compress throughput in Msym/s in improved and plain mode, each the
-  median of ``--repeat`` calls;
+  median of 3 calls;
 - the ``tracemalloc`` peak of one improved-mode compress, in bytes per
   input symbol, as ``tools/peak_stages.py`` and the benchmark's
   ``compress_peak_MB`` take it;
@@ -23,33 +23,19 @@ workload's rows.
 from __future__ import annotations
 
 import argparse
-import gc
 import statistics
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
+from peak_stages import traced_peak
+
 ROOT = Path(__file__).resolve().parents[1]
+SEED = 88
+REPEAT = 3  # calls per mode; each row takes the median
 
 # PhaseTrace's stage timings, in the order a phase runs them.
 STAGES = ("blocks_s", "adjacency_s", "partition_s", "pairs_s", "compact_s", "rename_s")
-
-
-def traced_peak(call, *args) -> int:
-    """The ``tracemalloc`` peak of ``call(*args)``, over the bytes alive before it."""
-    gc.collect()
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        call(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
 
 
 def timed(call, *args):
@@ -59,14 +45,14 @@ def timed(call, *args):
     return time.perf_counter() - start, out
 
 
-def ladder_row(data, repeat: int) -> dict:
+def ladder_row(data) -> dict:
     """Throughput in both modes, peak bytes and stage ns, all per symbol of ``data``."""
     from slpcompress import compress
 
     n = len(data)
     improved, plain = [], []
     stages = {name: [] for name in STAGES}  # of the plain calls, which run every phase
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         improved.append(timed(compress, data, "improved")[0])
         seconds, result = timed(compress, data, "plain")
         plain.append(seconds)
@@ -85,12 +71,8 @@ def main(argv=None) -> int:
     import workloads
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", action="append", choices=sorted(workloads.GENERATORS),
-                        help="a workload to run (repeatable); all of them by default")
     parser.add_argument("--min-exp", type=int, default=16)
     parser.add_argument("--max-exp", type=int, default=22)
-    parser.add_argument("--seed", type=int, default=88)
-    parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args(argv)
 
     stages = [name[:-2] for name in STAGES]
@@ -98,9 +80,9 @@ def main(argv=None) -> int:
           + " ".join(f"{s:>9}" for s in stages))
     print(f"{'':12s} {'':3} {'Msym/s':>9} {'Msym/s':>7} {'B/sym':>6}  "
           + " ".join(f"{'ns/sym':>9}" for _ in stages))
-    for name in args.workload or sorted(workloads.GENERATORS):
+    for name in sorted(workloads.GENERATORS):
         for e in range(args.min_exp, args.max_exp + 1):
-            row = ladder_row(workloads.GENERATORS[name](args.seed, 2**e), args.repeat)
+            row = ladder_row(workloads.GENERATORS[name](SEED, 2**e))
             print(f"{name:12s} {e:3d} {row['improved_Msym_s']:9.2f} {row['plain_Msym_s']:7.2f} "
                   f"{row['peak_bytes']:6.1f}  "
                   + " ".join(f"{row['stage_ns'][s]:9.1f}" for s in stages), flush=True)
